@@ -1,16 +1,23 @@
 """Virtual and graded characters of a Weyl group and their pairings.
 
-All pairings are evaluated classwise from the character table; a brute-force
-sum over group elements is kept as an independent oracle for small ranks.
-The coinvariant-algebra class function p(q)/det_V(1-qw) is an integer
-polynomial for every w, which keeps fake degrees and the fake-degree matrix
-inside Z[q] throughout.
+Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
+with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
+q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
+the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
+and Omega.  All of them go through one kernel, _class_gram, which evaluates
+the sum degree by degree as integer dot products over the classes and so
+builds a whole Gram on irreducibles at once.  A brute-force sum over group
+elements is kept as an independent oracle for small ranks.  The coinvariant
+class function is an integer polynomial for every w, which keeps fake degrees
+and the fake-degree matrix inside Z[q] throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import add, mul
 
 from .polyq import IntPoly, ONE, PolyMatrix, ZERO
 from .weyl import WeylGroupData, WeylType, build, delta_elliptic_count
@@ -25,12 +32,15 @@ class VirtualCharacter:
         if len(self.coords) != len(self.group.irrep_labels):
             raise ValueError("coordinate length mismatch")
 
-    def value(self, cls: int) -> int:
-        return sum(
-            c * self.group.char_table[i][cls]
-            for i, c in enumerate(self.coords)
-            if c
+    @cached_property
+    def values(self) -> tuple:
+        """The character's value on each class, computed once."""
+        return tuple(
+            sum(map(mul, self.coords, col)) for col in zip(*self.group.char_table)
         )
+
+    def value(self, cls: int) -> int:
+        return self.values[cls]
 
     def __add__(self, other):
         _same_group(self, other)
@@ -54,12 +64,18 @@ class GradedCharacter:
         if len(self.coords) != len(self.group.irrep_labels):
             raise ValueError("coordinate length mismatch")
 
+    @cached_property
+    def values(self) -> tuple:
+        """The character's value on each class, computed once, degree by degree."""
+        top = max((len(c.coeffs) for c in self.coords), default=0)
+        by_degree = [[c[d] for c in self.coords] for d in range(top)]
+        return tuple(
+            IntPoly([sum(map(mul, cd, col)) for cd in by_degree])
+            for col in zip(*self.group.char_table)
+        )
+
     def value(self, cls: int) -> IntPoly:
-        acc = ZERO
-        for i, c in enumerate(self.coords):
-            if c:
-                acc = acc + c * self.group.char_table[i][cls]
-        return acc
+        return self.values[cls]
 
     def at_q(self, q0: int) -> VirtualCharacter:
         return VirtualCharacter(self.group, tuple(c.eval(q0) for c in self.coords))
@@ -95,15 +111,62 @@ def grade(v: VirtualCharacter) -> GradedCharacter:
 # pairings
 
 
-def std_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
+def _by_degree(vals) -> list:
+    """Per-class values (ints or IntPolys) as one integer class vector per degree."""
+    cs = [v.coeffs if isinstance(v, IntPoly) else (v,) for v in vals]
+    top = max(map(len, cs), default=0)
+    return [[c[d] if d < len(c) else 0 for c in cs] for d in range(top)]
+
+
+def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
+    """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
+
+    Each row, and the weight, lists one value per class, an int or an IntPoly.
+    The coefficient of q^d is a sum of integer dot products over the classes.
+    Entries are IntPolys if any value is one, else ints.  A sum not divisible
+    by |W| means the rows are not virtual characters and raises ArithmeticError.
+    """
+    graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
+    sizes = [cls.size for cls in g.classes]
+    weights = [list(map(mul, sizes, wd)) for wd in _by_degree(weight)]
+    weighted_b = []
+    for row in rows_b:
+        b = _by_degree(row)
+        out = [[0] * len(sizes) for _ in range(len(b) + len(weights) - 1)]
+        for d, bd in enumerate(b):
+            if any(bd):
+                for e, wd in enumerate(weights):
+                    out[d + e] = list(map(add, out[d + e], map(mul, bd, wd)))
+        weighted_b.append([(e, v) for e, v in enumerate(out) if any(v)])
+    gram = []
+    for row in rows_a:
+        a = [(d, ad) for d, ad in enumerate(_by_degree(row)) if any(ad)]
+        gram_row = []
+        for bw in weighted_b:
+            coeffs = [0] * (a[-1][0] + bw[-1][0] + 1 if a and bw else 0)
+            for d, ad in a:
+                for e, bv in bw:
+                    coeffs[d + e] += sum(map(mul, ad, bv))
+            if any(c % g.order for c in coeffs):
+                raise ArithmeticError(f"class sums {coeffs} not divisible by |W| = {g.order}")
+            quot = [c // g.order for c in coeffs]
+            gram_row.append(IntPoly(quot) if graded else (quot[0] if quot else 0))
+        gram.append(gram_row)
+    return gram
+
+
+def _pair(a, b, weight):
     _same_group(a, b)
-    g = a.group
-    total = sum(
-        cls.size * a.value(k) * b.value(k) for k, cls in enumerate(g.classes)
-    )
-    if total % g.order:
-        raise ArithmeticError("non-integral character pairing")
-    return total // g.order
+    return _class_gram(a.group, [a.values], [b.values], weight)[0][0]
+
+
+def _det_values(g: WeylGroupData, q0: int) -> list:
+    """det_V(1 - q0 w) on each class."""
+    return [p.eval(q0) for p in g.refl_charpoly]
+
+
+def std_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
+    return _pair(a, b, [1] * len(a.group.classes))
 
 
 def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
@@ -113,42 +176,22 @@ def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
     of graded modules over C[W] smashed with the polynomial ring on V, so no
     separate homological computation is provided.
     """
-    _same_group(a, b)
-    g = a.group
-    acc = ZERO
-    for k, cls in enumerate(g.classes):
-        av = a.value(k)
-        if av.is_zero():
-            continue
-        bv = b.value(k)
-        if bv.is_zero():
-            continue
-        acc = acc + (av * bv * g.refl_charpoly[k]) * cls.size
-    return acc.divexact_int(g.order)
+    return _pair(a, b, a.group.refl_charpoly)
+
+
+def q_elliptic_gram(g: WeylGroupData) -> list:
+    """The q-elliptic pairings of all pairs of irreducibles, in irrep order."""
+    return _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
 
 
 def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
     """The q-elliptic pairing at q = -1, i.e. weighted by det_V(1 + w)."""
-    g = a.group
-    total = sum(
-        cls.size * a.value(k) * b.value(k) * g.refl_charpoly[k].eval(-1)
-        for k, cls in enumerate(g.classes)
-    )
-    if total % g.order:
-        raise ArithmeticError("non-integral elliptic pairing")
-    return total // g.order
+    return _pair(a, b, _det_values(a.group, -1))
 
 
 def one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
     """The q-elliptic pairing at q = 1 (weighted by det_V(1 - w))."""
-    g = a.group
-    total = sum(
-        cls.size * a.value(k) * b.value(k) * g.refl_charpoly[k].eval(1)
-        for k, cls in enumerate(g.classes)
-    )
-    if total % g.order:
-        raise ArithmeticError("non-integral elliptic pairing")
-    return total // g.order
+    return _pair(a, b, _det_values(a.group, 1))
 
 
 # brute-force oracles over group elements, for cross-checks at small rank
@@ -194,15 +237,17 @@ def coinvariant_value(g: WeylGroupData, cls: int) -> IntPoly:
     return _coinvariant_values(g.type)[cls]
 
 
+@lru_cache(maxsize=None)
+def _fake_degrees(t: WeylType):
+    g = build(t)
+    ones = [1] * len(g.classes)
+    gram = _class_gram(g, g.char_table, [ones], _coinvariant_values(t))
+    return tuple(row[0] for row in gram)
+
+
 def fake_degree(g: WeylGroupData, irrep: int) -> IntPoly:
     """Graded multiplicity of an irreducible in the coinvariant algebra."""
-    vals = _coinvariant_values(g.type)
-    acc = ZERO
-    for k, cls in enumerate(g.classes):
-        ch = g.char_table[irrep][k]
-        if ch:
-            acc = acc + (vals[k] * ch) * cls.size
-    return acc.divexact_int(g.order)
+    return _fake_degrees(g.type)[irrep]
 
 
 def coinvariant_character(g: WeylGroupData) -> GradedCharacter:
@@ -214,20 +259,8 @@ def coinvariant_character(g: WeylGroupData) -> GradedCharacter:
 @lru_cache(maxsize=None)
 def _omega_rows(t: WeylType):
     g = build(t)
-    vals = _coinvariant_values(t)
-    n = len(g.irrep_labels)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = ZERO
-            for k, cls in enumerate(g.classes):
-                c = g.char_table[i][k] * g.char_table[j][k]
-                if c:
-                    acc = acc + (vals[k] * c) * cls.size
-            e = acc.divexact_int(g.order)
-            rows[i][j] = e
-            rows[j][i] = e
-    return tuple(tuple(r) for r in rows)
+    gram = _class_gram(g, g.char_table, g.char_table, _coinvariant_values(t))
+    return tuple(map(tuple, gram))
 
 
 def omega_entry(g: WeylGroupData, i: int, j: int) -> IntPoly:
@@ -254,20 +287,7 @@ def chevalley_check(g: WeylGroupData) -> bool:
 
 
 def minus_one_gram(g: WeylGroupData):
-    n = len(g.irrep_labels)
-    dets = [p.eval(-1) for p in g.refl_charpoly]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            total = sum(
-                cls.size * g.char_table[i][k] * g.char_table[j][k] * dets[k]
-                for k, cls in enumerate(g.classes)
-            )
-            assert total % g.order == 0
-            row.append(total // g.order)
-        rows.append(row)
-    return rows
+    return _class_gram(g, g.char_table, g.char_table, _det_values(g, -1))
 
 
 def _int_matrix_rank(rows) -> int:
@@ -330,13 +350,13 @@ def delta_twist_pairing_direct(a: VirtualCharacter, b: VirtualCharacter) -> int:
 
 def delta_twist_grams_agree(g: WeylGroupData) -> bool:
     """Entrywise agreement of the twisted and (-1)-elliptic Gram matrices."""
+    gram = minus_one_gram(g)
     n = len(g.irrep_labels)
-    for i in range(n):
-        for j in range(i, n):
-            a, b = irreducible(g, i), irreducible(g, j)
-            if delta_twist_pairing_direct(a, b) != minus_one_pairing(a, b):
-                return False
-    return True
+    return all(
+        delta_twist_pairing_direct(irreducible(g, i), irreducible(g, j)) == gram[i][j]
+        for i in range(n)
+        for j in range(i, n)
+    )
 
 
 def minus_one_rank_matches_twisted_count(g: WeylGroupData) -> bool:

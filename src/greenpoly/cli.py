@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import spin as spinmod
-from .charring import fake_degree, minus_one_gram
+from .charring import fake_degree, minus_one_gram, q_elliptic_gram
 from .lusztigshoji import GreenTableau, SolverError, solve, verify
 from .polyq import IntPoly
 from .springer import (
@@ -143,31 +143,12 @@ def cmd_wg(args, cfg):
 
 def cmd_pairing(args, cfg):
     g = _group(cfg)
-    n = len(g.irrep_labels)
     if args.form == "qell":
-        from .charring import graded_irreducible, q_elliptic_pairing
-
-        gram = [
-            [
-                _poly_str(
-                    q_elliptic_pairing(graded_irreducible(g, i), graded_irreducible(g, j))
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    elif args.form == "minusone":
+        gram = [[_poly_str(e) for e in row] for row in q_elliptic_gram(g)]
+    elif args.form in ("minusone", "delta"):
+        # the twisted Gram is the (-1)-elliptic one by the substitution u = w w0
+        # (see charring.delta_twist_pairing)
         gram = minus_one_gram(g)
-    elif args.form == "delta":
-        from .charring import delta_twist_pairing, irreducible
-
-        gram = [
-            [
-                delta_twist_pairing(irreducible(g, i), irreducible(g, j))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
     else:
         raise UsageError("--form must be qell, minusone, or delta")
     payload = {
@@ -345,12 +326,23 @@ def _parse_orbit(text) -> tuple:
     return parts
 
 
+def _parse_pair(table: SpringerTable, text, phi) -> tuple:
+    """The orbit partition of --orbit, checked with --phi against the table."""
+    lam = _parse_orbit(text)
+    try:
+        table.find_system(table.find_orbit(lam), phi)
+    except KeyError as exc:
+        raise UsageError(exc.args[0])
+    return lam
+
+
 def cmd_spin(args, cfg):
     table = _table(cfg)
+    if args.what in ("sigma", "index"):
+        lam = _parse_pair(table, args.orbit, args.phi)
     tab = solve(table)
     pin = spinmod.build_pin(tab.group)
     if args.what == "sigma":
-        lam = _parse_orbit(args.orbit)
         st = spinmod.sigma_tilde(tab, pin, lam, args.phi)
         payload = {
             "orbit": list(lam),
@@ -398,7 +390,6 @@ def cmd_spin(args, cfg):
         _emit(out, cfg.fmt, None, lines)
         return 0
     if args.what == "index":
-        lam = _parse_orbit(args.orbit)
         di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
         payload = {
             "orbit": list(lam),

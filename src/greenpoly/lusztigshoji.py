@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .charring import (
     GradedCharacter,
     fake_degree,
+    _class_gram,
     _omega_rows,
     poincare_poly,
 )
@@ -59,33 +60,12 @@ class GreenTableau:
         return [[self.k_entry(i, j) for j in range(n)] for i in range(n)]
 
 
-def _pairing(g: WeylGroupData, va, vb) -> IntPoly:
-    """q-elliptic pairing from per-class values (IntPoly or int)."""
-    acc = ZERO
-    for k, cls in enumerate(g.classes):
-        a, b = va[k], vb[k]
-        if isinstance(a, int):
-            if a == 0:
-                continue
-            term = (b * a) if isinstance(b, IntPoly) else IntPoly.const(a * b)
-        else:
-            if a.is_zero():
-                continue
-            term = a * b if isinstance(b, IntPoly) else a * b
-        acc = acc + (term * g.refl_charpoly[k]) * cls.size
-    return acc.divexact_int(g.order)
-
-
 def solve(table: SpringerTable, g: WeylGroupData | None = None) -> GreenTableau:
     """Run the triangular orthogonalization and verify the outcome."""
     g = g or table.group
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
-
-    irrep_class_values = [
-        tuple(g.char_table[i][k] for k in range(len(g.classes))) for i in range(nirr)
-    ]
 
     coords: list = []
     class_values: list = []
@@ -103,15 +83,16 @@ def solve(table: SpringerTable, g: WeylGroupData | None = None) -> GreenTableau:
             sigma = pair_irrep[j]
             col = [ZERO] * nirr
             col[sigma] = ONE
-            vals = [IntPoly.const(irrep_class_values[sigma][k]) for k in
-                    range(len(g.classes))]
+            vals = [IntPoly.const(x) for x in g.char_table[sigma]]
             for prev_orbit, prev_members in blocks:
                 if prev_orbit == orbit:
                     break
-                u = [
-                    _pairing(g, irrep_class_values[sigma], class_values[jp])
-                    for jp in prev_members
-                ]
+                (u,) = _class_gram(
+                    g,
+                    [g.char_table[sigma]],
+                    [class_values[jp] for jp in prev_members],
+                    g.refl_charpoly,
+                )
                 if all(x.is_zero() for x in u):
                     continue
                 if (prev_orbit, orbit) not in table.greater:
@@ -141,11 +122,8 @@ def solve(table: SpringerTable, g: WeylGroupData | None = None) -> GreenTableau:
                         vals[k] = vals[k] - cpoly * class_values[jp][k]
             coords.append(tuple(col))
             class_values.append(tuple(vals))
-        gram = [
-            [_pairing(g, class_values[a], class_values[b]) for b in members]
-            for a in members
-        ]
-        gm = PolyMatrix(gram)
+        block_values = [class_values[a] for a in members]
+        gm = PolyMatrix(_class_gram(g, block_values, block_values, g.refl_charpoly))
         try:
             block_gram_inv[orbit] = gm.inverse()
         except Exception as exc:
@@ -155,12 +133,7 @@ def solve(table: SpringerTable, g: WeylGroupData | None = None) -> GreenTableau:
             )
 
     npairs = len(pairs)
-    M = [[ZERO] * npairs for _ in range(npairs)]
-    for a in range(npairs):
-        for b in range(a, npairs):
-            e = _pairing(g, class_values[a], class_values[b])
-            M[a][b] = e
-            M[b][a] = e
+    M = _class_gram(g, class_values, class_values, g.refl_charpoly)
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]

@@ -29,11 +29,6 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
-def n_stat(lam: Partition) -> int:
-    """n(lambda) = sum (i-1)*lambda_i, the minimal-degree statistic."""
-    return sum(i * p for i, p in enumerate(lam))
-
-
 def dominates(lam: Partition, mu: Partition) -> bool:
     """lam >= mu in dominance order (both partitions of the same number)."""
     acc_l = acc_m = 0
@@ -106,10 +101,6 @@ def count_odd_part_partitions(n: int) -> int:
 
 def count_even_length_partitions(n: int) -> int:
     return sum(1 for lam in partitions(n) if len(lam) % 2 == 0)
-
-
-def count_odd_length_partitions(n: int) -> int:
-    return sum(1 for lam in partitions(n) if len(lam) % 2 == 1)
 
 
 def distinct_partitions(n: int):

@@ -163,12 +163,6 @@ class IntPoly:
             acc = acc * q0 + c
         return acc
 
-    def eval_frac(self, q0: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
-
     # -- io ----------------------------------------------------------------
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
@@ -203,32 +197,6 @@ class IntPoly:
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
-
-
-def poly_arith(a: IntPoly, b: IntPoly, op: str) -> IntPoly:
-    """Dispatch form of +, -, * used by the CLI."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def substitute(f: IntPoly, mode: str, arg: int | None = None):
-    """negate_q | reverse(N) | eval(q0), as a single entry point."""
-    if mode == "negate_q":
-        return f.negate_q()
-    if mode == "reverse":
-        if arg is None:
-            raise ValueError("reverse needs a degree bound")
-        return f.reverse(arg)
-    if mode == "eval":
-        if arg is None:
-            raise ValueError("eval needs an integer argument")
-        return f.eval(arg)
-    raise ValueError(f"unknown substitution {mode!r}")
 
 
 # ---------------------------------------------------------------------------

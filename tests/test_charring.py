@@ -10,10 +10,14 @@ from greenpoly.charring import (
     fake_degree,
     graded_irreducible,
     irreducible,
+    minus_one_gram,
     minus_one_gram_rank,
+    minus_one_pairing,
     omega_entry,
     omega_matrix,
+    one_pairing,
     poincare_poly,
+    q_elliptic_gram,
     q_elliptic_pairing,
     q_elliptic_pairing_elements,
     std_pairing,
@@ -186,6 +190,22 @@ def test_element_oracles_match_classwise():
     g3 = build(WeylType("B", 3))
     b = graded_irreducible(g3, g3.refl_index)
     assert q_elliptic_pairing_elements(b, b) == q_elliptic_pairing(b, b)
+    # every irreducible pair: the class kernel against the element sums
+    for fam, r in [("A", 3), ("B", 3), ("G2", 2), ("D", 4)]:
+        g = build(WeylType(fam, r))
+        n = len(g.irrep_labels)
+        qgram = q_elliptic_gram(g)
+        mgram = minus_one_gram(g)
+        for i in range(n):
+            for j in range(i, n):
+                a, b = irreducible(g, i), irreducible(g, j)
+                qa, qb = graded_irreducible(g, i), graded_irreducible(g, j)
+                q_el = q_elliptic_pairing_elements(qa, qb)
+                assert q_el == q_elliptic_pairing(qa, qb) == qgram[i][j]
+                assert std_pairing_elements(a, b) == std_pairing(a, b) == (i == j)
+                assert q_el.eval(-1) == minus_one_pairing(a, b) == mgram[i][j]
+                assert q_el.eval(1) == one_pairing(a, b)
+                assert delta_twist_pairing_direct(a, b) == mgram[i][j]
 
 
 def test_group_mismatch_rejected():

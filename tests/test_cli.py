@@ -143,6 +143,32 @@ def test_pairing_gram(capsys):
     assert data["gram"][1][1] == 3  # reflection norm in the (-1)-form
 
 
+def test_pairing_gram_delta_matches_minusone(capsys):
+    for fam, rank in [("B", "3"), ("D", "4")]:
+        grams = []
+        for form in ("minusone", "delta"):
+            code, out, _ = run(
+                capsys, "pairing", "gram", "--type", fam, "--rank", rank, "--form", form, "--json"
+            )
+            assert code == 0
+            grams.append(json.loads(out)["gram"])
+        assert grams[0] == grams[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spin", "sigma", "--type", "A", "--rank", "3", "--orbit", "9,9"),
+        ("spin", "index", "--type", "C", "--rank", "2", "--orbit", "2,2", "--phi", "bogus"),
+    ],
+)
+def test_unknown_orbit_or_system_is_usage_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_verification_failure_exit_two(capsys, tmp_path):
     # a table that loads but fails the exact verification battery: move the
     # extra local system of (4,2) in the rank-3 table onto (2,2,2)
