@@ -418,10 +418,10 @@ def _irrep_label_json(g, idx):
 
 
 def _irrep_label_from_json(g, obj, where):
-    if g.type.family == "A":
-        key = tuple(obj)
-    else:
-        key = (tuple(obj[0]), tuple(obj[1]))
+    try:
+        key = tuple(obj) if g.type.family == "A" else (tuple(obj[0]), tuple(obj[1]))
+    except (TypeError, IndexError, KeyError):
+        raise TableFormatError(f"{where}: malformed irreducible label {obj!r}")
     try:
         return g.irrep_labels.index(key)
     except ValueError:
@@ -432,6 +432,14 @@ class TableFormatError(ValueError):
     pass
 
 
+def _require_keys(obj, keys, where):
+    if not isinstance(obj, dict):
+        raise TableFormatError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise TableFormatError(f"{where}: missing key {key!r}")
+
+
 def load_table(source) -> SpringerTable:
     """Build a SpringerTable from a JSON dict or a path to one."""
     if isinstance(source, (str, bytes)):
@@ -439,28 +447,40 @@ def load_table(source) -> SpringerTable:
             obj = json.load(fh)
     else:
         obj = source
-    for key in ("type", "rank", "orbits"):
-        if key not in obj:
-            raise TableFormatError(f"missing top-level key {key!r}")
+    _require_keys(obj, ("type", "rank", "orbits"), "table")
     ambient = obj["type"]
-    n = int(obj["rank"])
-    if ambient == "A":
-        group_type = WeylType("A", n - 1)
-    elif ambient == "C":
-        group_type = WeylType("C", n)
-    else:
+    if ambient not in ("A", "C"):
         raise TableFormatError(f"unsupported ambient type {ambient!r}")
+    try:
+        n = int(obj["rank"])
+        group_type = WeylType(ambient, n - 1 if ambient == "A" else n)
+    except (TypeError, ValueError):
+        raise TableFormatError(
+            f"no built-in Weyl group for type {ambient} rank {obj['rank']!r}"
+        )
     g = build(group_type)
+    if not isinstance(obj["orbits"], (list, tuple)):
+        raise TableFormatError("'orbits' is not a list")
 
     orbits = []
     for oi, orec in enumerate(obj["orbits"]):
         where = f"orbit #{oi}"
+        _require_keys(orec, ("partition", "pairs"), where)
+        parts = orec["partition"]
+        if not isinstance(parts, (list, tuple)) or not all(
+            type(p) is int and p > 0 for p in parts
+        ):
+            raise TableFormatError(
+                f"{where}: partition {parts!r} is not a list of positive integers"
+            )
         try:
-            label = OrbitLabel(tuple(orec["partition"]), ambient)
+            label = OrbitLabel(tuple(parts), ambient)
         except ValueError as exc:
             raise TableFormatError(f"{where}: {exc}")
         comp = component_group(label)
         declared = orec.get("comp_group")
+        if declared is not None:
+            _require_keys(declared, (), f"{where} comp_group")
         if declared is not None and (
             declared.get("kind") != comp.kind or declared.get("k", 0) != comp.k
         ):
@@ -474,12 +494,17 @@ def load_table(source) -> SpringerTable:
                 f"{where}: d_e {orec['d_e']} contradicts the partition "
                 f"(expected {expected_d})"
             )
+        if not isinstance(orec["pairs"], (list, tuple)):
+            raise TableFormatError(f"{where}: 'pairs' is not a list")
         systems = []
         for sys in orec["pairs"]:
+            _require_keys(sys, ("local_system", "irrep"), f"{where} pair")
             mask = 0
             if "char_on_generators" in sys:
                 vals = sys["char_on_generators"]
-                if len(vals) != comp.k or any(v not in (1, -1) for v in vals):
+                if not isinstance(vals, (list, tuple)) or len(vals) != comp.k or any(
+                    v not in (1, -1) for v in vals
+                ):
                     raise TableFormatError(f"{where}: bad char_on_generators {vals}")
                 mask = sum(1 << i for i, v in enumerate(vals) if v == -1)
             elif sys["local_system"] != "triv" and comp.kind != "trivial":
@@ -493,7 +518,10 @@ def load_table(source) -> SpringerTable:
             OrbitRecord(label, expected_d, comp, m_representation(label), systems)
         )
 
-    greater = {(int(i), int(j)) for i, j in obj.get("closure", [])}
+    try:
+        greater = {(int(i), int(j)) for i, j in obj.get("closure", [])}
+    except (TypeError, ValueError):
+        raise TableFormatError("'closure' is not a list of orbit index pairs")
     table = SpringerTable(group_type, ambient, n, orbits, greater)
     validate_table(table)
     # for the classical families the closure order is dominance; a file that

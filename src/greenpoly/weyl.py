@@ -1,9 +1,15 @@
 """Finite Weyl group models for types A, B/C, D and G2.
 
 Elements are concrete: permutation tuples for A, signed permutation tuples
-for B/C/D, and dihedral indices for G2.  Conjugacy classes of the signed
-families and G2 are found by brute-force orbit partition under conjugation by
-the simple generators; type A classes come straight from cycle types.
+for B/C/D, and dihedral indices for G2.  Conjugacy classes come in closed form
+from their labels, with no enumeration of the group: cycle types for A;
+signed cycle types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with
+an even number of negative cycles, where a label with mu- empty and all parts
+of mu+ even splits into "+" and "-" halves; and the six dihedral classes of
+G2.  The representative of each class is its lexicographically least element.
+`class_of` computes an element's label.  `_brute_force_classes`,
+`delta_twisted_classes` and `all_elements` enumerate the whole group and serve
+as test oracles.
 Character tables: Murnaghan-Nakayama for A, the bipartition hook rule for
 B/C, restriction with split classes for D, and a hard-coded table for G2.
 """
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
-from .partitions import hooks, partitions, sym_char
+from .partitions import cycle_type_size, hooks, multiplicities, partitions, sym_char
 from .polyq import IntPoly, ONE
 
 SUPPORTED_RANKS = {"A": range(1, 9), "B": range(1, 7), "C": range(1, 7),
@@ -305,7 +311,7 @@ class WeylGroupData:
     sgn_index: int
     triv_index: int
     refl_index: int
-    _class_index: dict = field(default_factory=dict, repr=False)
+    _class_index: dict = field(default_factory=dict, repr=False)  # label -> class
 
     # -- basic lookups ---------------------------------------------------
     def char_value(self, irrep: int, cls: int) -> int:
@@ -322,11 +328,7 @@ class WeylGroupData:
                     if c.representative == identity_element(self.type))
 
     def class_of(self, w) -> int:
-        if self.type.family == "A":
-            return self._class_index[perm_cycle_type(w)]
-        if self._class_index:
-            return self._class_index[w]
-        raise RuntimeError("class index not built")
+        return self._class_index[class_label(self.type, w)]
 
     def mul(self, u, w):
         return _mul(self.type)(u, w)
@@ -373,7 +375,11 @@ def _w0(t: WeylType):
 
 
 def _brute_force_classes(t: WeylType):
-    """Orbit partition of the whole group under conjugation by generators."""
+    """Orbit partition of the whole group under conjugation by generators.
+
+    `build` does not use it; the tests check the closed-form classes against
+    it.
+    """
     mul, inv = _mul(t), _inv(t)
     gens = simple_generators(t)
     gen_pairs = [(g, inv(g)) for g in gens]
@@ -398,20 +404,169 @@ def _brute_force_classes(t: WeylType):
     return orbits
 
 
+def _signed_class_size(pos, neg) -> int:
+    """|C| = 2^n n! / z for the B_n class of signed cycle type (pos, neg).
+
+    z = prod_i (2i)^{a_i} a_i! (2i)^{b_i} b_i!, with a_i, b_i the
+    multiplicities of i in pos and neg.
+    """
+    n = sum(pos) + sum(neg)
+    z = 1
+    for mu in (pos, neg):
+        for part, mult in multiplicities(mu).items():
+            z *= (2 * part) ** mult * factorial(mult)
+    return 2**n * factorial(n) // z
+
+
+@lru_cache(maxsize=None)
+def _groupable(chains, room) -> bool:
+    """Whether the chain lengths split into groups with the sums in `room`.
+
+    Both are descending tuples with equal totals.
+    """
+    if not chains:
+        return not room
+    c, rest = chains[0], chains[1:]
+    for k, r in enumerate(room):
+        if r < c or (k and room[k - 1] == r):
+            continue
+        left = room[:k] + ((r - c,) if r > c else ()) + room[k + 1:]
+        if _groupable(rest, tuple(sorted(left, reverse=True))):
+            return True
+    return False
+
+
+def _completable(prefix, pos, neg) -> bool:
+    """Whether a signed permutation w with w(i+1) = prefix[i] has type (pos, neg).
+
+    The closed cycles of the partial map must be a sub-multiset of the label,
+    and its open chains must group into the remaining cycle lengths.  The
+    signs of those cycles are free: each still has an unassigned edge.
+    """
+    n = sum(pos) + sum(neg)
+    succ = {i + 1: x for i, x in enumerate(prefix)}
+    image = {abs(x) for x in prefix}
+    seen = set()
+    chains = []
+    for a in range(1, n + 1):
+        if a in image:
+            continue
+        seen.add(a)
+        length = 1
+        while a in succ:
+            a = abs(succ[a])
+            seen.add(a)
+            length += 1
+        chains.append(length)
+    rest = {1: list(pos), -1: list(neg)}
+    for a in succ:
+        if a in seen:
+            continue
+        length, sign = 0, 1
+        while a not in seen:
+            seen.add(a)
+            x = succ[a]
+            if x < 0:
+                sign = -sign
+            a = abs(x)
+            length += 1
+        if length not in rest[sign]:
+            return False
+        rest[sign].remove(length)
+    room = tuple(sorted(rest[1] + rest[-1], reverse=True))
+    return _groupable(tuple(sorted(chains, reverse=True)), room)
+
+
+def _lex_elements(pos, neg):
+    """The signed permutations of type (pos, neg), in increasing lex order.
+
+    A depth-first search over prefixes that keeps only completable ones, so
+    the first element it yields is the least one of the class.
+    """
+    n = sum(pos) + sum(neg)
+    values = [*range(-n, 0), *range(1, n + 1)]
+    prefix = []
+
+    def extend():
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        used = {abs(x) for x in prefix}
+        for v in values:
+            if abs(v) in used:
+                continue
+            prefix.append(v)
+            if _completable(prefix, pos, neg):
+                yield from extend()
+            prefix.pop()
+
+    return extend()
+
+
+def _splits(pos, neg) -> bool:
+    """Whether the B_n class (pos, neg) falls into two D_n classes."""
+    return not neg and all(c % 2 == 0 for c in pos)
+
+
+def _d_tag(w, pos, neg) -> str:
+    """"+" or "-" for the D_n classes a split label falls into, else "".
+
+    The "+" class is the one holding x, the element with positive cycles
+    (1 .. mu_1)(mu_1 + 1 .. mu_1 + mu_2)... for mu = pos.  Read b in B_n with
+    b x b^-1 = w off the cycles of w, longest first, using b(x(a)) = w(b(a));
+    w is in the "+" class iff b has an even number of sign changes.  Any such
+    b gives the same answer, since the centralizer of x in B_n lies in D_n.
+    """
+    if not _splits(pos, neg):
+        return ""
+    n = len(w)
+    seen = [False] * n
+    cycles = []  # (length, least point)
+    for i in range(n):
+        if seen[i]:
+            continue
+        j, c = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = abs(w[j]) - 1
+            c += 1
+        cycles.append((c, i + 1))
+    cycles.sort(key=lambda cyc: -cyc[0])
+    flips = 0
+    for c, start in cycles:
+        v = start  # b sends the first point of the matching x-cycle here
+        for _ in range(c - 1):
+            img = w[abs(v) - 1]
+            v = img if v > 0 else -img
+            flips += v < 0
+    return "+" if flips % 2 == 0 else "-"
+
+
+def class_label(t: WeylType, w):
+    """The label of the conjugacy class of w, as in `ConjClass.label`."""
+    if t.family == "A":
+        return perm_cycle_type(w)
+    if t.family == "G2":
+        return g2_class_name(w)
+    pos, neg = signed_cycle_type(w)
+    if t.family == "D":
+        return pos, neg, _d_tag(w, pos, neg)
+    return pos, neg
+
+
+def _class_order(cls: ConjClass):
+    return -len(cls.label[0]), cls.label
+
+
 def _build_A(t: WeylType):
     n = t.rank + 1
-    labels = partitions(n)
     classes = []
-    index = {}
-    for lab in labels:
+    for lab in partitions(n):
         rep = []
         start = 0
         for c in lab:
             rep.extend(list(range(start + 1, start + c)) + [start])
             start += c
-        from .partitions import cycle_type_size
-
-        index[lab] = len(classes)
         classes.append(ConjClass(tuple(rep), cycle_type_size(n, lab), lab))
     irreps = partitions(n)
     table = tuple(
@@ -419,24 +574,15 @@ def _build_A(t: WeylType):
     )
     sgn = irreps.index((1,) * n)
     triv = irreps.index((n,))
-    return classes, table, irreps, index, sgn, triv
+    return classes, table, irreps, sgn, triv
 
 
 def _build_BC(t: WeylType):
-    orbits = _brute_force_classes(t)
-    classes = []
-    index = {}
-    keyed = []
-    for orb in orbits:
-        rep = min(orb)
-        lab = signed_cycle_type(rep)
-        keyed.append((lab, rep, orb))
-    keyed.sort(key=lambda x: (-len(x[0][0]), x[0]))
-    for lab, rep, orb in keyed:
-        idx = len(classes)
-        classes.append(ConjClass(rep, len(orb), lab))
-        for w in orb:
-            index[w] = idx
+    classes = [
+        ConjClass(next(_lex_elements(pos, neg)), _signed_class_size(pos, neg), (pos, neg))
+        for pos, neg in bipartitions(t.rank)
+    ]
+    classes.sort(key=_class_order)
     irreps = bipartitions(t.rank)
     table = tuple(
         tuple(hyperoct_char(a, b, cls.label[0], cls.label[1]) for cls in classes)
@@ -444,39 +590,24 @@ def _build_BC(t: WeylType):
     )
     sgn = irreps.index(((), (1,) * t.rank))
     triv = irreps.index(((t.rank,), ()))
-    return classes, table, irreps, index, sgn, triv
+    return classes, table, irreps, sgn, triv
 
 
 def _build_D(t: WeylType):
     n = t.rank
-    orbits = _brute_force_classes(t)
-    # canonical positive-cycle representative of each split label
-    def split_positive_rep(mu):
-        rep = []
-        start = 0
-        for c in mu:
-            rep.extend(list(range(start + 2, start + c + 1)) + [start + 1])
-            start += c
-        return tuple(rep)
-
-    keyed = []
-    for orb in orbits:
-        rep = min(orb)
-        pos, neg = signed_cycle_type(rep)
-        splits = not neg and all(c % 2 == 0 for c in pos)
-        if splits:
-            tag = "+" if split_positive_rep(pos) in orb else "-"
-        else:
-            tag = ""
-        keyed.append(((pos, neg, tag), rep, orb))
-    keyed.sort(key=lambda x: (-len(x[0][0]), x[0]))
     classes = []
-    index = {}
-    for lab, rep, orb in keyed:
-        idx = len(classes)
-        classes.append(ConjClass(rep, len(orb), lab))
-        for w in orb:
-            index[w] = idx
+    for pos, neg in bipartitions(n):
+        if len(neg) % 2:
+            continue
+        # the least element of each tag, in one lex-ordered search
+        reps = {}
+        for w in _lex_elements(pos, neg):
+            reps.setdefault(_d_tag(w, pos, neg), w)
+            if len(reps) == 1 + _splits(pos, neg):
+                break
+        size = _signed_class_size(pos, neg) // len(reps)
+        classes += [ConjClass(w, size, (pos, neg, tag)) for tag, w in reps.items()]
+    classes.sort(key=_class_order)
 
     # irreps: unordered pairs {a,b}, a != b, plus split pairs (a,a,+-)
     pair_labels = []
@@ -517,7 +648,7 @@ def _build_D(t: WeylType):
     table = tuple(rows)
     sgn = labels.index(_d_pair_key((), (1,) * n, labels))
     triv = labels.index(_d_pair_key((n,), (), labels))
-    return classes, table, tuple(labels), index, sgn, triv
+    return classes, table, tuple(labels), sgn, triv
 
 
 def _d_pair_key(a, b, labels):
@@ -528,34 +659,28 @@ def _d_pair_key(a, b, labels):
 
 
 def _build_G2(t: WeylType):
-    orbits = _brute_force_classes(t)
-    by_name = {}
-    for orb in orbits:
-        rep = min(orb)
-        by_name[g2_class_name(rep)] = (rep, orb)
-    classes = []
-    index = {}
-    for name in _G2_CLASS_ORDER:
-        rep, orb = by_name[name]
-        idx = len(classes)
-        classes.append(ConjClass(rep, len(orb), name))
-        for w in orb:
-            index[w] = idx
+    members = {}
+    for w in range(12):
+        members.setdefault(g2_class_name(w), []).append(w)
+    classes = [
+        ConjClass(members[name][0], len(members[name]), name)
+        for name in _G2_CLASS_ORDER
+    ]
     table = tuple(tuple(_G2_TABLE[ir]) for ir in _G2_IRREPS)
-    return classes, table, _G2_IRREPS, index, _G2_IRREPS.index("sgn"), 0
+    return classes, table, _G2_IRREPS, _G2_IRREPS.index("sgn"), 0
 
 
 @lru_cache(maxsize=None)
 def build(t: WeylType) -> WeylGroupData:
     """Construct and verify the full group datum for a supported type."""
     if t.family == "A":
-        classes, table, labels, index, sgn, triv = _build_A(t)
+        classes, table, labels, sgn, triv = _build_A(t)
     elif t.family in ("B", "C"):
-        classes, table, labels, index, sgn, triv = _build_BC(t)
+        classes, table, labels, sgn, triv = _build_BC(t)
     elif t.family == "D":
-        classes, table, labels, index, sgn, triv = _build_D(t)
+        classes, table, labels, sgn, triv = _build_D(t)
     else:
-        classes, table, labels, index, sgn, triv = _build_G2(t)
+        classes, table, labels, sgn, triv = _build_G2(t)
 
     degrees = _degrees(t)
     order = 1
@@ -577,7 +702,7 @@ def build(t: WeylType) -> WeylGroupData:
         sgn_index=sgn,
         triv_index=triv,
         refl_index=-1,
-        _class_index=index,
+        _class_index={c.label: i for i, c in enumerate(classes)},
     )
     _verify(g)
     g.refl_index = _find_reflection_irrep(g)
@@ -684,7 +809,14 @@ def delta_twisted_classes(g: WeylGroupData):
 
 
 def delta_elliptic_count(g: WeylGroupData) -> int:
-    return sum(1 for _, _, e in delta_twisted_classes(g) if e)
+    """Number of delta-twisted classes with det_V(1 - w delta) != 0.
+
+    u w delta(u)^{-1} w0 = u (w w0) u^{-1}, so w -> w w0 maps the twisted
+    classes one-to-one onto the ordinary classes, and a twisted class is
+    elliptic exactly when its image is (-1)-elliptic.  `delta_twisted_classes`
+    enumerates the twisted orbits themselves.
+    """
+    return len(minus_one_elliptic_classes(g))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,44 @@ def test_springer_load_bad_file(capsys, tmp_path):
     assert "misses" in err
 
 
+def _c2_table(edit):
+    from greenpoly.springer import save_table, table_typeC
+
+    d = save_table(table_typeC(2))
+    edit(d)
+    return d
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(rank=9),
+        lambda d: d["orbits"][1].pop("pairs"),
+        lambda d: d["orbits"][1].update(partition=[2, "1", 1]),
+        lambda d: d["orbits"][0].update(comp_group=[1]),
+        lambda d: d["orbits"][0]["pairs"][0].update(irrep=3),
+        lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=1),
+        lambda d: d.update(closure=[["a", "b"]]),
+        None,  # no FILE at all
+    ],
+    ids=[
+        "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
+        "comp-group-not-object", "irrep-not-a-label", "characters-not-a-list",
+        "closure-not-index-pairs", "no-file",
+    ],
+)
+def test_springer_load_malformed_input(capsys, tmp_path, edit):
+    args = ["springer", "load"]
+    if edit is not None:
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(_c2_table(edit)))
+        args.append(str(path))
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_spin_sigma(capsys):
     code, out, _ = run(
         capsys, "spin", "sigma", "--type", "A", "--rank", "5", "--orbit", "3,2", "--json"

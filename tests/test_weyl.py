@@ -5,9 +5,11 @@ from greenpoly.partitions import (
     count_odd_part_partitions,
     partitions,
 )
+from greenpoly import weyl
 from greenpoly.polyq import IntPoly
 from greenpoly.weyl import (
     WeylType,
+    _brute_force_classes,
     braid_order,
     build,
     delta_elliptic_count,
@@ -119,6 +121,70 @@ def test_minus_one_elliptic():
 )
 def test_delta_elliptic_counts(family, rank, expected):
     assert delta_elliptic_count(build(WeylType(family, rank))) == expected
+
+
+def _split_positive_rep(mu):
+    """The element with positive cycles (1 .. mu_1)(mu_1 + 1 .. mu_1 + mu_2)..."""
+    rep = []
+    start = 0
+    for c in mu:
+        rep.extend(list(range(start + 2, start + c + 1)) + [start + 1])
+        start += c
+    return tuple(rep)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("B", r) for r in range(1, 7)]
+    + [("C", r) for r in range(1, 7)]
+    + [("D", r) for r in range(3, 7)]
+    + [("G2", 2)],
+)
+def test_closed_form_classes_match_orbit_partition(family, rank):
+    t = WeylType(family, rank)
+    g = build(t)
+    orbits = {min(orb): orb for orb in _brute_force_classes(t)}
+    assert len(orbits) == len(g.classes)
+    for k, cls in enumerate(g.classes):
+        orb = orbits[cls.representative]  # the representative is min(orbit)
+        assert cls.size == len(orb)
+        if family == "G2":
+            assert cls.label == weyl.g2_class_name(cls.representative)
+        else:
+            pos, neg = weyl.signed_cycle_type(cls.representative)
+            assert cls.label[:2] == (pos, neg)
+        if family == "D" and cls.label[2]:
+            want = "+" if _split_positive_rep(cls.label[0]) in orb else "-"
+            assert cls.label[2] == want
+        assert all(g.class_of(w) == k for w in orb)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 8)]
+    + [("B", r) for r in range(1, 6)]
+    + [("D", r) for r in range(3, 7)]
+    + [("G2", 2)],
+)
+def test_delta_elliptic_count_matches_twisted_orbits(family, rank):
+    g = build(WeylType(family, rank))
+    orbs = delta_twisted_classes(g)
+    assert len(orbs) == len(g.classes)  # w -> w w0 is a bijection of classes
+    assert delta_elliptic_count(g) == sum(1 for _, _, ell in orbs if ell)
+
+
+def test_build_and_twisted_count_never_enumerate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-group enumeration")
+
+    monkeypatch.setattr(weyl, "all_elements", refuse)
+    monkeypatch.setattr(weyl, "_brute_force_classes", refuse)
+    # the uncached body, so the groups other tests hold stay the cached ones
+    uncached_build = build.__wrapped__
+    for fam in ("B", "C", "D"):
+        uncached_build(WeylType(fam, 6))
+    for fam, r in (("A", 7), ("D", 5)):
+        delta_elliptic_count(uncached_build(WeylType(fam, r)))
 
 
 def test_twisted_orbits_partition_group():
