@@ -4,9 +4,10 @@ Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
 with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
 q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
 the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
-and Omega.  All of them go through one kernel, _class_gram, which evaluates
-the sum degree by degree as integer dot products over the classes and so
-builds a whole Gram on irreducibles at once.  A brute-force sum over group
+and Omega.  All of them go through one kernel, _class_gram, which packs each
+polynomial class value into one integer f(2^b) (Kronecker substitution) and
+takes each entry as one integer dot product over the classes, so it builds
+a whole Gram on irreducibles at once.  A brute-force sum over group
 elements is kept as an independent oracle for small ranks.  The coinvariant
 class function is an integer polynomial for every w, which keeps fake degrees
 and the fake-degree matrix inside Z[q] throughout.
@@ -17,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, mul
+from operator import mul
 
-from .polyq import IntPoly, ONE, PolyMatrix, ZERO
+from .polyq import IntPoly, ONE, PolyMatrix, ZERO, slot_bits
 from .weyl import WeylGroupData, WeylType, build, delta_elliptic_count
 
 
@@ -111,46 +112,63 @@ def grade(v: VirtualCharacter) -> GradedCharacter:
 # pairings
 
 
-def _by_degree(vals) -> list:
-    """Per-class values (ints or IntPolys) as one integer class vector per degree."""
-    cs = [v.coeffs if isinstance(v, IntPoly) else (v,) for v in vals]
-    top = max(map(len, cs), default=0)
-    return [[c[d] if d < len(c) else 0 for c in cs] for d in range(top)]
+def _packed(v, b: int) -> int:
+    """A class value (int or IntPoly) at q = 2^b."""
+    return v.pack(b) if isinstance(v, IntPoly) else v
+
+
+def _norm_inf(v) -> int:
+    return v.norm_inf() if isinstance(v, IntPoly) else abs(v)
+
+
+def _norm1(v) -> int:
+    return v.norm1() if isinstance(v, IntPoly) else abs(v)
 
 
 def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
 
     Each row, and the weight, lists one value per class, an int or an IntPoly.
-    The coefficient of q^d is a sum of integer dot products over the classes.
-    Entries are IntPolys if any value is one, else ints.  A sum not divisible
-    by |W| means the rows are not virtual characters and raises ArithmeticError.
+    Entries are IntPolys if any value is one, else ints.  Integer sums are one
+    dot product over the classes per entry.  Graded sums are the same, on
+    values packed at q = 2^b (`IntPoly.pack`): |C_k| weight_k is packed with
+    each b-side row once, and an entry is one big-integer dot product,
+    unpacked once.  The slot width b comes from the bound
+    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient.  A sum not
+    divisible by |W| means the rows are not virtual characters and raises
+    ArithmeticError.
     """
     graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
     sizes = [cls.size for cls in g.classes]
-    weights = [list(map(mul, sizes, wd)) for wd in _by_degree(weight)]
-    weighted_b = []
-    for row in rows_b:
-        b = _by_degree(row)
-        out = [[0] * len(sizes) for _ in range(len(b) + len(weights) - 1)]
-        for d, bd in enumerate(b):
-            if any(bd):
-                for e, wd in enumerate(weights):
-                    out[d + e] = list(map(add, out[d + e], map(mul, bd, wd)))
-        weighted_b.append([(e, v) for e, v in enumerate(out) if any(v)])
+    if graded:
+        sup_a = [max(map(_norm_inf, col)) for col in zip(*rows_a)]
+        one_b = [max(map(_norm1, col)) for col in zip(*rows_b)]
+        bound = sum(map(mul, map(mul, sizes, sup_a), map(mul, one_b, map(_norm1, weight))))
+        b = slot_bits(bound)
+        sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
+        rows_a = [[_packed(v, b) for v in row] for row in rows_a]
+        rows_b = [[_packed(v, b) for v in row] for row in rows_b]
+    else:
+        sized = list(map(mul, sizes, weight))
+    weighted_b = [list(map(mul, sized, row)) for row in rows_b]
     gram = []
     for row in rows_a:
-        a = [(d, ad) for d, ad in enumerate(_by_degree(row)) if any(ad)]
         gram_row = []
         for bw in weighted_b:
-            coeffs = [0] * (a[-1][0] + bw[-1][0] + 1 if a and bw else 0)
-            for d, ad in a:
-                for e, bv in bw:
-                    coeffs[d + e] += sum(map(mul, ad, bv))
-            if any(c % g.order for c in coeffs):
-                raise ArithmeticError(f"class sums {coeffs} not divisible by |W| = {g.order}")
-            quot = [c // g.order for c in coeffs]
-            gram_row.append(IntPoly(quot) if graded else (quot[0] if quot else 0))
+            total = sum(map(mul, row, bw))
+            if graded:
+                poly = IntPoly.unpack(total, b)
+                if not poly.divisible_int(g.order):
+                    raise ArithmeticError(
+                        f"class sums {list(poly.coeffs)} not divisible by |W| = {g.order}"
+                    )
+                gram_row.append(poly.divexact_int(g.order))
+            else:
+                if total % g.order:
+                    raise ArithmeticError(
+                        f"class sums {[total]} not divisible by |W| = {g.order}"
+                    )
+                gram_row.append(total // g.order)
         gram.append(gram_row)
     return gram
 

@@ -280,9 +280,7 @@ def cmd_verify(args, cfg):
             spin_ok = spinmod.braid_check(pin)
             sq_ok = True
             for k in range(len(g.classes)):
-                import numpy as np
-
-                t = np.trace(pin.lift_of_class(k))
+                t = pin.lift_of_class(k).trace()
                 det = g.refl_charpoly[k].eval(-1)
                 if abs(t * t - pin.a_v * det) > cfg.tolerance:
                     sq_ok = False

@@ -4,14 +4,20 @@ Orbits are processed largest-first in a linear extension of the closure
 order.  Each column starts as the basis vector of its assigned irreducible
 and is made orthogonal, under the q-elliptic form, to the span of every
 previously completed orbit block; within-block columns are left alone, so
-the block Gram matrices come out as they are.  Everything is exact; any
-rational function that ought to be an integer polynomial is converted and
-checked, and all matrix identities are verified with zero residual.
+the block Gram matrices come out as they are.  Everything is exact and
+stays in Z[q]: each block Gram G is inverted up to its determinant,
+G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
+(adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
+division that raises SolverError when the quotient leaves Z[q].  The class
+sums go through the packed kernel `charring._class_gram`, and the matrix
+identities of `verify` are checked with zero residual on packed products
+(`polyq.matmul`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .charring import (
     GradedCharacter,
@@ -20,7 +26,7 @@ from .charring import (
     _omega_rows,
     poincare_poly,
 )
-from .polyq import IntPoly, ONE, PolyMatrix, RatFun, ZERO
+from .polyq import IntPoly, ONE, ZERO, adjugate, matmul
 from .springer import SpringerTable, q_M_gram
 from .weyl import WeylGroupData
 
@@ -60,6 +66,14 @@ class GreenTableau:
         return [[self.k_entry(i, j) for j in range(n)] for i in range(n)]
 
 
+def _inverse_parts(rows, what: str) -> tuple:
+    """(adj, det) of a square block with det != 0, for exact division by det."""
+    try:
+        return adjugate(rows)
+    except ZeroDivisionError:
+        raise SolverError(f"singular {what}")
+
+
 def solve(
     table: SpringerTable, g: WeylGroupData | None = None, check: bool = True
 ) -> GreenTableau:
@@ -73,34 +87,32 @@ def solve(
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
+    weight = g.refl_charpoly
 
     coords: list = []
     class_values: list = []
-    blocks: list = []  # (orbit, [pair positions]) in processing order
-    block_gram_inv: dict = {}
+    blocks: list = []  # (orbit, range of pair positions) in processing order
+    block_inverse: dict = {}  # orbit -> (adjugate, determinant) of its Gram block
 
-    pos = 0
     for orbit, rec in enumerate(table.orbits):
-        members = list(range(pos, pos + len(rec.systems)))
-        pos += len(rec.systems)
-        blocks.append((orbit, members))
-
-    for orbit, members in blocks:
-        for j in members:
+        start = len(coords)
+        members = range(start, start + len(rec.systems))
+        # earlier blocks are mutually orthogonal, so each irreducible is
+        # projected onto all of them at once
+        proj = _class_gram(
+            g, [g.char_table[pair_irrep[j]] for j in members], class_values, weight
+        )
+        # a column, coordinates and class values side by side, is its
+        # irreducible minus sum c * (earlier column): one packed row product
+        earlier = [coords[jp] + class_values[jp] for jp in range(start)]
+        for j, u_all in zip(members, proj):
             sigma = pair_irrep[j]
-            col = [ZERO] * nirr
-            col[sigma] = ONE
-            vals = [IntPoly.const(x) for x in g.char_table[sigma]]
+            base = [ZERO] * nirr + [IntPoly.const(x) for x in g.char_table[sigma]]
+            base[sigma] = ONE
+            terms = [(ONE, base)]
             for prev_orbit, prev_members in blocks:
-                if prev_orbit == orbit:
-                    break
-                (u,) = _class_gram(
-                    g,
-                    [g.char_table[sigma]],
-                    [class_values[jp] for jp in prev_members],
-                    g.refl_charpoly,
-                )
-                if all(x.is_zero() for x in u):
+                u = u_all[prev_members.start : prev_members.stop]
+                if not any(u):
                     continue
                 if (prev_orbit, orbit) not in table.greater:
                     raise SolverError(
@@ -108,54 +120,44 @@ def solve(
                         f"{table.orbits[prev_orbit].label.partition}, which is "
                         "not above it in the closure order"
                     )
-                ginv = block_gram_inv[prev_orbit]
-                urf = PolyMatrix([[RatFun(x)] for x in u])
-                cvec = ginv * urf
-                for row, jp in enumerate(prev_members):
-                    c = cvec[row, 0]
-                    if c.is_zero():
-                        continue
+                adj, det = block_inverse[prev_orbit]
+                for adj_row, jp in zip(adj, prev_members):
+                    num = sum(map(mul, adj_row, u), ZERO)
                     try:
-                        cpoly = c.as_intpoly()
+                        c = num.divexact(det)
                     except ValueError:
                         raise SolverError(
-                            f"non-polynomial expansion coefficient {c!r} at "
-                            f"pair {pairs[j]} against {pairs[jp]}"
+                            f"non-polynomial expansion coefficient ({num})/({det}) "
+                            f"at pair {pairs[j]} against {pairs[jp]}"
                         )
-                    for i in range(nirr):
-                        if coords[jp][i]:
-                            col[i] = col[i] - cpoly * coords[jp][i]
-                    for k in range(len(g.classes)):
-                        vals[k] = vals[k] - cpoly * class_values[jp][k]
-            coords.append(tuple(col))
-            class_values.append(tuple(vals))
-        block_values = [class_values[a] for a in members]
-        gm = PolyMatrix(_class_gram(g, block_values, block_values, g.refl_charpoly))
-        try:
-            block_gram_inv[orbit] = gm.inverse()
-        except Exception as exc:
-            raise SolverError(
-                f"singular within-orbit Gram block at orbit "
-                f"{table.orbits[orbit].label.partition}: {exc}"
-            )
+                    if c:
+                        terms.append((-c, earlier[jp]))
+            (col,) = matmul([[c for c, _ in terms]], [row for _, row in terms])
+            coords.append(tuple(col[:nirr]))
+            class_values.append(tuple(col[nirr:]))
+        block_values = class_values[start:]
+        block_inverse[orbit] = _inverse_parts(
+            _class_gram(g, block_values, block_values, weight),
+            f"within-orbit Gram block at orbit {rec.label.partition}",
+        )
+        blocks.append((orbit, members))
 
     npairs = len(pairs)
-    M = _class_gram(g, class_values, class_values, g.refl_charpoly)
+    M = _class_gram(g, class_values, class_values, weight)
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]
     for orbit, members in blocks:
-        inv = block_gram_inv[orbit]
-        prf = RatFun(p)
-        for r, a in enumerate(members):
-            for c, b in enumerate(members):
-                ent = inv[r, c] * prf
+        adj, det = block_inverse[orbit]
+        for adj_row, a in zip(adj, members):
+            for x, b in zip(adj_row, members):
+                num = x * p
                 try:
-                    Lam[a][b] = ent.as_intpoly()
+                    Lam[a][b] = num.divexact(det)
                 except ValueError:
                     raise SolverError(
                         "Lambda entry is not an integer polynomial at "
-                        f"{pairs[a]},{pairs[b]}: {ent!r}"
+                        f"{pairs[a]},{pairs[b]}: ({num})/({det})"
                     )
 
     tab = GreenTableau(
@@ -183,24 +185,6 @@ def solve(
 
 # ---------------------------------------------------------------------------
 # checks
-
-
-def _intmat_mul(A, B):
-    n, m, l = len(A), len(B[0]), len(B)
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(l):
-            a = Ai[k]
-            if a.is_zero():
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(m):
-                if Bk[j].is_zero():
-                    continue
-                row[j] = row[j] + a * Bk[j]
-    return out
 
 
 def omega_on_pairs(tab: GreenTableau):
@@ -243,15 +227,15 @@ def verify(tab: GreenTableau):
                 bad.append((a, b))
     out.append(("cross_orbit_orthogonality", not bad, bad[:4]))
 
-    LM = _intmat_mul(tab.Lam, tab.M)
+    LM = matmul(tab.Lam, tab.M)
     ok = all(
         LM[i][j] == (tab.p if i == j else ZERO) for i in range(n) for j in range(n)
     )
     out.append(("lambda_m_product", ok, None))
 
-    KL = _intmat_mul(K, tab.Lam)
+    KL = matmul(K, tab.Lam)
     Kt = [[K[j][i] for j in range(n)] for i in range(n)]
-    KLK = _intmat_mul(KL, Kt)
+    KLK = matmul(KL, Kt)
     omega = omega_on_pairs(tab)
     bad = [
         (i, j)
@@ -316,16 +300,29 @@ def green(tab: GreenTableau, partition, system="triv") -> GradedCharacter:
 
 
 def m_matrix(tab: GreenTableau):
-    """M both ways: direct pairings (stored) and p * Lambda^{-1}; must agree."""
+    """M both ways: direct pairings (stored) and p * Lambda^{-1}; must agree.
+
+    Lambda is block diagonal by orbit, so its inverse is taken block by
+    block, as adj / det in Z[q].
+    """
     n = len(tab.pairs)
-    lam_rf = PolyMatrix([[RatFun(tab.Lam[i][j]) for j in range(n)] for i in range(n)])
-    prf = RatFun(tab.p)
-    back = lam_rf.inverse()
-    for i in range(n):
-        for j in range(n):
-            ent = back[i, j] * prf
-            if ent != RatFun(tab.M[i][j]):
-                raise SolverError(f"M mismatch at {i},{j}")
+    for a in range(n):
+        for b in range(n):
+            if tab.pairs[a][0] != tab.pairs[b][0]:
+                if tab.Lam[a][b]:
+                    raise SolverError(f"Lambda is not block diagonal at {a},{b}")
+                if tab.M[a][b]:
+                    raise SolverError(f"M mismatch at {a},{b}")
+    for orbit in range(len(tab.table.orbits)):
+        members = [j for j, (o, _) in enumerate(tab.pairs) if o == orbit]
+        adj, det = _inverse_parts(
+            [[tab.Lam[a][b] for b in members] for a in members],
+            f"Lambda block at orbit {tab.table.orbits[orbit].label.partition}",
+        )
+        for adj_row, a in zip(adj, members):
+            for x, b in zip(adj_row, members):
+                if x * tab.p != tab.M[a][b] * det:
+                    raise SolverError(f"M mismatch at {a},{b}")
     return tab.M
 
 
@@ -359,6 +356,7 @@ def caction_check(tab: GreenTableau) -> CactionResult:
     if not g.delta_is_trivial():
         raise SolverError("twisted-trace check requires w0 central")
     sgn_w0 = g.sgn_of_class(g.class_of(g.w0))
+    w0_times = [g.class_of(g.mul(g.w0, cls.representative)) for cls in g.classes]
     twists = {}
     ok = True
     for j, (orbit, s) in enumerate(tab.pairs):
@@ -367,9 +365,8 @@ def caction_check(tab: GreenTableau) -> CactionResult:
         good_eps = None
         for eps in (1, -1):
             hold = True
-            for k, cls in enumerate(g.classes):
+            for k, kk in enumerate(w0_times):
                 lhs = tab.class_values[j][k] * eps
-                kk = g.class_of(g.mul(g.w0, cls.representative))
                 rhs = tab.class_values[j][kk].negate_q() * base
                 if lhs != rhs:
                     hold = False

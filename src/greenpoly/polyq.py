@@ -1,20 +1,39 @@
-"""Exact arithmetic over Z[q], Q(q), and matrices of rational functions.
+"""Exact arithmetic over Z[q], plus the legacy Q(q) field and its matrices.
 
 Everything here is immutable and normalized on construction, so equal values
 compare equal componentwise and can be shared freely across threads.
+
+The solver's linear algebra stays in Z[q]: `adjugate` inverts a square block
+up to its determinant by fraction-free elimination, and `matmul` multiplies
+matrices of polynomials by Kronecker substitution.  A polynomial f whose
+coefficients lie strictly between -2^(b-1) and 2^(b-1) is packed into the
+single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
+(`IntPoly.unpack`); since evaluation at 2^b is a ring map, sums of products
+of packed values are packed sums of products, so one big-integer multiply-add
+replaces a schoolbook polynomial product (Harvey, J. Symbolic Comput. 44,
+2009).  The slot width b comes from a coefficient bound computed from the
+inputs (`slot_bits`).  `RatFun` and `PolyMatrix` remain only as test oracles
+and for `charring.omega_matrix`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 
 def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def slot_bits(bound: int) -> int:
+    """Slot width b for packing values whose coefficients are at most bound
+    in absolute value: every coefficient then lies below 2^(b-1)."""
+    return bound.bit_length() + 1
 
 
 class IntPoly:
@@ -26,7 +45,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _trim(coeffs)
+        cs = _trim(tuple(coeffs))
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
@@ -65,6 +84,37 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def norm_inf(self) -> int:
+        """Largest absolute value of a coefficient."""
+        return max(map(abs, self.coeffs), default=0)
+
+    def norm1(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self.coeffs))
+
+    # -- Kronecker substitution ------------------------------------------
+    def pack(self, b: int) -> int:
+        """f(2^b) as one integer."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc << b) + c
+        return acc
+
+    @staticmethod
+    def unpack(n: int, b: int) -> "IntPoly":
+        """The f with f(2^b) = n, reading signed base-2^b digits; exact when
+        every coefficient of f lies strictly between -2^(b-1) and 2^(b-1)."""
+        out = []
+        mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+        while n:
+            d = n & mask
+            n >>= b
+            if d >= half:
+                d -= full
+                n += 1
+            out.append(d)
+        return _poly(out)
+
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -73,26 +123,26 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _poly(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly(tuple(other * c for c in self.coeffs))
+            return _poly(tuple(other * c for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPoly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -127,13 +177,13 @@ class IntPoly:
             c = num[k + len(den) - 1]
             if c % dl:
                 # quotient leaves Z[q]; signal through the remainder
-                return IntPoly(out), IntPoly(num)
+                return _poly(out), _poly(num)
             f = c // dl
             out[k] = f
             if f:
                 for j, dj in enumerate(den):
                     num[k + j] -= f * dj
-        return IntPoly(out), IntPoly(num)
+        return _poly(out), _poly(num)
 
     def divisible_int(self, n: int) -> bool:
         return all(c % n == 0 for c in self.coeffs)
@@ -141,12 +191,12 @@ class IntPoly:
     def divexact_int(self, n: int) -> "IntPoly":
         if not self.divisible_int(n):
             raise ValueError(f"coefficients not divisible by {n}: {self}")
-        return IntPoly(tuple(c // n for c in self.coeffs))
+        return _poly(tuple(c // n for c in self.coeffs))
 
     # -- substitutions ---------------------------------------------------
     def negate_q(self) -> "IntPoly":
         """f(q) -> f(-q)."""
-        return IntPoly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)))
+        return _poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)))
 
     def reverse(self, n: int) -> "IntPoly":
         """q^n * f(1/q); requires n >= deg f."""
@@ -155,7 +205,7 @@ class IntPoly:
         out = [0] * (n + 1)
         for i, c in enumerate(self.coeffs):
             out[n - i] = c
-        return IntPoly(out)
+        return _poly(out)
 
     def eval(self, q0: int) -> int:
         acc = 0
@@ -194,9 +244,77 @@ class IntPoly:
         return out
 
 
+_set_coeffs = IntPoly.coeffs.__set__
+
+
+def _poly(coeffs) -> IntPoly:
+    """Unchecked IntPoly constructor for arithmetic results: a sequence of
+    ints, only trimmed."""
+    self = object.__new__(IntPoly)
+    _set_coeffs(self, _trim(coeffs))
+    return self
+
+
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# matrices over Z[q], as lists of rows of IntPolys
+
+
+def matmul(A, B) -> list:
+    """The product A*B, one packed multiply-add per term.
+
+    Entry (i, j) is one integer dot product of the packed row A_i with the
+    packed column B_j, unpacked once.  Its coefficients are bounded by
+    sum_k max_i |A_ik|_inf * max_j |B_kj|_1, which sets the slot width.
+    """
+    cols = list(zip(*B))
+    bound = sum(
+        max(a.norm_inf() for a in col_a) * max(b.norm1() for b in row_b)
+        for col_a, row_b in zip(zip(*A), B)
+    )
+    b = slot_bits(bound)
+    packed_cols = [[e.pack(b) for e in col] for col in cols]
+    unpack = IntPoly.unpack
+    return [
+        [unpack(sum(map(mul, packed_row, col)), b) for col in packed_cols]
+        for packed_row in ([e.pack(b) for e in row] for row in A)
+    ]
+
+
+def adjugate(rows) -> tuple:
+    """Adjugate and determinant (adj, det) of a square matrix over Z[q].
+
+    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss, Math. Comp.
+    22, 1968): after the step on column k every entry is a minor of order
+    k + 1, so each division by the previous pivot is exact in Z[q].  At the
+    end the left half is d*I and the right half d*A^{-1}, where d is the
+    last pivot, det(A) times the sign of the row swaps.  Raises
+    ZeroDivisionError when A is singular.
+    """
+    n = len(rows)
+    m = [
+        list(row) + [ONE if i == j else ZERO for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    prev, sign = ONE, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk = m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk[k] * x - f * y).divexact(prev) for x, y in zip(m[i], pk)]
+        prev = pk[k]
+    return [[x * sign for x in row[n:]] for row in m], prev * sign
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +537,6 @@ class RatFun:
         return f"RatFun(({fmt(self.num)})/({fmt(self.den)}))"
 
 
-RF_ZERO = RatFun((), (Fraction(1),))
-RF_ONE = RatFun((Fraction(1),))
 
 
 class PolyMatrix:
@@ -454,7 +570,7 @@ class PolyMatrix:
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
         return PolyMatrix(
-            [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
+            [[RatFun.from_int(int(i == j)) for j in range(n)] for i in range(n)]
         )
 
     def __eq__(self, other):
@@ -476,7 +592,7 @@ class PolyMatrix:
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = RF_ZERO
+                acc = RatFun.from_int(0)
                 for k in range(self.cols):
                     a = self.entries[i][k]
                     b = other.entries[k][j]
@@ -517,7 +633,7 @@ class PolyMatrix:
                 raise SingularMatrixError(self._det_hint())
             a[col], a[piv] = a[piv], a[col]
             b[col], b[piv] = b[piv], b[col]
-            inv_p = RF_ONE / a[col][col]
+            inv_p = RatFun.from_int(1) / a[col][col]
             a[col] = [e * inv_p for e in a[col]]
             b[col] = [e * inv_p for e in b[col]]
             for r in range(n):
@@ -536,7 +652,7 @@ class PolyMatrix:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         a = [list(row) for row in self.entries]
-        det = RF_ONE
+        det = RatFun.from_int(1)
         sign = 1
         for col in range(n):
             piv = None
@@ -545,12 +661,12 @@ class PolyMatrix:
                     piv = r
                     break
             if piv is None:
-                return RF_ZERO
+                return RatFun.from_int(0)
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 sign = -sign
             det = det * a[col][col]
-            inv_p = RF_ONE / a[col][col]
+            inv_p = RatFun.from_int(1) / a[col][col]
             for r in range(col + 1, n):
                 if a[r][col].is_zero():
                     continue

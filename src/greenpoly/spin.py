@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .charring import minus_one_pairing, one_pairing, VirtualCharacter
 from .lusztigshoji import GreenTableau, k_at_minus_one_inverse
@@ -27,17 +27,34 @@ from .weyl import (
     unit_simple_roots,
 )
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the functions that use it, so that the CLI verbs
+# without a pin layer do not pay for its import
+
+
+@lru_cache(maxsize=None)
+def _paulis():
+    """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
+    import numpy as np
+
+    return (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
 
 
 def _hermitian_gammas(n: int):
     """n anticommuting Hermitian involutions of size 2^ceil(n/2)."""
+    import numpy as np
+
+    sx, sy, sz = _paulis()
     k = (n + 1) // 2
     out = []
     for j in range(n):
-        factors = [_SZ] * (j // 2) + [_SX if j % 2 == 0 else _SY]
+        factors = [sz] * (j // 2) + [sx if j % 2 == 0 else sy]
         factors += [np.eye(2, dtype=complex)] * (k - len(factors))
         m = factors[0]
         for f in factors[1:]:
@@ -65,12 +82,16 @@ class PinRep:
         return self.gammas[0].shape[0]
 
     def vector(self, v) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros_like(self.gammas[0])
         for coef, gamma in zip(v, self.gammas):
             m = m + coef * gamma
         return m
 
     def lift(self, word) -> np.ndarray:
+        import numpy as np
+
         m = np.eye(self.spin_dim, dtype=complex)
         for i in word:
             m = m @ self.simple_lifts[i]
@@ -81,6 +102,8 @@ class PinRep:
         return self.lift(reduced_word(self.group, rep))
 
     def chirality_projectors(self):
+        import numpy as np
+
         eye = np.eye(self.spin_dim, dtype=complex)
         return (eye + self.z / self.c) / 2, (eye - self.z / self.c) / 2
 
@@ -91,6 +114,8 @@ class PinConstructionError(RuntimeError):
 
 def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
     """Gamma matrices, the volume element, and verified reflection lifts."""
+    import numpy as np
+
     n = g.type.rank
     gammas = [1j * h for h in _hermitian_gammas(n)]
     dim = gammas[0].shape[0]
@@ -130,6 +155,8 @@ def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
 
 def braid_check(pin: PinRep, tol: float = 1e-10) -> bool:
     """(lift_i lift_j)^{m(i,j)} = -1 for all simple pairs."""
+    import numpy as np
+
     g = pin.group
     k = len(simple_generators(g.type))
     eye = np.eye(pin.spin_dim, dtype=complex)
@@ -152,7 +179,7 @@ def trace_spin(pin: PinRep, word, check_tol: float | None = 1e-8) -> complex:
     characteristic polynomial of the underlying group element.
     """
     g = pin.group
-    t = np.trace(pin.lift(word))
+    t = pin.lift(word).trace()
     if check_tol is not None:
         mul = g.mul
         gens = simple_generators(g.type)
@@ -173,7 +200,7 @@ def trace_spin(pin: PinRep, word, check_tol: float | None = 1e-8) -> complex:
 def spin_traces_by_class(pin: PinRep):
     """One lift trace per conjugacy class (lift fixed by the stored word)."""
     return [
-        np.trace(pin.lift_of_class(k)) for k in range(len(pin.group.classes))
+        pin.lift_of_class(k).trace() for k in range(len(pin.group.classes))
     ]
 
 
@@ -182,7 +209,7 @@ def index_traces_by_class(pin: PinRep):
     out = []
     for k in range(len(pin.group.classes)):
         m = pin.lift_of_class(k)
-        out.append(np.trace(m @ pin.z) / pin.c)
+        out.append((m @ pin.z).trace() / pin.c)
     return out
 
 
@@ -249,7 +276,7 @@ def char_formula_check(
     for k in range(len(g.classes)):
         det = g.refl_charpoly[k].eval(-1)
         tr = st.values[k] / x.value(k) if x.value(k) else None
-        full = np.trace(pin.lift_of_class(k))
+        full = pin.lift_of_class(k).trace()
         if det != 0:
             if abs(full) <= tol:
                 raise PinConstructionError(

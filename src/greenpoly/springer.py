@@ -499,6 +499,10 @@ def load_table(source) -> SpringerTable:
         systems = []
         for sys in orec["pairs"]:
             _require_keys(sys, ("local_system", "irrep"), f"{where} pair")
+            if not isinstance(sys["local_system"], str):
+                raise TableFormatError(
+                    f"{where}: local_system {sys['local_system']!r} is not a string"
+                )
             mask = 0
             if "char_on_generators" in sys:
                 vals = sys["char_on_generators"]

@@ -1,6 +1,14 @@
+from itertools import chain
+from operator import add, mul
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenpoly.charring import (
+    _class_gram,
+    _coinvariant_values,
+    _det_values,
     VirtualCharacter,
     chevalley_check,
     coinvariant_character,
@@ -224,3 +232,91 @@ def test_exterior_alternating_sum_constant_term():
             acc = acc + g.refl_charpoly[k] * cls.size
         val = acc.divexact_int(g.order)
         assert val[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the per-degree class sum, kept as an oracle for the packed kernel
+
+
+def _by_degree(vals) -> list:
+    """Per-class values (ints or IntPolys) as one integer class vector per degree."""
+    cs = [v.coeffs if isinstance(v, IntPoly) else (v,) for v in vals]
+    top = max(map(len, cs), default=0)
+    return [[c[d] if d < len(c) else 0 for c in cs] for d in range(top)]
+
+
+def _class_gram_by_degree(g, rows_a, rows_b, weight) -> list:
+    """The class-sum Gram taken degree by degree, as integer dot products."""
+    graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
+    sizes = [cls.size for cls in g.classes]
+    weights = [list(map(mul, sizes, wd)) for wd in _by_degree(weight)]
+    weighted_b = []
+    for row in rows_b:
+        b = _by_degree(row)
+        out = [[0] * len(sizes) for _ in range(len(b) + len(weights) - 1)]
+        for d, bd in enumerate(b):
+            if any(bd):
+                for e, wd in enumerate(weights):
+                    out[d + e] = list(map(add, out[d + e], map(mul, bd, wd)))
+        weighted_b.append([(e, v) for e, v in enumerate(out) if any(v)])
+    gram = []
+    for row in rows_a:
+        a = [(d, ad) for d, ad in enumerate(_by_degree(row)) if any(ad)]
+        gram_row = []
+        for bw in weighted_b:
+            coeffs = [0] * (a[-1][0] + bw[-1][0] + 1 if a and bw else 0)
+            for d, ad in a:
+                for e, bv in bw:
+                    coeffs[d + e] += sum(map(mul, ad, bv))
+            if any(c % g.order for c in coeffs):
+                raise ArithmeticError(f"class sums {coeffs} not divisible by |W| = {g.order}")
+            quot = [c // g.order for c in coeffs]
+            gram_row.append(IntPoly(quot) if graded else (quot[0] if quot else 0))
+        gram.append(gram_row)
+    return gram
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G2", 2), ("D", 4)])
+def test_packed_kernel_matches_per_degree_sums(family, rank):
+    g = build(WeylType(family, rank))
+    coinv = _coinvariant_values(g.type)
+    ones = [1] * len(g.classes)
+    for rows_a, rows_b, weight in [
+        (g.char_table, g.char_table, g.refl_charpoly),  # q-elliptic Gram
+        (g.char_table, g.char_table, coinv),  # Omega
+        (g.char_table, [ones], coinv),  # fake degrees
+        (g.char_table, g.char_table, _det_values(g, -1)),  # integer Gram
+        (g.char_table, g.char_table, ones),  # standard pairing
+        ([coinv], [coinv, g.refl_charpoly], g.refl_charpoly),  # graded on both sides
+    ]:
+        want = _class_gram_by_degree(g, rows_a, rows_b, weight)
+        assert _class_gram(g, rows_a, rows_b, weight) == want
+
+
+_coeff = st.integers(-(10**31), 10**31)
+_value = st.one_of(_coeff, st.lists(_coeff, max_size=4).map(IntPoly))
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_packed_kernel_wide_signed_coefficients(data):
+    # coefficients of 10^30 and more, of either sign, on every side: the
+    # slot width must follow the inputs, not a fixed word size
+    g = build(WeylType("B", 2))
+    k = len(g.classes)
+    rows = st.lists(_value, min_size=k, max_size=k)
+    rows_a = data.draw(st.lists(rows, min_size=1, max_size=3))
+    rows_b = data.draw(st.lists(rows, min_size=1, max_size=3))
+    weight = data.draw(rows)
+    # multiples of |W| make every class sum divisible
+    rows_a = [[v * g.order for v in row] for row in rows_a]
+    want = _class_gram_by_degree(g, rows_a, rows_b, weight)
+    assert _class_gram(g, rows_a, rows_b, weight) == want
+
+
+def test_packed_kernel_rejects_non_characters():
+    g = build(WeylType("A", 2))
+    half = [[P(1, 0, 10**30 + 1)] + [0] * (len(g.classes) - 1)]
+    for kernel in (_class_gram, _class_gram_by_degree):
+        with pytest.raises(ArithmeticError):
+            kernel(g, half, half, g.refl_charpoly)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,19 @@ def run(capsys, *args):
     code = main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is only needed by the pin layer; the other verbs must not pay for it
+    import greenpoly
+
+    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, greenpoly.cli; print('numpy' in sys.modules, 'greenpoly.spin' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_wg_classes_json(capsys):
@@ -104,12 +120,13 @@ def _c2_table(edit):
         lambda d: d["orbits"][0]["pairs"][0].update(irrep=3),
         lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=1),
         lambda d: d.update(closure=[["a", "b"]]),
+        lambda d: d["orbits"][0]["pairs"][0].update(local_system=[1]),
         None,  # no FILE at all
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
         "comp-group-not-object", "irrep-not-a-label", "characters-not-a-list",
-        "closure-not-index-pairs", "no-file",
+        "closure-not-index-pairs", "local-system-not-a-string", "no-file",
     ],
 )
 def test_springer_load_malformed_input(capsys, tmp_path, edit):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenpoly.charring import fake_degree
 from greenpoly.lusztigshoji import (
     SolverError,
+    _inverse_parts,
     caction_check,
     green,
     isometry_check,
@@ -12,7 +15,7 @@ from greenpoly.lusztigshoji import (
     solve,
     verify,
 )
-from greenpoly.polyq import IntPoly
+from greenpoly.polyq import IntPoly, PolyMatrix, RatFun, SingularMatrixError
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
 
@@ -219,3 +222,48 @@ def test_type_a_column_dimension_multinomial(tableau):
             for part in lam:
                 expect //= factorial(part)
             assert total == expect, (n, lam)
+
+
+# ---------------------------------------------------------------------------
+# block inversion in Z[q] against the Q(q) field inverse
+
+
+def _check_against_field_inverse(rows):
+    m = PolyMatrix(rows)
+    try:
+        inv = m.inverse()
+    except SingularMatrixError:
+        with pytest.raises(SolverError, match="singular"):
+            _inverse_parts(rows, "test block")
+        return
+    adj, det = _inverse_parts(rows, "test block")
+    assert RatFun(det) == m.determinant()
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            assert RatFun(adj[i][j]) / RatFun(det) == inv[i, j]
+
+
+_small_poly = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_small_poly, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@settings(deadline=None, max_examples=40)
+def test_block_inverse_matches_field_inverse(rows):
+    _check_against_field_inverse(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[P(), P(1)], [P(1), P(0, 1)]],  # zero leading pivot
+        [[P(), P(1), P(2)], [P(), P(0, 1), P(1)], [P(1, 1), P(), P(3)]],
+        [[P(1), P(0, 1)], [P(0, 1), P(0, 0, 1)]],  # singular
+        [[P(), P()], [P(), P(1)]],  # singular, zero first column
+    ],
+    ids=["zero-pivot-2", "zero-pivot-3", "singular", "singular-zero-column"],
+)
+def test_block_inverse_edge_cases(rows):
+    _check_against_field_inverse(rows)

@@ -10,7 +10,9 @@ from greenpoly.polyq import (
     Q,
     RatFun,
     SingularMatrixError,
+    matmul,
     matrix_ops,
+    slot_bits,
 )
 
 
@@ -54,6 +56,22 @@ class TestIntPoly:
         assert f.divexact(P(1, -1)) == P(1, 1)
         with pytest.raises(ValueError):
             f.divexact(P(1, 1, 1))
+
+    def test_constructor_checks_integers(self):
+        with pytest.raises(TypeError):
+            IntPoly([1.5])
+        with pytest.raises(TypeError):
+            IntPoly((1, Fraction(1, 2)))
+        # arithmetic results skip the check but are trimmed all the same
+        assert (P(1, 1) - P(0, 1) - P(1)).coeffs == ()
+
+    @given(st.lists(st.integers(-(10**40), 10**40), max_size=8))
+    @settings(deadline=None)
+    def test_pack_unpack_roundtrip(self, cs):
+        f = IntPoly(cs)
+        b = slot_bits(f.norm_inf())
+        assert IntPoly.unpack(f.pack(b), b) == f
+        assert f.pack(b) == f.eval(2**b)
 
     def test_json_roundtrip(self):
         f = P(1, 0, -1)
@@ -157,3 +175,23 @@ class TestPolyMatrix:
     def test_json_roundtrip(self):
         m = PolyMatrix([[RatFun(P(1), P(1, -1)), RatFun(Q)]])
         assert PolyMatrix.from_json(m.to_json()) == m
+
+
+def _schoolbook_matmul(A, B):
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(len(B))), IntPoly()) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+_wide_poly = st.lists(st.integers(-(10**30), 10**30), max_size=5).map(IntPoly)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_matmul_matches_schoolbook(data):
+    n, m, l = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = [[data.draw(_wide_poly) for _ in range(m)] for _ in range(n)]
+    B = [[data.draw(_wide_poly) for _ in range(l)] for _ in range(m)]
+    assert matmul(A, B) == _schoolbook_matmul(A, B)
+
