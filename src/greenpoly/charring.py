@@ -134,10 +134,12 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     values packed at q = 2^b (`IntPoly.pack`): |C_k| weight_k is packed with
     each b-side row once, and an entry is one big-integer dot product,
     unpacked once.  The slot width b comes from the bound
-    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient.  A sum not
-    divisible by |W| means the rows are not virtual characters and raises
-    ArithmeticError.
+    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient.  When
+    rows_a is rows_b the Gram is symmetric: only the entries with j >= i are
+    summed, and the rest mirrored.  A sum not divisible by |W| means the rows
+    are not virtual characters and raises ArithmeticError.
     """
+    symmetric = rows_a is rows_b
     graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
     sizes = [cls.size for cls in g.classes]
     if graded:
@@ -147,14 +149,14 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
         b = slot_bits(bound)
         sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
         rows_a = [[_packed(v, b) for v in row] for row in rows_a]
-        rows_b = [[_packed(v, b) for v in row] for row in rows_b]
+        rows_b = rows_a if symmetric else [[_packed(v, b) for v in row] for row in rows_b]
     else:
         sized = list(map(mul, sizes, weight))
     weighted_b = [list(map(mul, sized, row)) for row in rows_b]
     gram = []
-    for row in rows_a:
-        gram_row = []
-        for bw in weighted_b:
+    for i, row in enumerate(rows_a):
+        gram_row = [gram[j][i] for j in range(i)] if symmetric else []
+        for bw in weighted_b[len(gram_row):]:
             total = sum(map(mul, row, bw))
             if graded:
                 poly = IntPoly.unpack(total, b)

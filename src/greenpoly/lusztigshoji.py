@@ -228,10 +228,12 @@ def verify(tab: GreenTableau):
     out.append(("cross_orbit_orthogonality", not bad, bad[:4]))
 
     LM = matmul(tab.Lam, tab.M)
-    ok = all(
-        LM[i][j] == (tab.p if i == j else ZERO) for i in range(n) for j in range(n)
+    bad = next(
+        ((i, j) for i in range(n) for j in range(n)
+         if LM[i][j] != (tab.p if i == j else ZERO)),
+        None,
     )
-    out.append(("lambda_m_product", ok, None))
+    out.append(("lambda_m_product", bad is None, bad))
 
     KL = matmul(K, tab.Lam)
     Kt = [[K[j][i] for j in range(n)] for i in range(n)]
@@ -274,11 +276,12 @@ def verify(tab: GreenTableau):
     # the minimal orbit's column must be the coinvariant character
     zero_orbit = max(range(len(table.orbits)), key=lambda o: table.orbits[o].d_e)
     j = tab.pair_index(zero_orbit, 0)
-    ok = all(
-        tab.coords[j][i] == fake_degree(tab.group, i)
-        for i in range(len(tab.group.irrep_labels))
+    bad = next(
+        (label for i, label in enumerate(tab.group.irrep_labels)
+         if tab.coords[j][i] != fake_degree(tab.group, i)),
+        None,
     )
-    out.append(("fake_degree_column", ok, None))
+    out.append(("fake_degree_column", bad is None, bad))
 
     if tab.group.delta_is_trivial():
         res = caction_check(tab)

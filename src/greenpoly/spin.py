@@ -21,7 +21,10 @@ from .partitions import distinct_partitions, is_distinct
 from .springer import q_M_pairing
 from .weyl import (
     WeylGroupData,
+    WeylType,
     braid_order,
+    build,
+    delta_elliptic_count,
     reduced_word,
     simple_generators,
     unit_simple_roots,
@@ -364,19 +367,12 @@ def genuine_count_typeA(n: int) -> int:
     return total
 
 
-# reference-only values for the exceptional types (no tables behind them):
-# (elliptic twisted class count, sgn-symmetrized genuine dimension)
-EXCEPTIONAL_REFERENCE_COUNTS = {
-    "G2": (3, 3),
-    "F4": (9, 9),
-    "E6": (9, 9),   # twisted
-    "E7": (12, 13),
-    "E8": (30, 30),
-}
-
-
 def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
-    """Reference dimensions of the sgn-symmetrized genuine character space."""
+    """Dimensions of the sgn-symmetrized genuine character space.
+
+    Closed forms in the partitions of the rank for A-D; for G2 it equals the
+    number of elliptic delta-twisted classes, which is computed.
+    """
     from .partitions import partitions, transpose
 
     if family == "A":
@@ -388,8 +384,8 @@ def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
         selfconj = sum(1 for l in lams if transpose(l) == l)
         rest = (len(lams) - selfconj) // 2
         return rest + (2 if rank % 2 == 0 else 1) * selfconj
-    if family in EXCEPTIONAL_REFERENCE_COUNTS:
-        return EXCEPTIONAL_REFERENCE_COUNTS[family][1]
+    if family == "G2":
+        return delta_elliptic_count(build(WeylType("G2", 2)))
     raise ValueError(f"no reference value for family {family!r}")
 
 

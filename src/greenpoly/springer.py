@@ -608,32 +608,3 @@ def _tensor_sgn_index(g: WeylGroupData, i: int) -> int:
         if row == target:
             return j
     raise AssertionError("sign twist left the character table")
-
-
-# ---------------------------------------------------------------------------
-# reference pairing values with no computation behind them
-
-EXCEPTIONAL_MINUS_ONE_PAIRINGS = (
-    {
-        "family": "D",
-        "orbit": "doubled distinct odd parts (a1,a1,...,ak,ak)",
-        "component_group": "elementary_abelian(k-1)",
-        "pairings": {("triv", "triv"): 2},
-    },
-    {
-        "family": "E7",
-        "orbit": "A4+A1",
-        "component_group": "elementary_abelian(1)",
-        "pairings": {("triv", "triv"): 2},
-    },
-    {
-        "family": "E6",
-        "orbit": "D4(a1)",
-        "component_group": "s3",
-        "pairings": {
-            ("triv", "triv"): 1,
-            ("refl", "refl"): 3,
-            ("triv", "refl"): 1,
-        },
-    },
-)

@@ -10,8 +10,11 @@ G2.  The representative of each class is its lexicographically least element.
 `class_of` computes an element's label.  `_brute_force_classes`,
 `delta_twisted_classes` and `all_elements` enumerate the whole group and serve
 as test oracles.
-Character tables: Murnaghan-Nakayama for A, the bipartition hook rule for
-B/C, restriction with split classes for D, and a hard-coded table for G2.
+Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
+tables (`_bc_column`), one table per rank shared by B_n and C_n; for D the
+same columns restricted, with split classes; and a hard-coded table for G2.
+`build` checks row orthogonality with one packed integer sum per row.
+Supported ranks: A 1-8, B and C 1-8, D 3-8.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
-from .partitions import cycle_type_size, hooks, multiplicities, partitions, sym_char
-from .polyq import IntPoly, ONE
+from .partitions import cycle_type_size, multiplicities, partitions, sym_char
+from .polyq import IntPoly, ONE, slot_bits
 
-SUPPORTED_RANKS = {"A": range(1, 9), "B": range(1, 7), "C": range(1, 7),
-                   "D": range(3, 7), "G2": range(2, 3)}
+SUPPORTED_RANKS = {"A": range(1, 9), "B": range(1, 9), "C": range(1, 9),
+                   "D": range(3, 9), "G2": range(2, 3)}
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,7 @@ def charpoly_of_label(t: WeylType, label) -> IntPoly:
 # character tables
 
 
+@lru_cache(maxsize=None)
 def bipartitions(n):
     out = []
     for k in range(n, -1, -1):
@@ -257,28 +262,36 @@ def bipartitions(n):
 
 
 @lru_cache(maxsize=None)
-def hyperoct_char(alpha, beta, pos, neg) -> int:
-    """Character of the B_n irrep (alpha;beta) at signed cycle type (pos,neg).
+def _bc_column(pos, neg) -> tuple:
+    """Every B_n irreducible, in `bipartitions(n)` order, at the class (pos, neg).
 
-    Hooks stripped from beta pick up the sign of the cycle.
+    chi^(alpha;beta) is induced from alpha (x) beta on B_|alpha| x B_|beta|,
+    with beta twisted by the sign-change character (Geck-Pfeiffer 2000, 5.5).
+    So its value is a sum over the ways to send k_c of the m_c cycles of each
+    (length, sign) group c to alpha and the rest to beta: the term is
+    prod_c C(m_c, k_c) chi^alpha(rho_alpha) chi^beta(rho_beta), negated once for
+    each negative cycle sent to beta.  The splits are enumerated once per
+    class and grouped by |rho_alpha|, so an irreducible only sums the splits
+    with |rho_alpha| = |alpha|.
     """
-    if pos:
-        r, rest = pos[0], pos[1:]
-        total = 0
-        for sm, leg in hooks(alpha, r):
-            total += (-1) ** leg * hyperoct_char(sm, beta, rest, neg)
-        for sm, leg in hooks(beta, r):
-            total += (-1) ** leg * hyperoct_char(alpha, sm, rest, neg)
-        return total
-    if neg:
-        r, rest = neg[0], neg[1:]
-        total = 0
-        for sm, leg in hooks(alpha, r):
-            total += (-1) ** leg * hyperoct_char(sm, beta, (), rest)
-        for sm, leg in hooks(beta, r):
-            total -= (-1) ** leg * hyperoct_char(alpha, sm, (), rest)
-        return total
-    return 1 if not alpha and not beta else 0
+    n = sum(pos) + sum(neg)
+    groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
+    groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
+    by_size = [{} for _ in range(n + 1)]  # |rho_alpha| -> {(rho_alpha, rho_beta): coef}
+    for ks in itertools.product(*(range(m + 1) for _, m, _ in groups)):
+        coef, to_a, to_b = 1, [], []
+        for (c, m, sign), k in zip(groups, ks):
+            coef *= comb(m, k) * sign ** (m - k)
+            to_a += [c] * k
+            to_b += [c] * (m - k)
+        key = tuple(sorted(to_a, reverse=True)), tuple(sorted(to_b, reverse=True))
+        terms = by_size[sum(to_a)]
+        terms[key] = terms.get(key, 0) + coef
+    return tuple(
+        sum(coef * sym_char(alpha, ra) * sym_char(beta, rb)
+            for (ra, rb), coef in by_size[sum(alpha)].items() if coef)
+        for alpha, beta in bipartitions(n)
+    )
 
 
 _G2_CLASS_ORDER = ("e", "w0", "rot60", "rot120", "refl_long", "refl_short")
@@ -577,20 +590,19 @@ def _build_A(t: WeylType):
     return classes, table, irreps, sgn, triv
 
 
-def _build_BC(t: WeylType):
+@lru_cache(maxsize=None)
+def _build_BC(n: int):
+    """Classes, character table, irreducibles, sgn and triv of B_n = C_n."""
     classes = [
         ConjClass(next(_lex_elements(pos, neg)), _signed_class_size(pos, neg), (pos, neg))
-        for pos, neg in bipartitions(t.rank)
+        for pos, neg in bipartitions(n)
     ]
     classes.sort(key=_class_order)
-    irreps = bipartitions(t.rank)
-    table = tuple(
-        tuple(hyperoct_char(a, b, cls.label[0], cls.label[1]) for cls in classes)
-        for (a, b) in irreps
-    )
-    sgn = irreps.index(((), (1,) * t.rank))
-    triv = irreps.index(((t.rank,), ()))
-    return classes, table, irreps, sgn, triv
+    irreps = bipartitions(n)
+    table = tuple(zip(*(_bc_column(*cls.label) for cls in classes)))
+    sgn = irreps.index(((), (1,) * n))
+    triv = irreps.index(((n,), ()))
+    return tuple(classes), table, irreps, sgn, triv
 
 
 def _build_D(t: WeylType):
@@ -609,42 +621,34 @@ def _build_D(t: WeylType):
         classes += [ConjClass(w, size, (pos, neg, tag)) for tag, w in reps.items()]
     classes.sort(key=_class_order)
 
-    # irreps: unordered pairs {a,b}, a != b, plus split pairs (a,a,+-)
-    pair_labels = []
+    # irreps: unordered pairs {a,b}, a != b, plus split pairs (a,a,+-);
+    # a pair restricts from B_n, and a split pair is half of (a;a) off the
+    # split classes
+    b_index = {ab: i for i, ab in enumerate(bipartitions(n))}
+    b_cols = [_bc_column(*cls.label[:2]) for cls in classes]
+    labels, rows, seen = [], [], set()
     for a, b in bipartitions(n):
-        if a == b:
-            continue
-        if (b, a) not in [(x[0], x[1]) for x in pair_labels]:
-            pair_labels.append((a, b))
-    split_labels = []
+        if a != b and (b, a) not in seen:
+            seen.add((a, b))
+            labels.append((a, b))
+            rows.append(tuple(col[b_index[a, b]] for col in b_cols))
     if n % 2 == 0:
         for a in partitions(n // 2):
-            split_labels.append(a)
-
-    def b_char(a, b, cls):
-        return hyperoct_char(a, b, cls.label[0], cls.label[1])
-
-    rows = []
-    labels = []
-    for a, b in pair_labels:
-        labels.append((a, b))
-        rows.append(tuple(b_char(a, b, cls) for cls in classes))
-    for a in split_labels:
-        for eps in (+1, -1):
-            labels.append((a, a, "+" if eps > 0 else "-"))
-            row = []
-            for cls in classes:
-                base = b_char(a, a, cls)
-                pos, neg, tag = cls.label
-                if tag:
-                    mu_half = tuple(c // 2 for c in pos)
-                    corr = 2 ** len(pos) * sym_char(a, mu_half)
-                    sign = eps * (1 if tag == "+" else -1)
-                    row.append((base + sign * corr) // 2)
-                else:
-                    assert base % 2 == 0
-                    row.append(base // 2)
-            rows.append(tuple(row))
+            base = [col[b_index[a, a]] for col in b_cols]
+            for eps in (+1, -1):
+                labels.append((a, a, "+" if eps > 0 else "-"))
+                row = []
+                for value, cls in zip(base, classes):
+                    pos, neg, tag = cls.label
+                    if tag:
+                        mu_half = tuple(c // 2 for c in pos)
+                        corr = 2 ** len(pos) * sym_char(a, mu_half)
+                        sign = eps * (1 if tag == "+" else -1)
+                        row.append((value + sign * corr) // 2)
+                    else:
+                        assert value % 2 == 0
+                        row.append(value // 2)
+                rows.append(tuple(row))
     table = tuple(rows)
     sgn = labels.index(_d_pair_key((), (1,) * n, labels))
     triv = labels.index(_d_pair_key((n,), (), labels))
@@ -676,7 +680,7 @@ def build(t: WeylType) -> WeylGroupData:
     if t.family == "A":
         classes, table, labels, sgn, triv = _build_A(t)
     elif t.family in ("B", "C"):
-        classes, table, labels, sgn, triv = _build_BC(t)
+        classes, table, labels, sgn, triv = _build_BC(t.rank)
     elif t.family == "D":
         classes, table, labels, sgn, triv = _build_D(t)
     else:
@@ -693,7 +697,7 @@ def build(t: WeylType) -> WeylGroupData:
     g = WeylGroupData(
         type=t,
         order=order,
-        classes=classes,
+        classes=list(classes),  # B_n and C_n share one cached tuple
         char_table=table,
         irrep_labels=tuple(labels),
         degrees=degrees,
@@ -724,24 +728,21 @@ def _verify(g: WeylGroupData):
         raise AssertionError("irrep count differs from class count")
     if sum(row[ident] ** 2 for row in g.char_table) != g.order:
         raise AssertionError("sum of squared dimensions is not |W|")
-    for i in range(nirr):
-        for j in range(i, nirr):
-            s = sum(
-                sz * g.char_table[i][k] * g.char_table[j][k]
-                for k, sz in enumerate(sizes)
+    # row orthogonality X diag(|C_k|) X^T = |W| I, one packed integer per
+    # row: column k over the irreducibles is P_k = sum_j X_jk 2^(b j), and
+    # row i holds iff sum_k |C_k| X_ik P_k = |W| 2^(b i).  A square X that
+    # passes is invertible, so column orthogonality follows.
+    cols = list(zip(*g.char_table))
+    b = slot_bits(sum(sz * max(v * v for v in col) for sz, col in zip(sizes, cols)))
+    sized = [sz * IntPoly(col).pack(b) for sz, col in zip(sizes, cols)]
+    for i, row in enumerate(g.char_table):
+        total = sum(map(mul, row, sized))
+        if total != g.order << (b * i):
+            entries = IntPoly.unpack(total, b)
+            j = next(j for j in range(nirr) if entries[j] != (g.order if i == j else 0))
+            raise AssertionError(
+                f"character table orthogonality fails at rows {i},{j}"
             )
-            if s != (g.order if i == j else 0):
-                raise AssertionError(
-                    f"character table orthogonality fails at rows {i},{j}"
-                )
-    for k in range(len(g.classes)):
-        for l in range(k, len(g.classes)):
-            s = sum(row[k] * row[l] for row in g.char_table)
-            want = g.order // sizes[k] if k == l else 0
-            if s != want:
-                raise AssertionError(
-                    f"character table orthogonality fails at columns {k},{l}"
-                )
     rank = g.type.rank
     if g.refl_charpoly[ident] != IntPoly((1, -1)) ** rank:
         raise AssertionError("identity charpoly is not (1-q)^rank")

@@ -320,3 +320,19 @@ def test_packed_kernel_rejects_non_characters():
     for kernel in (_class_gram, _class_gram_by_degree):
         with pytest.raises(ArithmeticError):
             kernel(g, half, half, g.refl_charpoly)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_symmetric_gram_mirrors_and_checks_every_entry(graded):
+    g = build(WeylType("B", 3))
+    rows = [list(row) for row in g.char_table]
+    weight = g.refl_charpoly if graded else _det_values(g, -1)
+    gram = _class_gram(g, rows, rows, weight)
+    assert gram == _class_gram(g, rows, [list(row) for row in rows], weight)
+    # a row that is not a virtual character makes its row and column of the
+    # Gram non-integral; the symmetric path sums each such entry once and raises
+    ident = g.identity_class
+    rows[-1] = [0] * len(g.classes)
+    rows[-1][ident] = 1
+    with pytest.raises(ArithmeticError):
+        _class_gram(g, rows, rows, weight)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,35 @@ class TestChecks:
     def test_k_minus_one_inverse(self, tableau):
         tab = tableau("C", 3)
         k_at_minus_one_inverse(tab)  # verifies internally
+
+    @pytest.mark.parametrize("key", [("A", 4), ("C", 3)])
+    def test_failure_witnesses(self, tableau, key):
+        tab = tableau(*key)
+        report = {name: (ok, detail) for name, ok, detail in verify(tab)}
+        assert report["lambda_m_product"] == (True, None)
+        assert report["fake_degree_column"] == (True, None)
+
+        # one M entry off: Lambda M is wrong in column b of each row with
+        # Lambda[i][a] != 0, and the witness is the first of them
+        a, b = len(tab.pairs) - 1, len(tab.pairs) - 2
+        M = [list(row) for row in tab.M]
+        M[a][b] = M[a][b] + P(0, 1)
+        report = {name: (ok, detail) for name, ok, detail in
+                  verify(dataclasses.replace(tab, M=M))}
+        first = min(i for i in range(len(tab.pairs)) if tab.Lam[i][a])
+        assert report["lambda_m_product"] == (False, (first, b))
+
+        # the zero orbit's column off at two irreducibles: the first is named
+        zero = max(range(len(tab.table.orbits)), key=lambda o: tab.table.orbits[o].d_e)
+        j = tab.pair_index(zero, 0)
+        coords = list(tab.coords)
+        col = list(coords[j])
+        for i in (1, len(col) - 1):
+            col[i] = col[i] + P(1)
+        coords[j] = tuple(col)
+        report = {name: (ok, detail) for name, ok, detail in
+                  verify(dataclasses.replace(tab, coords=coords))}
+        assert report["fake_degree_column"] == (False, tab.group.irrep_labels[1])
 
 
 class TestCaction:

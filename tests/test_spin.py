@@ -313,15 +313,3 @@ class TestCrossModuleNorms:
         for rank in (3, 5):
             g = build(WeylType("D", rank))
             assert sign_twist_space_dimension("D", rank) == delta_elliptic_count(g)
-
-
-def test_exceptional_reference_counts_table():
-    # reference data only; the E7 mismatch (12 vs 13) is the one even-w0 type
-    # besides even D where the sign-symmetrized genuine space outgrows the
-    # twisted-elliptic count
-    from greenpoly.spin import EXCEPTIONAL_REFERENCE_COUNTS
-
-    assert sign_twist_space_dimension("F4") == 9
-    assert sign_twist_space_dimension("E7") == 13
-    assert EXCEPTIONAL_REFERENCE_COUNTS["E7"] == (12, 13)
-    assert EXCEPTIONAL_REFERENCE_COUNTS["E8"] == (30, 30)

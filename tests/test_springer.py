@@ -4,7 +4,6 @@ import pytest
 
 from greenpoly.polyq import IntPoly
 from greenpoly.springer import (
-    EXCEPTIONAL_MINUS_ONE_PAIRINGS,
     OrbitLabel,
     TableFormatError,
     component_group,
@@ -220,13 +219,3 @@ class TestSerialization:
         with pytest.raises(TableFormatError) as err:
             load_table(d)
         assert "fake degree" in str(err.value)
-
-
-def test_exception_reference_table():
-    by_family = {r["family"]: r for r in EXCEPTIONAL_MINUS_ONE_PAIRINGS}
-    assert by_family["D"]["pairings"][("triv", "triv")] == 2
-    assert by_family["E7"]["pairings"][("triv", "triv")] == 2
-    e6 = by_family["E6"]["pairings"]
-    assert e6[("triv", "triv")] == 1
-    assert e6[("refl", "refl")] == 3
-    assert e6[("triv", "refl")] == 1

@@ -1,15 +1,25 @@
+import dataclasses
+from functools import lru_cache
+from math import factorial
+from operator import mul
+
 import pytest
 
 from greenpoly.partitions import (
     count_even_length_partitions,
     count_odd_part_partitions,
+    hooks,
     partitions,
+    sym_char,
 )
 from greenpoly import weyl
 from greenpoly.polyq import IntPoly
 from greenpoly.weyl import (
+    SUPPORTED_RANKS,
     WeylType,
     _brute_force_classes,
+    _verify,
+    bipartitions,
     braid_order,
     build,
     delta_elliptic_count,
@@ -28,6 +38,9 @@ from greenpoly.weyl import (
 def test_supported_ranks():
     with pytest.raises(ValueError):
         WeylType("A", 9)
+    for fam in ("B", "C", "D"):
+        with pytest.raises(ValueError):
+            WeylType(fam, 9)
     with pytest.raises(ValueError):
         WeylType("D", 2)
     with pytest.raises(ValueError):
@@ -254,12 +267,126 @@ def test_determinism():
     assert [c.label for c in a.classes] == [c.label for c in b.classes]
 
 
-@pytest.mark.skip(reason="no exceptional-type character tables are built; "
-                         "reference counts recorded for ingestion-based use")
-def test_exceptional_elliptic_counts_reference():
-    from greenpoly.spin import EXCEPTIONAL_REFERENCE_COUNTS
+# ---------------------------------------------------------------------------
+# character tables against independent oracles
 
-    assert EXCEPTIONAL_REFERENCE_COUNTS["F4"][0] == 9
-    assert EXCEPTIONAL_REFERENCE_COUNTS["E6"][0] == 9
-    assert EXCEPTIONAL_REFERENCE_COUNTS["E7"][0] == 12
-    assert EXCEPTIONAL_REFERENCE_COUNTS["E8"][0] == 30
+
+@lru_cache(maxsize=None)
+def hyperoct_char(alpha, beta, pos, neg) -> int:
+    """Character of the B_n irrep (alpha;beta) at signed cycle type (pos,neg).
+
+    The Murnaghan-Nakayama recursion on bipartitions: each cycle is stripped
+    as a rim hook from alpha or from beta, and a hook stripped from beta picks
+    up the sign of the cycle.
+    """
+    if pos:
+        r, rest = pos[0], pos[1:]
+        total = 0
+        for sm, leg in hooks(alpha, r):
+            total += (-1) ** leg * hyperoct_char(sm, beta, rest, neg)
+        for sm, leg in hooks(beta, r):
+            total += (-1) ** leg * hyperoct_char(alpha, sm, rest, neg)
+        return total
+    if neg:
+        r, rest = neg[0], neg[1:]
+        total = 0
+        for sm, leg in hooks(alpha, r):
+            total += (-1) ** leg * hyperoct_char(sm, beta, (), rest)
+        for sm, leg in hooks(beta, r):
+            total -= (-1) ** leg * hyperoct_char(alpha, sm, (), rest)
+        return total
+    return 1 if not alpha and not beta else 0
+
+
+def _d_value(label, cls_label):
+    """D_n irreducible `label` at class `cls_label`, from the B_n recursion.
+
+    A pair (a, b) restricts from B_n.  A split pair (a, a, +-) is half of
+    (a; a), plus or minus 2^l(mu) chi^a(mu / 2) / 2 on the split class (mu, (), +-).
+    """
+    pos, neg, tag = cls_label
+    base = hyperoct_char(label[0], label[1], pos, neg)
+    if len(label) == 2:
+        return base
+    if not tag:
+        return base // 2
+    sign = 1 if label[2] == tag else -1
+    corr = 2 ** len(pos) * sym_char(label[0], tuple(c // 2 for c in pos))
+    return (base + sign * corr) // 2
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_bc_table_matches_hook_recursion(rank):
+    g = build(WeylType("B", rank))
+    assert g.irrep_labels == bipartitions(rank)
+    for (a, b), row in zip(g.irrep_labels, g.char_table):
+        assert row == tuple(hyperoct_char(a, b, *cls.label) for cls in g.classes)
+    assert build(WeylType("C", rank)).char_table == g.char_table
+
+
+@pytest.mark.parametrize("rank", range(3, 8))
+def test_d_table_matches_hook_recursion(rank):
+    g = build(WeylType("D", rank))
+    for label, row in zip(g.irrep_labels, g.char_table):
+        assert row == tuple(_d_value(label, cls.label) for cls in g.classes)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(fam, r) for fam, ranks in SUPPORTED_RANKS.items() for r in ranks],
+)
+def test_column_orthogonality(family, rank):
+    # build checks rows only; columns follow for a square table, and this
+    # checks them directly: sum_i X_ik X_il = |W| / |C_k| if k = l, else 0
+    g = build(WeylType(family, rank))
+    cols = list(zip(*g.char_table))
+    for k, ck in enumerate(cols):
+        for l in range(k, len(cols)):
+            want = g.order // g.classes[k].size if k == l else 0
+            assert sum(map(mul, ck, cols[l])) == want, (k, l)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4), ("A", 4)])
+def test_verify_names_first_bad_row_pair(family, rank):
+    g = build(WeylType(family, rank))
+    r = len(g.char_table) - 2
+    k = next(k for k, v in enumerate(g.char_table[r]) if v and k != g.identity_class)
+    rows = [list(row) for row in g.char_table]
+    rows[r][k] = -rows[r][k]
+    bad = dataclasses.replace(g, char_table=tuple(map(tuple, rows)))
+    sizes = [c.size for c in g.classes]
+    first = next(
+        (i, j)
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+        if sum(s * x * y for s, x, y in zip(sizes, rows[i], rows[j]))
+        != (g.order if i == j else 0)
+    )
+    with pytest.raises(AssertionError, match=f"rows {first[0]},{first[1]}$"):
+        _verify(bad)
+    _verify(g)
+
+
+def _bipartition_count(n):
+    return sum(len(partitions(k)) * len(partitions(n - k)) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(fam, r) for fam in ("B", "C", "D") for r in (7, 8)]
+)
+def test_raised_ranks(family, rank):
+    # build runs _verify, so success already checks row orthogonality
+    g = build(WeylType(family, rank))
+    _verify(g)
+    order = 2**rank * factorial(rank)
+    if family == "D":
+        order //= 2
+        # (a;b) and (b;a) restrict to one irreducible, (a;a) to two; as many
+        # classes, counting both halves of each split class
+        halves = len(partitions(rank // 2)) if rank % 2 == 0 else 0
+        assert len(g.classes) == (_bipartition_count(rank) + 3 * halves) // 2
+        assert sum(1 for c in g.classes if c.label[2]) == 2 * halves
+    else:
+        assert len(g.classes) == _bipartition_count(rank)
+    assert g.order == order
+    assert sum(c.size for c in g.classes) == order
