@@ -20,8 +20,8 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 
-from .polyq import IntPoly, ONE, PolyMatrix, ZERO, slot_bits
-from .weyl import WeylGroupData, WeylType, build, delta_elliptic_count
+from .polyq import IntPoly, ONE, ZERO, slot_bits
+from .weyl import WeylGroupData, WeylType, build
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,6 @@ class GradedCharacter:
     def value(self, cls: int) -> IntPoly:
         return self.values[cls]
 
-    def at_q(self, q0: int) -> VirtualCharacter:
-        return VirtualCharacter(self.group, tuple(c.eval(q0) for c in self.coords))
-
     def negate_q(self) -> "GradedCharacter":
         return GradedCharacter(self.group, tuple(c.negate_q() for c in self.coords))
 
@@ -100,12 +97,6 @@ def graded_irreducible(g: WeylGroupData, i: int) -> GradedCharacter:
     coords = [ZERO] * len(g.irrep_labels)
     coords[i] = ONE
     return GradedCharacter(g, tuple(coords))
-
-
-def grade(v: VirtualCharacter) -> GradedCharacter:
-    return GradedCharacter(
-        v.group, tuple(IntPoly.const(c) if c else ZERO for c in v.coords)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +278,11 @@ def omega_entry(g: WeylGroupData, i: int, j: int) -> IntPoly:
     return _omega_rows(g.type)[i][j]
 
 
-def omega_matrix(g: WeylGroupData) -> PolyMatrix:
+def omega_matrix(g: WeylGroupData) -> tuple:
     """Symmetric matrix of graded multiplicities of tensor squares in the
-    coinvariant algebra; row/column order follows the irrep list."""
-    return PolyMatrix(_omega_rows(g.type))
+    coinvariant algebra, as rows of IntPolys; row/column order follows the
+    irrep list."""
+    return _omega_rows(g.type)
 
 
 def chevalley_check(g: WeylGroupData) -> bool:
@@ -377,7 +369,3 @@ def delta_twist_grams_agree(g: WeylGroupData) -> bool:
         for i in range(n)
         for j in range(i, n)
     )
-
-
-def minus_one_rank_matches_twisted_count(g: WeylGroupData) -> bool:
-    return minus_one_gram_rank(g) == delta_elliptic_count(g)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import spin as spinmod
 from .charring import fake_degree, minus_one_gram, q_elliptic_gram
 from .lusztigshoji import GreenTableau, SolverError, solve, verify
-from .polyq import IntPoly
 from .springer import (
     SpringerTable,
     TableFormatError,
@@ -42,10 +41,6 @@ class RunConfig:
     fmt: str
     data_dir: str | None
     tolerance: float
-
-
-def _poly_str(p: IntPoly) -> str:
-    return str(p)
 
 
 def _label_str(lab) -> str:
@@ -89,7 +84,8 @@ def _group(cfg: RunConfig) -> WeylGroupData:
 def _table(cfg: RunConfig) -> SpringerTable:
     """Resolve the orbit table; for type A the rank names GL(n).
 
-    A table file in the data directory takes precedence over built-ins.
+    A table file in the data directory takes precedence over built-ins, and
+    must be the table of the requested type and rank.
     """
     if cfg.family not in ("A", "C"):
         raise UsageError(f"orbit tables exist for types A and C, not {cfg.family!r}")
@@ -100,17 +96,17 @@ def _table(cfg: RunConfig) -> SpringerTable:
             cfg.data_dir, f"springer_{cfg.family}{cfg.rank}.json"
         )
         if os.path.exists(cand):
-            return load_table(cand)
-    if cfg.family == "A":
-        if not 2 <= cfg.rank <= 8:
-            raise UsageError("type A tables cover GL(n) for 2 <= n <= 8")
-        return table_typeA(cfg.rank)
-    if cfg.rank in (1, 2, 3):
-        return table_typeC(cfg.rank)
-    raise UsageError(
-        f"no built-in table for C rank {cfg.rank}; place "
-        f"springer_C{cfg.rank}.json in the data directory"
-    )
+            table = load_table(cand)
+            if (table.ambient, table.n) != (cfg.family, cfg.rank):
+                raise TableFormatError(
+                    f"{cand} holds the type {table.ambient} rank {table.n} table, "
+                    f"not type {cfg.family} rank {cfg.rank}"
+                )
+            return table
+    try:
+        return (table_typeA if cfg.family == "A" else table_typeC)(cfg.rank)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def cmd_wg(args, cfg):
 def cmd_pairing(args, cfg):
     g = _group(cfg)
     if args.form == "qell":
-        gram = [[_poly_str(e) for e in row] for row in q_elliptic_gram(g)]
+        gram = [[str(e) for e in row] for row in q_elliptic_gram(g)]
     elif args.form in ("minusone", "delta"):
         # the twisted Gram is the (-1)-elliptic one by the substitution u = w w0
         # (see charring.delta_twist_pairing)
@@ -167,7 +163,7 @@ def cmd_fakedeg(args, cfg):
         {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
         for i, l in enumerate(g.irrep_labels)
     ]
-    rows = [[_label_str(l), _poly_str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
+    rows = [[_label_str(l), str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
     _emit(payload, cfg.fmt, rows, [f"{a}: {b}" for a, b in rows])
     return 0
 
@@ -232,11 +228,11 @@ def cmd_green(args, cfg):
     K = tab.k_matrix()
     rows = [[""] + [tab.pair_name(j) for j in range(n)]]
     for i in range(n):
-        rows.append([tab.pair_name(i)] + [_poly_str(K[i][j]) for j in range(n)])
+        rows.append([tab.pair_name(i)] + [str(K[i][j]) for j in range(n)])
     lines = []
     for j in range(n):
         terms = [
-            f"({_poly_str(c)})*{_label_str(tab.group.irrep_labels[i])}"
+            f"({c})*{_label_str(tab.group.irrep_labels[i])}"
             for i, c in enumerate(tab.coords[j])
             if c
         ]
@@ -252,11 +248,11 @@ def cmd_green(args, cfg):
         block = m_block(tab, orbit)
         lab = str(table.orbits[orbit].label.partition)
         if len(block) == 1:
-            lines.append(f"  {lab}: {_poly_str(block[0][0])}")
+            lines.append(f"  {lab}: {block[0][0]}")
         else:
             lines.append(f"  {lab}:")
             for row in block:
-                lines.append("    [" + ", ".join(_poly_str(e) for e in row) + "]")
+                lines.append("    [" + ", ".join(str(e) for e in row) + "]")
     _emit(payload, cfg.fmt, rows, lines)
     return 0
 
@@ -273,19 +269,20 @@ def cmd_verify(args, cfg):
         from .weyl import delta_elliptic_count
 
         checks.append({"identity": "chevalley_product", "ok": chevalley_check(g), "detail": None})
-        rank_ok = minus_one_gram_rank(g) == delta_elliptic_count(g)
-        checks.append({"identity": "elliptic_rank_count", "ok": rank_ok, "detail": None})
+        rank, count = minus_one_gram_rank(g), delta_elliptic_count(g)
+        rank_bad = None if rank == count else {"rank": rank, "count": count}
+        checks.append({"identity": "elliptic_rank_count", "ok": rank_bad is None, "detail": rank_bad})
         try:
             pin = spinmod.build_pin(g)
             spin_ok = spinmod.braid_check(pin)
-            sq_ok = True
-            for k in range(len(g.classes)):
+            sq_bad = None  # label of the first class where tr^2 != a_V det_V(1 + w)
+            for k, c in enumerate(g.classes):
                 t = pin.lift_of_class(k).trace()
-                det = g.refl_charpoly[k].eval(-1)
-                if abs(t * t - pin.a_v * det) > cfg.tolerance:
-                    sq_ok = False
+                if abs(t * t - pin.a_v * g.refl_charpoly[k].eval(-1)) > cfg.tolerance:
+                    sq_bad = _label_str(c.label)
+                    break
             checks.append({"identity": "pin_braid_relations", "ok": spin_ok, "detail": None})
-            checks.append({"identity": "spin_square_trace", "ok": sq_ok, "detail": None})
+            checks.append({"identity": "spin_square_trace", "ok": sq_bad is None, "detail": sq_bad})
         except spinmod.PinConstructionError as exc:
             checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
     failures = [c for c in checks if not c["ok"]]
@@ -488,7 +485,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TableFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TableFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -1,26 +1,28 @@
-"""Exact arithmetic over Z[q], plus the legacy Q(q) field and its matrices.
+"""Exact arithmetic over Z[q]: polynomials and matrices of polynomials.
 
 Everything here is immutable and normalized on construction, so equal values
 compare equal componentwise and can be shared freely across threads.
 
-The solver's linear algebra stays in Z[q]: `adjugate` inverts a square block
-up to its determinant by fraction-free elimination, and `matmul` multiplies
-matrices of polynomials by Kronecker substitution.  A polynomial f whose
-coefficients lie strictly between -2^(b-1) and 2^(b-1) is packed into the
-single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
-(`IntPoly.unpack`); since evaluation at 2^b is a ring map, sums of products
-of packed values are packed sums of products, so one big-integer multiply-add
-replaces a schoolbook polynomial product (Harvey, J. Symbolic Comput. 44,
-2009).  The slot width b comes from a coefficient bound computed from the
-inputs (`slot_bits`).  `RatFun` and `PolyMatrix` remain only as test oracles
-and for `charring.omega_matrix`.
+All linear algebra stays in Z[q]: `adjugate` inverts a square block up to its
+determinant by fraction-free elimination, and `matmul` multiplies matrices of
+polynomials by Kronecker substitution.  A polynomial f whose coefficients lie
+strictly between -2^(b-1) and 2^(b-1) is packed into the single integer
+f(2^b) (`IntPoly.pack`) and read back by signed digits (`IntPoly.unpack`);
+since evaluation at 2^b is a ring map, sums of products of packed values are
+packed sums of products, so one big-integer multiply-add replaces a schoolbook
+polynomial product (Harvey, J. Symbolic Comput. 44, 2009).  The slot width b
+comes from a coefficient bound computed from the inputs (`slot_bits`).
+
+`RatFun`, a rational function over Q, has no caller in the library.  It stays
+only because the benchmark tracer still counts calls of `RatFun.__init__`;
+it goes once the tracer stops naming it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 def _trim(coeffs):
@@ -58,10 +60,6 @@ class IntPoly:
     @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly((c,))
-
-    @staticmethod
-    def monomial(c: int, k: int) -> "IntPoly":
-        return IntPoly((0,) * k + (c,))
 
     # -- structure ------------------------------------------------------
     @property
@@ -352,19 +350,6 @@ def _fr_neg(a):
     return tuple(-c for c in a)
 
 
-def _fr_divmod(a, b):
-    num = list(a)
-    lead = b[-1]
-    out = [Fraction(0)] * max(0, len(num) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        f = num[k + len(b) - 1] / lead
-        out[k] = f
-        if f:
-            for j, bj in enumerate(b):
-                num[k + j] -= f * bj
-    return _fr_trim(out), _fr_trim(num)
-
-
 def _to_int_primitive(a):
     """Clear denominators and content; returns (int coeff tuple, scale)."""
     from math import gcd, lcm
@@ -536,176 +521,3 @@ class RatFun:
             return f"RatFun({fmt(self.num)})"
         return f"RatFun(({fmt(self.num)})/({fmt(self.den)}))"
 
-
-
-
-class PolyMatrix:
-    """Rectangular matrix over Q(q)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        ent = []
-        for row in entries:
-            out = []
-            for e in row:
-                if isinstance(e, RatFun):
-                    out.append(e)
-                elif isinstance(e, IntPoly):
-                    out.append(RatFun(e))
-                elif isinstance(e, int):
-                    out.append(RatFun.from_int(e))
-                else:
-                    raise TypeError(f"bad matrix entry {e!r}")
-            ent.append(tuple(out))
-        if ent and any(len(r) != len(ent[0]) for r in ent):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", tuple(ent))
-        object.__setattr__(self, "rows", len(ent))
-        object.__setattr__(self, "cols", len(ent[0]) if ent else 0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[RatFun.from_int(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RatFun.from_int(0)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def inverse(self) -> "PolyMatrix":
-        """Exact inverse by Gauss-Jordan elimination; verified by multiplication."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        b = [list(row) for row in PolyMatrix.identity(n).entries]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError(self._det_hint())
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv_p = RatFun.from_int(1) / a[col][col]
-            a[col] = [e * inv_p for e in a[col]]
-            b[col] = [e * inv_p for e in b[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        inv = PolyMatrix(b)
-        if not (self * inv - PolyMatrix.identity(n)).is_zero():
-            raise ArithmeticError("inverse verification failed")
-        return inv
-
-    def determinant(self) -> RatFun:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        det = RatFun.from_int(1)
-        sign = 1
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return RatFun.from_int(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            det = det * a[col][col]
-            inv_p = RatFun.from_int(1) / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        if sign < 0:
-            det = -det
-        return det
-
-    def _det_hint(self):
-        try:
-            return self.determinant()
-        except Exception:  # pragma: no cover - determinant itself failed
-            return None
-
-    def to_json(self):
-        return [[e.to_json() for e in row] for row in self.entries]
-
-    @staticmethod
-    def from_json(obj):
-        return PolyMatrix([[RatFun.from_json(e) for e in row] for row in obj])
-
-
-class SingularMatrixError(ValueError):
-    """Raised on inversion of a singular matrix; carries the determinant."""
-
-    def __init__(self, det):
-        self.determinant = det
-        super().__init__(f"singular matrix (det = {det!r})")
-
-
-def matrix_ops(m: PolyMatrix, op: str, other: PolyMatrix | None = None):
-    """Dispatch form of matrix mul/inverse/transpose used by the CLI."""
-    if op == "mul":
-        if other is None:
-            raise ValueError("mul needs a second matrix")
-        return m * other
-    if op == "inverse":
-        return m.inverse()
-    if op == "transpose":
-        return m.transpose()
-    raise ValueError(f"unknown op {op!r}")

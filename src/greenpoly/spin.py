@@ -104,12 +104,6 @@ class PinRep:
         rep = self.group.classes[cls].representative
         return self.lift(reduced_word(self.group, rep))
 
-    def chirality_projectors(self):
-        import numpy as np
-
-        eye = np.eye(self.spin_dim, dtype=complex)
-        return (eye + self.z / self.c) / 2, (eye - self.z / self.c) / 2
-
 
 class PinConstructionError(RuntimeError):
     pass

@@ -41,30 +41,20 @@ class OrbitLabel:
 
 @dataclass
 class ComponentGroup:
-    kind: str  # "trivial" | "elementary_abelian" | "s3"
+    kind: str  # "trivial" (k = 0) | "elementary_abelian"
     k: int = 0
     generator_names: tuple = ()
 
     @property
     def size(self) -> int:
-        if self.kind == "trivial":
-            return 1
-        if self.kind == "elementary_abelian":
-            return 2**self.k
-        return 6
+        return 2**self.k
 
     def elements(self):
         return range(self.size)
 
     def char_value(self, char_mask: int, x: int) -> int:
         """Value of the character indexed by a bitmask at element x."""
-        if self.kind == "s3":
-            raise NotImplementedError("S3 component groups are reference data only")
         return -1 if bin(char_mask & x).count("1") % 2 else 1
-
-    def char_table(self):
-        n = self.size
-        return [[self.char_value(m, x) for x in range(n)] for m in range(n)]
 
 
 @dataclass
@@ -77,10 +67,6 @@ class MRep:
 
     vz_chars: tuple
     md_chars: tuple
-
-    @property
-    def vz_dim(self) -> int:
-        return len(self.vz_chars)
 
     def trace(self, comp: ComponentGroup, x: int) -> IntPoly:
         """tr_M(x) = det_{V_Z}(1 - q x) * prod_d det_{M(d)}(1 - q^d x)."""
@@ -143,9 +129,6 @@ class SpringerTable:
             if sys.label == label:
                 return s
         raise KeyError(f"orbit {self.orbits[orbit].label.partition} has no system {label!r}")
-
-    def comparable(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.greater or (j, i) in self.greater
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +310,7 @@ def table_typeA(n: int) -> SpringerTable:
     """GL(n) Springer table: orbits are partitions of n, trivial local
     systems, and the orbit lam carries the irrep lam^t (regular -> sgn)."""
     if not 2 <= n <= 8:
-        raise ValueError("type A tables cover 2 <= n <= 8")
+        raise ValueError("type A tables cover GL(n) for 2 <= n <= 8")
     group_type = WeylType("A", n - 1)
     g = build(group_type)
 
@@ -371,7 +354,10 @@ def table_typeC(n: int) -> SpringerTable:
     if n in (1, 3):
         ref = resources.files("greenpoly.data").joinpath(f"springer_C{n}.json")
         return load_table(json.loads(ref.read_text()))
-    raise ValueError("type C tables cover ranks 1..3; ingest files for more")
+    raise ValueError(
+        f"no built-in table for Sp({2 * n}): type C tables cover Sp(2n) for "
+        "1 <= n <= 3; load a table file for more"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +429,29 @@ def _require_keys(obj, keys, where):
 def load_table(source) -> SpringerTable:
     """Build a SpringerTable from a JSON dict or a path to one."""
     if isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            obj = json.load(fh)
+        with open(source, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
+                raise TableFormatError(f"not a JSON table: {exc}")
     else:
         obj = source
     _require_keys(obj, ("type", "rank", "orbits"), "table")
     ambient = obj["type"]
     if ambient not in ("A", "C"):
         raise TableFormatError(f"unsupported ambient type {ambient!r}")
+    n = obj["rank"]
+    if type(n) is not int:
+        raise TableFormatError(f"rank {n!r} is not an integer")
     try:
-        n = int(obj["rank"])
         group_type = WeylType(ambient, n - 1 if ambient == "A" else n)
-    except (TypeError, ValueError):
-        raise TableFormatError(
-            f"no built-in Weyl group for type {ambient} rank {obj['rank']!r}"
-        )
+    except ValueError:
+        raise TableFormatError(f"no built-in Weyl group for type {ambient} rank {n}")
     g = build(group_type)
     if not isinstance(obj["orbits"], (list, tuple)):
         raise TableFormatError("'orbits' is not a list")
 
+    size = n if ambient == "A" else 2 * n  # partitions of n for GL(n), of 2n for Sp(2n)
     orbits = []
     for oi, orec in enumerate(obj["orbits"]):
         where = f"orbit #{oi}"
@@ -473,6 +463,8 @@ def load_table(source) -> SpringerTable:
             raise TableFormatError(
                 f"{where}: partition {parts!r} is not a list of positive integers"
             )
+        if sum(parts) != size:
+            raise TableFormatError(f"{where}: partition {parts} is not a partition of {size}")
         try:
             label = OrbitLabel(tuple(parts), ambient)
         except ValueError as exc:
@@ -522,10 +514,13 @@ def load_table(source) -> SpringerTable:
             OrbitRecord(label, expected_d, comp, m_representation(label), systems)
         )
 
-    try:
-        greater = {(int(i), int(j)) for i, j in obj.get("closure", [])}
-    except (TypeError, ValueError):
+    closure = obj.get("closure", [])
+    if not isinstance(closure, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(type(i) is int for i in p)
+        for p in closure
+    ):
         raise TableFormatError("'closure' is not a list of orbit index pairs")
+    greater = {(i, j) for i, j in closure}
     table = SpringerTable(group_type, ambient, n, orbits, greater)
     validate_table(table)
     # for the classical families the closure order is dominance; a file that

@@ -63,6 +63,41 @@ def test_verify_all_passes(capsys):
     assert "kl_equation" in out and "FAIL" not in out
 
 
+def test_verify_all_failure_witnesses(capsys, monkeypatch):
+    import greenpoly.charring as charring
+    from greenpoly import spin
+    from greenpoly.weyl import WeylType, build, delta_elliptic_count
+
+    def checks():
+        code, out, _ = run(capsys, "verify", "all", "--type", "C", "--rank", "3", "--json")
+        return code, {c["identity"]: c for c in json.loads(out)["checks"]}
+
+    code, passed = checks()
+    assert code == 0
+    assert passed["elliptic_rank_count"]["detail"] is None
+    assert passed["spin_square_trace"]["detail"] is None
+
+    g = build(WeylType("C", 3))
+    pin = spin.build_pin(g)
+    # doubling the lifts of the classes after the first breaks
+    # tr^2 = a_V det_V(1 + w) exactly where tr != 0: classes 4 and 6 of C3
+    first = next(k for k in range(1, len(g.classes)) if abs(pin.lift_of_class(k).trace()) > 1e-9)
+    _, out, _ = run(capsys, "wg", "classes", "--type", "C", "--rank", "3", "--json")
+    first_label = json.loads(out)[first]["label"]
+    lift = spin.PinRep.lift_of_class
+    monkeypatch.setattr(spin.PinRep, "lift_of_class", lambda self, k: (2 if k else 1) * lift(self, k))
+    monkeypatch.setattr(charring, "minus_one_gram_rank", lambda g: 99)
+    code, failed = checks()
+    assert code == 2
+    assert failed["elliptic_rank_count"] == {
+        "identity": "elliptic_rank_count",
+        "ok": False,
+        "detail": {"rank": 99, "count": delta_elliptic_count(g)},
+    }
+    assert not failed["spin_square_trace"]["ok"]
+    assert failed["spin_square_trace"]["detail"] == first_label
+
+
 def test_verify_json_structure(capsys):
     code, out, _ = run(capsys, "verify", "ls", "--type", "A", "--rank", "4", "--json")
     assert code == 0
@@ -110,35 +145,71 @@ def _c2_table(edit):
     return d
 
 
+def _c2_file(edit=None, text=None, data=None):
+    """Writer of a FILE argument: the C2 table changed by edit, then its JSON
+    text changed by text, or the raw bytes data."""
+
+    def write(tmp_path):
+        path = tmp_path / "table.json"
+        if data is not None:
+            path.write_bytes(data)
+        else:
+            out = json.dumps(_c2_table(edit or (lambda d: None)))
+            path.write_text(text(out) if text else out)
+        return path
+
+    return write
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "make",
     [
-        lambda d: d.update(rank=9),
-        lambda d: d["orbits"][1].pop("pairs"),
-        lambda d: d["orbits"][1].update(partition=[2, "1", 1]),
-        lambda d: d["orbits"][0].update(comp_group=[1]),
-        lambda d: d["orbits"][0]["pairs"][0].update(irrep=3),
-        lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=1),
-        lambda d: d.update(closure=[["a", "b"]]),
-        lambda d: d["orbits"][0]["pairs"][0].update(local_system=[1]),
+        _c2_file(lambda d: d.update(rank=9)),
+        _c2_file(lambda d: d["orbits"][1].pop("pairs")),
+        _c2_file(lambda d: d["orbits"][1].update(partition=[2, "1", 1])),
+        _c2_file(lambda d: d["orbits"][0].update(comp_group=[1])),
+        _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(irrep=3)),
+        _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=1)),
+        _c2_file(lambda d: d.update(closure=[["a", "b"]])),
+        _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(local_system=[1])),
         None,  # no FILE at all
+        lambda tmp_path: tmp_path,
+        _c2_file(data=b"\xff\xfe{}"),
+        _c2_file(text=lambda t: t.replace('"rank": 2', '"rank": 1e400')),
+        _c2_file(text=lambda t: t.replace('"rank": 2', '"rank": 1' + "0" * 5000)),
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
         "comp-group-not-object", "irrep-not-a-label", "characters-not-a-list",
         "closure-not-index-pairs", "local-system-not-a-string", "no-file",
+        "file-is-a-directory", "not-utf8", "rank-overflows", "integer-too-long",
     ],
 )
-def test_springer_load_malformed_input(capsys, tmp_path, edit):
+def test_springer_load_malformed_input(capsys, tmp_path, make):
     args = ["springer", "load"]
-    if edit is not None:
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(_c2_table(edit)))
-        args.append(str(path))
+    if make is not None:
+        args.append(str(make(tmp_path)))
     code, out, err = run(capsys, *args)
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_data_dir_table_must_match_request(capsys, tmp_path):
+    # the C2 table saved under the file name of GL(3)'s
+    path = tmp_path / "springer_A3.json"
+    path.write_text(json.dumps(_c2_table(lambda d: None)))
+    code, out, err = run(capsys, "green", "--type", "A", "--rank", "3", "--data-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+    assert "type C rank 2" in err
+
+
+@pytest.mark.parametrize("family, rank", [("A", "9"), ("C", "4"), ("A", "1"), ("C", "0")])
+def test_table_rank_out_of_range(capsys, family, rank):
+    code, out, err = run(capsys, "green", "--type", family, "--rank", rank)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_spin_sigma(capsys):

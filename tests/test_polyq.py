@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from greenpoly.polyq import (
     IntPoly,
-    PolyMatrix,
     Q,
     RatFun,
-    SingularMatrixError,
     matmul,
-    matrix_ops,
     slot_bits,
 )
 
@@ -135,46 +132,6 @@ class TestRatFun:
         r = RatFun(f, g)
         # r * g == f as rational functions
         assert r * RatFun(g) == RatFun(f)
-
-
-class TestPolyMatrix:
-    def test_inverse_2x2(self):
-        m = PolyMatrix([[P(1), Q], [Q, P(1)]])
-        inv = matrix_ops(m, "inverse")
-        d = RatFun(P(1), P(1, 0, -1))
-        assert inv[0, 0] == d
-        assert inv[0, 1] == RatFun(P(0, -1), P(1, 0, -1))
-        assert (m * inv - PolyMatrix.identity(2)).is_zero()
-
-    def test_identity_mul(self):
-        m = PolyMatrix([[P(1), P(2, 1)], [P(0, 3), P(5)]])
-        assert PolyMatrix.identity(2) * m == m
-
-    def test_transpose_shape(self):
-        m = PolyMatrix([[P(1), P(2)]])
-        t = matrix_ops(m, "transpose")
-        assert (t.rows, t.cols) == (2, 1)
-
-    def test_singular_reports_determinant(self):
-        m = PolyMatrix([[P(1), P(1)], [P(1), P(1)]])
-        with pytest.raises(SingularMatrixError) as err:
-            m.inverse()
-        assert err.value.determinant.is_zero()
-
-    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                    min_size=3, max_size=3))
-    @settings(deadline=None, max_examples=25)
-    def test_inverse_verifies(self, rows):
-        m = PolyMatrix([[IntPoly((v,)) for v in row] for row in rows])
-        try:
-            inv = m.inverse()
-        except SingularMatrixError:
-            return
-        assert (m * inv - PolyMatrix.identity(3)).is_zero()
-
-    def test_json_roundtrip(self):
-        m = PolyMatrix([[RatFun(P(1), P(1, -1)), RatFun(Q)]])
-        assert PolyMatrix.from_json(m.to_json()) == m
 
 
 def _schoolbook_matmul(A, B):

@@ -1,7 +1,15 @@
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenpoly.cli import main
 from greenpoly.polyq import IntPoly
 from greenpoly.springer import (
     OrbitLabel,
@@ -196,6 +204,24 @@ class TestSerialization:
             load_table(d)
         assert "strict order" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(rank=2.5),
+            lambda d: d.update(rank="2"),
+            lambda d: d.update(rank=True),
+            lambda d: d.update(closure=[[str(i), str(j)] for i, j in d["closure"]]),
+            lambda d: d.update(closure=[[float(i), j] for i, j in d["closure"]]),
+        ],
+        ids=["float-rank", "string-rank", "bool-rank", "string-closure", "float-closure"],
+    )
+    def test_non_integer_rank_or_closure_rejected(self, edit):
+        # int() would coerce these: a rank of 2.5 would load as Sp(4)
+        d = save_table(table_typeC(2))
+        edit(d)
+        with pytest.raises(TableFormatError):
+            load_table(d)
+
     def test_wrong_d_e_rejected(self):
         d = save_table(table_typeC(2))
         d["orbits"][0]["d_e"] = 5
@@ -219,3 +245,118 @@ class TestSerialization:
         with pytest.raises(TableFormatError) as err:
             load_table(d)
         assert "fake degree" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# robustness: a mutated table either loads or raises TableFormatError
+
+_BASE_TABLES = [save_table(table_typeA(4)), save_table(table_typeC(2)), save_table(table_typeC(3))]
+
+_DROP = object()  # mutation value that deletes the entry
+
+# one value of each other JSON type, with the edge cases of each
+_EDGE_VALUES = [
+    None, True, "", "x", 0.5, float("inf"), float("-inf"), float("nan"),
+    [], [[]], {}, {"k": 1}, 10**30, -(10**30),
+]
+
+_huge_int = st.integers(10**18, 10**60).flatmap(lambda n: st.sampled_from([n, -n]))
+
+_other_json = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.text(max_size=4),
+    st.floats(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    _huge_int,
+)
+
+
+def _fields(obj):
+    """The entries of a JSON tree as {field: [(container path, key), ...]},
+    where a field is the entry's path with list positions blurred to '*'."""
+    out = {}
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            field = tuple("*" if isinstance(k, int) else k for k in path + (key,))
+            out.setdefault(field, []).append((path, key))
+            if isinstance(value, (dict, list)):
+                walk(value, path + (key,))
+
+    if isinstance(obj, (dict, list)):
+        walk(obj, ())
+    return out
+
+
+def _mutate(obj, path, key, value):
+    for k in path:
+        obj = obj[k]
+    if value is _DROP:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+@st.composite
+def mutated_tables(draw):
+    """A saved A4, C2 or C3 table with one to three mutations: a dropped key or
+    list entry, a value swapped for another JSON type, the orbits reordered,
+    or a rank that may be out of range.  The entry to change is drawn field
+    first, so the many closure and label entries do not crowd out the rest."""
+    obj = copy.deepcopy(draw(st.sampled_from(_BASE_TABLES)))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "retype", "reorder", "rank"]))
+        if op == "rank":
+            obj["rank"] = draw(st.one_of(st.integers(-3, 12), _huge_int))
+        elif op == "reorder":
+            if isinstance(obj.get("orbits"), list):
+                obj["orbits"] = draw(st.permutations(obj["orbits"]))
+        else:
+            fields = _fields(obj)
+            if not fields:
+                continue
+            path, key = draw(st.sampled_from(fields[draw(st.sampled_from(sorted(fields)))]))
+            # a copy, since later mutations may reach inside the new value
+            value = _DROP if op == "drop" else copy.deepcopy(draw(_other_json))
+            _mutate(obj, path, key, value)
+    return obj
+
+
+def _loads_or_rejects(obj):
+    try:
+        load_table(obj)
+    except TableFormatError:
+        pass
+
+
+@pytest.mark.parametrize("base", range(len(_BASE_TABLES)), ids=["A4", "C2", "C3"])
+def test_every_field_mutated_loads_or_rejects(base):
+    # the first entry of every field, dropped or swapped for each edge value
+    for (path, key), *_ in _fields(_BASE_TABLES[base]).values():
+        for value in [_DROP] + _EDGE_VALUES:
+            obj = copy.deepcopy(_BASE_TABLES[base])
+            _mutate(obj, path, key, copy.deepcopy(value))
+            _loads_or_rejects(obj)
+
+
+@given(mutated_tables())
+@settings(deadline=None, max_examples=500)
+def test_mutated_table_loads_or_raises_table_format_error(obj):
+    _loads_or_rejects(obj)
+
+
+@given(mutated_tables())
+@settings(deadline=None, max_examples=40)
+def test_mutated_table_cli_exits_cleanly(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["springer", "load", path])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
