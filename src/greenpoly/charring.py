@@ -285,12 +285,14 @@ def omega_matrix(g: WeylGroupData) -> tuple:
     return _omega_rows(g.type)
 
 
-def chevalley_check(g: WeylGroupData) -> bool:
-    """Coinvariant character times det_V(1-qw) equals p(q) on every class."""
+def chevalley_failure(g: WeylGroupData):
+    """The first class where the coinvariant character times det_V(1-qw)
+    differs from p(q), or None."""
     p = poincare_poly(g)
     x1 = coinvariant_character(g)
-    return all(
-        x1.value(k) * g.refl_charpoly[k] == p for k in range(len(g.classes))
+    return next(
+        (k for k in range(len(g.classes)) if x1.value(k) * g.refl_charpoly[k] != p),
+        None,
     )
 
 

@@ -40,7 +40,6 @@ class RunConfig:
     rank: int | None
     fmt: str
     data_dir: str | None
-    tolerance: float
 
 
 def _label_str(lab) -> str:
@@ -265,23 +264,25 @@ def cmd_verify(args, cfg):
             checks.append({"identity": name, "ok": ok, "detail": _json_safe(detail)})
     if args.what == "all":
         g = tab.group
-        from .charring import chevalley_check, minus_one_gram_rank
+        from .charring import chevalley_failure, minus_one_gram_rank
         from .weyl import delta_elliptic_count
 
-        checks.append({"identity": "chevalley_product", "ok": chevalley_check(g), "detail": None})
+        k = chevalley_failure(g)  # the first class where x_1(w) det(1 - qw) != p(q)
+        chev_bad = None if k is None else _label_str(g.classes[k].label)
+        checks.append({"identity": "chevalley_product", "ok": chev_bad is None, "detail": chev_bad})
         rank, count = minus_one_gram_rank(g), delta_elliptic_count(g)
         rank_bad = None if rank == count else {"rank": rank, "count": count}
         checks.append({"identity": "elliptic_rank_count", "ok": rank_bad is None, "detail": rank_bad})
         try:
             pin = spinmod.build_pin(g)
-            spin_ok = spinmod.braid_check(pin)
+            pair = spinmod.braid_failure(pin)
+            braid_bad = None if pair is None else {"pair": list(pair)}
             sq_bad = None  # label of the first class where tr^2 != a_V det_V(1 + w)
             for k, c in enumerate(g.classes):
-                t = pin.lift_of_class(k).trace()
-                if abs(t * t - pin.a_v * g.refl_charpoly[k].eval(-1)) > cfg.tolerance:
+                if not pin.spin_square_holds(pin.lift_of_class(k), g.refl_charpoly[k].eval(-1)):
                     sq_bad = _label_str(c.label)
                     break
-            checks.append({"identity": "pin_braid_relations", "ok": spin_ok, "detail": None})
+            checks.append({"identity": "pin_braid_relations", "ok": braid_bad is None, "detail": braid_bad})
             checks.append({"identity": "spin_square_trace", "ok": sq_bad is None, "detail": sq_bad})
         except spinmod.PinConstructionError as exc:
             checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
@@ -429,7 +430,12 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--json", action="store_true", help="shorthand for --format json")
     common.add_argument("--data-dir", default=None)
-    common.add_argument("--tolerance", type=float, default=1e-8)
+    common.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-8,
+        help="kept for compatibility: every check, the pin layer's included, is exact",
+    )
 
     p = _Parser(prog="greenpoly", description=__doc__, parents=[common])
     sub = p.add_subparsers(dest="verb", required=True)
@@ -471,15 +477,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         fmt = "json" if getattr(args, "json", False) else args.format
-        tol = args.tolerance
-        if not (0 < tol <= 1e-4):
+        if not (0 < args.tolerance <= 1e-4):
             raise UsageError("--tolerance must lie in (0, 1e-4]")
         cfg = RunConfig(
             family=args.family,
             rank=args.rank,
             fmt=fmt,
             data_dir=args.data_dir or os.environ.get(DATA_DIR_ENV),
-            tolerance=tol,
         )
         return args.func(args, cfg)
     except UsageError as exc:

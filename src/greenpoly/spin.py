@@ -1,19 +1,32 @@
-"""Clifford algebra, pin lifts, and the double-cover character data.
+"""Exact Clifford algebra, pin lifts, and the double-cover character data.
 
-Gamma matrices use the tensor-of-Paulis ladder at size 2^ceil(n/2), so for
-odd n the representation is the sum of the two simple spin modules and for
-even n the volume element z cuts it into the two half-spin pieces.  All
-norms and multiplicities route through exact character-ring identities; the
-floating-point traces only cross-check them.
+An element of the Clifford algebra of the ambient space R^m (e_j^2 = -1,
+e_i e_j = -e_j e_i) is a dict from the bitmask S of a monomial
+e_S = e_{s1} ... e_{sk} (s1 < ... < sk) to an integer coefficient.  The
+simple roots are the integer vectors of `weyl._ambient_simple_roots`, and the
+lift f = alpha/|alpha| of a simple reflection is kept as alpha with its
+squared length, so the lift of a word is x/sqrt(N): x = alpha_i1 ... alpha_ik
+is an integer Clifford element and N = prod |alpha_i|^2 an integer.
+
+The spin module has dimension 2^ceil(n/2), n the rank: for odd n it is the sum
+of the two simple spin modules, and for even n the volume element z of V
+cuts it into the two half-spin pieces.  Every monomial but 1 has trace zero
+on it, so tr(x/sqrt(N)) = dim x_0/sqrt(N).  For B/C/D, V = R^n and
+z = e_1 ... e_n; for A_r and G2, V is the sum-zero plane of R^{r+1} (R^3 for
+G2) and z = eps e_full u/sqrt(r+1) with u = e_0 + ... + e_r, the orientation
+eps being -1 for A and +1 for G2.  Every identity of the pin layer (the
+reflection property of the lifts, the braid relations, tr^2 = a_V det(1 + w))
+is checked as an equality of integers, and all norms and multiplicities
+route through exact character-ring identities; floats appear only in the
+trace values returned for printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import TYPE_CHECKING
+from functools import cached_property
+from math import copysign, factorial, sqrt
 
 from .charring import minus_one_pairing, one_pairing, VirtualCharacter
 from .lusztigshoji import GreenTableau, k_at_minus_one_inverse
@@ -22,59 +35,86 @@ from .springer import q_M_pairing
 from .weyl import (
     WeylGroupData,
     WeylType,
+    _ambient_simple_roots,
     braid_order,
     build,
     delta_elliptic_count,
+    identity_element,
     reduced_word,
     simple_generators,
-    unit_simple_roots,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
 
-# numpy is imported by the functions that use it, so that the CLI verbs
-# without a pin layer do not pay for its import
+def _times(x: dict, vec) -> dict:
+    """x v for an integer vector v = sum_j v_j e_j.
 
-
-@lru_cache(maxsize=None)
-def _paulis():
-    """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
-    import numpy as np
-
-    return (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
+    e_S e_j = (-1)^{#(S n [j, m))} e_{S xor {j}}: e_j moves left past the
+    larger indices of S, and meets e_j^2 = -1 when j lies in S.
+    """
+    out = {}
+    for j, a in enumerate(vec):
+        if a:
+            bit = 1 << j
+            for s, c in x.items():
+                t = s ^ bit
+                out[t] = out.get(t, 0) + (-a * c if (s >> j).bit_count() & 1 else a * c)
+    return {s: c for s, c in out.items() if c}
 
 
-def _hermitian_gammas(n: int):
-    """n anticommuting Hermitian involutions of size 2^ceil(n/2)."""
-    import numpy as np
+def _unit(j: int) -> tuple:
+    return (0,) * j + (1,)
 
-    sx, sy, sz = _paulis()
-    k = (n + 1) // 2
-    out = []
-    for j in range(n):
-        factors = [sz] * (j // 2) + [sx if j % 2 == 0 else sy]
-        factors += [np.eye(2, dtype=complex)] * (k - len(factors))
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        out.append(m)
-    return out
+
+def _norm(v) -> int:
+    return sum(a * a for a in v)
+
+
+def _mul(x: dict, y: dict) -> dict:
+    """x y, one monomial e_T = e_{t1} ... e_{tk} of y at a time."""
+    out = {}
+    for t, d in y.items():
+        xt = x
+        for j in range(t.bit_length()):
+            if t >> j & 1:
+                xt = _times(xt, _unit(j))
+        for s, c in xt.items():
+            out[s] = out.get(s, 0) + d * c
+    return {s: c for s, c in out.items() if c}
+
+
+def _scalar_of_product(x: dict, y: dict) -> int:
+    """The coefficient of 1 in x y: e_S e_S = (-1)^{k(k+1)/2}, k = |S|."""
+    total = 0
+    for s, c in x.items():
+        d = y.get(s)
+        if d:
+            k = s.bit_count()
+            total += -c * d if (k * (k + 1) // 2) % 2 else c * d
+    return total
+
+
+def _float_root(k: int, n: int) -> float:
+    """k/sqrt(n) as a float, rounded from the exact square k^2/n."""
+    return copysign(sqrt(k * k / n), k)
+
+
+@dataclass
+class PinElement:
+    """x/sqrt(norm) in Pin(V): x an integer Clifford element, norm > 0."""
+
+    coeffs: dict
+    norm: int
 
 
 @dataclass
 class PinRep:
     group: WeylGroupData
     n: int
-    gammas: list  # gamma_j^2 = -1, anticommuting
-    z: np.ndarray
+    roots: list  # integer simple roots in R^m
+    volume: dict  # z = volume/sqrt(volume_norm)
+    volume_norm: int
     z_square_sign: int  # (-1)^{n(n+1)/2}
     c: complex  # eigenvalue of z on the positive half-spin piece
-    simple_lifts: list
 
     @property
     def a_v(self) -> int:
@@ -82,27 +122,37 @@ class PinRep:
 
     @property
     def spin_dim(self) -> int:
-        return self.gammas[0].shape[0]
+        return 2 ** ((self.n + 1) // 2)
 
-    def vector(self, v) -> np.ndarray:
-        import numpy as np
-
-        m = np.zeros_like(self.gammas[0])
-        for coef, gamma in zip(v, self.gammas):
-            m = m + coef * gamma
-        return m
-
-    def lift(self, word) -> np.ndarray:
-        import numpy as np
-
-        m = np.eye(self.spin_dim, dtype=complex)
+    def lift(self, word) -> PinElement:
+        x, norm = {0: 1}, 1
         for i in word:
-            m = m @ self.simple_lifts[i]
-        return m
+            x = _times(x, self.roots[i])
+            norm *= _norm(self.roots[i])
+        return PinElement(x, norm)
 
-    def lift_of_class(self, cls: int) -> np.ndarray:
+    def lift_of_class(self, cls: int) -> PinElement:
         rep = self.group.classes[cls].representative
         return self.lift(reduced_word(self.group, rep))
+
+    @cached_property
+    def class_lifts(self) -> list:
+        """One lift per conjugacy class (fixed by the stored word)."""
+        return [self.lift_of_class(k) for k in range(len(self.group.classes))]
+
+    def trace(self, u: PinElement) -> float:
+        """dim x_0/sqrt(N): every other monomial has trace zero."""
+        return _float_root(self.spin_dim * u.coeffs.get(0, 0), u.norm)
+
+    def index_trace(self, u: PinElement) -> complex:
+        """tr(u z)/c: the trace on S+ minus the trace on S-."""
+        s = self.spin_dim * _scalar_of_product(u.coeffs, self.volume)
+        return _float_root(s, u.norm * self.volume_norm) / self.c
+
+    def spin_square_holds(self, u: PinElement, det: int) -> bool:
+        """tr(u)^2 = a_V det_V(1 + w), as dim^2 x_0^2 = a_V det N."""
+        x0 = u.coeffs.get(0, 0)
+        return (self.spin_dim * x0) ** 2 == self.a_v * det * u.norm
 
 
 class PinConstructionError(RuntimeError):
@@ -110,104 +160,92 @@ class PinConstructionError(RuntimeError):
 
 
 def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
-    """Gamma matrices, the volume element, and verified reflection lifts."""
-    import numpy as np
+    """Integer roots, the volume element, and verified reflection lifts.
 
+    Every check is an exact integer identity; `tol` is accepted for
+    compatibility and not used.
+    """
     n = g.type.rank
-    gammas = [1j * h for h in _hermitian_gammas(n)]
-    dim = gammas[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
-            target = -2.0 * eye if i == j else 0.0 * eye
-            if np.abs(anti - target).max() > tol:
-                raise PinConstructionError("anticommutation residual too large")
-    z = eye
-    for gamma in gammas:
-        z = z @ gamma
+    roots = [tuple(r) for r in _ambient_simple_roots(g.type)]
+    m = len(roots[0])
+    volume, volume_norm = {(1 << m) - 1: 1}, 1
+    if m > n:  # V is the sum-zero plane of R^m: z = e_full (eps u)/sqrt(m)
+        eps = -1 if g.type.family == "A" else 1
+        volume, volume_norm = _times(volume, (eps,) * m), m
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
-    if np.abs(z @ z - sign * eye).max() > tol:
-        raise PinConstructionError("z^2 residual too large")
-    c = 1.0 + 0j if sign == 1 else 1j
+    if _mul(volume, volume) != {0: sign * volume_norm}:
+        raise PinConstructionError("z^2 is not (-1)^{n(n+1)/2}")
+    c = 1 if sign == 1 else 1j
 
-    roots = unit_simple_roots(g)
-    pin = PinRep(g, n, gammas, z, sign, c, [])
-    lifts = [pin.vector(r) for r in roots]
-    pin.simple_lifts = lifts
-
-    # p(lift) must be the reflection: eps(u) xi u^{-1} = s_alpha(xi) on basis
-    # vectors; with u^2 = -1 this is u xi u
-    for r, u in zip(roots, lifts):
-        for j in range(n):
-            image = u @ gammas[j] @ u
-            e_j = np.zeros(n)
-            e_j[j] = 1.0
-            refl = e_j - 2.0 * float(np.dot(e_j, r)) * np.asarray(r)
-            target = pin.vector(refl)
-            if np.abs(image - target).max() > 10 * tol:
+    # p(lift) must be the reflection: eps(u) xi u^{-1} = s_alpha(xi), which
+    # for u = alpha/|alpha| reads alpha e_j alpha = N e_j - 2 alpha_j alpha
+    for r in roots:
+        alpha = _times({0: 1}, r)
+        for j in range(m):
+            image = _times(_times(alpha, _unit(j)), r)
+            target = _times({0: 1}, tuple(_norm(r) * (k == j) - 2 * r[j] * r[k] for k in range(m)))
+            if image != target:
                 raise PinConstructionError("pin lift does not project to s_alpha")
-    return pin
+    return PinRep(g, n, roots, volume, volume_norm, sign, c)
+
+
+def braid_failure(pin: PinRep):
+    """The first simple pair (i, j) with (f_i f_j)^{m(i,j)} != -1, or None.
+
+    In integers: (alpha_i alpha_j)^m = -t with t > 0 and t^2 = (N_i N_j)^m.
+    """
+    g = pin.group
+    roots = pin.roots
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            m = braid_order(g, i, j)
+            x = {0: 1}
+            for _ in range(m):
+                x = _times(_times(x, roots[i]), roots[j])
+            t = -x.get(0, 0)
+            target = (_norm(roots[i]) * _norm(roots[j])) ** m
+            if t <= 0 or len(x) > 1 or t * t != target:
+                return (i, j)
+    return None
 
 
 def braid_check(pin: PinRep, tol: float = 1e-10) -> bool:
-    """(lift_i lift_j)^{m(i,j)} = -1 for all simple pairs."""
-    import numpy as np
-
-    g = pin.group
-    k = len(simple_generators(g.type))
-    eye = np.eye(pin.spin_dim, dtype=complex)
-    for i in range(k):
-        for j in range(i + 1, k):
-            m = braid_order(g, i, j)
-            prod = pin.simple_lifts[i] @ pin.simple_lifts[j]
-            acc = eye
-            for _ in range(m):
-                acc = acc @ prod
-            if np.abs(acc + eye).max() > tol:
-                return False
-    return True
+    """(lift_i lift_j)^{m(i,j)} = -1 for all simple pairs, exactly; `tol` is
+    accepted for compatibility and not used."""
+    return braid_failure(pin) is None
 
 
-def trace_spin(pin: PinRep, word, check_tol: float | None = 1e-8) -> complex:
+def trace_spin(pin: PinRep, word, check: bool = True) -> float:
     """Trace of the lifted word on the (sum of) spin module(s).
 
-    With check_tol set, verifies tr^2 = a_V det_V(1 + w) against the exact
+    With check set, verifies tr^2 = a_V det_V(1 + w) exactly against the
     characteristic polynomial of the underlying group element.
     """
     g = pin.group
-    t = pin.lift(word).trace()
-    if check_tol is not None:
+    u = pin.lift(word)
+    if check:
         mul = g.mul
         gens = simple_generators(g.type)
-        from .weyl import identity_element
-
         cur = identity_element(g.type)
         for i in word:
             cur = mul(cur, gens[i])
         det = g.refl_charpoly[g.class_of(cur)].eval(-1)
-        if abs(t * t - pin.a_v * det) > check_tol:
+        if not pin.spin_square_holds(u, det):
             raise PinConstructionError(
-                f"spin-square identity violated: tr^2 = {t * t}, "
+                f"spin-square identity violated: tr^2 = {pin.trace(u) ** 2}, "
                 f"a_V det(1+w) = {pin.a_v * det}"
             )
-    return t
+    return pin.trace(u)
 
 
 def spin_traces_by_class(pin: PinRep):
     """One lift trace per conjugacy class (lift fixed by the stored word)."""
-    return [
-        pin.lift_of_class(k).trace() for k in range(len(pin.group.classes))
-    ]
+    return [pin.trace(u) for u in pin.class_lifts]
 
 
 def index_traces_by_class(pin: PinRep):
     """Traces of the half-spin difference: tr(w z)/c per class."""
-    out = []
-    for k in range(len(pin.group.classes)):
-        m = pin.lift_of_class(k)
-        out.append((m @ pin.z).trace() / pin.c)
-    return out
+    return [pin.index_trace(u) for u in pin.class_lifts]
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +255,10 @@ def index_traces_by_class(pin: PinRep):
 @dataclass
 class SpinClassFunction:
     group: WeylGroupData
-    values: list  # complex per class, for the stored lift choice
+    values: list  # float per class, for the stored lift choice
     exact_norm: int  # a_V < X_{-1}, X_{-1} >^{-1}_W, computed exactly
 
-    def dimension(self) -> complex:
+    def dimension(self) -> float:
         return self.values[self.group.identity_class]
 
 
@@ -269,21 +307,17 @@ def char_formula_check(
     st = sigma_tilde(tab, pin, partition, system)
     g = tab.group
     # the ratio identity holds by construction; the content is the support
-    # condition: the denominator vanishes exactly off the (-1)-elliptic set
-    for k in range(len(g.classes)):
-        det = g.refl_charpoly[k].eval(-1)
-        tr = st.values[k] / x.value(k) if x.value(k) else None
-        full = pin.lift_of_class(k).trace()
-        if det != 0:
-            if abs(full) <= tol:
+    # condition: the spin trace is zero (x_0 = 0 exactly) off the (-1)-elliptic set
+    for k, full in enumerate(spin_traces_by_class(pin)):
+        if g.refl_charpoly[k].eval(-1) != 0:
+            if full == 0:
                 raise PinConstructionError(
                     f"vanishing spin trace on a (-1)-elliptic class {k}"
                 )
             if abs(st.values[k] / full - x.value(k)) > tol:
                 return False
-        else:
-            if abs(full) > tol:
-                return False
+        elif full != 0:
+            return False
     return True
 
 

@@ -821,12 +821,16 @@ def delta_elliptic_count(g: WeylGroupData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reflection representation: exact descent for reduced words, and unit simple
-# roots in an orthonormal realization (used by the pin construction)
+# reflection representation: integer simple roots in ambient coordinates, for
+# exact descent in reduced words and for the pin construction
 
 
 def _ambient_simple_roots(t: WeylType):
-    """Simple roots as integer vectors in the standard ambient coordinates."""
+    """Simple roots as integer vectors in the standard ambient coordinates;
+    for G2 the short root (1,-1,0) and the long root (-2,1,1) of the
+    sum-zero plane in R^3."""
+    if t.family == "G2":
+        return [(1, -1, 0), (-2, 1, 1)]
     if t.family == "A":
         n = t.rank + 1
         return [
@@ -914,26 +918,3 @@ def braid_order(g: WeylGroupData, i: int, j: int) -> int:
         cur = mul(cur, prod)
         m += 1
     return m
-
-
-def unit_simple_roots(g: WeylGroupData):
-    """Unit simple-root vectors in an orthonormal basis of V (float)."""
-    import numpy as np
-
-    t = g.type
-    if t.family == "G2":
-        return [
-            np.array([1.0, 0.0]),
-            np.array([-(3**0.5) / 2, 0.5]),
-        ]
-    roots = [np.array(r, dtype=float) for r in _ambient_simple_roots(t)]
-    if t.family == "A":
-        n = t.rank + 1
-        # orthonormal basis of the sum-zero hyperplane
-        basis = []
-        for k in range(1, n):
-            v = np.array([1.0] * k + [-float(k)] + [0.0] * (n - k - 1))
-            basis.append(v / np.linalg.norm(v))
-        q = np.stack(basis, axis=1)  # n x (n-1)
-        roots = [q.T @ r for r in roots]
-    return [r / np.linalg.norm(r) for r in roots]

@@ -15,16 +15,26 @@ def run(capsys, *args):
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy is only needed by the pin layer; the other verbs must not pay for it
+    # the pin layer is exact integer arithmetic: no verb, the pin verbs and
+    # `verify all` included, imports numpy
     import greenpoly
 
     src = os.path.dirname(os.path.dirname(greenpoly.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, greenpoly.cli; print('numpy' in sys.modules, 'greenpoly.spin' in sys.modules)"
+    code = (
+        "import contextlib, io, sys\n"
+        "from greenpoly.cli import main\n"
+        "runs = [['spin', 'classify', '--type', 'A', '--rank', '4'],\n"
+        "        ['spin', 'index', '--type', 'C', '--rank', '2', '--orbit', '2,2', '--phi', 'triv'],\n"
+        "        ['verify', 'all', '--type', 'C', '--rank', '2']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(args) for args in runs]\n"
+        "print(codes, 'numpy' in sys.modules, 'greenpoly.spin' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["[0,", "0,", "0]", "False", "True"]
 
 
 def test_wg_classes_json(capsys):
@@ -76,16 +86,23 @@ def test_verify_all_failure_witnesses(capsys, monkeypatch):
     assert code == 0
     assert passed["elliptic_rank_count"]["detail"] is None
     assert passed["spin_square_trace"]["detail"] is None
+    assert passed["pin_braid_relations"]["detail"] is None
+    assert passed["chevalley_product"]["detail"] is None
 
     g = build(WeylType("C", 3))
     pin = spin.build_pin(g)
     # doubling the lifts of the classes after the first breaks
     # tr^2 = a_V det_V(1 + w) exactly where tr != 0: classes 4 and 6 of C3
-    first = next(k for k in range(1, len(g.classes)) if abs(pin.lift_of_class(k).trace()) > 1e-9)
+    first = next(k for k in range(1, len(g.classes)) if pin.trace(pin.lift_of_class(k)) != 0)
     _, out, _ = run(capsys, "wg", "classes", "--type", "C", "--rank", "3", "--json")
     first_label = json.loads(out)[first]["label"]
     lift = spin.PinRep.lift_of_class
-    monkeypatch.setattr(spin.PinRep, "lift_of_class", lambda self, k: (2 if k else 1) * lift(self, k))
+
+    def doubled(self, k):
+        u = lift(self, k)
+        return spin.PinElement({s: (2 if k else 1) * c for s, c in u.coeffs.items()}, u.norm)
+
+    monkeypatch.setattr(spin.PinRep, "lift_of_class", doubled)
     monkeypatch.setattr(charring, "minus_one_gram_rank", lambda g: 99)
     code, failed = checks()
     assert code == 2
@@ -96,6 +113,48 @@ def test_verify_all_failure_witnesses(capsys, monkeypatch):
     }
     assert not failed["spin_square_trace"]["ok"]
     assert failed["spin_square_trace"]["detail"] == first_label
+
+
+def test_verify_all_braid_witness(capsys, monkeypatch):
+    from greenpoly import spin
+
+    build_pin = spin.build_pin
+
+    def broken(g):
+        pin = build_pin(g)
+        pin.roots[2] = (0, 1, 1)  # no root: breaks the pairs (0, 2) and (1, 2)
+        return pin
+
+    monkeypatch.setattr(spin, "build_pin", broken)
+    code, out, _ = run(capsys, "verify", "all", "--type", "C", "--rank", "3", "--json")
+    assert code == 2
+    checks = {c["identity"]: c for c in json.loads(out)["checks"]}
+    assert checks["pin_braid_relations"] == {
+        "identity": "pin_braid_relations",
+        "ok": False,
+        "detail": {"pair": [0, 2]},
+    }
+
+
+def test_verify_all_chevalley_witness(capsys, monkeypatch):
+    import greenpoly.charring as charring
+    from greenpoly.weyl import WeylType, build
+
+    g = build(WeylType("C", 3))
+    x1 = charring.coinvariant_character(g)  # cached before p(q) is tampered with
+    p = charring.poincare_poly(g) + charring.ONE
+    first = next(k for k in range(len(g.classes)) if x1.value(k) * g.refl_charpoly[k] != p)
+    _, out, _ = run(capsys, "wg", "classes", "--type", "C", "--rank", "3", "--json")
+    first_label = json.loads(out)[first]["label"]
+    monkeypatch.setattr(charring, "poincare_poly", lambda g: p)
+    code, out, _ = run(capsys, "verify", "all", "--type", "C", "--rank", "3", "--json")
+    assert code == 2
+    checks = {c["identity"]: c for c in json.loads(out)["checks"]}
+    assert checks["chevalley_product"] == {
+        "identity": "chevalley_product",
+        "ok": False,
+        "detail": first_label,
+    }
 
 
 def test_verify_json_structure(capsys):

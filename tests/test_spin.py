@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from greenpoly.partitions import distinct_partitions
@@ -6,6 +5,7 @@ from greenpoly.spin import (
     DiracIndex,
     PinConstructionError,
     braid_check,
+    braid_failure,
     build_pin,
     char_formula_check,
     classify_constituents,
@@ -22,7 +22,13 @@ from greenpoly.spin import (
     trace_spin,
 )
 from greenpoly.springer import nsol_predicate
-from greenpoly.weyl import WeylType, build, delta_elliptic_count, reduced_word
+from greenpoly.weyl import (
+    WeylType,
+    _ambient_simple_roots,
+    build,
+    delta_elliptic_count,
+    reduced_word,
+)
 
 ALL_TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -80,7 +86,7 @@ class TestPinRep:
         pin = pins("A", 2)
         g = pin.group
         cox = next(k for k, c in enumerate(g.classes) if c.label == (3,))
-        t = np.trace(pin.lift_of_class(cox))
+        t = pin.trace(pin.lift_of_class(cox))
         assert abs(t * t - 1) < 1e-10  # a_V det(1+w) = 1
 
     def test_trace_vanishes_off_minus_one_elliptic(self, pins):
@@ -92,9 +98,13 @@ class TestPinRep:
 
     def test_spin_square_check_raises_on_bad_tolerance(self, pins):
         pin = pins("A", 2)
-        # a made-up word: halving the tolerance to an absurd level must
-        # never trip because the identity is exact up to roundoff
-        trace_spin(pin, (0, 1), check_tol=1e-8)
+        # the check is exact: it passes on a true lift with no tolerance at
+        # all, and a lift off the root direction breaks it
+        trace_spin(pin, (0, 1))
+        bad = build_pin(pin.group)
+        bad.roots[0] = (1, 0, 0)  # orthogonal to alpha_1: x_0 = 0, det(1 + w) = 1
+        with pytest.raises(PinConstructionError):
+            trace_spin(bad, (0, 1))
 
     def test_squared_values_lift_independent(self, pins):
         # conjugating the representative changes the lift at most by sign
@@ -107,9 +117,124 @@ class TestPinRep:
         for cls in g.classes:
             w = cls.representative
             conj = mul(gens[0], mul(w, gens[0]))
-            t1 = np.trace(pin.lift(reduced_word(g, w)))
-            t2 = np.trace(pin.lift(reduced_word(g, conj)))
-            assert abs(t1 * t1 - t2 * t2) < 1e-9
+            u1 = pin.lift(reduced_word(g, w))
+            u2 = pin.lift(reduced_word(g, conj))
+            # tr^2 = dim^2 x_0^2 / N, compared exactly
+            assert u1.coeffs.get(0, 0) ** 2 * u2.norm == u2.coeffs.get(0, 0) ** 2 * u1.norm
+
+
+# ---------------------------------------------------------------------------
+# numpy oracle: the gamma-matrix realization the exact layer replaced.  It
+# works in its own orthonormal basis of V (Helmert vectors of the sum-zero
+# plane for A, a planar basis for G2) with unit roots in floating point.
+
+
+def _oracle_unit_roots(g):
+    np = pytest.importorskip("numpy")
+    t = g.type
+    if t.family == "G2":
+        return [np.array([1.0, 0.0]), np.array([-(3**0.5) / 2, 0.5])]
+    roots = [np.array(r, dtype=float) for r in _ambient_simple_roots(t)]
+    if t.family == "A":
+        n = t.rank + 1
+        basis = []
+        for k in range(1, n):
+            v = np.array([1.0] * k + [-float(k)] + [0.0] * (n - k - 1))
+            basis.append(v / np.linalg.norm(v))
+        q = np.stack(basis, axis=1)  # n x (n-1)
+        roots = [q.T @ r for r in roots]
+    return [r / np.linalg.norm(r) for r in roots]
+
+
+def _oracle_gammas(n):
+    """n anticommuting gamma matrices with gamma^2 = -1, of size 2^ceil(n/2):
+    i times the tensor-of-Paulis ladder."""
+    np = pytest.importorskip("numpy")
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    k = (n + 1) // 2
+    out = []
+    for j in range(n):
+        factors = [sz] * (j // 2) + [sx if j % 2 == 0 else sy]
+        factors += [np.eye(2, dtype=complex)] * (k - len(factors))
+        m = factors[0]
+        for f in factors[1:]:
+            m = np.kron(m, f)
+        out.append(1j * m)
+    return out
+
+
+def _oracle_traces(g):
+    """Per class: tr(lift) and tr(lift z)/c from the gamma matrices."""
+    np = pytest.importorskip("numpy")
+    n = g.type.rank
+    gammas = _oracle_gammas(n)
+    eye = np.eye(gammas[0].shape[0], dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+            assert np.abs(anti - (-2.0 * eye if i == j else 0.0 * eye)).max() < 1e-12
+    z = eye
+    for gamma in gammas:
+        z = z @ gamma
+    c = 1.0 if (n * (n + 1) // 2) % 2 == 0 else 1j
+    lifts = [sum(a * gamma for a, gamma in zip(r, gammas)) for r in _oracle_unit_roots(g)]
+    traces, index = [], []
+    for cls in g.classes:
+        m = eye
+        for i in reduced_word(g, cls.representative):
+            m = m @ lifts[i]
+        traces.append(m.trace())
+        index.append((m @ z).trace() / c)
+    return traces, index
+
+
+def test_unit_simple_roots():
+    for fam, r in [("A", 2), ("B", 3), ("D", 4), ("G2", 2)]:
+        g = build(WeylType(fam, r))
+        roots = _oracle_unit_roots(g)
+        exact = _ambient_simple_roots(g.type)
+        assert len(roots) == len(exact) == r
+        # the oracle's basis is orthonormal: its unit roots have the angles
+        # of the integer roots
+        for u, a in zip(roots, exact):
+            for v, b in zip(roots, exact):
+                dot = sum(x * y for x, y in zip(a, b))
+                cos = dot / (sum(x * x for x in a) * sum(y * y for y in b)) ** 0.5
+                assert abs(float(u @ v) - cos) < 1e-12
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_exact_layer_matches_gamma_matrices(fam, rank):
+    g = build(WeylType(fam, rank))
+    pin = build_pin(g)
+    traces, index = _oracle_traces(g)
+    for k, (got, want) in enumerate(zip(spin_traces_by_class(pin), traces)):
+        assert abs(got - want) < 1e-9, ("trace", k)
+    for k, (got, want) in enumerate(zip(index_traces_by_class(pin), index)):
+        assert abs(got - want) < 1e-9, ("index", k)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_exact_identities(fam, rank):
+    g = build(WeylType(fam, rank))
+    pin = build_pin(g)
+    assert braid_failure(pin) is None
+    for k, u in enumerate(pin.class_lifts):
+        # dim^2 x_0^2 = a_V det(1 + w) N, as integers
+        det = g.refl_charpoly[k].eval(-1)
+        assert (pin.spin_dim * u.coeffs.get(0, 0)) ** 2 == pin.a_v * det * u.norm, k
+        assert all(isinstance(c, int) for c in u.coeffs.values())
+
+
+def test_braid_failure_names_first_pair():
+    pin = build_pin(build(WeylType("C", 3)))
+    # (0,1,1) is no root: it breaks m(0,2) = 2 (alpha_0 . (0,1,1) != 0) and
+    # m(1,2) = 4 ((alpha_1 (0,1,1))^4 = +16, not -16)
+    pin.roots[2] = (0, 1, 1)
+    assert braid_failure(pin) == (0, 2)
+    assert not braid_check(pin)
 
 
 class TestSigmaTilde:

@@ -30,7 +30,6 @@ from greenpoly.weyl import (
     reduced_word,
     refl_charpoly,
     simple_generators,
-    unit_simple_roots,
     _mul,
 )
 
@@ -240,17 +239,6 @@ def test_braid_orders():
     assert braid_order(g, 0, 1) == 3
     assert braid_order(g, 1, 2) == 4
     assert braid_order(g, 0, 2) == 2
-
-
-def test_unit_simple_roots():
-    import numpy as np
-
-    for fam, r in [("A", 2), ("B", 3), ("D", 4), ("G2", 2)]:
-        g = build(WeylType(fam, r))
-        roots = unit_simple_roots(g)
-        assert len(roots) == r
-        for v in roots:
-            assert abs(np.dot(v, v) - 1.0) < 1e-12
 
 
 def test_d_split_classes_present():
