@@ -15,7 +15,6 @@ and the fake-degree matrix inside Z[q] throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
@@ -24,14 +23,23 @@ from .polyq import IntPoly, ONE, ZERO, slot_bits
 from .weyl import WeylGroupData, WeylType, build
 
 
-@dataclass(frozen=True)
-class VirtualCharacter:
-    group: WeylGroupData
-    coords: tuple  # integers over irreps
+def _set_coords(x, group: WeylGroupData, coords: tuple):
+    """Set a character's two attributes once.  Later assignments raise, so
+    the cached `values` cannot go stale."""
+    if len(coords) != len(group.irrep_labels):
+        raise ValueError("coordinate length mismatch")
+    object.__setattr__(x, "group", group)
+    object.__setattr__(x, "coords", coords)
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.group.irrep_labels):
-            raise ValueError("coordinate length mismatch")
+
+class VirtualCharacter:
+    """Integer coordinates over the irreducibles of `group`; immutable."""
+
+    def __init__(self, group: WeylGroupData, coords: tuple):
+        _set_coords(self, group, coords)
+
+    def __setattr__(self, *a):
+        raise AttributeError("VirtualCharacter is immutable")
 
     @cached_property
     def values(self) -> tuple:
@@ -56,14 +64,14 @@ class VirtualCharacter:
         )
 
 
-@dataclass(frozen=True)
 class GradedCharacter:
-    group: WeylGroupData
-    coords: tuple  # IntPoly over irreps
+    """IntPoly coordinates over the irreducibles of `group`; immutable."""
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.group.irrep_labels):
-            raise ValueError("coordinate length mismatch")
+    def __init__(self, group: WeylGroupData, coords: tuple):
+        _set_coords(self, group, coords)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GradedCharacter is immutable")
 
     @cached_property
     def values(self) -> tuple:

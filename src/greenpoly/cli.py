@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import spin as spinmod
 from .charring import fake_degree, minus_one_gram, q_elliptic_gram
@@ -34,12 +33,8 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    family: str | None
-    rank: int | None
-    fmt: str
-    data_dir: str | None
+# verbs whose output has no CSV form; they reject --format csv up front
+NO_CSV = ("springer", "verify", "spin")
 
 
 def _label_str(lab) -> str:
@@ -59,8 +54,6 @@ def _emit(payload, fmt: str, csv_rows=None, pretty_lines=None):
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("no CSV form for this command")
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -71,39 +64,39 @@ def _emit(payload, fmt: str, csv_rows=None, pretty_lines=None):
                 print(line)
 
 
-def _group(cfg: RunConfig) -> WeylGroupData:
-    if cfg.family is None or cfg.rank is None:
+def _group(args: argparse.Namespace) -> WeylGroupData:
+    if args.family is None or args.rank is None:
         raise UsageError("--type and --rank are required")
     try:
-        return build(WeylType(cfg.family, cfg.rank))
+        return build(WeylType(args.family, args.rank))
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _table(cfg: RunConfig) -> SpringerTable:
+def _table(args: argparse.Namespace) -> SpringerTable:
     """Resolve the orbit table; for type A the rank names GL(n).
 
     A table file in the data directory takes precedence over built-ins, and
     must be the table of the requested type and rank.
     """
-    if cfg.family not in ("A", "C"):
-        raise UsageError(f"orbit tables exist for types A and C, not {cfg.family!r}")
-    if cfg.rank is None:
+    if args.family not in ("A", "C"):
+        raise UsageError(f"orbit tables exist for types A and C, not {args.family!r}")
+    if args.rank is None:
         raise UsageError("--rank required")
-    if cfg.data_dir:
+    if args.data_dir:
         cand = os.path.join(
-            cfg.data_dir, f"springer_{cfg.family}{cfg.rank}.json"
+            args.data_dir, f"springer_{args.family}{args.rank}.json"
         )
         if os.path.exists(cand):
             table = load_table(cand)
-            if (table.ambient, table.n) != (cfg.family, cfg.rank):
+            if (table.ambient, table.n) != (args.family, args.rank):
                 raise TableFormatError(
                     f"{cand} holds the type {table.ambient} rank {table.n} table, "
-                    f"not type {cfg.family} rank {cfg.rank}"
+                    f"not type {args.family} rank {args.rank}"
                 )
             return table
     try:
-        return (table_typeA if cfg.family == "A" else table_typeC)(cfg.rank)
+        return (table_typeA if args.family == "A" else table_typeC)(args.rank)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -112,14 +105,14 @@ def _table(cfg: RunConfig) -> SpringerTable:
 # verbs
 
 
-def cmd_wg(args, cfg):
-    g = _group(cfg)
+def cmd_wg(args):
+    g = _group(args)
     if args.what == "classes":
         payload = [
             {"label": _label_str(c.label), "size": c.size} for c in g.classes
         ]
         rows = [["label", "size"]] + [[_label_str(c.label), c.size] for c in g.classes]
-        _emit(payload, cfg.fmt, rows, [f"{_label_str(c.label)}  size {c.size}" for c in g.classes])
+        _emit(payload, args.format, rows, [f"{_label_str(c.label)}  size {c.size}" for c in g.classes])
         return 0
     if args.what == "chartable":
         payload = {
@@ -131,13 +124,13 @@ def cmd_wg(args, cfg):
         rows = [[""] + [_label_str(c.label) for c in g.classes]]
         for lab, row in zip(g.irrep_labels, g.char_table):
             rows.append([_label_str(lab)] + list(row))
-        _emit(payload, cfg.fmt, rows, [",".join(map(str, r)) for r in rows])
+        _emit(payload, args.format, rows, [",".join(map(str, r)) for r in rows])
         return 0
     raise UsageError(f"unknown wg subcommand {args.what!r}")
 
 
-def cmd_pairing(args, cfg):
-    g = _group(cfg)
+def cmd_pairing(args):
+    g = _group(args)
     if args.form == "qell":
         gram = [[str(e) for e in row] for row in q_elliptic_gram(g)]
     elif args.form in ("minusone", "delta"):
@@ -152,24 +145,24 @@ def cmd_pairing(args, cfg):
         "gram": gram,
     }
     rows = [[_label_str(l)] + list(map(str, row)) for l, row in zip(g.irrep_labels, gram)]
-    _emit(payload, cfg.fmt, rows, [",".join(map(str, r)) for r in rows])
+    _emit(payload, args.format, rows, [",".join(map(str, r)) for r in rows])
     return 0
 
 
-def cmd_fakedeg(args, cfg):
-    g = _group(cfg)
+def cmd_fakedeg(args):
+    g = _group(args)
     payload = [
         {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
         for i, l in enumerate(g.irrep_labels)
     ]
     rows = [[_label_str(l), str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
-    _emit(payload, cfg.fmt, rows, [f"{a}: {b}" for a, b in rows])
+    _emit(payload, args.format, rows, [f"{a}: {b}" for a, b in rows])
     return 0
 
 
-def cmd_springer(args, cfg):
+def cmd_springer(args):
     if args.what == "show":
-        table = _table(cfg)
+        table = _table(args)
         payload = save_table(table)
         lines = []
         for rec in table.orbits:
@@ -181,7 +174,7 @@ def cmd_springer(args, cfg):
                 f"orbit {rec.label.partition} d_e={rec.d_e} "
                 f"A(e)={rec.comp.kind}(k={rec.comp.k}): {systems}"
             )
-        _emit(payload, cfg.fmt, None, lines)
+        _emit(payload, args.format, None, lines)
         return 0
     if args.what == "load":
         if args.file is None:
@@ -219,8 +212,8 @@ def _tableau_payload(tab: GreenTableau):
     }
 
 
-def cmd_green(args, cfg):
-    table = _table(cfg)
+def cmd_green(args):
+    table = _table(args)
     tab = solve(table)
     payload = _tableau_payload(tab)
     n = len(tab.pairs)
@@ -252,14 +245,14 @@ def cmd_green(args, cfg):
             lines.append(f"  {lab}:")
             for row in block:
                 lines.append("    [" + ", ".join(str(e) for e in row) + "]")
-    _emit(payload, cfg.fmt, rows, lines)
+    _emit(payload, args.format, rows, lines)
     return 0
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     checks = []
     if args.what in ("ls", "all"):
-        tab = solve(_table(cfg), check=False)
+        tab = solve(_table(args), check=False)
         for name, ok, detail in verify(tab):
             checks.append({"identity": name, "ok": ok, "detail": _json_safe(detail)})
     if args.what == "all":
@@ -288,7 +281,7 @@ def cmd_verify(args, cfg):
             checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
     failures = [c for c in checks if not c["ok"]]
     payload = {"checks": checks, "ok": not failures}
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for c in checks:
@@ -326,8 +319,8 @@ def _parse_pair(table: SpringerTable, text, phi) -> tuple:
     return lam
 
 
-def cmd_spin(args, cfg):
-    table = _table(cfg)
+def cmd_spin(args):
+    table = _table(args)
     if args.what in ("sigma", "index"):
         lam = _parse_pair(table, args.orbit, args.phi)
     tab = solve(table)
@@ -347,7 +340,7 @@ def cmd_spin(args, cfg):
             f"{_label_str(c.label)}: {_cplx(v)}"
             for c, v in zip(tab.group.classes, st.values)
         ]
-        _emit(payload, cfg.fmt, None, lines)
+        _emit(payload, args.format, None, lines)
         return 0
     if args.what == "classify":
         if table.ambient != "A":
@@ -377,7 +370,7 @@ def cmd_spin(args, cfg):
             )
             for d in out
         ]
-        _emit(out, cfg.fmt, None, lines)
+        _emit(out, args.format, None, lines)
         return 0
     if args.what == "index":
         di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
@@ -395,7 +388,7 @@ def cmd_spin(args, cfg):
             f"coset part nonzero: {di.coset_nonzero}",
             di.note,
         ]
-        _emit(payload, cfg.fmt, None, lines)
+        _emit(payload, args.format, None, lines)
         return 0
     raise UsageError(f"unknown spin subcommand {args.what!r}")
 
@@ -476,16 +469,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        fmt = "json" if getattr(args, "json", False) else args.format
+        if args.json:
+            args.format = "json"
         if not (0 < args.tolerance <= 1e-4):
             raise UsageError("--tolerance must lie in (0, 1e-4]")
-        cfg = RunConfig(
-            family=args.family,
-            rank=args.rank,
-            fmt=fmt,
-            data_dir=args.data_dir or os.environ.get(DATA_DIR_ENV),
-        )
-        return args.func(args, cfg)
+        if args.format == "csv" and args.verb in NO_CSV:
+            raise UsageError("no CSV form for this command")
+        args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

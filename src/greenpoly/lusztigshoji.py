@@ -16,7 +16,6 @@ identities of `verify` are checked with zero residual on packed products
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .charring import (
@@ -35,17 +34,19 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
 class GreenTableau:
-    table: SpringerTable
-    group: WeylGroupData
-    pairs: list  # (orbit index, system index), table order
-    coords: list  # per pair: tuple of IntPoly over irreps (the K column)
-    class_values: list  # per pair: tuple of IntPoly per class
-    M: list  # full Gram matrix of q-elliptic pairings, IntPoly
-    Lam: list  # block-diagonal, IntPoly
-    p: IntPoly
-    notes: dict = field(default_factory=dict)
+    def __init__(self, table: SpringerTable, group: WeylGroupData, pairs: list,
+                 coords: list, class_values: list, M: list, Lam: list, p: IntPoly,
+                 notes: dict | None = None):
+        self.table = table
+        self.group = group
+        self.pairs = pairs  # (orbit index, system index), table order
+        self.coords = coords  # per pair: tuple of IntPoly over irreps (the K column)
+        self.class_values = class_values  # per pair: tuple of IntPoly per class
+        self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
+        self.Lam = Lam  # block-diagonal, IntPoly
+        self.p = p
+        self.notes = {} if notes is None else notes
 
     def pair_index(self, orbit: int, system: int) -> int:
         return self.pairs.index((orbit, system))
@@ -339,11 +340,11 @@ def isometry_check(tab: GreenTableau, orbit: int) -> bool:
     return m_block(tab, orbit) == q_M_gram(tab.table, orbit)
 
 
-@dataclass
 class CactionResult:
-    ok: bool
-    twists: dict  # pair name -> +1/-1
-    strict_ok: bool
+    def __init__(self, ok: bool, twists: dict, strict_ok: bool):
+        self.ok = ok
+        self.twists = twists  # pair name -> +1/-1
+        self.strict_ok = strict_ok
 
 
 def caction_check(tab: GreenTableau) -> CactionResult:

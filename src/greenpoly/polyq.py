@@ -20,7 +20,6 @@ it goes once the tracer stops naming it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
 
@@ -329,7 +328,7 @@ def _fr_trim(coeffs):
 def _fr_mul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -352,13 +351,14 @@ def _fr_neg(a):
 
 def _to_int_primitive(a):
     """Clear denominators and content; returns (int coeff tuple, scale)."""
+    from fractions import Fraction
     from math import gcd, lcm
 
     if not a:
         return (), Fraction(1)
     den = 1
     for c in a:
-        den = lcm(den, Fraction(c).denominator)
+        den = lcm(den, c.denominator)
     ints = [int(c * den) for c in a]
     g = 0
     for c in ints:
@@ -416,6 +416,8 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        from fractions import Fraction
+
         if isinstance(num, IntPoly):
             num = tuple(Fraction(c) for c in num.coeffs)
         if isinstance(den, IntPoly):
@@ -435,6 +437,8 @@ class RatFun:
 
     @staticmethod
     def _reduce(num, den):
+        from fractions import Fraction
+
         if not num:
             return (), (Fraction(1),)
         ni, ns = _to_int_primitive(num)
@@ -451,13 +455,13 @@ class RatFun:
 
     @staticmethod
     def from_int(c) -> "RatFun":
-        return RatFun((Fraction(c),))
+        return RatFun((c,))
 
     def is_zero(self):
         return not self.num
 
     def is_polynomial(self):
-        return self.den == (Fraction(1),)
+        return self.den == (1,)
 
     def as_intpoly(self) -> IntPoly:
         """Convert to IntPoly; raises if not an integer polynomial."""
@@ -508,10 +512,7 @@ class RatFun:
 
     @staticmethod
     def from_json(obj):
-        return RatFun(
-            tuple(Fraction(c) for c in obj["num"]["coeffs"]),
-            tuple(Fraction(c) for c in obj["den"]["coeffs"]),
-        )
+        return RatFun(obj["num"]["coeffs"], obj["den"]["coeffs"])
 
     def __repr__(self):
         def fmt(cs):

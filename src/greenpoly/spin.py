@@ -23,8 +23,6 @@ trace values returned for printing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import copysign, factorial, sqrt
 
@@ -98,23 +96,24 @@ def _float_root(k: int, n: int) -> float:
     return copysign(sqrt(k * k / n), k)
 
 
-@dataclass
 class PinElement:
     """x/sqrt(norm) in Pin(V): x an integer Clifford element, norm > 0."""
 
-    coeffs: dict
-    norm: int
+    def __init__(self, coeffs: dict, norm: int):
+        self.coeffs = coeffs
+        self.norm = norm
 
 
-@dataclass
 class PinRep:
-    group: WeylGroupData
-    n: int
-    roots: list  # integer simple roots in R^m
-    volume: dict  # z = volume/sqrt(volume_norm)
-    volume_norm: int
-    z_square_sign: int  # (-1)^{n(n+1)/2}
-    c: complex  # eigenvalue of z on the positive half-spin piece
+    def __init__(self, group: WeylGroupData, n: int, roots: list, volume: dict,
+                 volume_norm: int, z_square_sign: int, c: complex):
+        self.group = group
+        self.n = n
+        self.roots = roots  # integer simple roots in R^m
+        self.volume = volume  # z = volume/sqrt(volume_norm)
+        self.volume_norm = volume_norm
+        self.z_square_sign = z_square_sign  # (-1)^{n(n+1)/2}
+        self.c = c  # eigenvalue of z on the positive half-spin piece
 
     @property
     def a_v(self) -> int:
@@ -252,11 +251,11 @@ def index_traces_by_class(pin: PinRep):
 # the genuine characters attached to Green columns
 
 
-@dataclass
 class SpinClassFunction:
-    group: WeylGroupData
-    values: list  # float per class, for the stored lift choice
-    exact_norm: int  # a_V < X_{-1}, X_{-1} >^{-1}_W, computed exactly
+    def __init__(self, group: WeylGroupData, values: list, exact_norm: int):
+        self.group = group
+        self.values = values  # float per class, for the stored lift choice
+        self.exact_norm = exact_norm  # a_V < X_{-1}, X_{-1} >^{-1}_W, computed exactly
 
     def dimension(self) -> float:
         return self.values[self.group.identity_class]
@@ -323,27 +322,30 @@ def char_formula_check(
 
 def g_lambda(lam) -> int:
     """n!/(prod lam_i!) * prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j)."""
-    n = sum(lam)
-    val = Fraction(factorial(n))
+    num, den = factorial(sum(lam)), 1
     for p in lam:
-        val /= factorial(p)
+        den *= factorial(p)
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
-            val *= Fraction(lam[i] - lam[j], lam[i] + lam[j])
-    if val.denominator != 1:
+            num *= lam[i] - lam[j]
+            den *= lam[i] + lam[j]
+    val, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError(f"g^lambda not an integer for {lam}")
-    return int(val)
+    return val
 
 
-@dataclass
 class TypeAClassification:
-    partition: tuple
-    even: bool  # parts count congruent to n mod 2
-    a_lambda: int
-    constituents: int  # 1 for a self-dual single, 2 for a dual pair
-    dim_each: int
-    exact_norm: int
-    alternating_betti: int  # (-1)^{d_e} sum (-1)^i dim H^{2i} = X_{-1}(1) = g^lambda
+    def __init__(self, partition: tuple, even: bool, a_lambda: int, constituents: int,
+                 dim_each: int, exact_norm: int, alternating_betti: int):
+        self.partition = partition
+        self.even = even  # parts count congruent to n mod 2
+        self.a_lambda = a_lambda
+        self.constituents = constituents  # 1 for a self-dual single, 2 for a dual pair
+        self.dim_each = dim_each
+        self.exact_norm = exact_norm
+        # (-1)^{d_e} sum (-1)^i dim H^{2i} = X_{-1}(1) = g^lambda
+        self.alternating_betti = alternating_betti
 
 
 def classify_constituents(
@@ -467,13 +469,15 @@ def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
     return a_v * minus_one_pairing(sigma, x)
 
 
-@dataclass
 class DiracIndex:
-    even_values: list  # X_1(w) * (tr S+ - tr S-) per class
-    coset_values: list  # X_{-1}(w) * tr(S) per class, up to a global scalar
-    even_nonzero: bool  # exact: <X_1, X_1>^1 != 0
-    coset_nonzero: bool  # exact: <X_{-1}, X_{-1}>^{-1} != 0
-    note: str = "coset part reported projectively; its global scalar is not fixed"
+    note = "coset part reported projectively; its global scalar is not fixed"
+
+    def __init__(self, even_values: list, coset_values: list, even_nonzero: bool,
+                 coset_nonzero: bool):
+        self.even_values = even_values  # X_1(w) * (tr S+ - tr S-) per class
+        self.coset_values = coset_values  # X_{-1}(w) * tr(S) per class, up to a global scalar
+        self.even_nonzero = even_nonzero  # exact: <X_1, X_1>^1 != 0
+        self.coset_nonzero = coset_nonzero  # exact: <X_{-1}, X_{-1}>^{-1} != 0
 
 
 def dirac_index_char(tab: GreenTableau, pin: PinRep, partition, system="triv"):

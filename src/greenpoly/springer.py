@@ -13,8 +13,6 @@ contributes its invariant degrees with a sign character in degree m.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 
 from .charring import fake_degree
 from .partitions import dominates, is_distinct, multiplicities, transpose
@@ -22,28 +20,45 @@ from .polyq import IntPoly, ONE
 from .weyl import WeylGroupData, WeylType, build
 
 
-@dataclass(frozen=True)
 class OrbitLabel:
-    partition: tuple
-    ambient: str  # "A" (GL_n) or "C" (Sp_2n)
+    """A nilpotent orbit of GL_n ("A") or Sp_2n ("C") by its Jordan type;
+    immutable and hashable."""
 
-    def __post_init__(self):
-        parts = self.partition
+    __slots__ = ("partition", "ambient")
+
+    def __init__(self, partition: tuple, ambient: str):
+        parts = partition
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition must be weakly decreasing")
-        if self.ambient == "C":
+        if ambient == "C":
             if sum(parts) % 2:
                 raise ValueError("Sp orbit partitions have even size")
             for p, m in multiplicities(parts).items():
                 if p % 2 and m % 2:
                     raise ValueError(f"odd part {p} has odd multiplicity")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "ambient", ambient)
+
+    def __setattr__(self, *a):
+        raise AttributeError("OrbitLabel is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not OrbitLabel:
+            return NotImplemented
+        return self.partition == other.partition and self.ambient == other.ambient
+
+    def __hash__(self):
+        return hash((self.partition, self.ambient))
+
+    def __repr__(self):
+        return f"OrbitLabel({self.partition!r}, {self.ambient!r})"
 
 
-@dataclass
 class ComponentGroup:
-    kind: str  # "trivial" (k = 0) | "elementary_abelian"
-    k: int = 0
-    generator_names: tuple = ()
+    def __init__(self, kind: str, k: int = 0, generator_names: tuple = ()):
+        self.kind = kind  # "trivial" (k = 0) | "elementary_abelian"
+        self.k = k
+        self.generator_names = generator_names
 
     @property
     def size(self) -> int:
@@ -57,7 +72,6 @@ class ComponentGroup:
         return -1 if bin(char_mask & x).count("1") % 2 else 1
 
 
-@dataclass
 class MRep:
     """Graded component-group representation attached to an orbit.
 
@@ -65,8 +79,9 @@ class MRep:
     md_chars: list of (degree, character bitmask) for the invariant lines.
     """
 
-    vz_chars: tuple
-    md_chars: tuple
+    def __init__(self, vz_chars: tuple, md_chars: tuple):
+        self.vz_chars = vz_chars
+        self.md_chars = md_chars
 
     def trace(self, comp: ComponentGroup, x: int) -> IntPoly:
         """tr_M(x) = det_{V_Z}(1 - q x) * prod_d det_{M(d)}(1 - q^d x)."""
@@ -78,29 +93,31 @@ class MRep:
         return out
 
 
-@dataclass
 class LocalSystem:
-    label: str
-    char_mask: int
-    irrep: int  # index into the ambient group's irrep list
+    def __init__(self, label: str, char_mask: int, irrep: int):
+        self.label = label
+        self.char_mask = char_mask
+        self.irrep = irrep  # index into the ambient group's irrep list
 
 
-@dataclass
 class OrbitRecord:
-    label: OrbitLabel
-    d_e: int
-    comp: ComponentGroup
-    mrep: MRep
-    systems: list
+    def __init__(self, label: OrbitLabel, d_e: int, comp: ComponentGroup,
+                 mrep: MRep, systems: list):
+        self.label = label
+        self.d_e = d_e
+        self.comp = comp
+        self.mrep = mrep
+        self.systems = systems
 
 
-@dataclass
 class SpringerTable:
-    group_type: WeylType
-    ambient: str
-    n: int  # GL(n) or Sp(2n)
-    orbits: list
-    greater: set = field(default_factory=set)  # (i, j): orbit i > orbit j
+    def __init__(self, group_type: WeylType, ambient: str, n: int, orbits: list,
+                 greater: set | None = None):
+        self.group_type = group_type
+        self.ambient = ambient
+        self.n = n  # GL(n) or Sp(2n)
+        self.orbits = orbits
+        self.greater = set() if greater is None else greater  # (i, j): orbit i > orbit j
 
     @property
     def group(self) -> WeylGroupData:
@@ -352,6 +369,8 @@ def table_typeC(n: int) -> SpringerTable:
 
         return _assemble(group_type, "C", 2, _orbit_partitions_C(2), systems_for)
     if n in (1, 3):
+        from importlib import resources
+
         ref = resources.files("greenpoly.data").joinpath(f"springer_C{n}.json")
         return load_table(json.loads(ref.read_text()))
     raise ValueError(

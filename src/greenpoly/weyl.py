@@ -20,7 +20,6 @@ Supported ranks: A 1-8, B and C 1-8, D 3-8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
@@ -32,26 +31,42 @@ SUPPORTED_RANKS = {"A": range(1, 9), "B": range(1, 9), "C": range(1, 9),
                    "D": range(3, 9), "G2": range(2, 3)}
 
 
-@dataclass(frozen=True)
 class WeylType:
-    family: str
-    rank: int
+    """A supported family and rank; immutable and hashable (the `build` key)."""
 
-    def __post_init__(self):
-        if self.family not in SUPPORTED_RANKS:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank not in SUPPORTED_RANKS[self.family]:
-            raise ValueError(f"unsupported rank {self.rank} for type {self.family}")
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        if family not in SUPPORTED_RANKS:
+            raise ValueError(f"unknown family {family!r}")
+        if rank not in SUPPORTED_RANKS[family]:
+            raise ValueError(f"unsupported rank {rank} for type {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, *a):
+        raise AttributeError("WeylType is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not WeylType:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"WeylType({self.family!r}, {self.rank!r})"
 
     def __str__(self):
         return f"{self.family}{self.rank}" if self.family != "G2" else "G2"
 
 
-@dataclass
 class ConjClass:
-    representative: tuple | int
-    size: int
-    label: object  # partition / (mu+, mu-) / (mu+, mu-, tag) / G2 name
+    def __init__(self, representative, size: int, label):
+        self.representative = representative  # tuple, or an int for G2
+        self.size = size
+        self.label = label  # partition / (mu+, mu-) / (mu+, mu-, tag) / G2 name
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +326,22 @@ _G2_TABLE = {
 # group data
 
 
-@dataclass
 class WeylGroupData:
-    type: WeylType
-    order: int
-    classes: list
-    char_table: tuple  # rows irreps x cols classes
-    irrep_labels: tuple
-    degrees: tuple
-    w0: object
-    refl_charpoly: list
-    sgn_index: int
-    triv_index: int
-    refl_index: int
-    _class_index: dict = field(default_factory=dict, repr=False)  # label -> class
+    def __init__(self, type: WeylType, order: int, classes: list, char_table: tuple,
+                 irrep_labels: tuple, degrees: tuple, w0, refl_charpoly: list,
+                 sgn_index: int, triv_index: int, refl_index: int):
+        self.type = type
+        self.order = order
+        self.classes = classes
+        self.char_table = char_table  # rows irreps x cols classes
+        self.irrep_labels = irrep_labels
+        self.degrees = degrees
+        self.w0 = w0
+        self.refl_charpoly = refl_charpoly
+        self.sgn_index = sgn_index
+        self.triv_index = triv_index
+        self.refl_index = refl_index
+        self._class_index = {c.label: i for i, c in enumerate(classes)}
 
     # -- basic lookups ---------------------------------------------------
     def char_value(self, irrep: int, cls: int) -> int:
@@ -706,7 +723,6 @@ def build(t: WeylType) -> WeylGroupData:
         sgn_index=sgn,
         triv_index=triv,
         refl_index=-1,
-        _class_index={c.label: i for i, c in enumerate(classes)},
     )
     _verify(g)
     g.refl_index = _find_reflection_irrep(g)

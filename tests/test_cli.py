@@ -37,6 +37,29 @@ def test_cli_import_leaves_numpy_out():
     assert out.split() == ["[0,", "0,", "0]", "False", "True"]
 
 
+def test_cli_import_is_lean_and_eager():
+    # importing the CLI pulls in no record or rational-number machinery from
+    # the standard library, and loads every layer up front (the bench tracer
+    # reads all eight modules from sys.modules right after this import)
+    import greenpoly
+
+    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import greenpoly.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "print(*sorted(m for m in heavy if m in sys.modules and m not in before))\n"
+        "layers = 'polyq partitions weyl charring springer lusztigshoji spin cli'.split()\n"
+        "print(*[m for m in layers if 'greenpoly.' + m not in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n") == ["", "", ""]  # nothing heavy loaded, no layer missing
+
+
 def test_wg_classes_json(capsys):
     code, out, _ = run(capsys, "wg", "classes", "--type", "B", "--rank", "2", "--json")
     assert code == 0
@@ -305,6 +328,38 @@ def test_usage_errors_exit_one(capsys):
         capsys, "verify", "ls", "--type", "A", "--rank", "3", "--tolerance", "0.5"
     )
     assert code == 1 and "tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spin", "sigma", "--type", "A", "--rank", "3", "--orbit", "2,1"),
+        ("spin", "classify", "--type", "A", "--rank", "4"),
+        ("spin", "index", "--type", "C", "--rank", "2", "--orbit", "2,2"),
+        ("springer", "show", "--type", "C", "--rank", "2"),
+        ("springer", "load", "table.json"),
+        ("verify", "ls", "--type", "A", "--rank", "3"),
+        ("verify", "all", "--type", "C", "--rank", "2"),
+    ],
+)
+def test_csv_rejected_before_any_work(capsys, monkeypatch, args):
+    import greenpoly.cli as cli
+
+    def refuse(*a, **k):
+        raise AssertionError("built or solved before --format csv was rejected")
+
+    for name in ("_group", "_table", "load_table", "solve"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *args, "--format", "csv")
+    assert (code, out, err) == (1, "", "error: no CSV form for this command\n")
+
+
+def test_csv_verbs_print_csv(capsys):
+    code, out, _ = run(capsys, "wg", "classes", "--type", "A", "--rank", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "label,size"
+    for args in (("wg", "chartable"), ("pairing", "gram"), ("fakedeg",)):
+        code, out, _ = run(capsys, *args, "--type", "A", "--rank", "2", "--format", "csv")
+        assert code == 0 and "," in out and not out.lstrip().startswith(("{", "["))
 
 
 def test_deterministic_output(capsys):

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -341,7 +341,8 @@ def test_verify_names_first_bad_row_pair(family, rank):
     k = next(k for k, v in enumerate(g.char_table[r]) if v and k != g.identity_class)
     rows = [list(row) for row in g.char_table]
     rows[r][k] = -rows[r][k]
-    bad = dataclasses.replace(g, char_table=tuple(map(tuple, rows)))
+    bad = copy.copy(g)
+    bad.char_table = tuple(map(tuple, rows))
     sizes = [c.size for c in g.classes]
     first = next(
         (i, j)
