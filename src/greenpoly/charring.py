@@ -313,30 +313,27 @@ def minus_one_gram(g: WeylGroupData):
 
 
 def _int_matrix_rank(rows) -> int:
-    from fractions import Fraction
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+    A column with no pivot left is skipped.  After each pivot every entry
+    below it is a minor of the original matrix, so the division by the
+    previous pivot is exact and everything stays in Z.
+    """
+    m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
-    r = 0
+    r, prev = 0, 1
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p, top = m[r][c], m[r][c:]
+        for i in range(r + 1, len(m)):
+            a = m[i][c]
+            m[i][c:] = [(p * x - a * y) // prev for x, y in zip(m[i][c:], top)]
+        prev = p
         r += 1
-        rank += 1
-    return rank
+    return r
 
 
 def minus_one_gram_rank(g: WeylGroupData) -> int:

@@ -180,10 +180,18 @@ def cmd_springer(args):
         if args.file is None:
             raise UsageError("springer load needs a table FILE")
         table = load_table(args.file)
-        print(
+        payload = {
+            "type": table.ambient,
+            "rank": table.n,
+            "orbits": len(table.orbits),
+            "pairs": len(table.pairs()),
+            "valid": True,
+        }
+        line = (
             f"loaded type {table.ambient} rank {table.n}: "
-            f"{len(table.orbits)} orbits, {len(table.pairs())} pairs, valid"
+            f"{payload['orbits']} orbits, {payload['pairs']} pairs, valid"
         )
+        _emit(payload, args.format, None, [line])
         return 0
     raise UsageError(f"unknown springer subcommand {args.what!r}")
 
@@ -313,7 +321,7 @@ def _parse_pair(table: SpringerTable, text, phi) -> tuple:
     """The orbit partition of --orbit, checked with --phi against the table."""
     lam = _parse_orbit(text)
     try:
-        table.find_system(table.find_orbit(lam), phi)
+        table.pair_of(lam, phi)
     except KeyError as exc:
         raise UsageError(exc.args[0])
     return lam

@@ -75,16 +75,14 @@ def _inverse_parts(rows, what: str) -> tuple:
         raise SolverError(f"singular {what}")
 
 
-def solve(
-    table: SpringerTable, g: WeylGroupData | None = None, check: bool = True
-) -> GreenTableau:
+def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     """Run the triangular orthogonalization and verify the outcome.
 
     With check=False the `verify` suite is not run, so a caller can report
     every failed identity itself instead of stopping at the first
     `SolverError`.
     """
-    g = g or table.group
+    g = table.group
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
@@ -291,11 +289,9 @@ def verify(tab: GreenTableau):
 
 
 def green(tab: GreenTableau, partition, system="triv") -> GradedCharacter:
-    orbit = tab.table.find_orbit(partition)
-    s = tab.table.find_system(orbit, system)
-    j = tab.pair_index(orbit, s)
+    j = tab.table.pair_of(partition, system)
     gc = GradedCharacter(tab.group, tab.coords[j])
-    irrep = tab.table.orbits[orbit].systems[s].irrep
+    irrep = tab.table.pair_irreps()[j]
     deg0 = tuple(c[0] for c in tab.coords[j])
     expected = tuple(1 if i == irrep else 0 for i in range(len(deg0)))
     if deg0 != expected:

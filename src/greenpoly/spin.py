@@ -271,9 +271,7 @@ def sigma_tilde(
     tab: GreenTableau, pin: PinRep, partition, system="triv"
 ) -> SpinClassFunction:
     """X_{-1}(e,phi) tensored with the spin module, as a class function."""
-    orbit = tab.table.find_orbit(partition)
-    s = tab.table.find_system(orbit, system)
-    j = tab.pair_index(orbit, s)
+    j = tab.table.pair_of(partition, system)
     x = _column_at(tab, j, -1)
     traces = spin_traces_by_class(pin)
     values = [x.value(k) * traces[k] for k in range(len(tab.group.classes))]
@@ -287,10 +285,7 @@ def sigma_tilde_pairing(tab: GreenTableau, pin: PinRep, pa, pb) -> int:
     pa, pb are (partition, system) tuples; computed in the character ring as
     a_V < X_{-1}(a), X_{-1}(b) >^{-1}_W.
     """
-    ja = tab.pair_index(tab.table.find_orbit(pa[0]), tab.table.find_system(
-        tab.table.find_orbit(pa[0]), pa[1]))
-    jb = tab.pair_index(tab.table.find_orbit(pb[0]), tab.table.find_system(
-        tab.table.find_orbit(pb[0]), pb[1]))
+    ja, jb = tab.table.pair_of(*pa), tab.table.pair_of(*pb)
     return pin.a_v * minus_one_pairing(_column_at(tab, ja, -1), _column_at(tab, jb, -1))
 
 
@@ -299,9 +294,7 @@ def char_formula_check(
 ) -> bool:
     """On (-1)-elliptic classes the ratio of the spin-tensored trace by the
     plain spin trace recovers X_{-1}; elsewhere the spin trace vanishes."""
-    orbit = tab.table.find_orbit(partition)
-    s = tab.table.find_system(orbit, system)
-    j = tab.pair_index(orbit, s)
+    j = tab.table.pair_of(partition, system)
     x = _column_at(tab, j, -1)
     st = sigma_tilde(tab, pin, partition, system)
     g = tab.group
@@ -379,9 +372,7 @@ def classify_constituents(
     if (constituents == 1) != even:
         raise ArithmeticError(f"norm pattern contradicts the parity of {lam}")
     dim_each = 2 ** ((n - ell) // 2) * g_lambda(lam)
-    orbit = tab.table.find_orbit(lam)
-    j = tab.pair_index(orbit, 0)
-    x1 = _column_at(tab, j, -1)
+    x1 = _column_at(tab, tab.table.pair_of(lam), -1)
     betti = x1.value(tab.group.identity_class)
     return TypeAClassification(
         lam, even, a_lam, constituents, dim_each, norm, betti
@@ -427,18 +418,15 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
     """Multiplicity pairing of sigma(e,phi) tensor S against the target
     spin-tensored column: a_V sum_phi'' Kinv(-1)[source,(e',phi'')] *
     <phi', phi''>^{-1}_{A(e')}."""
-    table = tab.table
-    so = table.find_orbit(source[0])
-    ss = table.find_system(so, source[1])
-    to = table.find_orbit(target[0])
-    ts = table.find_system(to, target[1])
-    i = tab.pair_index(so, ss)
+    i = tab.table.pair_of(*source)
+    jt = tab.table.pair_of(*target)
+    to, ts = tab.pairs[jt]
     kinv = k_at_minus_one_inverse(tab)
     a_v = 2 if tab.group.type.rank % 2 else 1
-    rec = table.orbits[to]
+    rec = tab.table.orbits[to]
     total = 0
     for s2, sys2 in enumerate(rec.systems):
-        j = tab.pair_index(to, s2)
+        j = jt - ts + s2  # an orbit's pairs are consecutive
         # expansion of the source irreducible over the X-basis reads off the
         # transposed inverse (columns of K are the X coordinates)
         coef = kinv[j][i]
@@ -453,18 +441,12 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
 
 def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
     """Independent class-sum evaluation of the same multiplicity."""
-    table = tab.table
-    so = table.find_orbit(source[0])
-    ss = table.find_system(so, source[1])
-    to = table.find_orbit(target[0])
-    ts = table.find_system(to, target[1])
-    sigma_irrep = table.orbits[so].systems[ss].irrep
+    sigma_irrep = tab.table.pair_irreps()[tab.table.pair_of(*source)]
     g = tab.group
     sigma = VirtualCharacter(
         g, tuple(1 if i == sigma_irrep else 0 for i in range(len(g.irrep_labels)))
     )
-    j = tab.pair_index(to, ts)
-    x = _column_at(tab, j, -1)
+    x = _column_at(tab, tab.table.pair_of(*target), -1)
     a_v = 2 if g.type.rank % 2 else 1
     return a_v * minus_one_pairing(sigma, x)
 
@@ -481,9 +463,7 @@ class DiracIndex:
 
 
 def dirac_index_char(tab: GreenTableau, pin: PinRep, partition, system="triv"):
-    orbit = tab.table.find_orbit(partition)
-    s = tab.table.find_system(orbit, system)
-    j = tab.pair_index(orbit, s)
+    j = tab.table.pair_of(partition, system)
     x1 = _column_at(tab, j, 1)
     xm = _column_at(tab, j, -1)
     half_diff = index_traces_by_class(pin)

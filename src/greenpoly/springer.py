@@ -3,8 +3,11 @@
 Built-in tables: GL(n) for 2 <= n <= 8 (all component groups trivial) and
 Sp(2n) for n in {1,2,3}.  The Sp(4) table is hard-coded from the worked
 rank-2 example; ranks 1 and 3 ship as JSON reference data and go through the
-same validation as user-ingested files.  The component-group action on the
-graded space M is built from the reductive part of the centralizer:
+same validation as user-ingested files.  A table is its orbits, largest
+first, each an `OrbitRecord` of a label and its local systems; d_e, A(e) and
+the closure order, which is dominance (Hesselink 1976; Collingwood-McGovern,
+Thm. 6.2.5), are computed from the partitions.  The component-group action on
+the graded space M is built from the reductive part of the centralizer:
 Sp blocks and odd orthogonal blocks contribute trivially, an O_2 block
 contributes a sign line to V_Z, and an even orthogonal block O_{2m} (m >= 2)
 contributes its invariant degrees with a sign character in degree m.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .charring import fake_degree
-from .partitions import dominates, is_distinct, multiplicities, transpose
+from .partitions import dominates, is_distinct, multiplicities, partitions, transpose
 from .polyq import IntPoly, ONE
 from .weyl import WeylGroupData, WeylType, build
 
@@ -55,10 +58,12 @@ class OrbitLabel:
 
 
 class ComponentGroup:
-    def __init__(self, kind: str, k: int = 0, generator_names: tuple = ()):
-        self.kind = kind  # "trivial" (k = 0) | "elementary_abelian"
-        self.k = k
+    """A(e) = (Z/2)^k, generated by the named (even) parts; k = 0 is trivial."""
+
+    def __init__(self, generator_names: tuple = ()):
         self.generator_names = generator_names
+        self.k = len(generator_names)
+        self.kind = "elementary_abelian" if self.k else "trivial"
 
     @property
     def size(self) -> int:
@@ -101,23 +106,30 @@ class LocalSystem:
 
 
 class OrbitRecord:
-    def __init__(self, label: OrbitLabel, d_e: int, comp: ComponentGroup,
-                 mrep: MRep, systems: list):
+    """An orbit and its local systems; d_e and A(e) follow from the partition."""
+
+    def __init__(self, label: OrbitLabel, systems: list):
         self.label = label
-        self.d_e = d_e
-        self.comp = comp
-        self.mrep = mrep
         self.systems = systems
+        self.d_e = d_e(label)
+        self.comp = component_group(label)
 
 
 class SpringerTable:
-    def __init__(self, group_type: WeylType, ambient: str, n: int, orbits: list,
-                 greater: set | None = None):
+    def __init__(self, group_type: WeylType, ambient: str, n: int, orbits: list):
         self.group_type = group_type
         self.ambient = ambient
         self.n = n  # GL(n) or Sp(2n)
         self.orbits = orbits
-        self.greater = set() if greater is None else greater  # (i, j): orbit i > orbit j
+        # (i, j): orbit i > orbit j in the closure order, which for GL(n) and
+        # Sp(2n) is dominance of the partitions
+        parts = [rec.label.partition for rec in orbits]
+        self.greater = {
+            (i, j)
+            for i, a in enumerate(parts)
+            for j, b in enumerate(parts)
+            if a != b and dominates(a, b)
+        }
 
     @property
     def group(self) -> WeylGroupData:
@@ -147,6 +159,12 @@ class SpringerTable:
                 return s
         raise KeyError(f"orbit {self.orbits[orbit].label.partition} has no system {label!r}")
 
+    def pair_of(self, partition, system: str = "triv") -> int:
+        """Position of the pair (orbit, local system) in `pairs()` order."""
+        orbit = self.find_orbit(partition)
+        s = self.find_system(orbit, system)
+        return sum(len(rec.systems) for rec in self.orbits[:orbit]) + s
+
 
 # ---------------------------------------------------------------------------
 # centralizer dimensions and M-representations
@@ -165,11 +183,8 @@ def d_e(label: OrbitLabel) -> int:
 
 def component_group(label: OrbitLabel) -> ComponentGroup:
     if label.ambient == "A":
-        return ComponentGroup("trivial")
-    evens = sorted({p for p in label.partition if p % 2 == 0})
-    if not evens:
-        return ComponentGroup("trivial")
-    return ComponentGroup("elementary_abelian", len(evens), tuple(evens))
+        return ComponentGroup()
+    return ComponentGroup(tuple(sorted({p for p in label.partition if p % 2 == 0})))
 
 
 def m_representation(label: OrbitLabel) -> MRep:
@@ -258,39 +273,31 @@ def quasidistinguished_reference(label: OrbitLabel) -> bool:
     return nsol_predicate(label)
 
 
-def quasidistinguished_by_pairing(label: OrbitLabel) -> bool:
-    """True iff the M-pairing block survives at q = 1."""
+def _pairing_survives_at(label: OrbitLabel, q0: int) -> bool:
+    """True iff some entry of the M-pairing block is nonzero at q = q0."""
     comp = component_group(label)
     return any(
-        not q_M_pairing(label, m1, m2).eval(1) == 0
+        q_M_pairing(label, m1, m2).eval(q0) != 0
         for m1 in range(comp.size)
         for m2 in range(comp.size)
     )
+
+
+def quasidistinguished_by_pairing(label: OrbitLabel) -> bool:
+    """True iff the M-pairing block survives at q = 1."""
+    return _pairing_survives_at(label, 1)
 
 
 def nsol_by_pairing(label: OrbitLabel) -> bool:
     """True iff the M-pairing block survives at q = -1."""
-    comp = component_group(label)
-    return any(
-        not q_M_pairing(label, m1, m2).eval(-1) == 0
-        for m1 in range(comp.size)
-        for m2 in range(comp.size)
-    )
+    return _pairing_survives_at(label, -1)
 
 
 # ---------------------------------------------------------------------------
 # built-in tables
 
 
-def _orbit_partitions_A(n):
-    from .partitions import partitions
-
-    return partitions(n)
-
-
 def _orbit_partitions_C(n):
-    from .partitions import partitions
-
     out = []
     for lam in partitions(2 * n):
         if all(m % 2 == 0 for p, m in multiplicities(lam).items() if p % 2):
@@ -300,25 +307,10 @@ def _orbit_partitions_C(n):
 
 def _assemble(group_type, ambient, n, orbit_parts, systems_for):
     g = build(group_type)
-    orbits = []
-    for lam in orbit_parts:
-        label = OrbitLabel(lam, ambient)
-        orbits.append(
-            OrbitRecord(
-                label=label,
-                d_e=d_e(label),
-                comp=component_group(label),
-                mrep=m_representation(label),
-                systems=systems_for(lam, g),
-            )
-        )
-    greater = {
-        (i, j)
-        for i, a in enumerate(orbit_parts)
-        for j, b in enumerate(orbit_parts)
-        if a != b and dominates(a, b)
-    }
-    table = SpringerTable(group_type, ambient, n, orbits, greater)
+    orbits = [
+        OrbitRecord(OrbitLabel(lam, ambient), systems_for(lam, g)) for lam in orbit_parts
+    ]
+    table = SpringerTable(group_type, ambient, n, orbits)
     validate_table(table)
     return table
 
@@ -335,7 +327,7 @@ def table_typeA(n: int) -> SpringerTable:
         irrep = g.irrep_labels.index(transpose(lam))
         return [LocalSystem("triv", 0, irrep)]
 
-    return _assemble(group_type, "A", n, _orbit_partitions_A(n), systems_for)
+    return _assemble(group_type, "A", n, partitions(n), systems_for)
 
 
 _SP4_TABLE = {
@@ -488,7 +480,8 @@ def load_table(source) -> SpringerTable:
             label = OrbitLabel(tuple(parts), ambient)
         except ValueError as exc:
             raise TableFormatError(f"{where}: {exc}")
-        comp = component_group(label)
+        rec = OrbitRecord(label, [])
+        comp = rec.comp
         declared = orec.get("comp_group")
         if declared is not None:
             _require_keys(declared, (), f"{where} comp_group")
@@ -499,15 +492,13 @@ def load_table(source) -> SpringerTable:
                 f"{where}: declared component group {declared} does not match "
                 f"the partition ({comp.kind}, k={comp.k})"
             )
-        expected_d = d_e(label)
-        if orec.get("d_e", expected_d) != expected_d:
+        if orec.get("d_e", rec.d_e) != rec.d_e:
             raise TableFormatError(
                 f"{where}: d_e {orec['d_e']} contradicts the partition "
-                f"(expected {expected_d})"
+                f"(expected {rec.d_e})"
             )
         if not isinstance(orec["pairs"], (list, tuple)):
             raise TableFormatError(f"{where}: 'pairs' is not a list")
-        systems = []
         for sys in orec["pairs"]:
             _require_keys(sys, ("local_system", "irrep"), f"{where} pair")
             if not isinstance(sys["local_system"], str):
@@ -528,10 +519,8 @@ def load_table(source) -> SpringerTable:
                     "char_on_generators"
                 )
             irrep = _irrep_label_from_json(g, sys["irrep"], where)
-            systems.append(LocalSystem(sys["local_system"], mask, irrep))
-        orbits.append(
-            OrbitRecord(label, expected_d, comp, m_representation(label), systems)
-        )
+            rec.systems.append(LocalSystem(sys["local_system"], mask, irrep))
+        orbits.append(rec)
 
     closure = obj.get("closure", [])
     if not isinstance(closure, (list, tuple)) or not all(
@@ -539,22 +528,15 @@ def load_table(source) -> SpringerTable:
         for p in closure
     ):
         raise TableFormatError("'closure' is not a list of orbit index pairs")
-    greater = {(i, j) for i, j in closure}
-    table = SpringerTable(group_type, ambient, n, orbits, greater)
+    table = SpringerTable(group_type, ambient, n, orbits)
     validate_table(table)
     # for the classical families the closure order is dominance; a file that
     # declares anything else is inconsistent
-    expected = {
-        (i, j)
-        for i, a in enumerate(orbits)
-        for j, b in enumerate(orbits)
-        if a.label.partition != b.label.partition
-        and dominates(a.label.partition, b.label.partition)
-    }
-    if greater != expected:
+    declared = {(i, j) for i, j in closure}
+    if declared != table.greater:
         raise TableFormatError(
             "declared closure differs from the dominance order; offending "
-            f"pairs: {sorted(greater ^ expected)[:4]}"
+            f"pairs: {sorted(declared ^ table.greater)[:4]}"
         )
     return table
 
@@ -574,22 +556,11 @@ def validate_table(table: SpringerTable):
     missing = [g.irrep_labels[i] for i in range(len(g.irrep_labels)) if i not in used]
     if missing:
         raise TableFormatError(f"assignment misses irreducibles: {missing}")
-    # closure must be a strict partial order listed largest-first
-    for i, j in table.greater:
-        if not (0 <= i < len(table.orbits) and 0 <= j < len(table.orbits)):
-            raise TableFormatError(f"closure refers to missing orbit ({i},{j})")
-        if i == j or (j, i) in table.greater:
-            raise TableFormatError(f"closure is not a strict order at ({i},{j})")
-        if i > j:
-            raise TableFormatError(
-                "orbit list is not a linear extension (larger orbits first)"
-            )
-    for i, j in table.greater:
-        for k, l in table.greater:
-            if j == k and (i, l) not in table.greater:
-                raise TableFormatError(
-                    f"closure is not transitive: ({i},{j}) and ({k},{l})"
-                )
+    # the orbits are listed largest-first in the closure order
+    if any(i > j for i, j in table.greater):
+        raise TableFormatError(
+            "orbit list is not a linear extension (larger orbits first)"
+        )
     # duplicate orbits
     seen = set()
     for rec in table.orbits:

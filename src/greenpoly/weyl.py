@@ -6,7 +6,12 @@ from their labels, with no enumeration of the group: cycle types for A;
 signed cycle types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with
 an even number of negative cycles, where a label with mu- empty and all parts
 of mu+ even splits into "+" and "-" halves; and the six dihedral classes of
-G2.  The representative of each class is its lexicographically least element.
+G2.  Class representatives follow two conventions.  In type A the class of
+cycle type lam is represented by the product of cycles on consecutive points,
+longest first (i -> i+1 within each block), which is not in general the least
+element: A2's class (2,1) is represented by (1,0,2), while its least element is
+(0,2,1).  In types B/C/D the representative is the lexicographically least
+signed permutation of the class; in G2 it is the least dihedral index.
 `class_of` computes an element's label.  `_brute_force_classes`,
 `delta_twisted_classes` and `all_elements` enumerate the whole group and serve
 as test oracles.

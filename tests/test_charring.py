@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import chain
 from operator import add, mul
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from greenpoly.charring import (
     _class_gram,
+    _int_matrix_rank,
     _coinvariant_values,
     _det_values,
     VirtualCharacter,
@@ -32,7 +34,7 @@ from greenpoly.charring import (
     std_pairing_elements,
 )
 from greenpoly.polyq import IntPoly, matmul
-from greenpoly.weyl import WeylType, build, delta_elliptic_count
+from greenpoly.weyl import SUPPORTED_RANKS, WeylType, build, delta_elliptic_count
 
 
 def P(*cs):
@@ -174,6 +176,53 @@ def test_gram_rank_equals_twisted_count():
     for fam, r in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2), ("D", 3), ("D", 4)]:
         g = build(WeylType(fam, r))
         assert minus_one_gram_rank(g) == delta_elliptic_count(g)
+
+
+def _rank_over_fractions(rows) -> int:
+    """Oracle for `_int_matrix_rank`: Gauss-Jordan elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _low_rank_matrix(rnd):
+    """A product of random n x k and k x m integer matrices, k <= 4, so its
+    rank is at most k and pivots are often missing from a column."""
+    n, m, k = rnd.randint(1, 7), rnd.randint(1, 7), rnd.randint(0, 4)
+    a = [[rnd.randint(-6, 6) for _ in range(k)] for _ in range(n)]
+    b = [[rnd.randint(-6, 6) for _ in range(m)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if k else [0] * m
+            for row in a]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=100)
+def test_int_matrix_rank_matches_fraction_oracle(rnd):
+    # 30 matrices per example: about one in a hundred catches an elimination
+    # that leaves a row below the pivot unscaled
+    for _ in range(30):
+        rows = _low_rank_matrix(rnd)
+        assert _int_matrix_rank(rows) == _rank_over_fractions(rows)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks if r <= 6],
+)
+def test_int_matrix_rank_on_minus_one_grams(family, rank):
+    gram = minus_one_gram(build(WeylType(family, rank)))
+    assert _int_matrix_rank(gram) == _rank_over_fractions(gram)
 
 
 def test_delta_twist_pairing_both_sides():

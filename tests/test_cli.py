@@ -60,6 +60,25 @@ def test_cli_import_is_lean_and_eager():
     assert out.split("\n") == ["", "", ""]  # nothing heavy loaded, no layer missing
 
 
+def test_verify_all_loads_no_rationals():
+    # the (-1)-elliptic rank is computed by integer Bareiss elimination
+    import greenpoly
+
+    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import contextlib, io, sys\n"
+        "from greenpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', 'all', '--type', 'C', '--rank', '2'])\n"
+        "print(rc, *sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0"]
+
+
 def test_wg_classes_json(capsys):
     code, out, _ = run(capsys, "wg", "classes", "--type", "B", "--rank", "2", "--json")
     assert code == 0
@@ -197,6 +216,16 @@ def test_springer_show_round_trips(capsys, tmp_path):
     code, out2, _ = run(capsys, "springer", "load", str(path))
     assert code == 0
     assert "valid" in out2
+
+
+def test_springer_load_sentence_and_json(capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "greenpoly", "data",
+                        "springer_C3.json")
+    code, out, err = run(capsys, "springer", "load", path)
+    assert (code, out, err) == (0, "loaded type C rank 3: 8 orbits, 10 pairs, valid\n", "")
+    code, out, err = run(capsys, "springer", "load", path, "--json")
+    assert code == 0 and err == ""
+    assert out == '{"type": "C", "rank": 3, "orbits": 8, "pairs": 10, "valid": true}\n'
 
 
 def test_springer_load_bad_file(capsys, tmp_path):

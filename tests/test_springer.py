@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.cli import main
+from greenpoly.lusztigshoji import solve
 from greenpoly.polyq import IntPoly
 from greenpoly.springer import (
     OrbitLabel,
@@ -197,12 +198,37 @@ class TestSerialization:
         with pytest.raises(TableFormatError):
             load_table(d)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["closure"].append([1, 0]),
+            lambda d: d["closure"].append([0, 0]),
+            lambda d: d["closure"].append([0, 99]),
+            lambda d: d.pop("closure"),
+        ],
+        ids=["cyclic", "self-pair", "out-of-range", "omitted"],
+    )
+    def test_closure_other_than_dominance_rejected(self, edit, tmp_path):
+        d = save_table(table_typeC(2))
+        edit(d)
+        with pytest.raises(TableFormatError) as err:
+            load_table(d)
+        assert "differs from the dominance order" in str(err.value)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(d))
+        out, errs = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(errs):
+            code = main(["springer", "load", str(path)])
+        assert code == 1 and out.getvalue() == ""
+        assert errs.getvalue().startswith("data error: declared closure differs")
+        assert len(errs.getvalue().splitlines()) == 1
+
     def test_cyclic_closure_rejected(self):
         d = save_table(table_typeC(2))
         d["closure"].append([1, 0])
         with pytest.raises(TableFormatError) as err:
             load_table(d)
-        assert "strict order" in str(err.value)
+        assert "differs from the dominance order" in str(err.value)
 
     @pytest.mark.parametrize(
         "edit",
@@ -245,6 +271,53 @@ class TestSerialization:
         with pytest.raises(TableFormatError) as err:
             load_table(d)
         assert "fake degree" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# derived structure: closure order and pair lookup
+
+_ALL_TABLES = [(table_typeA, n) for n in range(2, 9)] + [(table_typeC, n) for n in (1, 2, 3)]
+_ALL_IDS = [f"GL({n})" for n in range(2, 9)] + [f"Sp({2 * n})" for n in (1, 2, 3)]
+
+
+def _dominates_by_partial_sums(a, b) -> bool:
+    width = max(len(a), len(b))
+    a, b = a + (0,) * (width - len(a)), b + (0,) * (width - len(b))
+    return all(sum(a[:k]) >= sum(b[:k]) for k in range(1, width + 1))
+
+
+@pytest.mark.parametrize("make,n", _ALL_TABLES, ids=_ALL_IDS)
+def test_greater_is_dominance_and_save_load_round_trips(make, n):
+    t = make(n)
+    parts = [rec.label.partition for rec in t.orbits]
+    assert t.greater == {
+        (i, j)
+        for i, a in enumerate(parts)
+        for j, b in enumerate(parts)
+        if i != j and _dominates_by_partial_sums(a, b)
+    }
+    d = save_table(t)
+    assert save_table(load_table(d)) == d
+
+
+@pytest.mark.parametrize("make,n", _ALL_TABLES, ids=_ALL_IDS)
+def test_pair_of_matches_find_orbit_and_system(make, n):
+    tab = solve(make(n))
+    t = tab.table
+    for rec in t.orbits:
+        lam = rec.label.partition
+        orbit = t.find_orbit(lam)
+        for sys in rec.systems:
+            expected = tab.pair_index(orbit, t.find_system(orbit, sys.label))
+            assert t.pair_of(lam, sys.label) == t.pair_of(list(lam), sys.label) == expected
+    lam = t.orbits[0].label.partition
+    for args in [((9, 9),), ((9, 9), "sgn"), (lam, "bogus")]:
+        with pytest.raises(KeyError) as got:
+            t.pair_of(*args)
+        with pytest.raises(KeyError) as want:
+            orbit = t.find_orbit(args[0])
+            t.find_system(orbit, args[1] if len(args) > 1 else "triv")
+        assert got.value.args == want.value.args
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,25 @@ def test_closed_form_classes_match_orbit_partition(family, rank):
         assert all(g.class_of(w) == k for w in orb)
 
 
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_type_a_representatives_are_consecutive_cycles(rank):
+    # not the least element of the class: the spin traces' signs depend on
+    # these representatives, so the convention is pinned
+    for cls in build(WeylType("A", rank)).classes:
+        w, start = [], 0
+        for c in cls.label:
+            w += list(range(start + 1, start + c)) + [start]
+            start += c
+        assert cls.representative == tuple(w)
+
+
+def test_type_a_representative_is_not_least():
+    g = build(WeylType("A", 2))
+    rep = next(c.representative for c in g.classes if c.label == (2, 1))
+    orbit = next(o for o in _brute_force_classes(WeylType("A", 2)) if rep in o)
+    assert rep == (1, 0, 2) and min(orbit) == (0, 2, 1)
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("A", r) for r in range(1, 8)]
