@@ -4,10 +4,11 @@ Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
 with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
 q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
 the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
-and Omega.  All of them go through one kernel, _class_gram, which packs each
-polynomial class value into one integer f(2^b) (Kronecker substitution) and
-takes each entry as one integer dot product over the classes, so it builds
-a whole Gram on irreducibles at once.  A brute-force sum over group
+and Omega.  All of them go through one kernel, the packed store `ClassRows`,
+which packs each polynomial class value into one integer f(2^b) (Kronecker
+substitution) and takes each entry as one integer dot product over the
+classes; `_class_gram` builds a whole Gram on irreducibles with it in one
+call, and the solver keeps its columns in one.  A brute-force sum over group
 elements is kept as an independent oracle for small ranks.  The coinvariant
 class function is an integer polynomial for every w, which keeps fake degrees
 and the fake-degree matrix inside Z[q] throughout.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 
 from .polyq import IntPoly, ONE, ZERO, slot_bits
 from .weyl import WeylGroupData, WeylType, build
@@ -124,54 +125,164 @@ def _norm1(v) -> int:
     return v.norm1() if isinstance(v, IntPoly) else abs(v)
 
 
+class ClassRows:
+    """Rows of class values, kept packed for the class-sum pairings of one weight.
+
+    A row lists `lead` carried values, which take part in `combine` but not
+    in pairings, and then one value per class, each an int or an IntPoly.
+    The store keeps one slot width b, which only grows.  It tracks, per
+    position, the largest |coefficient| of a stored row, and per class the
+    largest |.|_1 of a stored row and the largest |coefficient| of the
+    `probes`, rows that are paired against the store without being stored.
+    From these, sum_k |C_k| sup_k one_k |weight_k|_1 bounds every pairing
+    coefficient, where sup_k covers the probes and, when `paired`, the stored
+    rows too.  When the bound outgrows b, b becomes max(needed, 2b) and every
+    row is packed again, so a row is repacked O(log) times however many rows
+    follow.  Each row is kept packed at q = 2^b (`IntPoly.pack`), and its
+    class part also times |C_k| weight_k(2^b), so a pairing is one integer
+    dot product over the classes, tested for zero before it is unpacked.
+    Ungraded rows and weights need no width: their packed form is the row.
+    """
+
+    def __init__(self, g: WeylGroupData, weight, graded: bool, probes=(), lead=0,
+                 paired=True):
+        self.order = g.order
+        self.sizes = [cls.size for cls in g.classes]
+        self.weight = weight
+        self.graded = graded
+        self.lead = lead
+        self.paired = paired
+        self.b = 0
+        self.rows: list = []  # values: lead carried ones, then one per class
+        self.packed: list = []  # each row at q = 2^b
+        self.weighted: list = []  # class part of each packed row times sized
+        self.sized = None if graded else list(map(mul, self.sizes, weight))
+        if graded:
+            k = len(self.sizes)
+            self.weight1 = list(map(_norm1, weight))
+            self.reach = [max(map(_norm_inf, col)) for col in zip(*probes)] or [0] * k
+            self.top = [0] * (lead + k)
+            self.one = [0] * k
+
+    def pack(self, row) -> list:
+        """A row at q = 2^b."""
+        return [_packed(v, self.b) for v in row]
+
+    def _store(self, packed):
+        self.packed.append(packed)
+        self.weighted.append(list(map(mul, self.sized, packed[self.lead:])))
+
+    def _fold(self, row):
+        self.top = list(map(max, self.top, map(_norm_inf, row)))
+        self.one = list(map(max, self.one, map(_norm1, row[self.lead:])))
+
+    def _needed(self) -> int:
+        sup = self.reach
+        if self.paired:
+            sup = list(map(max, sup, self.top[self.lead:]))
+        return slot_bits(
+            sum(map(mul, map(mul, self.sizes, sup), map(mul, self.one, self.weight1)))
+        )
+
+    def _grow(self, needed: int):
+        """Widen the slots to max(needed, 2b) and pack every row again."""
+        self.b = b = max(needed, 2 * self.b)
+        self.sized = [s * _packed(w, b) for s, w in zip(self.sizes, self.weight)]
+        self.packed, self.weighted = [], []
+        for row in self.rows:
+            self._store(self.pack(row))
+
+    def extend(self, rows):
+        """Store rows, each packed once at the width that holds them all."""
+        start = len(self.rows)
+        self.rows += rows
+        if self.graded:
+            for row in rows:
+                self._fold(row)
+            needed = self._needed()
+            if needed > self.b:
+                self._grow(needed)
+                return
+        for row in self.rows[start:]:
+            self._store(self.pack(row))
+
+    def combine(self, base, terms) -> list:
+        """Store and return the row base - sum c * row_j over (c, j) in terms.
+
+        base lists ints and each c is an IntPoly.  The combination is taken
+        on the packed rows, after the width has grown to hold its
+        coefficients, which |base_p| + sum |c|_1 top_p bounds; so the integer
+        it gives is the new row's packed form, unpacked once and not packed
+        again.
+        """
+        scale = sum(c.norm1() for c, _ in terms)
+        needed = slot_bits(max(map(add, map(abs, base), (scale * t for t in self.top))))
+        if needed > self.b:
+            self._grow(needed)
+        b = self.b
+        acc = list(base)
+        for c, j in terms:
+            acc = list(map(sub, acc, map(c.pack(b).__mul__, self.packed[j])))
+        row = [IntPoly.unpack(x, b) for x in acc]
+        self.rows.append(row)
+        self._fold(row)
+        needed = self._needed()
+        if needed > b:
+            self._grow(needed)
+        else:
+            self._store(acc)
+        return row
+
+    def pair(self, a, j):
+        """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a."""
+        total = sum(map(mul, a, self.weighted[j]))
+        if not self.graded:
+            if total % self.order:
+                raise ArithmeticError(
+                    f"class sums {[total]} not divisible by |W| = {self.order}"
+                )
+            return total // self.order
+        if not total:
+            return ZERO
+        poly = IntPoly.unpack(total, self.b)
+        if not poly.divisible_int(self.order):
+            raise ArithmeticError(
+                f"class sums {list(poly.coeffs)} not divisible by |W| = {self.order}"
+            )
+        return poly.divexact_int(self.order)
+
+    def gram(self, idx) -> list:
+        """The Gram of the stored rows at the positions idx (a range): only
+        the entries with j >= i are summed, and the rest mirrored."""
+        lead = self.lead
+        gram = []
+        for n, i in enumerate(idx):
+            a = self.packed[i][lead:]
+            gram.append([gram[m][n] for m in range(n)] + [self.pair(a, j) for j in idx[n:]])
+        return gram
+
+
 def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
 
     Each row, and the weight, lists one value per class, an int or an IntPoly.
-    Entries are IntPolys if any value is one, else ints.  Integer sums are one
-    dot product over the classes per entry.  Graded sums are the same, on
-    values packed at q = 2^b (`IntPoly.pack`): |C_k| weight_k is packed with
-    each b-side row once, and an entry is one big-integer dot product,
-    unpacked once.  The slot width b comes from the bound
-    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient.  When
-    rows_a is rows_b the Gram is symmetric: only the entries with j >= i are
-    summed, and the rest mirrored.  A sum not divisible by |W| means the rows
-    are not virtual characters and raises ArithmeticError.
+    Entries are IntPolys if any value is one, else ints.  This is a one-shot
+    `ClassRows` holding rows_b, with rows_a as its probes: every row is
+    packed once, at the exact width `slot_bits` of the bound
+    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient, and
+    each entry is one integer dot product over the classes.  When rows_a is
+    rows_b the Gram is symmetric: only the entries with j >= i are summed,
+    and the rest mirrored.  A sum not divisible by |W| means the rows are
+    not virtual characters and raises ArithmeticError.
     """
     symmetric = rows_a is rows_b
     graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
-    sizes = [cls.size for cls in g.classes]
-    if graded:
-        sup_a = [max(map(_norm_inf, col)) for col in zip(*rows_a)]
-        one_b = [max(map(_norm1, col)) for col in zip(*rows_b)]
-        bound = sum(map(mul, map(mul, sizes, sup_a), map(mul, one_b, map(_norm1, weight))))
-        b = slot_bits(bound)
-        sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
-        rows_a = [[_packed(v, b) for v in row] for row in rows_a]
-        rows_b = rows_a if symmetric else [[_packed(v, b) for v in row] for row in rows_b]
-    else:
-        sized = list(map(mul, sizes, weight))
-    weighted_b = [list(map(mul, sized, row)) for row in rows_b]
-    gram = []
-    for i, row in enumerate(rows_a):
-        gram_row = [gram[j][i] for j in range(i)] if symmetric else []
-        for bw in weighted_b[len(gram_row):]:
-            total = sum(map(mul, row, bw))
-            if graded:
-                poly = IntPoly.unpack(total, b)
-                if not poly.divisible_int(g.order):
-                    raise ArithmeticError(
-                        f"class sums {list(poly.coeffs)} not divisible by |W| = {g.order}"
-                    )
-                gram_row.append(poly.divexact_int(g.order))
-            else:
-                if total % g.order:
-                    raise ArithmeticError(
-                        f"class sums {[total]} not divisible by |W| = {g.order}"
-                    )
-                gram_row.append(total // g.order)
-        gram.append(gram_row)
-    return gram
+    store = ClassRows(g, weight, graded, probes=() if symmetric else rows_a, paired=symmetric)
+    store.extend(rows_b)
+    if symmetric:
+        return store.gram(range(len(rows_b)))
+    js = range(len(rows_b))
+    return [[store.pair(a, j) for j in js] for a in map(store.pack, rows_a)]
 
 
 def _pair(a, b, weight):
@@ -220,7 +331,8 @@ def std_pairing_elements(a: VirtualCharacter, b: VirtualCharacter) -> int:
     for w in g.elements():
         k = g.class_of(w)
         total += a.value(k) * b.value(k)
-    assert total % g.order == 0
+    if total % g.order:
+        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
     return total // g.order
 
 
@@ -363,7 +475,8 @@ def delta_twist_pairing_direct(a: VirtualCharacter, b: VirtualCharacter) -> int:
         d = g.refl_charpoly[k].eval(-1)
         if d:
             total += a.value(k) * b.value(k) * d
-    assert total % g.order == 0
+    if total % g.order:
+        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
     return total // g.order
 
 

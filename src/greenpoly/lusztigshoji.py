@@ -8,10 +8,15 @@ the block Gram matrices come out as they are.  Everything is exact and
 stays in Z[q]: each block Gram G is inverted up to its determinant,
 G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
 (adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
-division that raises SolverError when the quotient leaves Z[q].  The class
-sums go through the packed kernel `charring._class_gram`, and the matrix
-identities of `verify` are checked with zero residual on packed products
-(`polyq.matmul`).
+division that raises SolverError when the quotient leaves Z[q].
+
+The columns of one solve, coordinates and class values side by side, live
+in one packed store (`charring.ClassRows`): each is packed once, at a slot
+width that only grows, and built as an integer combination of the packed
+earlier columns.  A projection is one integer dot product, and M comes
+from the same store.  `verify` takes Lambda M and K Lambda as exact
+products that skip zero factors (`polyq.sparse_matmul`), and compares
+K Lambda K^t with Omega as packed integers, without unpacking an entry.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from __future__ import annotations
 from operator import mul
 
 from .charring import (
+    ClassRows,
     GradedCharacter,
     fake_degree,
-    _class_gram,
     _omega_rows,
     poincare_poly,
 )
-from .polyq import IntPoly, ONE, ZERO, adjugate, matmul
+from .polyq import IntPoly, ONE, ZERO, adjugate, slot_bits, sparse_matmul
 from .springer import SpringerTable, q_M_gram
 from .weyl import WeylGroupData
 
@@ -41,12 +46,13 @@ class GreenTableau:
         self.table = table
         self.group = group
         self.pairs = pairs  # (orbit index, system index), table order
-        self.coords = coords  # per pair: tuple of IntPoly over irreps (the K column)
+        self.coords = tuple(coords)  # per pair: tuple of IntPoly over irreps (the K column)
         self.class_values = class_values  # per pair: tuple of IntPoly per class
         self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
         self.Lam = Lam  # block-diagonal, IntPoly
         self.p = p
         self.notes = {} if notes is None else notes
+        self._k_minus_one_inverse = None  # (coords it was computed from, inverse)
 
     def pair_index(self, orbit: int, system: int) -> int:
         return self.pairs.index((orbit, system))
@@ -86,31 +92,23 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
-    weight = g.refl_charpoly
-
-    coords: list = []
-    class_values: list = []
+    # a column is its coordinates over the irreducibles, carried along, then
+    # its class values; the irreducibles are the probes of the projections
+    store = ClassRows(g, g.refl_charpoly, graded=True, probes=g.char_table, lead=nirr)
     blocks: list = []  # (orbit, range of pair positions) in processing order
     block_inverse: dict = {}  # orbit -> (adjugate, determinant) of its Gram block
 
     for orbit, rec in enumerate(table.orbits):
-        start = len(coords)
+        start = len(store.rows)
         members = range(start, start + len(rec.systems))
-        # earlier blocks are mutually orthogonal, so each irreducible is
-        # projected onto all of them at once
-        proj = _class_gram(
-            g, [g.char_table[pair_irrep[j]] for j in members], class_values, weight
-        )
-        # a column, coordinates and class values side by side, is its
-        # irreducible minus sum c * (earlier column): one packed row product
-        earlier = [coords[jp] + class_values[jp] for jp in range(start)]
-        for j, u_all in zip(members, proj):
+        for j in members:
             sigma = pair_irrep[j]
-            base = [ZERO] * nirr + [IntPoly.const(x) for x in g.char_table[sigma]]
-            base[sigma] = ONE
-            terms = [(ONE, base)]
+            chi = g.char_table[sigma]
+            # earlier blocks are mutually orthogonal, so the irreducible is
+            # projected onto each of them on its own
+            terms = []
             for prev_orbit, prev_members in blocks:
-                u = u_all[prev_members.start : prev_members.stop]
+                u = [store.pair(chi, jp) for jp in prev_members]
                 if not any(u):
                     continue
                 if (prev_orbit, orbit) not in table.greater:
@@ -130,19 +128,21 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
                             f"at pair {pairs[j]} against {pairs[jp]}"
                         )
                     if c:
-                        terms.append((-c, earlier[jp]))
-            (col,) = matmul([[c for c, _ in terms]], [row for _, row in terms])
-            coords.append(tuple(col[:nirr]))
-            class_values.append(tuple(col[nirr:]))
-        block_values = class_values[start:]
+                        terms.append((c, jp))
+            # the column is its irreducible minus sum c * (earlier column)
+            base = [0] * nirr + list(chi)
+            base[sigma] = 1
+            store.combine(base, terms)
         block_inverse[orbit] = _inverse_parts(
-            _class_gram(g, block_values, block_values, weight),
+            store.gram(members),
             f"within-orbit Gram block at orbit {rec.label.partition}",
         )
         blocks.append((orbit, members))
 
     npairs = len(pairs)
-    M = _class_gram(g, class_values, class_values, weight)
+    M = store.gram(range(npairs))
+    coords = [tuple(row[:nirr]) for row in store.rows]
+    class_values = [tuple(row[nirr:]) for row in store.rows]
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]
@@ -226,7 +226,7 @@ def verify(tab: GreenTableau):
                 bad.append((a, b))
     out.append(("cross_orbit_orthogonality", not bad, bad[:4]))
 
-    LM = matmul(tab.Lam, tab.M)
+    LM = sparse_matmul(tab.Lam, tab.M)
     bad = next(
         ((i, j) for i in range(n) for j in range(n)
          if LM[i][j] != (tab.p if i == j else ZERO)),
@@ -234,15 +234,25 @@ def verify(tab: GreenTableau):
     )
     out.append(("lambda_m_product", bad is None, bad))
 
-    KL = matmul(K, tab.Lam)
-    Kt = [[K[j][i] for j in range(n)] for i in range(n)]
-    KLK = matmul(KL, Kt)
+    # (K Lambda K^t)_ij against Omega_ij, all at q = 2^b: the products skip
+    # zero factors, and b holds the coefficients of both sides
     omega = omega_on_pairs(tab)
+    sup_k = [max(x.norm_inf() for x in col) for col in zip(*K)]
+    one_k = [max(x.norm1() for x in col) for col in zip(*K)]
+    bound = sum(
+        s * x.norm1() * one_k[k]
+        for s, row in zip(sup_k, tab.Lam)
+        for k, x in enumerate(row)
+        if x
+    )
+    b = slot_bits(max(bound, max(x.norm_inf() for row in omega for x in row)))
+    packed_k = [[x.pack(b) for x in row] for row in K]
+    packed_kl = sparse_matmul(packed_k, [[x.pack(b) for x in row] for row in tab.Lam], 0)
     bad = [
         (i, j)
-        for i in range(n)
-        for j in range(n)
-        if KLK[i][j] != omega[i][j]
+        for i, kl_row in enumerate(packed_kl)
+        for j, k_row in enumerate(packed_k)
+        if sum(map(mul, kl_row, k_row)) != omega[i][j].pack(b)
     ]
     out.append(("kl_equation", not bad, bad[:4]))
 
@@ -384,7 +394,14 @@ def caction_check(tab: GreenTableau) -> CactionResult:
 
 
 def k_at_minus_one_inverse(tab: GreenTableau):
-    """Integer inverse of the unitriangular matrix K(-1)."""
+    """Integer inverse of the unitriangular matrix K(-1), computed once.
+
+    The tableau keeps the inverse with the `coords` it came from, so a
+    tableau whose coords are replaced (say in a copy) computes it afresh.
+    """
+    cached = tab._k_minus_one_inverse
+    if cached is not None and cached[0] is tab.coords:
+        return cached[1]
     n = len(tab.pairs)
     K1 = [[tab.k_entry(i, j).eval(-1) for j in range(n)] for i in range(n)]
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -393,9 +410,9 @@ def k_at_minus_one_inverse(tab: GreenTableau):
         for i in range(j - 1, -1, -1):
             acc = sum(K1[i][k] * inv[k][j] for k in range(i + 1, j + 1))
             inv[i][j] = -acc
-    # verify
     for i in range(n):
         for j in range(n):
-            s = sum(K1[i][k] * inv[k][j] for k in range(n))
-            assert s == (1 if i == j else 0)
+            if sum(K1[i][k] * inv[k][j] for k in range(n)) != (i == j):
+                raise SolverError(f"K(-1) is not unitriangular: inverse fails at {i},{j}")
+    tab._k_minus_one_inverse = (tab.coords, inv)
     return inv

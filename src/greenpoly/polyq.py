@@ -4,14 +4,15 @@ Everything here is immutable and normalized on construction, so equal values
 compare equal componentwise and can be shared freely across threads.
 
 All linear algebra stays in Z[q]: `adjugate` inverts a square block up to its
-determinant by fraction-free elimination, and `matmul` multiplies matrices of
-polynomials by Kronecker substitution.  A polynomial f whose coefficients lie
-strictly between -2^(b-1) and 2^(b-1) is packed into the single integer
-f(2^b) (`IntPoly.pack`) and read back by signed digits (`IntPoly.unpack`);
-since evaluation at 2^b is a ring map, sums of products of packed values are
-packed sums of products, so one big-integer multiply-add replaces a schoolbook
-polynomial product (Harvey, J. Symbolic Comput. 44, 2009).  The slot width b
-comes from a coefficient bound computed from the inputs (`slot_bits`).
+determinant by fraction-free elimination, and `sparse_matmul` multiplies
+matrices of polynomials, skipping zero factors.  A polynomial f whose
+coefficients lie strictly between -2^(b-1) and 2^(b-1) is packed into the
+single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
+(`IntPoly.unpack`); since evaluation at 2^b is a ring map, sums of products of
+packed values are packed sums of products, so one big-integer multiply-add
+replaces a schoolbook polynomial product (Harvey, J. Symbolic Comput. 44,
+2009).  The slot width b comes from a coefficient bound computed from the
+inputs (`slot_bits`).
 
 `RatFun`, a rational function over Q, has no caller in the library.  It stays
 only because the benchmark tracer still counts calls of `RatFun.__init__`;
@@ -20,7 +21,6 @@ it goes once the tracer stops naming it.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterable, Union
 
 
@@ -261,25 +261,25 @@ Q = IntPoly((0, 1))
 # matrices over Z[q], as lists of rows of IntPolys
 
 
-def matmul(A, B) -> list:
-    """The product A*B, one packed multiply-add per term.
+def sparse_matmul(A, B, zero=ZERO) -> list:
+    """The exact product A*B, skipping zero factors.
 
-    Entry (i, j) is one integer dot product of the packed row A_i with the
-    packed column B_j, unpacked once.  Its coefficients are bounded by
-    sum_k max_i |A_ik|_inf * max_j |B_kj|_1, which sets the slot width.
+    Each row of A meets only the nonzero entries of B's rows, so a
+    block-diagonal or triangular factor costs a multiply per nonzero pair,
+    not per entry.  The entries are IntPolys, or, with zero=0, packed
+    polynomials, that is ints.
     """
-    cols = list(zip(*B))
-    bound = sum(
-        max(a.norm_inf() for a in col_a) * max(b.norm1() for b in row_b)
-        for col_a, row_b in zip(zip(*A), B)
-    )
-    b = slot_bits(bound)
-    packed_cols = [[e.pack(b) for e in col] for col in cols]
-    unpack = IntPoly.unpack
-    return [
-        [unpack(sum(map(mul, packed_row, col)), b) for col in packed_cols]
-        for packed_row in ([e.pack(b) for e in row] for row in A)
-    ]
+    ncols = len(B[0]) if B else 0
+    nonzero_b = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    out = []
+    for row in A:
+        acc = [zero] * ncols
+        for a, row_b in zip(row, nonzero_b):
+            if a:
+                for j, x in row_b:
+                    acc[j] = acc[j] + a * x
+        out.append(acc)
+    return out
 
 
 def adjugate(rows) -> tuple:

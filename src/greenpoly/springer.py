@@ -485,6 +485,10 @@ def load_table(source) -> SpringerTable:
         declared = orec.get("comp_group")
         if declared is not None:
             _require_keys(declared, (), f"{where} comp_group")
+            if "k" in declared and type(declared["k"]) is not int:
+                raise TableFormatError(
+                    f"{where}: comp_group k {declared['k']!r} is not an integer"
+                )
         if declared is not None and (
             declared.get("kind") != comp.kind or declared.get("k", 0) != comp.k
         ):
@@ -492,6 +496,8 @@ def load_table(source) -> SpringerTable:
                 f"{where}: declared component group {declared} does not match "
                 f"the partition ({comp.kind}, k={comp.k})"
             )
+        if "d_e" in orec and type(orec["d_e"]) is not int:
+            raise TableFormatError(f"{where}: d_e {orec['d_e']!r} is not an integer")
         if orec.get("d_e", rec.d_e) != rec.d_e:
             raise TableFormatError(
                 f"{where}: d_e {orec['d_e']} contradicts the partition "
@@ -509,7 +515,7 @@ def load_table(source) -> SpringerTable:
             if "char_on_generators" in sys:
                 vals = sys["char_on_generators"]
                 if not isinstance(vals, (list, tuple)) or len(vals) != comp.k or any(
-                    v not in (1, -1) for v in vals
+                    type(v) is not int or v not in (1, -1) for v in vals
                 ):
                     raise TableFormatError(f"{where}: bad char_on_generators {vals}")
                 mask = sum(1 << i for i, v in enumerate(vals) if v == -1)

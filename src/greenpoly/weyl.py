@@ -668,7 +668,8 @@ def _build_D(t: WeylType):
                         sign = eps * (1 if tag == "+" else -1)
                         row.append((value + sign * corr) // 2)
                     else:
-                        assert value % 2 == 0
+                        if value % 2:
+                            raise AssertionError("odd value of a split D character")
                         row.append(value // 2)
                 rows.append(tuple(row))
     table = tuple(rows)

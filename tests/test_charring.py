@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.charring import (
+    ClassRows,
     _class_gram,
     _int_matrix_rank,
     _coinvariant_values,
@@ -33,7 +34,7 @@ from greenpoly.charring import (
     std_pairing,
     std_pairing_elements,
 )
-from greenpoly.polyq import IntPoly, matmul
+from greenpoly.polyq import IntPoly, sparse_matmul
 from greenpoly.weyl import SUPPORTED_RANKS, WeylType, build, delta_elliptic_count
 
 
@@ -150,7 +151,7 @@ def test_gram_times_omega_is_p_identity():
             for i in range(n)
         ]
         p = poincare_poly(g)
-        assert matmul(omega_matrix(g), gram) == [
+        assert sparse_matmul(omega_matrix(g), gram) == [
             [p if i == j else IntPoly() for j in range(n)] for i in range(n)
         ]
 
@@ -380,3 +381,44 @@ def test_symmetric_gram_mirrors_and_checks_every_entry(graded):
     rows[-1][ident] = 1
     with pytest.raises(ArithmeticError):
         _class_gram(g, rows, rows, weight)
+
+
+_digit = st.integers(-9, 9)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_store_grows_and_matches_one_shot_gram(data):
+    # rows whose coefficients reach 1, 10^10 and then 10^30 force the store's
+    # slot width to grow at least twice; a combination of stored rows with
+    # coefficients up to 10^200 outgrows it once more.  Every width must give
+    # the one-shot Gram.
+    g = build(WeylType("B", 2))
+    k = len(g.classes)
+    weight = g.refl_charpoly
+    store = ClassRows(g, weight, graded=True, lead=1)
+    widths = []
+    for scale in (1, 10**10, 10**30):
+        for _ in range(data.draw(st.integers(1, 2))):
+            row = [IntPoly([d * scale * g.order for d in data.draw(st.lists(_digit, max_size=3))])
+                   for _ in range(k + 1)]
+            # one coefficient of full size, of either sign
+            lead_digit = data.draw(st.integers(1, 9)) * data.draw(st.sampled_from((1, -1)))
+            row[1 + data.draw(st.integers(0, k - 1))] += IntPoly([lead_digit * scale * g.order])
+            store.extend([row])
+        widths.append(store.b)
+    assert len(set(widths)) == 3
+
+    n = len(store.rows)
+    base = [d * g.order for d in data.draw(st.lists(_digit, min_size=k + 1, max_size=k + 1))]
+    terms = [(IntPoly([d * 10**200 + e for d, e in data.draw(st.lists(st.tuples(_digit, _digit),
+                                                                     min_size=1, max_size=3))]), j)
+             for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))]
+    want = [IntPoly([x]) for x in base]
+    for c, j in terms:
+        want = [w - c * v for w, v in zip(want, store.rows[j])]
+    assert store.combine(base, terms) == want
+
+    classes = [row[1:] for row in store.rows]
+    assert store.gram(range(n + 1)) == _class_gram(g, classes, classes, weight)
+    assert store.gram(range(n + 1)) == _class_gram_by_degree(g, classes, classes, weight)

@@ -288,12 +288,18 @@ def _c2_file(edit=None, text=None, data=None):
         _c2_file(data=b"\xff\xfe{}"),
         _c2_file(text=lambda t: t.replace('"rank": 2', '"rank": 1e400')),
         _c2_file(text=lambda t: t.replace('"rank": 2', '"rank": 1' + "0" * 5000)),
+        _c2_file(lambda d: d["orbits"][0].update(d_e=False)),
+        _c2_file(lambda d: d["orbits"][2].update(d_e=2.0)),
+        _c2_file(lambda d: d["orbits"][1]["comp_group"].update(k=1.0)),
+        _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=[True])),
+        _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators=[1.0])),
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
         "comp-group-not-object", "irrep-not-a-label", "characters-not-a-list",
         "closure-not-index-pairs", "local-system-not-a-string", "no-file",
         "file-is-a-directory", "not-utf8", "rank-overflows", "integer-too-long",
+        "d-e-false", "d-e-float", "k-float", "character-true", "character-float",
     ],
 )
 def test_springer_load_malformed_input(capsys, tmp_path, make):

@@ -17,8 +17,11 @@ from greenpoly.lusztigshoji import (
     solve,
     verify,
 )
-from greenpoly.polyq import IntPoly, matmul
+from greenpoly.partitions import partitions, transpose
+from greenpoly.polyq import IntPoly, sparse_matmul
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
+
+from oracles import dense_product_checks, solve_per_block
 
 
 def P(*cs):
@@ -147,6 +150,32 @@ class TestChecks:
         tab = tableau("C", 3)
         k_at_minus_one_inverse(tab)  # verifies internally
 
+    def test_k_minus_one_inverse_cached_per_coords(self, tableau):
+        tab = tableau("A", 4)
+        inv = k_at_minus_one_inverse(tab)
+        assert k_at_minus_one_inverse(tab) is inv
+        # a copy with other columns gets its own inverse, not the cached one
+        n = len(tab.pairs)
+        coords = list(tab.coords)
+        col = list(coords[n - 1])
+        irrep = tab.table.pair_irreps()[0]
+        col[irrep] = col[irrep] + P(1)
+        coords[n - 1] = tuple(col)
+        bad = copy.copy(tab)
+        bad.coords = coords
+        other = k_at_minus_one_inverse(bad)
+        assert other != inv and other[0][n - 1] == inv[0][n - 1] - 1
+        assert k_at_minus_one_inverse(tab) is inv
+        # K(-1) below the diagonal: the inverse check raises, also under -O
+        coords = list(tab.coords)
+        col = list(coords[0])
+        col[tab.table.pair_irreps()[n - 1]] = P(1)
+        coords[0] = tuple(col)
+        bad = copy.copy(tab)
+        bad.coords = coords
+        with pytest.raises(SolverError, match="unitriangular"):
+            k_at_minus_one_inverse(bad)
+
     @pytest.mark.parametrize("key", [("A", 4), ("C", 3)])
     def test_failure_witnesses(self, tableau, key):
         tab = tableau(*key)
@@ -258,6 +287,92 @@ def test_type_a_column_dimension_multinomial(tableau):
 
 
 # ---------------------------------------------------------------------------
+# the packed store and the sparse checks against the solver they replaced
+
+_SOLVED = [("A", n) for n in range(2, 9)] + [("C", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("key", _SOLVED, ids=[f"{a}{n}" for a, n in _SOLVED])
+def test_solve_matches_per_block_oracle(tableau, key):
+    tab = tableau(*key)
+    want = solve_per_block(tab.table)
+    assert tab.coords == want.coords
+    assert tab.class_values == want.class_values
+    assert tab.M == want.M
+    assert tab.Lam == want.Lam
+    assert tab.p == want.p
+
+
+def _mutants(tab):
+    """The tableau with one off-block M entry, one off-block Lambda entry, or
+    one K entry changed."""
+    n = len(tab.pairs)
+    a, b = n - 1, 0  # the zero orbit against the regular one
+    M = [list(row) for row in tab.M]
+    M[a][b] = M[a][b] + P(0, 1)
+    Lam = [list(row) for row in tab.Lam]
+    Lam[b][a] = Lam[b][a] + P(1)
+    coords = list(tab.coords)
+    col = list(coords[a])
+    irrep = tab.table.pair_irreps()[b]
+    col[irrep] = col[irrep] + P(0, 0, 1)
+    coords[a] = tuple(col)
+    out = []
+    for field, value in (("M", M), ("Lam", Lam), ("coords", coords)):
+        bad = copy.copy(tab)
+        setattr(bad, field, value)
+        out.append(bad)
+    return out
+
+
+@pytest.mark.parametrize("key", [("A", 4), ("A", 8), ("C", 2), ("C", 3)],
+                         ids=["A4", "A8", "C2", "C3"])
+def test_sparse_checks_match_dense_oracle(tableau, key):
+    tab = tableau(*key)
+    mutants = _mutants(tab)
+    for t in [tab, *mutants]:
+        report = {name: (ok, detail) for name, ok, detail in verify(t)}
+        for name, ok, detail in dense_product_checks(t):
+            assert report[name] == (ok, detail), name
+    m_bad, lam_bad, k_bad = ({n: ok for n, ok, _ in verify(t)} for t in mutants)
+    assert not m_bad["lambda_m_product"] and not m_bad["cross_orbit_orthogonality"]
+    assert not lam_bad["lambda_m_product"] and not lam_bad["kl_equation"]
+    assert not k_bad["kl_equation"]
+
+
+def _flag_count(mu) -> IntPoly:
+    """P_mu = sum_k q^{a_{k+1}} [a_k - a_{k+1}]_q P_{mu - (k)}, P_() = 1, for
+    mu = (a_1 >= a_2 >= ...): the Poincare polynomial, in q = degree 2, of
+    the Springer fibre of the orbit with Jordan type the transpose of mu."""
+    if not mu:
+        return P(1)
+    total = IntPoly()
+    parts = list(mu) + [0]
+    for k in range(len(mu)):
+        step = parts[k] - parts[k + 1]
+        if step:
+            rest = parts[:k] + [parts[k] - 1] + parts[k + 1 : -1]
+            total = total + IntPoly([0] * parts[k + 1] + [1] * step) * _flag_count(
+                tuple(x for x in rest if x)
+            )
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_type_a_columns_count_flags(tableau, n):
+    # the column of the orbit lambda, weighted by the dimensions of the
+    # irreducibles, is the reversed Poincare polynomial of its Springer fibre:
+    # a check from outside the solver's own identities
+    tab = tableau("A", n)
+    dims = [row[tab.group.identity_class] for row in tab.group.char_table]
+    for lam in partitions(n):
+        orbit = tab.table.find_orbit(lam)
+        col = tab.coords[tab.pair_index(orbit, 0)]
+        total = sum((c * d for c, d in zip(col, dims)), IntPoly())
+        assert total == _flag_count(transpose(lam)).reverse(tab.table.orbits[orbit].d_e), lam
+
+
+# ---------------------------------------------------------------------------
 # block inversion in Z[q] against Z[q] identities
 
 
@@ -288,8 +403,8 @@ def _check_against_field_inverse(rows):
     assert d == det
     n = len(rows)
     scalar = [[det if i == j else IntPoly() for j in range(n)] for i in range(n)]
-    assert matmul(adj, rows) == scalar
-    assert matmul(rows, adj) == scalar
+    assert sparse_matmul(adj, rows) == scalar
+    assert sparse_matmul(rows, adj) == scalar
 
 
 _small_poly = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)

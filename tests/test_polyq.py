@@ -8,8 +8,8 @@ from greenpoly.polyq import (
     IntPoly,
     Q,
     RatFun,
-    matmul,
     slot_bits,
+    sparse_matmul,
 )
 
 
@@ -141,7 +141,10 @@ def _schoolbook_matmul(A, B):
     ]
 
 
-_wide_poly = st.lists(st.integers(-(10**30), 10**30), max_size=5).map(IntPoly)
+# half the entries zero, so the product's skipping of zero factors is exercised
+_wide_poly = st.one_of(
+    st.just(IntPoly()), st.lists(st.integers(-(10**30), 10**30), max_size=5).map(IntPoly)
+)
 
 
 @given(st.data())
@@ -150,5 +153,11 @@ def test_matmul_matches_schoolbook(data):
     n, m, l = (data.draw(st.integers(1, 4)) for _ in range(3))
     A = [[data.draw(_wide_poly) for _ in range(m)] for _ in range(n)]
     B = [[data.draw(_wide_poly) for _ in range(l)] for _ in range(m)]
-    assert matmul(A, B) == _schoolbook_matmul(A, B)
+    want = _schoolbook_matmul(A, B)
+    assert sparse_matmul(A, B) == want
+    # on packed entries the product is the packed product: coefficients stay
+    # below 4 * 5 * 10^60 < 2^255
+    packed = sparse_matmul([[x.pack(256) for x in row] for row in A],
+                           [[x.pack(256) for x in row] for row in B], 0)
+    assert packed == [[x.pack(256) for x in row] for row in want]
 
