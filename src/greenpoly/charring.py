@@ -4,14 +4,18 @@ Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
 with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
 q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
 the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
-and Omega.  All of them go through one kernel, the packed store `ClassRows`,
-which packs each polynomial class value into one integer f(2^b) (Kronecker
-substitution) and takes each entry as one integer dot product over the
-classes; `_class_gram` builds a whole Gram on irreducibles with it in one
-call, and the solver keeps its columns in one.  A brute-force sum over group
-elements is kept as an independent oracle for small ranks.  The coinvariant
-class function is an integer polynomial for every w, which keeps fake degrees
-and the fake-degree matrix inside Z[q] throughout.
+and Omega.  All of them go through `_class_gram`, on integers packed by
+Kronecker substitution, in one of two layouts.  The packed store `ClassRows`
+packs each polynomial class value into one integer f(2^b) and takes each
+entry as one integer dot product over the classes; the solver keeps its
+columns in one, and `_class_gram` pairs two lists of rows with a one-shot
+store.  The Gram of the character table with itself (the q-elliptic,
+(-1)-elliptic and Omega Grams) is row-packed instead (`_row_gram`): each
+class column is packed over the irreducibles, so one integer dot product per
+row and weight degree gives that row's entries at once, with no pairing
+unpacked alone.  The brute-force sums over group elements are test oracles.
+The coinvariant class function is an integer polynomial for every w, which
+keeps fake degrees and the fake-degree matrix inside Z[q] throughout.
 """
 
 from __future__ import annotations
@@ -237,19 +241,10 @@ class ClassRows:
         """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a."""
         total = sum(map(mul, a, self.weighted[j]))
         if not self.graded:
-            if total % self.order:
-                raise ArithmeticError(
-                    f"class sums {[total]} not divisible by |W| = {self.order}"
-                )
-            return total // self.order
+            return _over_order(total, self.order)
         if not total:
             return ZERO
-        poly = IntPoly.unpack(total, self.b)
-        if not poly.divisible_int(self.order):
-            raise ArithmeticError(
-                f"class sums {list(poly.coeffs)} not divisible by |W| = {self.order}"
-            )
-        return poly.divexact_int(self.order)
+        return _over_order(IntPoly.unpack(total, self.b), self.order)
 
     def gram(self, idx) -> list:
         """The Gram of the stored rows at the positions idx (a range): only
@@ -262,25 +257,101 @@ class ClassRows:
         return gram
 
 
+def _over_order(total, order: int):
+    """A class sum (an int or an IntPoly) divided by |W|; a sum that |W| does
+    not divide means the rows were not virtual characters."""
+    if isinstance(total, IntPoly):
+        if not total.divisible_int(order):
+            raise ArithmeticError(f"class sums {list(total.coeffs)} not divisible by |W| = {order}")
+        return total.divexact_int(order)
+    if total % order:
+        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {order}")
+    return total // order
+
+
+def _signed_chunks(u: int, width: int, count: int) -> list:
+    """The count signed digits of u in base 2^width, lowest first, each of
+    absolute value below 2^(width - 1), split off by halves: repeated shifts
+    by one digit would take time quadratic in the length of u."""
+    if count == 1:
+        return [u]
+    half = count // 2
+    cut = width * half
+    low, high = u & ((1 << cut) - 1), u >> cut
+    if low >> (cut - 1):
+        low -= 1 << cut
+        high += 1
+    return _signed_chunks(low, width, half) + _signed_chunks(high, width, count - half)
+
+
+def _row_gram(g: WeylGroupData, rows, weight) -> list:
+    """The symmetric Gram (1/|W|) sum_k |C_k| x_i(w_k) x_j(w_k) weight_k of
+    integer rows x (a character table), one packed dot product per row.
+
+    Each entry is a polynomial of s slots of B bits, one per weight degree.
+    Class k is packed once, S_k = |C_k| weight_k(2^B) sum_j x_j(w_k) 2^(s B j),
+    so that sum_k x_i(w_k) S_k is sum_j |W| G_ij(2^B) 2^(s B j).  B is
+    `slot_bits` of sum_k |C_k| max_j x_j(w_k)^2 |weight_k|_inf, which bounds
+    every coefficient.  The entries j < i sum to less than 2^(s B i - 1) in
+    absolute value, so a shift by s B i, rounded, drops them and leaves u,
+    the entries j >= i.  Signed digits below 2^(B - 1) are unique, so every
+    coefficient in u is divisible by |W| exactly when |W| divides u and the
+    digits of u / |W| are at most (2^(B - 1) - 1) / |W|; those digits are the
+    entries, which are mirrored.  Otherwise the first entry with a
+    coefficient |W| does not divide raises ArithmeticError (`_over_order`).
+    """
+    n, order = len(rows), g.order
+    graded = any(isinstance(w, IntPoly) for w in weight)
+    slots = max([1] + [len(w.coeffs) for w in weight if isinstance(w, IntPoly)])
+    cols = list(zip(*rows))
+    b = slot_bits(sum(
+        cls.size * max(map(abs, col)) ** 2 * _norm_inf(w)
+        for cls, col, w in zip(g.classes, cols, weight)
+    ))
+    stride = slots * b
+    limit = ((1 << (b - 1)) - 1) // order
+    packed = [
+        cls.size * _packed(w, b) * IntPoly(col).pack(stride)
+        for cls, col, w in zip(g.classes, cols, weight)
+    ]
+
+    def entries(u, count):
+        chunks = _signed_chunks(u, stride, count)
+        return [IntPoly.unpack(c, b) for c in chunks] if graded else chunks
+
+    gram = [[None] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        shift = stride * i
+        u = (sum(map(mul, row, packed)) + ((1 << shift) >> 1)) >> shift
+        quo, rem = divmod(u, order)
+        row_i = entries(quo, n - i)
+        if rem or max(map(_norm_inf, row_i)) > limit:
+            for entry in entries(u, n - i):
+                _over_order(entry, order)
+        for j, entry in enumerate(row_i, i):
+            gram[i][j] = gram[j][i] = entry
+    return gram
+
+
 def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
 
     Each row, and the weight, lists one value per class, an int or an IntPoly.
-    Entries are IntPolys if any value is one, else ints.  This is a one-shot
+    Entries are IntPolys if any value is one, else ints.  When rows_a is
+    rows_b the Gram is symmetric and the rows must hold ints: `_row_gram`
+    takes it one packed row at a time.  Otherwise it is a one-shot
     `ClassRows` holding rows_b, with rows_a as its probes: every row is
     packed once, at the exact width `slot_bits` of the bound
     sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient, and
-    each entry is one integer dot product over the classes.  When rows_a is
-    rows_b the Gram is symmetric: only the entries with j >= i are summed,
-    and the rest mirrored.  A sum not divisible by |W| means the rows are
-    not virtual characters and raises ArithmeticError.
+    each entry is one integer dot product over the classes.  A sum not
+    divisible by |W| means the rows are not virtual characters and raises
+    ArithmeticError.
     """
-    symmetric = rows_a is rows_b
+    if rows_a is rows_b:
+        return _row_gram(g, rows_a, weight)
     graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
-    store = ClassRows(g, weight, graded, probes=() if symmetric else rows_a, paired=symmetric)
+    store = ClassRows(g, weight, graded, probes=rows_a, paired=False)
     store.extend(rows_b)
-    if symmetric:
-        return store.gram(range(len(rows_b)))
     js = range(len(rows_b))
     return [[store.pair(a, j) for j in js] for a in map(store.pack, rows_a)]
 
@@ -322,27 +393,6 @@ def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
 def one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
     """The q-elliptic pairing at q = 1 (weighted by det_V(1 - w))."""
     return _pair(a, b, _det_values(a.group, 1))
-
-
-# brute-force oracles over group elements, for cross-checks at small rank
-def std_pairing_elements(a: VirtualCharacter, b: VirtualCharacter) -> int:
-    g = a.group
-    total = 0
-    for w in g.elements():
-        k = g.class_of(w)
-        total += a.value(k) * b.value(k)
-    if total % g.order:
-        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
-    return total // g.order
-
-
-def q_elliptic_pairing_elements(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
-    g = a.group
-    acc = ZERO
-    for w in g.elements():
-        k = g.class_of(w)
-        acc = acc + a.value(k) * b.value(k) * g.refl_charpoly[k]
-    return acc.divexact_int(g.order)
 
 
 # ---------------------------------------------------------------------------
@@ -457,35 +507,7 @@ def delta_twist_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
     """Twisted-character pairing (1/|W|) sum a(ww0) b(ww0) det_V(1 - w delta).
 
     Computed by the substitution u = w w0, which turns it into the
-    (-1)-elliptic pairing; the direct twisted sum is kept in
-    delta_twist_pairing_direct as an oracle.
+    (-1)-elliptic pairing; the tests keep the direct twisted sum over group
+    elements as an oracle.
     """
     return minus_one_pairing(a, b)
-
-
-def delta_twist_pairing_direct(a: VirtualCharacter, b: VirtualCharacter) -> int:
-    """Sum over elements of a(ww0) b(ww0) det_V(1 - w delta), no substitution."""
-    _same_group(a, b)
-    g = a.group
-    total = 0
-    for w in g.elements():
-        ww0 = g.mul(w, g.w0)
-        k = g.class_of(ww0)
-        # det_V(1 - w delta) with delta = -w0 on V equals det_V(1 + w w0)
-        d = g.refl_charpoly[k].eval(-1)
-        if d:
-            total += a.value(k) * b.value(k) * d
-    if total % g.order:
-        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
-    return total // g.order
-
-
-def delta_twist_grams_agree(g: WeylGroupData) -> bool:
-    """Entrywise agreement of the twisted and (-1)-elliptic Gram matrices."""
-    gram = minus_one_gram(g)
-    n = len(g.irrep_labels)
-    return all(
-        delta_twist_pairing_direct(irreducible(g, i), irreducible(g, j)) == gram[i][j]
-        for i in range(n)
-        for j in range(i, n)
-    )

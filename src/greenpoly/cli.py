@@ -328,6 +328,8 @@ def _parse_pair(table: SpringerTable, text, phi) -> tuple:
 
 
 def cmd_spin(args):
+    if args.what in ("sigma", "index") and args.orbit is None:
+        raise UsageError(f"spin {args.what} requires --orbit")
     table = _table(args)
     if args.what in ("sigma", "index"):
         lam = _parse_pair(table, args.orbit, args.phi)

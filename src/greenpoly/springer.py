@@ -517,7 +517,7 @@ def load_table(source) -> SpringerTable:
                 if not isinstance(vals, (list, tuple)) or len(vals) != comp.k or any(
                     type(v) is not int or v not in (1, -1) for v in vals
                 ):
-                    raise TableFormatError(f"{where}: bad char_on_generators {vals}")
+                    raise TableFormatError(f"{where}: bad char_on_generators {vals!r}")
                 mask = sum(1 << i for i, v in enumerate(vals) if v == -1)
             elif sys["local_system"] != "triv" and comp.kind != "trivial":
                 raise TableFormatError(

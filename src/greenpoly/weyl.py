@@ -11,23 +11,25 @@ cycle type lam is represented by the product of cycles on consecutive points,
 longest first (i -> i+1 within each block), which is not in general the least
 element: A2's class (2,1) is represented by (1,0,2), while its least element is
 (0,2,1).  In types B/C/D the representative is the lexicographically least
-signed permutation of the class; in G2 it is the least dihedral index.
-`class_of` computes an element's label.  `_brute_force_classes`,
-`delta_twisted_classes` and `all_elements` enumerate the whole group and serve
-as test oracles.
+signed permutation of the class, found by a pruned search (`_lex_elements`)
+on its first read and then kept; `build` reads none, and the identity class
+is found by its label.  In G2 it is the least dihedral index.  `class_of`
+computes an element's label.  `delta_twisted_classes` and `all_elements`
+enumerate the whole group; the tests use them as oracles.
 Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
-tables (`_bc_column`), one table per rank shared by B_n and C_n; for D the
-same columns restricted, with split classes; and a hard-coded table for G2.
-`build` checks row orthogonality with one packed integer sum per row.
+tables (`_bc_column`, outer products of whole S_k columns), one table per rank
+shared by B_n and C_n; for D the same columns restricted, with split classes;
+and a hard-coded table for G2.  `build` checks row orthogonality with one
+packed integer sum per row.
 Supported ranks: A 1-8, B and C 1-8, D 3-8.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 from .partitions import cycle_type_size, multiplicities, partitions, sym_char
 from .polyq import IntPoly, ONE, slot_bits
@@ -68,10 +70,20 @@ class WeylType:
 
 
 class ConjClass:
-    def __init__(self, representative, size: int, label):
-        self.representative = representative  # tuple, or an int for G2
+    def __init__(self, size: int, label, representative=None):
         self.size = size
         self.label = label  # partition / (mu+, mu-) / (mu+, mu-, tag) / G2 name
+        if representative is not None:  # types A and G2: a tuple or an int
+            self.representative = representative
+
+    @cached_property
+    def representative(self):
+        """The least signed permutation of a B/C/D class, found on first read."""
+        pos, neg, *tag = self.label
+        found = _lex_elements(pos, neg)
+        if tag and tag[0]:
+            found = (w for w in found if _d_tag(w, pos, neg) == tag[0])
+        return next(found)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +150,16 @@ def _inv(t: WeylType):
     if t.family == "G2":
         return g2_inv
     return sp_inv
+
+
+def _identity_label(t: WeylType):
+    """The label of the identity's class, as in `ConjClass.label`."""
+    if t.family == "A":
+        return (1,) * (t.rank + 1)
+    if t.family == "G2":
+        return "e"
+    ones = (1,) * t.rank
+    return (ones, (), "") if t.family == "D" else (ones, ())
 
 
 def identity_element(t: WeylType):
@@ -282,6 +304,12 @@ def bipartitions(n):
 
 
 @lru_cache(maxsize=None)
+def _sym_column(rho) -> tuple:
+    """Every S_k irreducible, in `partitions(k)` order, at the class rho."""
+    return tuple(sym_char(lam, rho) for lam in partitions(sum(rho)))
+
+
+@lru_cache(maxsize=None)
 def _bc_column(pos, neg) -> tuple:
     """Every B_n irreducible, in `bipartitions(n)` order, at the class (pos, neg).
 
@@ -290,14 +318,16 @@ def _bc_column(pos, neg) -> tuple:
     So its value is a sum over the ways to send k_c of the m_c cycles of each
     (length, sign) group c to alpha and the rest to beta: the term is
     prod_c C(m_c, k_c) chi^alpha(rho_alpha) chi^beta(rho_beta), negated once for
-    each negative cycle sent to beta.  The splits are enumerated once per
-    class and grouped by |rho_alpha|, so an irreducible only sums the splits
-    with |rho_alpha| = |alpha|.
+    each negative cycle sent to beta.  The irreducibles with |alpha| = k form
+    one block of `bipartitions(n)`, partitions(k) x partitions(n - k) in row
+    order, so a split (rho_alpha, rho_beta) with |rho_alpha| = k adds its
+    coefficient times the outer product of the S_k column at rho_alpha and the
+    S_(n-k) column at rho_beta to that block.  Equal splits are merged first.
     """
     n = sum(pos) + sum(neg)
     groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
     groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
-    by_size = [{} for _ in range(n + 1)]  # |rho_alpha| -> {(rho_alpha, rho_beta): coef}
+    splits = {}  # (rho_alpha, rho_beta) -> coef
     for ks in itertools.product(*(range(m + 1) for _, m, _ in groups)):
         coef, to_a, to_b = 1, [], []
         for (c, m, sign), k in zip(groups, ks):
@@ -305,13 +335,19 @@ def _bc_column(pos, neg) -> tuple:
             to_a += [c] * k
             to_b += [c] * (m - k)
         key = tuple(sorted(to_a, reverse=True)), tuple(sorted(to_b, reverse=True))
-        terms = by_size[sum(to_a)]
-        terms[key] = terms.get(key, 0) + coef
-    return tuple(
-        sum(coef * sym_char(alpha, ra) * sym_char(beta, rb)
-            for (ra, rb), coef in by_size[sum(alpha)].items() if coef)
-        for alpha, beta in bipartitions(n)
-    )
+        splits[key] = splits.get(key, 0) + coef
+    blocks = [[0] * (len(partitions(k)) * len(partitions(n - k))) for k in range(n + 1)]
+    for (ra, rb), coef in splits.items():
+        if not coef:
+            continue
+        block, col_b = blocks[sum(ra)], _sym_column(rb)
+        width = len(col_b)
+        for start, x in zip(range(0, len(block), width), _sym_column(ra)):
+            if x:
+                cx = coef * x
+                block[start:start + width] = map(add, block[start:start + width],
+                                                 map(cx.__mul__, col_b))
+    return tuple(itertools.chain.from_iterable(reversed(blocks)))
 
 
 _G2_CLASS_ORDER = ("e", "w0", "rot60", "rot120", "refl_long", "refl_short")
@@ -353,14 +389,11 @@ class WeylGroupData:
         return self.char_table[irrep][cls]
 
     def irrep_dim(self, irrep: int) -> int:
-        ident = next(i for i, c in enumerate(self.classes) if c.size == 1
-                     and c.representative == identity_element(self.type))
-        return self.char_table[irrep][ident]
+        return self.char_table[irrep][self.identity_class]
 
     @property
     def identity_class(self) -> int:
-        return next(i for i, c in enumerate(self.classes)
-                    if c.representative == identity_element(self.type))
+        return self._class_index[_identity_label(self.type)]
 
     def class_of(self, w) -> int:
         return self._class_index[class_label(self.type, w)]
@@ -370,9 +403,6 @@ class WeylGroupData:
 
     def inv(self, w):
         return _inv(self.type)(w)
-
-    def elements(self):
-        return all_elements(self.type)
 
     # -- delta = -w0 ------------------------------------------------------
     def delta_element(self, w):
@@ -407,36 +437,6 @@ def _w0(t: WeylType):
     if t.family == "D" and n % 2 == 1:
         return tuple([-i for i in range(1, n)] + [n])
     return tuple(-i for i in range(1, n + 1))
-
-
-def _brute_force_classes(t: WeylType):
-    """Orbit partition of the whole group under conjugation by generators.
-
-    `build` does not use it; the tests check the closed-form classes against
-    it.
-    """
-    mul, inv = _mul(t), _inv(t)
-    gens = simple_generators(t)
-    gen_pairs = [(g, inv(g)) for g in gens]
-    seen = set()
-    orbits = []
-    for e in all_elements(t):
-        if e in seen:
-            continue
-        orbit = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g, gi in gen_pairs:
-                    c = mul(g, mul(w, gi))
-                    if c not in orbit:
-                        orbit.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
 
 
 def _signed_class_size(pos, neg) -> int:
@@ -602,7 +602,7 @@ def _build_A(t: WeylType):
         for c in lab:
             rep.extend(list(range(start + 1, start + c)) + [start])
             start += c
-        classes.append(ConjClass(tuple(rep), cycle_type_size(n, lab), lab))
+        classes.append(ConjClass(cycle_type_size(n, lab), lab, tuple(rep)))
     irreps = partitions(n)
     table = tuple(
         tuple(sym_char(lam, cls.label) for cls in classes) for lam in irreps
@@ -615,10 +615,7 @@ def _build_A(t: WeylType):
 @lru_cache(maxsize=None)
 def _build_BC(n: int):
     """Classes, character table, irreducibles, sgn and triv of B_n = C_n."""
-    classes = [
-        ConjClass(next(_lex_elements(pos, neg)), _signed_class_size(pos, neg), (pos, neg))
-        for pos, neg in bipartitions(n)
-    ]
+    classes = [ConjClass(_signed_class_size(pos, neg), (pos, neg)) for pos, neg in bipartitions(n)]
     classes.sort(key=_class_order)
     irreps = bipartitions(n)
     table = tuple(zip(*(_bc_column(*cls.label) for cls in classes)))
@@ -633,14 +630,9 @@ def _build_D(t: WeylType):
     for pos, neg in bipartitions(n):
         if len(neg) % 2:
             continue
-        # the least element of each tag, in one lex-ordered search
-        reps = {}
-        for w in _lex_elements(pos, neg):
-            reps.setdefault(_d_tag(w, pos, neg), w)
-            if len(reps) == 1 + _splits(pos, neg):
-                break
-        size = _signed_class_size(pos, neg) // len(reps)
-        classes += [ConjClass(w, size, (pos, neg, tag)) for tag, w in reps.items()]
+        tags = ("+", "-") if _splits(pos, neg) else ("",)
+        size = _signed_class_size(pos, neg) // len(tags)
+        classes += [ConjClass(size, (pos, neg, tag)) for tag in tags]
     classes.sort(key=_class_order)
 
     # irreps: unordered pairs {a,b}, a != b, plus split pairs (a,a,+-);
@@ -690,7 +682,7 @@ def _build_G2(t: WeylType):
     for w in range(12):
         members.setdefault(g2_class_name(w), []).append(w)
     classes = [
-        ConjClass(members[name][0], len(members[name]), name)
+        ConjClass(len(members[name]), name, members[name][0])
         for name in _G2_CLASS_ORDER
     ]
     table = tuple(tuple(_G2_TABLE[ir]) for ir in _G2_IRREPS)

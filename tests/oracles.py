@@ -1,25 +1,166 @@
-"""The solver before the packed store, kept as a test oracle.
+"""Slower paths kept as test oracles for the production ones.
 
-`solve_per_block` is the orthogonalisation as it ran when each orbit block
-called the class-sum kernel afresh: every block packs all earlier class
-values again at a width of its own, and each column is one dense packed row
-product over all earlier columns.  `dense_product_checks` computes the two
-matrix identities of `lusztigshoji.verify` from dense packed products.  Both
-share no arithmetic with the packed store (`charring.ClassRows`) or the
-sparse products they check.
+Whole-group enumerations: `elements` and `brute_force_classes` list the group
+and its conjugacy classes, and the `*_elements` / `*_direct` pairings sum over
+group elements instead of classes.
+
+Earlier kernels: `bc_column_per_term` is the B_n character column with one
+`sym_char` call per term; `symmetric_class_gram` is the Gram of a list of
+rows with itself, one packed dot product per entry j >= i (a one-shot
+`charring.ClassRows`).
+
+The solver before the packed store: `solve_per_block` is the
+orthogonalisation as it ran when each orbit block called the class-sum
+kernel afresh: every block packs all earlier class values again at a width
+of its own, and each column is one dense packed row product over all earlier
+columns.  `dense_product_checks` computes the two matrix identities of
+`lusztigshoji.verify` from dense packed products.  Both share no arithmetic
+with the packed store or the sparse products they check.
 """
 
 from __future__ import annotations
 
+import itertools
+from math import comb
 from operator import mul
 
-from greenpoly.charring import poincare_poly
+from greenpoly.charring import (
+    ClassRows,
+    GradedCharacter,
+    VirtualCharacter,
+    _same_group,
+    irreducible,
+    minus_one_gram,
+    poincare_poly,
+)
 from greenpoly.lusztigshoji import (
     GreenTableau,
     _inverse_parts,
     omega_on_pairs,
 )
+from greenpoly.partitions import multiplicities, sym_char
 from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
+from greenpoly.weyl import WeylGroupData, WeylType, _inv, _mul, all_elements, bipartitions, simple_generators
+
+
+# ---------------------------------------------------------------------------
+# whole-group enumerations
+
+
+def elements(g: WeylGroupData):
+    return all_elements(g.type)
+
+
+def brute_force_classes(t: WeylType):
+    """Orbit partition of the whole group under conjugation by generators."""
+    mul_, inv = _mul(t), _inv(t)
+    gen_pairs = [(s, inv(s)) for s in simple_generators(t)]
+    seen = set()
+    orbits = []
+    for e in all_elements(t):
+        if e in seen:
+            continue
+        orbit = {e}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for s, si in gen_pairs:
+                    c = mul_(s, mul_(w, si))
+                    if c not in orbit:
+                        orbit.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def std_pairing_elements(a: VirtualCharacter, b: VirtualCharacter) -> int:
+    g = a.group
+    total = 0
+    for w in elements(g):
+        k = g.class_of(w)
+        total += a.value(k) * b.value(k)
+    if total % g.order:
+        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
+    return total // g.order
+
+
+def q_elliptic_pairing_elements(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
+    g = a.group
+    acc = ZERO
+    for w in elements(g):
+        k = g.class_of(w)
+        acc = acc + a.value(k) * b.value(k) * g.refl_charpoly[k]
+    return acc.divexact_int(g.order)
+
+
+def delta_twist_pairing_direct(a: VirtualCharacter, b: VirtualCharacter) -> int:
+    """Sum over elements of a(ww0) b(ww0) det_V(1 - w delta), no substitution."""
+    _same_group(a, b)
+    g = a.group
+    total = 0
+    for w in elements(g):
+        ww0 = g.mul(w, g.w0)
+        k = g.class_of(ww0)
+        # det_V(1 - w delta) with delta = -w0 on V equals det_V(1 + w w0)
+        d = g.refl_charpoly[k].eval(-1)
+        if d:
+            total += a.value(k) * b.value(k) * d
+    if total % g.order:
+        raise ArithmeticError(f"class sums {[total]} not divisible by |W| = {g.order}")
+    return total // g.order
+
+
+def delta_twist_grams_agree(g: WeylGroupData) -> bool:
+    """Entrywise agreement of the twisted and (-1)-elliptic Gram matrices."""
+    gram = minus_one_gram(g)
+    n = len(g.irrep_labels)
+    return all(
+        delta_twist_pairing_direct(irreducible(g, i), irreducible(g, j)) == gram[i][j]
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# earlier kernels
+
+
+def bc_column_per_term(pos, neg) -> tuple:
+    """`weyl._bc_column` with one `sym_char` product per term and irreducible."""
+    n = sum(pos) + sum(neg)
+    groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
+    groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
+    by_size = [{} for _ in range(n + 1)]  # |rho_alpha| -> {(rho_alpha, rho_beta): coef}
+    for ks in itertools.product(*(range(m + 1) for _, m, _ in groups)):
+        coef, to_a, to_b = 1, [], []
+        for (c, m, sign), k in zip(groups, ks):
+            coef *= comb(m, k) * sign ** (m - k)
+            to_a += [c] * k
+            to_b += [c] * (m - k)
+        key = tuple(sorted(to_a, reverse=True)), tuple(sorted(to_b, reverse=True))
+        terms = by_size[sum(to_a)]
+        terms[key] = terms.get(key, 0) + coef
+    return tuple(
+        sum(coef * sym_char(alpha, ra) * sym_char(beta, rb)
+            for (ra, rb), coef in by_size[sum(alpha)].items() if coef)
+        for alpha, beta in bipartitions(n)
+    )
+
+
+def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
+    """The Gram of rows with itself from a one-shot `ClassRows`: each entry
+    j >= i one packed dot product, the rest mirrored."""
+    graded = any(isinstance(v, IntPoly) for v in itertools.chain(weight, *rows))
+    store = ClassRows(g, weight, graded)
+    store.extend(rows)
+    return store.gram(range(len(rows)))
+
+
+# ---------------------------------------------------------------------------
+# the solver before the packed store
 
 
 def _packed(v, b: int) -> int:

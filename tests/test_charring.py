@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
@@ -15,9 +16,7 @@ from greenpoly.charring import (
     VirtualCharacter,
     chevalley_failure,
     coinvariant_character,
-    delta_twist_grams_agree,
     delta_twist_pairing,
-    delta_twist_pairing_direct,
     fake_degree,
     graded_irreducible,
     irreducible,
@@ -30,12 +29,26 @@ from greenpoly.charring import (
     poincare_poly,
     q_elliptic_gram,
     q_elliptic_pairing,
-    q_elliptic_pairing_elements,
     std_pairing,
-    std_pairing_elements,
 )
 from greenpoly.polyq import IntPoly, sparse_matmul
-from greenpoly.weyl import SUPPORTED_RANKS, WeylType, build, delta_elliptic_count
+from greenpoly.weyl import (
+    SUPPORTED_RANKS,
+    WeylType,
+    _bc_column,
+    bipartitions,
+    build,
+    delta_elliptic_count,
+)
+
+from oracles import (
+    bc_column_per_term,
+    delta_twist_grams_agree,
+    delta_twist_pairing_direct,
+    q_elliptic_pairing_elements,
+    std_pairing_elements,
+    symmetric_class_gram,
+)
 
 
 def P(*cs):
@@ -364,7 +377,7 @@ def test_packed_kernel_rejects_non_characters():
     half = [[P(1, 0, 10**30 + 1)] + [0] * (len(g.classes) - 1)]
     for kernel in (_class_gram, _class_gram_by_degree):
         with pytest.raises(ArithmeticError):
-            kernel(g, half, half, g.refl_charpoly)
+            kernel(g, half, list(half), g.refl_charpoly)
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -381,6 +394,25 @@ def test_symmetric_gram_mirrors_and_checks_every_entry(graded):
     rows[-1][ident] = 1
     with pytest.raises(ArithmeticError):
         _class_gram(g, rows, rows, weight)
+
+
+@pytest.mark.parametrize(
+    "rank,rows,weight,witness",
+    [
+        # A1: the one class sum 1 leaves a remainder mod |W| = 2, though its
+        # floor quotient 0 has no large digit
+        (1, [[1, 0]], [1, 1], "[1]"),
+        # A2: rows 0 and 1 hold the class sums (20, 10) and (6); packed at
+        # q = 2^6 they are 660 and 6, multiples of |W| = 6, while 20 and 10
+        # are not
+        (2, [[-2, -2, 0], [-1, -1, -1]], [1, 1, 1], "[20]"),
+    ],
+)
+def test_row_gram_checks_each_coefficient(rank, rows, weight, witness):
+    g = build(WeylType("A", rank))
+    for kernel in (_class_gram, _class_gram_by_degree):
+        with pytest.raises(ArithmeticError, match=re.escape(f"class sums {witness} ")):
+            kernel(g, rows, rows, weight)
 
 
 _digit = st.integers(-9, 9)
@@ -420,5 +452,52 @@ def test_store_grows_and_matches_one_shot_gram(data):
     assert store.combine(base, terms) == want
 
     classes = [row[1:] for row in store.rows]
-    assert store.gram(range(n + 1)) == _class_gram(g, classes, classes, weight)
+    assert store.gram(range(n + 1)) == symmetric_class_gram(g, classes, weight)
+    assert store.gram(range(n + 1)) == _class_gram(g, classes, list(classes), weight)
     assert store.gram(range(n + 1)) == _class_gram_by_degree(g, classes, classes, weight)
+
+
+# groups with a Springer table, whose solve and verify use Omega
+_OMEGA_GROUPS = {("A", r) for r in range(1, 8)} | {("C", r) for r in range(1, 4)}
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+)
+def test_table_grams_match_per_entry_oracle(family, rank):
+    # the row-packed Grams against one packed dot product per entry
+    g = build(WeylType(family, rank))
+    assert q_elliptic_gram(g) == symmetric_class_gram(g, g.char_table, g.refl_charpoly)
+    assert minus_one_gram(g) == symmetric_class_gram(g, g.char_table, _det_values(g, -1))
+    if (family, rank) in _OMEGA_GROUPS:
+        coinv = _coinvariant_values(g.type)
+        want = symmetric_class_gram(g, g.char_table, coinv)
+        assert [list(row) for row in omega_matrix(g)] == want
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_row_gram_width_holds_a_tight_entry(data):
+    # rows of equal magnitudes m_k and weights of one sign in their top
+    # degree put the whole bound sum_k |C_k| m_k^2 |weight_k|_inf on each
+    # diagonal entry, so the slot width cannot lose a bit
+    family, rank = data.draw(st.sampled_from([("A", 2), ("B", 2), ("B", 3), ("G2", 2)]))
+    g = build(WeylType(family, rank))
+    k = len(g.classes)
+    mags = [g.order * m for m in data.draw(st.lists(st.integers(1, 10**12), min_size=k, max_size=k))]
+    signs = st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k)
+    rows = [list(map(mul, mags, data.draw(signs))) for _ in range(data.draw(st.integers(1, 4)))]
+    sign = data.draw(st.sampled_from((1, -1)))
+    tops = data.draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        weight = [sign * t for t in tops]
+    else:
+        low = st.integers(-1, 1)
+        weight = [IntPoly([data.draw(low) * t, sign * t, data.draw(low) * t]) for t in tops]
+    assert _class_gram(g, rows, rows, weight) == _class_gram_by_degree(g, rows, rows, weight)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bc_columns_match_per_term_oracle(n):
+    for pos, neg in bipartitions(n):
+        assert _bc_column(pos, neg) == bc_column_per_term(pos, neg)

@@ -293,6 +293,7 @@ def _c2_file(edit=None, text=None, data=None):
         _c2_file(lambda d: d["orbits"][1]["comp_group"].update(k=1.0)),
         _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=[True])),
         _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators=[1.0])),
+        _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators="1\n-1")),
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
@@ -300,6 +301,7 @@ def _c2_file(edit=None, text=None, data=None):
         "closure-not-index-pairs", "local-system-not-a-string", "no-file",
         "file-is-a-directory", "not-utf8", "rank-overflows", "integer-too-long",
         "d-e-false", "d-e-float", "k-float", "character-true", "character-float",
+        "characters-with-newline",
     ],
 )
 def test_springer_load_malformed_input(capsys, tmp_path, make):
@@ -442,6 +444,18 @@ def test_unknown_orbit_or_system_is_usage_error(capsys, args):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("what", ["sigma", "index"])
+def test_missing_orbit_is_usage_error(capsys, monkeypatch, what):
+    import greenpoly.cli as cli
+
+    def refuse(*a, **k):
+        raise AssertionError("table loaded before the missing --orbit was reported")
+
+    monkeypatch.setattr(cli, "_table", refuse)
+    code, out, err = run(capsys, "spin", what, "--type", "C", "--rank", "2")
+    assert (code, out, err) == (1, "", f"error: spin {what} requires --orbit\n")
 
 
 def test_verification_failure_exit_two(capsys, tmp_path):

@@ -340,6 +340,22 @@ def test_sparse_checks_match_dense_oracle(tableau, key):
     assert not k_bad["kl_equation"]
 
 
+@pytest.mark.parametrize("key", [("A", 4), ("A", 8), ("C", 3)], ids=["A4", "A8", "C3"])
+def test_kl_equation_rejects_a_difference_vanishing_at_a_narrower_width(tableau, key):
+    # Lambda_aa + (q - 2^w) moves (K Lambda K^t)_ij by K_ia (q - 2^w) K_ja,
+    # which vanishes at q = 2^w: a check that packs at q = 2^w, for any w
+    # below the width the mutant needs, passes that mutant
+    tab = tableau(*key)
+    a = len(tab.pairs) - 1
+    for w in range(1, 80):
+        Lam = [list(row) for row in tab.Lam]
+        Lam[a][a] = Lam[a][a] + P(-(2**w), 1)
+        bad = copy.copy(tab)
+        bad.Lam = Lam
+        report = {name: ok for name, ok, _ in verify(bad)}
+        assert not report["kl_equation"], w
+
+
 def _flag_count(mu) -> IntPoly:
     """P_mu = sum_k q^{a_{k+1}} [a_k - a_{k+1}]_q P_{mu - (k)}, P_() = 1, for
     mu = (a_1 >= a_2 >= ...): the Poincare polynomial, in q = degree 2, of

@@ -17,7 +17,6 @@ from greenpoly.polyq import IntPoly
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
     WeylType,
-    _brute_force_classes,
     _verify,
     bipartitions,
     braid_order,
@@ -32,6 +31,9 @@ from greenpoly.weyl import (
     simple_generators,
     _mul,
 )
+
+import oracles
+from oracles import brute_force_classes
 
 
 def test_supported_ranks():
@@ -155,7 +157,7 @@ def _split_positive_rep(mu):
 def test_closed_form_classes_match_orbit_partition(family, rank):
     t = WeylType(family, rank)
     g = build(t)
-    orbits = {min(orb): orb for orb in _brute_force_classes(t)}
+    orbits = {min(orb): orb for orb in brute_force_classes(t)}
     assert len(orbits) == len(g.classes)
     for k, cls in enumerate(g.classes):
         orb = orbits[cls.representative]  # the representative is min(orbit)
@@ -186,7 +188,7 @@ def test_type_a_representatives_are_consecutive_cycles(rank):
 def test_type_a_representative_is_not_least():
     g = build(WeylType("A", 2))
     rep = next(c.representative for c in g.classes if c.label == (2, 1))
-    orbit = next(o for o in _brute_force_classes(WeylType("A", 2)) if rep in o)
+    orbit = next(o for o in brute_force_classes(WeylType("A", 2)) if rep in o)
     assert rep == (1, 0, 2) and min(orbit) == (0, 2, 1)
 
 
@@ -209,13 +211,31 @@ def test_build_and_twisted_count_never_enumerate(monkeypatch):
         raise AssertionError("whole-group enumeration")
 
     monkeypatch.setattr(weyl, "all_elements", refuse)
-    monkeypatch.setattr(weyl, "_brute_force_classes", refuse)
+    monkeypatch.setattr(oracles, "elements", refuse)
+    monkeypatch.setattr(oracles, "brute_force_classes", refuse)
     # the uncached body, so the groups other tests hold stay the cached ones
     uncached_build = build.__wrapped__
     for fam in ("B", "C", "D"):
         uncached_build(WeylType(fam, 6))
     for fam, r in (("A", 7), ("D", 5)):
         delta_elliptic_count(uncached_build(WeylType(fam, r)))
+
+
+def test_build_finds_no_representative(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("least-element search in build")
+
+    monkeypatch.setattr(weyl, "_lex_elements", refuse)
+    built = {fam: build.__wrapped__(WeylType(fam, 6)) for fam in ("B", "C", "D")}
+    # B_n and C_n share the classes of the cached `_build_BC`: build them
+    # afresh too, so that no representative read earlier is reused
+    fresh = {"B": weyl._build_BC.__wrapped__(6)[0], "D": built["D"].classes}
+    monkeypatch.undo()
+    # read afterwards, each is the representative that
+    # test_closed_form_classes_match_orbit_partition finds to be min(orbit)
+    for fam, classes in fresh.items():
+        want = [cls.representative for cls in build(WeylType(fam, 6)).classes]
+        assert [cls.representative for cls in classes] == want
 
 
 def test_twisted_orbits_partition_group():
