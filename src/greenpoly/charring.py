@@ -8,14 +8,15 @@ and Omega.  All of them go through `_class_gram`, on integers packed by
 Kronecker substitution, in one of two layouts.  The packed store `ClassRows`
 packs each polynomial class value into one integer f(2^b) and takes each
 entry as one integer dot product over the classes; the solver keeps its
-columns in one, and `_class_gram` pairs two lists of rows with a one-shot
-store.  The Gram of the character table with itself (the q-elliptic,
-(-1)-elliptic and Omega Grams) is row-packed instead (`_row_gram`): each
-class column is packed over the irreducibles, so one integer dot product per
-row and weight degree gives that row's entries at once, with no pairing
-unpacked alone.  The brute-force sums over group elements are test oracles.
-The coinvariant class function is an integer polynomial for every w, which
-keeps fake degrees and the fake-degree matrix inside Z[q] throughout.
+columns in one and pairs the irreducibles against each column once, and
+`_class_gram` pairs two lists of rows with a one-shot store.  The Gram of
+the character table with itself (the q-elliptic, (-1)-elliptic and Omega
+Grams) is row-packed instead (`_row_gram`): each class column is packed
+over the irreducibles, so one integer dot product per row and weight degree
+gives that row's entries at once, with no pairing unpacked alone.  The
+brute-force sums over group elements are test oracles.  The coinvariant
+class function is an integer polynomial for every w, which keeps fake
+degrees and the fake-degree matrix inside Z[q] throughout.
 """
 
 from __future__ import annotations
@@ -134,28 +135,26 @@ class ClassRows:
 
     A row lists `lead` carried values, which take part in `combine` but not
     in pairings, and then one value per class, each an int or an IntPoly.
-    The store keeps one slot width b, which only grows.  It tracks, per
-    position, the largest |coefficient| of a stored row, and per class the
-    largest |.|_1 of a stored row and the largest |coefficient| of the
-    `probes`, rows that are paired against the store without being stored.
-    From these, sum_k |C_k| sup_k one_k |weight_k|_1 bounds every pairing
-    coefficient, where sup_k covers the probes and, when `paired`, the stored
-    rows too.  When the bound outgrows b, b becomes max(needed, 2b) and every
-    row is packed again, so a row is repacked O(log) times however many rows
-    follow.  Each row is kept packed at q = 2^b (`IntPoly.pack`), and its
+    A pairing takes one of the `probes`, rows given up front and not
+    stored, and a stored row.  The store keeps one slot width b, which only
+    grows.  It tracks, per position, the largest |coefficient| of a stored
+    row, and per class k the largest |.|_1 one_k of a stored row and the
+    largest |coefficient| reach_k of a probe.  From these,
+    sum_k |C_k| reach_k one_k |weight_k|_1 bounds every pairing
+    coefficient.  When the bound outgrows b, b becomes max(needed, 2b) and
+    every row is packed again, so a row is repacked O(log) times however
+    many rows follow.  Each row is kept packed at q = 2^b (`IntPoly.pack`), and its
     class part also times |C_k| weight_k(2^b), so a pairing is one integer
     dot product over the classes, tested for zero before it is unpacked.
     Ungraded rows and weights need no width: their packed form is the row.
     """
 
-    def __init__(self, g: WeylGroupData, weight, graded: bool, probes=(), lead=0,
-                 paired=True):
+    def __init__(self, g: WeylGroupData, weight, graded: bool, probes=(), lead=0):
         self.order = g.order
         self.sizes = [cls.size for cls in g.classes]
         self.weight = weight
         self.graded = graded
         self.lead = lead
-        self.paired = paired
         self.b = 0
         self.rows: list = []  # values: lead carried ones, then one per class
         self.packed: list = []  # each row at q = 2^b
@@ -181,16 +180,14 @@ class ClassRows:
         self.one = list(map(max, self.one, map(_norm1, row[self.lead:])))
 
     def _needed(self) -> int:
-        sup = self.reach
-        if self.paired:
-            sup = list(map(max, sup, self.top[self.lead:]))
         return slot_bits(
-            sum(map(mul, map(mul, self.sizes, sup), map(mul, self.one, self.weight1)))
+            sum(map(mul, map(mul, self.sizes, self.reach), map(mul, self.one, self.weight1)))
         )
 
     def _grow(self, needed: int):
         """Widen the slots to max(needed, 2b) and pack every row again."""
         self.b = b = max(needed, 2 * self.b)
+        self.limit = ((1 << (b - 1)) - 1) // self.order
         self.sized = [s * _packed(w, b) for s, w in zip(self.sizes, self.weight)]
         self.packed, self.weighted = [], []
         for row in self.rows:
@@ -227,9 +224,11 @@ class ClassRows:
         acc = list(base)
         for c, j in terms:
             acc = list(map(sub, acc, map(c.pack(b).__mul__, self.packed[j])))
-        row = [IntPoly.unpack(x, b) for x in acc]
+        row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]
         self.rows.append(row)
-        self._fold(row)
+        # every value is an IntPoly, so the norms need no type test
+        self.top = list(map(max, self.top, map(IntPoly.norm_inf, row)))
+        self.one = list(map(max, self.one, map(IntPoly.norm1, row[self.lead:])))
         needed = self._needed()
         if needed > b:
             self._grow(needed)
@@ -238,23 +237,24 @@ class ClassRows:
         return row
 
     def pair(self, a, j):
-        """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a."""
+        """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a.
+
+        A graded sum is divided by |W| before it is unpacked.  Its
+        coefficients are signed digits below 2^(b-1), which are unique, so
+        all of them are divisible exactly when |W| divides the packed sum
+        and the digits of the quotient are at most (2^(b-1) - 1)/|W|.
+        """
         total = sum(map(mul, a, self.weighted[j]))
         if not self.graded:
             return _over_order(total, self.order)
         if not total:
             return ZERO
+        quo, rem = divmod(total, self.order)
+        if not rem:
+            entry = IntPoly.unpack(quo, self.b)
+            if entry.norm_inf() <= self.limit:
+                return entry
         return _over_order(IntPoly.unpack(total, self.b), self.order)
-
-    def gram(self, idx) -> list:
-        """The Gram of the stored rows at the positions idx (a range): only
-        the entries with j >= i are summed, and the rest mirrored."""
-        lead = self.lead
-        gram = []
-        for n, i in enumerate(idx):
-            a = self.packed[i][lead:]
-            gram.append([gram[m][n] for m in range(n)] + [self.pair(a, j) for j in idx[n:]])
-        return gram
 
 
 def _over_order(total, order: int):
@@ -350,7 +350,7 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     if rows_a is rows_b:
         return _row_gram(g, rows_a, weight)
     graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
-    store = ClassRows(g, weight, graded, probes=rows_a, paired=False)
+    store = ClassRows(g, weight, graded, probes=rows_a)
     store.extend(rows_b)
     js = range(len(rows_b))
     return [[store.pair(a, j) for j in js] for a in map(store.pack, rows_a)]

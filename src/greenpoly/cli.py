@@ -15,7 +15,7 @@ import sys
 
 from . import spin as spinmod
 from .charring import fake_degree, minus_one_gram, q_elliptic_gram
-from .lusztigshoji import GreenTableau, SolverError, solve, verify
+from .lusztigshoji import GreenTableau, SolverError, m_block, solve, verify
 from .springer import (
     SpringerTable,
     TableFormatError,
@@ -50,18 +50,20 @@ def _label_str(lab) -> str:
     return "(" + ",".join(map(str, lab)) + ")"
 
 
-def _emit(payload, fmt: str, csv_rows=None, pretty_lines=None):
+def _emit(fmt: str, payload, csv_rows=None, pretty_lines=None):
+    """Print the one form that fmt names.  Each form is a function of no
+    arguments, called only for the format printed, so a verb builds no form
+    it does not print."""
     if fmt == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     elif fmt == "csv":
-        for row in csv_rows:
+        for row in csv_rows():
             print(",".join(str(x) for x in row))
+    elif pretty_lines is None:
+        print(json.dumps(payload(), indent=1))
     else:
-        if pretty_lines is None:
-            print(json.dumps(payload, indent=1))
-        else:
-            for line in pretty_lines:
-                print(line)
+        for line in pretty_lines():
+            print(line)
 
 
 def _group(args: argparse.Namespace) -> WeylGroupData:
@@ -108,23 +110,28 @@ def _table(args: argparse.Namespace) -> SpringerTable:
 def cmd_wg(args):
     g = _group(args)
     if args.what == "classes":
-        payload = [
-            {"label": _label_str(c.label), "size": c.size} for c in g.classes
-        ]
-        rows = [["label", "size"]] + [[_label_str(c.label), c.size] for c in g.classes]
-        _emit(payload, args.format, rows, [f"{_label_str(c.label)}  size {c.size}" for c in g.classes])
+        _emit(
+            args.format,
+            lambda: [{"label": _label_str(c.label), "size": c.size} for c in g.classes],
+            lambda: [["label", "size"]] + [[_label_str(c.label), c.size] for c in g.classes],
+            lambda: [f"{_label_str(c.label)}  size {c.size}" for c in g.classes],
+        )
         return 0
     if args.what == "chartable":
-        payload = {
-            "irreps": [_label_str(l) for l in g.irrep_labels],
-            "classes": [_label_str(c.label) for c in g.classes],
-            "sizes": [c.size for c in g.classes],
-            "table": [list(row) for row in g.char_table],
-        }
-        rows = [[""] + [_label_str(c.label) for c in g.classes]]
-        for lab, row in zip(g.irrep_labels, g.char_table):
-            rows.append([_label_str(lab)] + list(row))
-        _emit(payload, args.format, rows, [",".join(map(str, r)) for r in rows])
+        def payload():
+            return {
+                "irreps": [_label_str(l) for l in g.irrep_labels],
+                "classes": [_label_str(c.label) for c in g.classes],
+                "sizes": [c.size for c in g.classes],
+                "table": [list(row) for row in g.char_table],
+            }
+
+        def rows():
+            return [[""] + [_label_str(c.label) for c in g.classes]] + [
+                [_label_str(lab)] + list(row) for lab, row in zip(g.irrep_labels, g.char_table)
+            ]
+
+        _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
         return 0
     raise UsageError(f"unknown wg subcommand {args.what!r}")
 
@@ -139,42 +146,55 @@ def cmd_pairing(args):
         gram = minus_one_gram(g)
     else:
         raise UsageError("--form must be qell, minusone, or delta")
-    payload = {
-        "irreps": [_label_str(l) for l in g.irrep_labels],
-        "form": args.form,
-        "gram": gram,
-    }
-    rows = [[_label_str(l)] + list(map(str, row)) for l, row in zip(g.irrep_labels, gram)]
-    _emit(payload, args.format, rows, [",".join(map(str, r)) for r in rows])
+
+    def payload():
+        return {
+            "irreps": [_label_str(l) for l in g.irrep_labels],
+            "form": args.form,
+            "gram": gram,
+        }
+
+    def rows():
+        return [[_label_str(l)] + list(map(str, row)) for l, row in zip(g.irrep_labels, gram)]
+
+    _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
     return 0
 
 
 def cmd_fakedeg(args):
     g = _group(args)
-    payload = [
-        {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
-        for i, l in enumerate(g.irrep_labels)
-    ]
-    rows = [[_label_str(l), str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
-    _emit(payload, args.format, rows, [f"{a}: {b}" for a, b in rows])
+
+    def payload():
+        return [
+            {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
+            for i, l in enumerate(g.irrep_labels)
+        ]
+
+    def rows():
+        return [[_label_str(l), str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
+
+    _emit(args.format, payload, rows, lambda: [f"{a}: {b}" for a, b in rows()])
     return 0
 
 
 def cmd_springer(args):
     if args.what == "show":
         table = _table(args)
-        payload = save_table(table)
-        lines = []
-        for rec in table.orbits:
-            systems = ", ".join(
-                f"{s.label} -> {_label_str(table.group.irrep_labels[s.irrep])}"
-                for s in rec.systems
-            )
-            lines.append(
-                f"orbit {rec.label.partition} d_e={rec.d_e} "
-                f"A(e)={rec.comp.kind}(k={rec.comp.k}): {systems}"
-            )
-        _emit(payload, args.format, None, lines)
+
+        def lines():
+            out = []
+            for rec in table.orbits:
+                systems = ", ".join(
+                    f"{s.label} -> {_label_str(table.group.irrep_labels[s.irrep])}"
+                    for s in rec.systems
+                )
+                out.append(
+                    f"orbit {rec.label.partition} d_e={rec.d_e} "
+                    f"A(e)={rec.comp.kind}(k={rec.comp.k}): {systems}"
+                )
+            return out
+
+        _emit(args.format, lambda: save_table(table), None, lines)
         return 0
     if args.what == "load":
         if args.file is None:
@@ -191,7 +211,7 @@ def cmd_springer(args):
             f"loaded type {table.ambient} rank {table.n}: "
             f"{payload['orbits']} orbits, {payload['pairs']} pairs, valid"
         )
-        _emit(payload, args.format, None, [line])
+        _emit(args.format, lambda: payload, None, lambda: [line])
         return 0
     raise UsageError(f"unknown springer subcommand {args.what!r}")
 
@@ -223,37 +243,36 @@ def _tableau_payload(tab: GreenTableau):
 def cmd_green(args):
     table = _table(args)
     tab = solve(table)
-    payload = _tableau_payload(tab)
     n = len(tab.pairs)
-    K = tab.k_matrix()
-    rows = [[""] + [tab.pair_name(j) for j in range(n)]]
-    for i in range(n):
-        rows.append([tab.pair_name(i)] + [str(K[i][j]) for j in range(n)])
-    lines = []
-    for j in range(n):
-        terms = [
-            f"({c})*{_label_str(tab.group.irrep_labels[i])}"
-            for i, c in enumerate(tab.coords[j])
-            if c
-        ]
-        lines.append(f"X_q[{tab.pair_name(j)}] = " + " + ".join(terms))
-    lines.append("M(q) diagonal blocks:")
-    seen = set()
-    for orbit, _ in tab.pairs:
-        if orbit in seen:
-            continue
-        seen.add(orbit)
-        from .lusztigshoji import m_block
 
-        block = m_block(tab, orbit)
-        lab = str(table.orbits[orbit].label.partition)
-        if len(block) == 1:
-            lines.append(f"  {lab}: {block[0][0]}")
-        else:
-            lines.append(f"  {lab}:")
-            for row in block:
-                lines.append("    [" + ", ".join(str(e) for e in row) + "]")
-    _emit(payload, args.format, rows, lines)
+    def rows():
+        K = tab.k_matrix()
+        return [[""] + [tab.pair_name(j) for j in range(n)]] + [
+            [tab.pair_name(i)] + [str(K[i][j]) for j in range(n)] for i in range(n)
+        ]
+
+    def lines():
+        out = []
+        for j in range(n):
+            terms = [
+                f"({c})*{_label_str(tab.group.irrep_labels[i])}"
+                for i, c in enumerate(tab.coords[j])
+                if c
+            ]
+            out.append(f"X_q[{tab.pair_name(j)}] = " + " + ".join(terms))
+        out.append("M(q) diagonal blocks:")
+        for orbit in dict.fromkeys(o for o, _ in tab.pairs):
+            block = m_block(tab, orbit)
+            lab = str(table.orbits[orbit].label.partition)
+            if len(block) == 1:
+                out.append(f"  {lab}: {block[0][0]}")
+            else:
+                out.append(f"  {lab}:")
+                for row in block:
+                    out.append("    [" + ", ".join(str(e) for e in row) + "]")
+        return out
+
+    _emit(args.format, lambda: _tableau_payload(tab), rows, lines)
     return 0
 
 
@@ -337,20 +356,19 @@ def cmd_spin(args):
     pin = spinmod.build_pin(tab.group)
     if args.what == "sigma":
         st = spinmod.sigma_tilde(tab, pin, lam, args.phi)
-        payload = {
-            "orbit": list(lam),
-            "system": args.phi,
-            "exact_norm": st.exact_norm,
-            "values": [
-                {"class": _label_str(c.label), "value": _cplx(v)}
-                for c, v in zip(tab.group.classes, st.values)
-            ],
-        }
-        lines = [f"exact norm: {st.exact_norm}"] + [
-            f"{_label_str(c.label)}: {_cplx(v)}"
-            for c, v in zip(tab.group.classes, st.values)
-        ]
-        _emit(payload, args.format, None, lines)
+        values = list(zip(tab.group.classes, st.values))
+        _emit(
+            args.format,
+            lambda: {
+                "orbit": list(lam),
+                "system": args.phi,
+                "exact_norm": st.exact_norm,
+                "values": [{"class": _label_str(c.label), "value": _cplx(v)} for c, v in values],
+            },
+            None,
+            lambda: [f"exact norm: {st.exact_norm}"]
+            + [f"{_label_str(c.label)}: {_cplx(v)}" for c, v in values],
+        )
         return 0
     if args.what == "classify":
         if table.ambient != "A":
@@ -373,32 +391,37 @@ def cmd_spin(args):
                     "alternating_betti": rep.alternating_betti,
                 }
             )
-        lines = [
-            (
+        _emit(
+            args.format,
+            lambda: out,
+            None,
+            lambda: [
                 f"{d['orbit']}: {'single' if d['constituents'] == 1 else 'dual pair'}"
                 f", a={d['a_lambda']}, dim {d['dim_each']}, norm {d['exact_norm']}"
-            )
-            for d in out
-        ]
-        _emit(out, args.format, None, lines)
+                for d in out
+            ],
+        )
         return 0
     if args.what == "index":
         di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
-        payload = {
-            "orbit": list(lam),
-            "system": args.phi,
-            "even_nonzero": di.even_nonzero,
-            "coset_nonzero": di.coset_nonzero,
-            "even_values": [_cplx(v) for v in di.even_values],
-            "coset_values": [_cplx(v) for v in di.coset_values],
-            "note": di.note,
-        }
-        lines = [
-            f"even part nonzero: {di.even_nonzero}",
-            f"coset part nonzero: {di.coset_nonzero}",
-            di.note,
-        ]
-        _emit(payload, args.format, None, lines)
+        _emit(
+            args.format,
+            lambda: {
+                "orbit": list(lam),
+                "system": args.phi,
+                "even_nonzero": di.even_nonzero,
+                "coset_nonzero": di.coset_nonzero,
+                "even_values": [_cplx(v) for v in di.even_values],
+                "coset_values": [_cplx(v) for v in di.coset_values],
+                "note": di.note,
+            },
+            None,
+            lambda: [
+                f"even part nonzero: {di.even_nonzero}",
+                f"coset part nonzero: {di.coset_nonzero}",
+                di.note,
+            ],
+        )
         return 0
     raise UsageError(f"unknown spin subcommand {args.what!r}")
 

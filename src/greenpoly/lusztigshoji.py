@@ -13,10 +13,20 @@ division that raises SolverError when the quotient leaves Z[q].
 The columns of one solve, coordinates and class values side by side, live
 in one packed store (`charring.ClassRows`): each is packed once, at a slot
 width that only grows, and built as an integer combination of the packed
-earlier columns.  A projection is one integer dot product, and M comes
-from the same store.  `verify` takes Lambda M and K Lambda as exact
-products that skip zero factors (`polyq.sparse_matmul`), and compares
-K Lambda K^t with Omega as packed integers, without unpacking an entry.
+earlier columns.  As soon as a column is stored it is paired once with
+every irreducible, V[j][a] = <chi_a, column j>^q, each pairing one integer
+dot product of a character-table row with the packed column, tested for
+zero before it is unpacked.  A projection reads its pairings from V and
+sums nothing again.  M comes from V by bilinearity, M_ij =
+sum_a K_ai V[j][a] over the a where both factors are nonzero
+(`_gram_column`): an entry within a block is the lookup V[j][sigma_i] once
+column j pairs to zero with every earlier irreducible, and an entry across
+orbits is then an empty sum; a column that does not pair to zero gets
+those entries in full.  So M holds true class sums, which
+`cross_orbit_orthogonality` checks, without a product of two packed
+columns.  `verify` takes Lambda M and K Lambda as exact products that skip
+zero factors (`polyq.sparse_matmul`), and compares K Lambda K^t with Omega
+as packed integers, without unpacking an entry.
 """
 
 from __future__ import annotations
@@ -81,6 +91,26 @@ def _inverse_parts(rows, what: str) -> tuple:
         raise SolverError(f"singular {what}")
 
 
+def _gram_column(coords, supports, vj) -> list:
+    """<col_i, col_j>^q for every column i <= j, from the pairings vj of
+    column j with the irreducibles.
+
+    Column i is sum_a K_ai chi_a, so <col_i, col_j> = sum_a K_ai vj[a] by
+    bilinearity, summed over the a where both factors are nonzero (supports
+    lists the a with K_ai != 0).  K_ai is nonzero only for the irreducibles
+    of column i and of the columns before it.  So once column j pairs to
+    zero with the irreducibles of every earlier block, each entry across
+    orbits is an empty sum, and one within a block is the lookup
+    vj[sigma_i]; a column that does not pair to zero gets its cross-orbit
+    entries in full.
+    """
+    nonzero = {a for a, v in enumerate(vj) if v}
+    return [
+        sum((k_i[a] * vj[a] for a in support & nonzero), ZERO)
+        for k_i, support in zip(coords, supports)
+    ]
+
+
 def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     """Run the triangular orthogonalization and verify the outcome.
 
@@ -92,9 +122,15 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
+    chars = g.char_table
     # a column is its coordinates over the irreducibles, carried along, then
-    # its class values; the irreducibles are the probes of the projections
-    store = ClassRows(g, g.refl_charpoly, graded=True, probes=g.char_table, lead=nirr)
+    # its class values; the irreducibles are the probes of the pairings
+    store = ClassRows(g, g.refl_charpoly, graded=True, probes=chars, lead=nirr)
+    npairs = len(pairs)
+    coords: list = []  # K's columns: each column's coordinates
+    supports: list = []  # per column, the irreducibles where it is nonzero
+    V: list = []  # V[j][a] = <chi_a, column j>^q, taken once per column
+    M = [[ZERO] * npairs for _ in range(npairs)]
     blocks: list = []  # (orbit, range of pair positions) in processing order
     block_inverse: dict = {}  # orbit -> (adjugate, determinant) of its Gram block
 
@@ -103,12 +139,11 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
         members = range(start, start + len(rec.systems))
         for j in members:
             sigma = pair_irrep[j]
-            chi = g.char_table[sigma]
             # earlier blocks are mutually orthogonal, so the irreducible is
             # projected onto each of them on its own
             terms = []
             for prev_orbit, prev_members in blocks:
-                u = [store.pair(chi, jp) for jp in prev_members]
+                u = [V[jp][sigma] for jp in prev_members]
                 if not any(u):
                     continue
                 if (prev_orbit, orbit) not in table.greater:
@@ -130,18 +165,21 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
                     if c:
                         terms.append((c, jp))
             # the column is its irreducible minus sum c * (earlier column)
-            base = [0] * nirr + list(chi)
+            base = [0] * nirr + list(chars[sigma])
             base[sigma] = 1
-            store.combine(base, terms)
+            col = store.combine(base, terms)[:nirr]
+            coords.append(col)
+            supports.append({a for a, k in enumerate(col) if k})
+            V.append([store.pair(chi, j) for chi in chars])
+            for i, x in enumerate(_gram_column(coords, supports, V[j])):
+                M[i][j] = M[j][i] = x
         block_inverse[orbit] = _inverse_parts(
-            store.gram(members),
+            [[M[a][b] for b in members] for a in members],
             f"within-orbit Gram block at orbit {rec.label.partition}",
         )
         blocks.append((orbit, members))
 
-    npairs = len(pairs)
-    M = store.gram(range(npairs))
-    coords = [tuple(row[:nirr]) for row in store.rows]
+    coords = list(map(tuple, coords))
     class_values = [tuple(row[nirr:]) for row in store.rows]
 
     p = poincare_poly(g)

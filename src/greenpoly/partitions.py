@@ -63,24 +63,32 @@ def hooks(lam: Partition, r: int):
     """All ways to remove an r-rim-hook; yields (smaller partition, leg length).
 
     Works on beta numbers: removing an r-hook moves one bead down by r on the
-    abacus, and the leg length counts the beads jumped over.
+    abacus, and the leg length counts the beads jumped over.  The beads are
+    kept in decreasing order, so the moved bead is slotted in after the ones
+    it jumps, with no sort.
     """
-    lam = tuple(lam)
     m = len(lam)
-    if m == 0:
-        return
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
-    for b in beta:
+    beta = [p + m - 1 - i for i, p in enumerate(lam)]
+    for i, b in enumerate(beta):
         nb = b - r
-        if nb < 0 or nb in bset:
+        if nb < 0:
             continue
-        leg = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new = tuple(v - (m - 1 - k) for k, v in enumerate(new_beta))
-        yield tuple(p for p in new if p > 0), leg
+        j = i + 1
+        while j < m and beta[j] > nb:
+            j += 1
+        if j < m and beta[j] == nb:
+            continue
+        new_beta = beta[:i] + beta[i + 1:j] + [nb] + beta[j:]
+        smaller = tuple(v - (m - 1 - k) for k, v in enumerate(new_beta) if v > m - 1 - k)
+        yield smaller, j - i - 1
+
+
+@lru_cache(maxsize=None)
+def _signed_hooks(lam: Partition, r: int) -> tuple:
+    """The r-rim-hooks of lam, as (smaller partition, (-1)^leg), found once:
+    the characters of S_n at different cycle types reach the same (lam, r)
+    many times."""
+    return tuple((smaller, -1 if leg % 2 else 1) for smaller, leg in hooks(lam, r))
 
 
 @lru_cache(maxsize=None)
@@ -88,11 +96,8 @@ def sym_char(lam: Partition, mu: Partition) -> int:
     """Character of the S_n irrep lam at cycle type mu (Murnaghan-Nakayama)."""
     if not mu:
         return 1 if not lam else 0
-    r, rest = mu[0], mu[1:]
-    total = 0
-    for smaller, leg in hooks(lam, r):
-        total += (-1) ** leg * sym_char(smaller, rest)
-    return total
+    rest = mu[1:]
+    return sum(sign * sym_char(smaller, rest) for smaller, sign in _signed_hooks(lam, mu[0]))
 
 
 def count_odd_part_partitions(n: int) -> int:

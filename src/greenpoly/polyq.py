@@ -100,7 +100,13 @@ class IntPoly:
     @staticmethod
     def unpack(n: int, b: int) -> "IntPoly":
         """The f with f(2^b) = n, reading signed base-2^b digits; exact when
-        every coefficient of f lies strictly between -2^(b-1) and 2^(b-1)."""
+        every coefficient of f lies strictly between -2^(b-1) and 2^(b-1).
+
+        Each digit shifts the whole remaining integer, so the time is
+        quadratic in the number of digits.  A caller that packs many values
+        into one long integer splits it into entries first, by halves
+        (`charring._signed_chunks`), and unpacks each entry alone.
+        """
         out = []
         mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
         while n:

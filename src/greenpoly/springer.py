@@ -1,6 +1,6 @@
 """Nilpotent-orbit combinatorics and Springer correspondence tables.
 
-Built-in tables: GL(n) for 2 <= n <= 8 (all component groups trivial) and
+Built-in tables: GL(n) for 2 <= n <= 12 (all component groups trivial) and
 Sp(2n) for n in {1,2,3}.  The Sp(4) table is hard-coded from the worked
 rank-2 example; ranks 1 and 3 ship as JSON reference data and go through the
 same validation as user-ingested files.  A table is its orbits, largest
@@ -318,8 +318,8 @@ def _assemble(group_type, ambient, n, orbit_parts, systems_for):
 def table_typeA(n: int) -> SpringerTable:
     """GL(n) Springer table: orbits are partitions of n, trivial local
     systems, and the orbit lam carries the irrep lam^t (regular -> sgn)."""
-    if not 2 <= n <= 8:
-        raise ValueError("type A tables cover GL(n) for 2 <= n <= 8")
+    if not 2 <= n <= 12:
+        raise ValueError("type A tables cover GL(n) for 2 <= n <= 12")
     group_type = WeylType("A", n - 1)
     g = build(group_type)
 

@@ -34,7 +34,7 @@ from operator import add, mul
 from .partitions import cycle_type_size, multiplicities, partitions, sym_char
 from .polyq import IntPoly, ONE, slot_bits
 
-SUPPORTED_RANKS = {"A": range(1, 9), "B": range(1, 9), "C": range(1, 9),
+SUPPORTED_RANKS = {"A": range(1, 12), "B": range(1, 9), "C": range(1, 9),
                    "D": range(3, 9), "G2": range(2, 3)}
 
 

@@ -7,7 +7,7 @@ group elements instead of classes.
 Earlier kernels: `bc_column_per_term` is the B_n character column with one
 `sym_char` call per term; `symmetric_class_gram` is the Gram of a list of
 rows with itself, one packed dot product per entry j >= i (a one-shot
-`charring.ClassRows`).
+`charring.ClassRows` with the rows as its probes).
 
 The solver before the packed store: `solve_per_block` is the
 orthogonalisation as it ran when each orbit block called the class-sum
@@ -151,12 +151,16 @@ def bc_column_per_term(pos, neg) -> tuple:
 
 
 def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
-    """The Gram of rows with itself from a one-shot `ClassRows`: each entry
-    j >= i one packed dot product, the rest mirrored."""
+    """The Gram of rows with itself from a one-shot `ClassRows` that holds
+    the rows and has them as its probes: each entry j >= i one packed dot
+    product, the rest mirrored."""
     graded = any(isinstance(v, IntPoly) for v in itertools.chain(weight, *rows))
-    store = ClassRows(g, weight, graded)
+    store = ClassRows(g, weight, graded, probes=rows)
     store.extend(rows)
-    return store.gram(range(len(rows)))
+    gram = []
+    for i, a in enumerate(map(store.pack, rows)):
+        gram.append([gram[m][i] for m in range(i)] + [store.pair(a, j) for j in range(i, len(rows))])
+    return gram
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,28 @@ def test_row_gram_checks_each_coefficient(rank, rows, weight, witness):
             kernel(g, rows, rows, weight)
 
 
+@pytest.mark.parametrize(
+    "rank,value,witness",
+    [
+        # A1: the class sum 1 leaves a remainder mod |W| = 2, though its
+        # floor quotient 0 has no large digit
+        (1, P(1), "[1]"),
+        # A2: the class sum 4 + 2q, packed at q = 2^4, is 36, a multiple of
+        # |W| = 6, while 4 and 2 are not
+        (2, P(4, 2), "[4, 2]"),
+    ],
+)
+def test_store_pairing_checks_each_coefficient(rank, value, witness):
+    # one graded class sum, on the identity class alone, through the packed
+    # store (rows_a is not rows_b)
+    g = build(WeylType("A", rank))
+    probe, row, weight = ([0] * len(g.classes) for _ in range(3))
+    probe[g.identity_class], row[g.identity_class], weight[g.identity_class] = 1, value, P(1)
+    for kernel in (_class_gram, _class_gram_by_degree):
+        with pytest.raises(ArithmeticError, match=re.escape(f"class sums {witness} ")):
+            kernel(g, [probe], [row], weight)
+
+
 _digit = st.integers(-9, 9)
 
 
@@ -423,12 +445,13 @@ _digit = st.integers(-9, 9)
 def test_store_grows_and_matches_one_shot_gram(data):
     # rows whose coefficients reach 1, 10^10 and then 10^30 force the store's
     # slot width to grow at least twice; a combination of stored rows with
-    # coefficients up to 10^200 outgrows it once more.  Every width must give
-    # the one-shot Gram.
+    # coefficients up to 10^200 outgrows it once more.  The pairings of the
+    # irreducibles with the stored rows, as the solver takes them, must be
+    # the one-shot Gram at every width.
     g = build(WeylType("B", 2))
     k = len(g.classes)
     weight = g.refl_charpoly
-    store = ClassRows(g, weight, graded=True, lead=1)
+    store = ClassRows(g, weight, graded=True, probes=g.char_table, lead=1)
     widths = []
     for scale in (1, 10**10, 10**30):
         for _ in range(data.draw(st.integers(1, 2))):
@@ -452,9 +475,9 @@ def test_store_grows_and_matches_one_shot_gram(data):
     assert store.combine(base, terms) == want
 
     classes = [row[1:] for row in store.rows]
-    assert store.gram(range(n + 1)) == symmetric_class_gram(g, classes, weight)
-    assert store.gram(range(n + 1)) == _class_gram(g, classes, list(classes), weight)
-    assert store.gram(range(n + 1)) == _class_gram_by_degree(g, classes, classes, weight)
+    pairings = [[store.pair(chi, j) for j in range(n + 1)] for chi in g.char_table]
+    assert pairings == _class_gram(g, g.char_table, classes, weight)
+    assert pairings == _class_gram_by_degree(g, g.char_table, classes, weight)
 
 
 # groups with a Springer table, whose solve and verify use Omega

@@ -324,7 +324,7 @@ def test_data_dir_table_must_match_request(capsys, tmp_path):
     assert "type C rank 2" in err
 
 
-@pytest.mark.parametrize("family, rank", [("A", "9"), ("C", "4"), ("A", "1"), ("C", "0")])
+@pytest.mark.parametrize("family, rank", [("A", "13"), ("C", "4"), ("A", "1"), ("C", "0")])
 def test_table_rank_out_of_range(capsys, family, rank):
     code, out, err = run(capsys, "green", "--type", family, "--rank", rank)
     assert code == 1 and out == ""

@@ -1,10 +1,11 @@
 import copy
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpoly.charring import fake_degree
+from greenpoly.charring import ClassRows, fake_degree
 from greenpoly.lusztigshoji import (
     SolverError,
     _inverse_parts,
@@ -21,7 +22,7 @@ from greenpoly.partitions import partitions, transpose
 from greenpoly.polyq import IntPoly, sparse_matmul
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
-from oracles import dense_product_checks, solve_per_block
+from oracles import class_gram, dense_product_checks, solve_per_block
 
 
 def P(*cs):
@@ -289,10 +290,14 @@ def test_type_a_column_dimension_multinomial(tableau):
 # ---------------------------------------------------------------------------
 # the packed store and the sparse checks against the solver they replaced
 
-_SOLVED = [("A", n) for n in range(2, 9)] + [("C", n) for n in (1, 2, 3)]
+_SOLVED = [("A", n) for n in range(2, 12)] + [("C", n) for n in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("key", _SOLVED, ids=[f"{a}{n}" for a, n in _SOLVED])
+@pytest.mark.parametrize(
+    "key",
+    [pytest.param(k, id=f"{k[0]}{k[1]}") for k in _SOLVED]
+    + [pytest.param(("A", 12), id="A12", marks=pytest.mark.gl12)],
+)
 def test_solve_matches_per_block_oracle(tableau, key):
     tab = tableau(*key)
     want = solve_per_block(tab.table)
@@ -301,6 +306,29 @@ def test_solve_matches_per_block_oracle(tableau, key):
     assert tab.M == want.M
     assert tab.Lam == want.Lam
     assert tab.p == want.p
+
+
+def test_m_takes_cross_orbit_entries_in_full(monkeypatch):
+    # the last column of Sp(4), the zero orbit's, is stored plus q^2 times
+    # the column of the orbit (2,1,1), so it no longer pairs to zero with
+    # that orbit's irreducible (its norm still divides p, so the solve ends):
+    # M must still be the class-sum Gram of the stored class values, and
+    # verify must name the entries across orbits as its witness
+    table = table_typeC(2)
+    last, earlier = len(table.pairs()) - 1, table.pair_of((2, 1, 1), "triv")
+    combine = ClassRows.combine
+
+    def add_an_earlier_column(store, base, terms):
+        if len(store.rows) == last:
+            terms = [*terms, (P(0, 0, -1), earlier)]
+        return combine(store, base, terms)
+
+    monkeypatch.setattr(ClassRows, "combine", add_an_earlier_column)
+    tab = solve(table, check=False)
+    g = tab.group
+    assert tab.M == class_gram(g, tab.class_values, tab.class_values, g.refl_charpoly)
+    report = {name: (ok, detail) for name, ok, detail in verify(tab)}
+    assert report["cross_orbit_orthogonality"] == (False, [(earlier, last), (last, earlier)])
 
 
 def _mutants(tab):
@@ -356,6 +384,7 @@ def test_kl_equation_rejects_a_difference_vanishing_at_a_narrower_width(tableau,
         assert not report["kl_equation"], w
 
 
+@lru_cache(maxsize=None)
 def _flag_count(mu) -> IntPoly:
     """P_mu = sum_k q^{a_{k+1}} [a_k - a_{k+1}]_q P_{mu - (k)}, P_() = 1, for
     mu = (a_1 >= a_2 >= ...): the Poincare polynomial, in q = degree 2, of
@@ -374,7 +403,7 @@ def _flag_count(mu) -> IntPoly:
     return total
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 12), pytest.param(12, marks=pytest.mark.gl12)])
 def test_type_a_columns_count_flags(tableau, n):
     # the column of the orbit lambda, weighted by the dimensions of the
     # irreducibles, is the reversed Poincare polynomial of its Springer fibre:

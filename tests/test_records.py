@@ -36,7 +36,7 @@ def test_value_records_equal_hash_and_read_only(make, other, fields):
     "make",
     [
         lambda: WeylType("E", 6),  # unknown family
-        lambda: WeylType("A", 9),  # rank above the cap
+        lambda: WeylType("A", 12),  # rank above the cap
         lambda: WeylType("D", 2),  # rank below the cap
         lambda: OrbitLabel((1, 2), "A"),  # not weakly decreasing
         lambda: OrbitLabel((3,), "C"),  # odd size

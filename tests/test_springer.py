@@ -51,13 +51,13 @@ class TestTypeA:
             assert d_e(OrbitLabel((1,) * n, "A")) == n * (n - 1) // 2
 
     def test_bijection_counts(self):
-        for n in range(2, 9):
+        for n in range(2, 13):
             t = table_typeA(n)
             assert len(t.pairs()) == len(t.group.irrep_labels)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            table_typeA(9)
+            table_typeA(13)
 
 
 class TestTypeC:

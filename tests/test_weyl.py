@@ -38,7 +38,7 @@ from oracles import brute_force_classes
 
 def test_supported_ranks():
     with pytest.raises(ValueError):
-        WeylType("A", 9)
+        WeylType("A", 12)
     for fam in ("B", "C", "D"):
         with pytest.raises(ValueError):
             WeylType(fam, 9)
