@@ -5,25 +5,27 @@ with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
 q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
 the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
 and Omega.  All of them go through `_class_gram`, on integers packed by
-Kronecker substitution, in one of two layouts.  The packed store `ClassRows`
-packs each polynomial class value into one integer f(2^b) and takes each
-entry as one integer dot product over the classes; the solver keeps its
-columns in one and pairs the irreducibles against each column once, and
-`_class_gram` pairs two lists of rows with a one-shot store.  The Gram of
-the character table with itself (the q-elliptic, (-1)-elliptic and Omega
-Grams) is row-packed instead (`_row_gram`): each class column is packed
-over the irreducibles, so one integer dot product per row and weight degree
-gives that row's entries at once, with no pairing unpacked alone.  The
-brute-force sums over group elements are test oracles.  The coinvariant
-class function is an integer polynomial for every w, which keeps fake
-degrees and the fake-degree matrix inside Z[q] throughout.
+Kronecker substitution, in one of two layouts.  The one-shot store
+`ClassRows` packs each polynomial class value of two lists of rows into one
+integer f(2^b) and takes each entry as one integer dot product over the
+classes.  The Gram of the character table with itself (the q-elliptic,
+(-1)-elliptic and Omega Grams, and Omega at one integer point for the
+solver's check) is row-packed instead (`_row_gram`): each class column is
+packed over the irreducibles, so one integer dot product per row and weight
+degree gives that row's entries at once, with no pairing unpacked alone.
+The q-elliptic Gram of the irreducibles is kept per type: by bilinearity it
+gives the solver every pairing of a Green column, so the solver takes no
+class sum of its own.  The brute-force sums over group elements are test
+oracles.  The coinvariant class function is an integer polynomial for every
+w, which keeps fake degrees and the fake-degree matrix inside Z[q]
+throughout.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, mul, sub
+from operator import mul
 
 from .polyq import IntPoly, ONE, ZERO, slot_bits
 from .weyl import WeylGroupData, WeylType, build
@@ -81,13 +83,14 @@ class GradedCharacter:
 
     @cached_property
     def values(self) -> tuple:
-        """The character's value on each class, computed once, degree by degree."""
-        top = max((len(c.coeffs) for c in self.coords), default=0)
-        by_degree = [[c[d] for c in self.coords] for d in range(top)]
-        return tuple(
-            IntPoly([sum(map(mul, cd, col)) for cd in by_degree])
-            for col in zip(*self.group.char_table)
-        )
+        """The character's value on each class, computed once.  The
+        coordinates are packed at q = 2^b, with b holding
+        sum_a |coord_a|_inf max_k |chi_a(w_k)|, so each value is one integer
+        dot product with a column of the character table, unpacked once."""
+        table = self.group.char_table
+        b = slot_bits(sum(c.norm_inf() * max(map(abs, row)) for c, row in zip(self.coords, table)))
+        packed = [c.pack(b) for c in self.coords]
+        return tuple(IntPoly.unpack(sum(map(mul, packed, col)), b) for col in zip(*table))
 
     def value(self, cls: int) -> IntPoly:
         return self.values[cls]
@@ -131,110 +134,38 @@ def _norm1(v) -> int:
 
 
 class ClassRows:
-    """Rows of class values, kept packed for the class-sum pairings of one weight.
+    """Rows of class values, packed once for the class-sum pairings of one weight.
 
-    A row lists `lead` carried values, which take part in `combine` but not
-    in pairings, and then one value per class, each an int or an IntPoly.
-    A pairing takes one of the `probes`, rows given up front and not
-    stored, and a stored row.  The store keeps one slot width b, which only
-    grows.  It tracks, per position, the largest |coefficient| of a stored
-    row, and per class k the largest |.|_1 one_k of a stored row and the
-    largest |coefficient| reach_k of a probe.  From these,
-    sum_k |C_k| reach_k one_k |weight_k|_1 bounds every pairing
-    coefficient.  When the bound outgrows b, b becomes max(needed, 2b) and
-    every row is packed again, so a row is repacked O(log) times however
-    many rows follow.  Each row is kept packed at q = 2^b (`IntPoly.pack`), and its
-    class part also times |C_k| weight_k(2^b), so a pairing is one integer
-    dot product over the classes, tested for zero before it is unpacked.
-    Ungraded rows and weights need no width: their packed form is the row.
+    Each row lists one value per class, an int or an IntPoly.  A pairing
+    takes one of the `probes`, rows given up front and not stored, and one
+    of the stored `rows`.  Graded rows or weights are packed at one slot
+    width b, `slot_bits` of sum_k |C_k| reach_k one_k |weight_k|_1, where
+    reach_k is the largest |coefficient| of a probe on class k and one_k the
+    largest |.|_1 of a stored row there; that bounds every pairing
+    coefficient.  Each stored row is kept packed at q = 2^b (`IntPoly.pack`)
+    and times |C_k| weight_k(2^b), so a pairing is one integer dot product
+    over the classes, tested for zero before it is unpacked.  Ungraded rows
+    and weights need no width: their packed form is the row.
     """
 
-    def __init__(self, g: WeylGroupData, weight, graded: bool, probes=(), lead=0):
+    def __init__(self, g: WeylGroupData, weight, rows, probes):
         self.order = g.order
-        self.sizes = [cls.size for cls in g.classes]
-        self.weight = weight
-        self.graded = graded
-        self.lead = lead
-        self.b = 0
-        self.rows: list = []  # values: lead carried ones, then one per class
-        self.packed: list = []  # each row at q = 2^b
-        self.weighted: list = []  # class part of each packed row times sized
-        self.sized = None if graded else list(map(mul, self.sizes, weight))
-        if graded:
-            k = len(self.sizes)
-            self.weight1 = list(map(_norm1, weight))
-            self.reach = [max(map(_norm_inf, col)) for col in zip(*probes)] or [0] * k
-            self.top = [0] * (lead + k)
-            self.one = [0] * k
+        sizes = [cls.size for cls in g.classes]
+        self.graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows, *probes))
+        self.b = b = 0
+        if self.graded:
+            reach = [max(map(_norm_inf, col)) for col in zip(*probes)]
+            one = [max(map(_norm1, col)) for col in zip(*rows)]
+            self.b = b = slot_bits(
+                sum(map(mul, map(mul, sizes, reach), map(mul, one, map(_norm1, weight))))
+            )
+            self.limit = ((1 << (b - 1)) - 1) // self.order
+        sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
+        self.weighted = [list(map(mul, sized, self.pack(row))) for row in rows]
 
     def pack(self, row) -> list:
         """A row at q = 2^b."""
         return [_packed(v, self.b) for v in row]
-
-    def _store(self, packed):
-        self.packed.append(packed)
-        self.weighted.append(list(map(mul, self.sized, packed[self.lead:])))
-
-    def _fold(self, row):
-        self.top = list(map(max, self.top, map(_norm_inf, row)))
-        self.one = list(map(max, self.one, map(_norm1, row[self.lead:])))
-
-    def _needed(self) -> int:
-        return slot_bits(
-            sum(map(mul, map(mul, self.sizes, self.reach), map(mul, self.one, self.weight1)))
-        )
-
-    def _grow(self, needed: int):
-        """Widen the slots to max(needed, 2b) and pack every row again."""
-        self.b = b = max(needed, 2 * self.b)
-        self.limit = ((1 << (b - 1)) - 1) // self.order
-        self.sized = [s * _packed(w, b) for s, w in zip(self.sizes, self.weight)]
-        self.packed, self.weighted = [], []
-        for row in self.rows:
-            self._store(self.pack(row))
-
-    def extend(self, rows):
-        """Store rows, each packed once at the width that holds them all."""
-        start = len(self.rows)
-        self.rows += rows
-        if self.graded:
-            for row in rows:
-                self._fold(row)
-            needed = self._needed()
-            if needed > self.b:
-                self._grow(needed)
-                return
-        for row in self.rows[start:]:
-            self._store(self.pack(row))
-
-    def combine(self, base, terms) -> list:
-        """Store and return the row base - sum c * row_j over (c, j) in terms.
-
-        base lists ints and each c is an IntPoly.  The combination is taken
-        on the packed rows, after the width has grown to hold its
-        coefficients, which |base_p| + sum |c|_1 top_p bounds; so the integer
-        it gives is the new row's packed form, unpacked once and not packed
-        again.
-        """
-        scale = sum(c.norm1() for c, _ in terms)
-        needed = slot_bits(max(map(add, map(abs, base), (scale * t for t in self.top))))
-        if needed > self.b:
-            self._grow(needed)
-        b = self.b
-        acc = list(base)
-        for c, j in terms:
-            acc = list(map(sub, acc, map(c.pack(b).__mul__, self.packed[j])))
-        row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]
-        self.rows.append(row)
-        # every value is an IntPoly, so the norms need no type test
-        self.top = list(map(max, self.top, map(IntPoly.norm_inf, row)))
-        self.one = list(map(max, self.one, map(IntPoly.norm1, row[self.lead:])))
-        needed = self._needed()
-        if needed > b:
-            self._grow(needed)
-        else:
-            self._store(acc)
-        return row
 
     def pair(self, a, j):
         """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a.
@@ -349,9 +280,7 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     """
     if rows_a is rows_b:
         return _row_gram(g, rows_a, weight)
-    graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows_a, *rows_b))
-    store = ClassRows(g, weight, graded, probes=rows_a)
-    store.extend(rows_b)
+    store = ClassRows(g, weight, rows_b, probes=rows_a)
     js = range(len(rows_b))
     return [[store.pair(a, j) for j in js] for a in map(store.pack, rows_a)]
 
@@ -380,9 +309,16 @@ def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
     return _pair(a, b, a.group.refl_charpoly)
 
 
+@lru_cache(maxsize=None)
+def _qell_rows(t: WeylType):
+    g = build(t)
+    return tuple(map(tuple, _row_gram(g, g.char_table, g.refl_charpoly)))
+
+
 def q_elliptic_gram(g: WeylGroupData) -> list:
-    """The q-elliptic pairings of all pairs of irreducibles, in irrep order."""
-    return _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
+    """The q-elliptic pairings of all pairs of irreducibles, in irrep order,
+    as fresh lists."""
+    return [list(row) for row in _qell_rows(g.type)]
 
 
 def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:

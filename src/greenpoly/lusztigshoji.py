@@ -10,23 +10,29 @@ G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
 (adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
 division that raises SolverError when the quotient leaves Z[q].
 
-The columns of one solve, coordinates and class values side by side, live
-in one packed store (`charring.ClassRows`): each is packed once, at a slot
-width that only grows, and built as an integer combination of the packed
-earlier columns.  As soon as a column is stored it is paired once with
-every irreducible, V[j][a] = <chi_a, column j>^q, each pairing one integer
-dot product of a character-table row with the packed column, tested for
-zero before it is unpacked.  A projection reads its pairings from V and
-sums nothing again.  M comes from V by bilinearity, M_ij =
-sum_a K_ai V[j][a] over the a where both factors are nonzero
-(`_gram_column`): an entry within a block is the lookup V[j][sigma_i] once
-column j pairs to zero with every earlier irreducible, and an entry across
-orbits is then an empty sum; a column that does not pair to zero gets
-those entries in full.  So M holds true class sums, which
-`cross_orbit_orthogonality` checks, without a product of two packed
-columns.  `verify` takes Lambda M and K Lambda as exact products that skip
-zero factors (`polyq.sparse_matmul`), and compares K Lambda K^t with Omega
-as packed integers, without unpacking an entry.
+A column is one packed row (`polyq.PackedRows`): its coordinates over the
+irreducibles, then its pairings with every irreducible, V[j][a] =
+<chi_a, column j>^q.  Pairings are bilinear, so the irreducible chi_sigma
+is the row (e_sigma, G[sigma]), G the q-elliptic Gram of the irreducibles
+(taken once per type), and column j, the irreducible minus a combination of
+earlier columns, is the same combination of rows: one packed
+multiply-subtract gives K's column and V[j] at once, with no class value
+and no class sum.  A projection reads its pairings from V.  M comes from V
+by bilinearity, M_ij = sum_a K_ai V[j][a] over the a where both factors are
+nonzero (`_gram_column`): an entry within a block is the lookup
+V[j][sigma_i] once column j pairs to zero with every earlier irreducible,
+and an entry across orbits is then an empty sum; a column that does not
+pair to zero gets those entries in full.  So M holds true pairings, which
+`cross_orbit_orthogonality` checks.  A column's class values are derived
+from its coordinates when first read (`GreenTableau.class_values`), which
+only the twisted-trace check does.
+
+`verify` takes Lambda M and K Lambda as exact products that skip zero
+factors (`polyq.sparse_matmul`), and checks K Lambda K^t = Omega at the one
+point q = 2^b, where b holds every coefficient of both sides
+(`kl_width`): Omega(2^b) is one integer class-sum Gram of the pairs'
+irreducibles (`omega_at`), so Omega's polynomials are never formed, and the
+last product skips the zero entries of K.
 """
 
 from __future__ import annotations
@@ -34,13 +40,15 @@ from __future__ import annotations
 from operator import mul
 
 from .charring import (
-    ClassRows,
     GradedCharacter,
     fake_degree,
+    _coinvariant_values,
     _omega_rows,
+    _qell_rows,
+    _row_gram,
     poincare_poly,
 )
-from .polyq import IntPoly, ONE, ZERO, adjugate, slot_bits, sparse_matmul
+from .polyq import IntPoly, ONE, ZERO, PackedRows, adjugate, slot_bits, sparse_matmul
 from .springer import SpringerTable, q_M_gram
 from .weyl import WeylGroupData
 
@@ -51,18 +59,28 @@ class SolverError(RuntimeError):
 
 class GreenTableau:
     def __init__(self, table: SpringerTable, group: WeylGroupData, pairs: list,
-                 coords: list, class_values: list, M: list, Lam: list, p: IntPoly,
+                 coords: list, M: list, Lam: list, p: IntPoly,
                  notes: dict | None = None):
         self.table = table
         self.group = group
         self.pairs = pairs  # (orbit index, system index), table order
         self.coords = tuple(coords)  # per pair: tuple of IntPoly over irreps (the K column)
-        self.class_values = class_values  # per pair: tuple of IntPoly per class
         self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
         self.Lam = Lam  # block-diagonal, IntPoly
         self.p = p
         self.notes = {} if notes is None else notes
         self._k_minus_one_inverse = None  # (coords it was computed from, inverse)
+        self._class_values = None  # (coords they were derived from, values)
+
+    @property
+    def class_values(self) -> list:
+        """Per pair, the column's value on each class, a tuple of IntPolys,
+        derived from `coords` on first read and again when they change."""
+        cached = self._class_values
+        if cached is None or cached[0] is not self.coords:
+            values = [GradedCharacter(self.group, col).values for col in self.coords]
+            cached = self._class_values = (self.coords, values)
+        return cached[1]
 
     def pair_index(self, orbit: int, system: int) -> int:
         return self.pairs.index((orbit, system))
@@ -122,10 +140,10 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     nirr = len(g.irrep_labels)
     pairs = table.pairs()
     pair_irrep = table.pair_irreps()
-    chars = g.char_table
-    # a column is its coordinates over the irreducibles, carried along, then
-    # its class values; the irreducibles are the probes of the pairings
-    store = ClassRows(g, g.refl_charpoly, graded=True, probes=chars, lead=nirr)
+    gram = _qell_rows(g.type)
+    # a column is its coordinates over the irreducibles, then its pairings
+    # with them; both are linear in the column, so one combination gives both
+    store = PackedRows(2 * nirr)
     npairs = len(pairs)
     coords: list = []  # K's columns: each column's coordinates
     supports: list = []  # per column, the irreducibles where it is nonzero
@@ -135,7 +153,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     block_inverse: dict = {}  # orbit -> (adjugate, determinant) of its Gram block
 
     for orbit, rec in enumerate(table.orbits):
-        start = len(store.rows)
+        start = len(coords)
         members = range(start, start + len(rec.systems))
         for j in members:
             sigma = pair_irrep[j]
@@ -164,13 +182,16 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
                         )
                     if c:
                         terms.append((c, jp))
-            # the column is its irreducible minus sum c * (earlier column)
-            base = [0] * nirr + list(chars[sigma])
-            base[sigma] = 1
-            col = store.combine(base, terms)[:nirr]
+            # the column is its irreducible minus sum c * (earlier column),
+            # and its pairings those of the irreducible, a row of the Gram,
+            # minus the same sum of the earlier columns' pairings
+            base = [ZERO] * nirr + list(gram[sigma])
+            base[sigma] = ONE
+            row = store.combine(base, terms)
+            col = row[:nirr]
             coords.append(col)
             supports.append({a for a, k in enumerate(col) if k})
-            V.append([store.pair(chi, j) for chi in chars])
+            V.append(row[nirr:])
             for i, x in enumerate(_gram_column(coords, supports, V[j])):
                 M[i][j] = M[j][i] = x
         block_inverse[orbit] = _inverse_parts(
@@ -180,7 +201,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
         blocks.append((orbit, members))
 
     coords = list(map(tuple, coords))
-    class_values = [tuple(row[nirr:]) for row in store.rows]
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]
@@ -202,7 +222,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
         group=g,
         pairs=pairs,
         coords=coords,
-        class_values=class_values,
         M=M,
         Lam=Lam,
         p=p,
@@ -228,6 +247,48 @@ def omega_on_pairs(tab: GreenTableau):
     rows = _omega_rows(tab.group.type)
     irr = tab.table.pair_irreps()
     return [[rows[a][b] for b in irr] for a in irr]
+
+
+def _pair_rows(tab: GreenTableau) -> list:
+    """The character-table rows of the pairs' irreducibles, in pair order."""
+    chars = tab.group.char_table
+    return [chars[a] for a in tab.table.pair_irreps()]
+
+
+def kl_width(tab: GreenTableau, K) -> int:
+    """A slot width b that holds every coefficient of K Lambda K^t and of
+    Omega on the pairs, so both sides of `kl_equation` are equal exactly
+    when they are equal at q = 2^b.
+
+    A coefficient of (K Lambda K^t)_ij is at most sum over Lambda_kl != 0 of
+    max_i |K_ik|_inf |Lambda_kl|_1 max_j |K_jl|_1.  One of Omega_ij, the
+    class sum (1/|W|) sum_k |C_k| chi_i(w_k) chi_j(w_k) c_k(q) with c the
+    coinvariant class function, is at most
+    sum_k |C_k| max_a chi_a(w_k)^2 |c_k|_inf // |W|, a over the pairs.
+    """
+    g = tab.group
+    sup_k = [max(x.norm_inf() for x in col) for col in zip(*K)]
+    one_k = [max(x.norm1() for x in col) for col in zip(*K)]
+    klk = sum(
+        s * x.norm1() * one_k[k]
+        for s, row in zip(sup_k, tab.Lam)
+        for k, x in enumerate(row)
+        if x
+    )
+    omega = sum(
+        cls.size * max(map(abs, col)) ** 2 * c.norm_inf()
+        for cls, col, c in zip(g.classes, zip(*_pair_rows(tab)), _coinvariant_values(g.type))
+    ) // g.order
+    return slot_bits(max(klk, omega))
+
+
+def omega_at(tab: GreenTableau, b: int) -> list:
+    """Omega on the pairs at q = 2^b, as integers: one class-sum Gram of the
+    pairs' character rows (`_row_gram`) with the integer weights c_k(2^b), so
+    no polynomial entry of Omega is formed."""
+    g = tab.group
+    weight = [c.pack(b) for c in _coinvariant_values(g.type)]
+    return _row_gram(g, _pair_rows(tab), weight)
 
 
 def verify(tab: GreenTableau):
@@ -272,25 +333,20 @@ def verify(tab: GreenTableau):
     )
     out.append(("lambda_m_product", bad is None, bad))
 
-    # (K Lambda K^t)_ij against Omega_ij, all at q = 2^b: the products skip
+    # (K Lambda K^t)_ij against Omega_ij, both at q = 2^b: the products skip
     # zero factors, and b holds the coefficients of both sides
-    omega = omega_on_pairs(tab)
-    sup_k = [max(x.norm_inf() for x in col) for col in zip(*K)]
-    one_k = [max(x.norm1() for x in col) for col in zip(*K)]
-    bound = sum(
-        s * x.norm1() * one_k[k]
-        for s, row in zip(sup_k, tab.Lam)
-        for k, x in enumerate(row)
-        if x
-    )
-    b = slot_bits(max(bound, max(x.norm_inf() for row in omega for x in row)))
+    b = kl_width(tab, K)
+    omega = omega_at(tab, b)
     packed_k = [[x.pack(b) for x in row] for row in K]
     packed_kl = sparse_matmul(packed_k, [[x.pack(b) for x in row] for row in tab.Lam], 0)
+    nonzero_k = [
+        ([l for l, x in enumerate(row) if x], [x for x in row if x]) for row in packed_k
+    ]
     bad = [
         (i, j)
         for i, kl_row in enumerate(packed_kl)
-        for j, k_row in enumerate(packed_k)
-        if sum(map(mul, kl_row, k_row)) != omega[i][j].pack(b)
+        for j, (support, k_row) in enumerate(nonzero_k)
+        if sum(map(mul, map(kl_row.__getitem__, support), k_row)) != omega[i][j]
     ]
     out.append(("kl_equation", not bad, bad[:4]))
 

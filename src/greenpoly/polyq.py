@@ -5,7 +5,8 @@ compare equal componentwise and can be shared freely across threads.
 
 All linear algebra stays in Z[q]: `adjugate` inverts a square block up to its
 determinant by fraction-free elimination, and `sparse_matmul` multiplies
-matrices of polynomials, skipping zero factors.  A polynomial f whose
+matrices of polynomials, skipping zero factors; `PackedRows` keeps rows of
+polynomials packed for exact integer combinations of them.  A polynomial f whose
 coefficients lie strictly between -2^(b-1) and 2^(b-1) is packed into the
 single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
 (`IntPoly.unpack`); since evaluation at 2^b is a ring map, sums of products of
@@ -21,6 +22,7 @@ it goes once the tracer stops naming it.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Union
 
 
@@ -286,6 +288,44 @@ def sparse_matmul(A, B, zero=ZERO) -> list:
                     acc[j] = acc[j] + a * x
         out.append(acc)
     return out
+
+
+class PackedRows:
+    """Rows of IntPolys kept packed at one slot width b, for exact integer
+    combinations of them.
+
+    A new row is base - sum c * row_j over (c, j) in terms, taken on the
+    packed rows at q = 2^b.  Its coefficient at position p is at most
+    |base_p|_inf + sum |c|_1 top_p in absolute value, top_p being the
+    largest |coefficient| of a stored row there.  Once b holds that bound
+    the integer the combination gives is the new row's packed form, so the
+    row is unpacked once and never packed again.  When the bound outgrows b,
+    b becomes max(needed, 2b) and every stored row is packed again, so a row
+    is repacked O(log) times however many rows follow.
+    """
+
+    def __init__(self, width: int):
+        self.b = 0
+        self.rows: list = []  # each row's IntPolys
+        self.packed: list = []  # each row at q = 2^b
+        self.top = [0] * width
+
+    def combine(self, base, terms) -> list:
+        """Store and return the row base - sum c * row_j over (c, j) in terms."""
+        scale = sum(c.norm1() for c, _ in terms)
+        needed = slot_bits(max(map(add, map(IntPoly.norm_inf, base), (scale * t for t in self.top))))
+        if needed > self.b:
+            self.b = b = max(needed, 2 * self.b)
+            self.packed = [[x.pack(b) for x in row] for row in self.rows]
+        b = self.b
+        acc = [x.pack(b) for x in base]
+        for c, j in terms:
+            acc = list(map(sub, acc, map(c.pack(b).__mul__, self.packed[j])))
+        row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]
+        self.rows.append(row)
+        self.packed.append(acc)
+        self.top = list(map(max, self.top, map(IntPoly.norm_inf, row)))
+        return row
 
 
 def adjugate(rows) -> tuple:

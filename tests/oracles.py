@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 from operator import mul
+from types import SimpleNamespace
 
 from greenpoly.charring import (
     ClassRows,
@@ -154,9 +155,7 @@ def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
     """The Gram of rows with itself from a one-shot `ClassRows` that holds
     the rows and has them as its probes: each entry j >= i one packed dot
     product, the rest mirrored."""
-    graded = any(isinstance(v, IntPoly) for v in itertools.chain(weight, *rows))
-    store = ClassRows(g, weight, graded, probes=rows)
-    store.extend(rows)
+    store = ClassRows(g, weight, rows, probes=rows)
     gram = []
     for i, a in enumerate(map(store.pack, rows)):
         gram.append([gram[m][i] for m in range(i)] + [store.pair(a, j) for j in range(i, len(rows))])
@@ -210,8 +209,9 @@ def matmul(A, B) -> list:
     ]
 
 
-def solve_per_block(table) -> GreenTableau:
-    """The tableau of `lusztigshoji.solve(table, check=False)`, block by block."""
+def solve_per_block(table) -> SimpleNamespace:
+    """The coords, class values, M, Lambda and p of
+    `lusztigshoji.solve(table, check=False)`, block by block."""
     g = table.group
     nirr = len(g.irrep_labels)
     pair_irrep = table.pair_irreps()
@@ -250,7 +250,7 @@ def solve_per_block(table) -> GreenTableau:
             for x, b in zip(adj_row, members):
                 Lam[a][b] = (x * p).divexact(det)
     M = class_gram(g, class_values, class_values, weight)
-    return GreenTableau(table, g, table.pairs(), coords, class_values, M, Lam, p)
+    return SimpleNamespace(coords=tuple(coords), class_values=class_values, M=M, Lam=Lam, p=p)
 
 
 def dense_product_checks(tab: GreenTableau) -> list:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.charring import (
-    ClassRows,
+    GradedCharacter,
     _class_gram,
     _int_matrix_rank,
     _coinvariant_values,
@@ -31,7 +31,7 @@ from greenpoly.charring import (
     q_elliptic_pairing,
     std_pairing,
 )
-from greenpoly.polyq import IntPoly, sparse_matmul
+from greenpoly.polyq import IntPoly, PackedRows, sparse_matmul
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
     WeylType,
@@ -372,6 +372,20 @@ def test_packed_kernel_wide_signed_coefficients(data):
     assert _class_gram(g, rows_a, rows_b, weight) == want
 
 
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_graded_values_match_per_degree_sums(data):
+    # a graded character's class values, packed once, against one integer
+    # dot product per degree and class; wide coefficients of either sign
+    family, rank = data.draw(st.sampled_from([("A", 3), ("B", 3), ("G2", 2)]))
+    g = build(WeylType(family, rank))
+    coords = data.draw(st.lists(st.lists(_coeff, max_size=4).map(IntPoly),
+                                min_size=len(g.irrep_labels), max_size=len(g.irrep_labels)))
+    by_degree = _by_degree(coords)
+    want = tuple(IntPoly([sum(map(mul, cd, col)) for cd in by_degree]) for col in zip(*g.char_table))
+    assert GradedCharacter(g, tuple(coords)).values == want
+
+
 def test_packed_kernel_rejects_non_characters():
     g = build(WeylType("A", 2))
     half = [[P(1, 0, 10**30 + 1)] + [0] * (len(g.classes) - 1)]
@@ -443,41 +457,49 @@ _digit = st.integers(-9, 9)
 @given(data=st.data())
 @settings(deadline=None, max_examples=40)
 def test_store_grows_and_matches_one_shot_gram(data):
-    # rows whose coefficients reach 1, 10^10 and then 10^30 force the store's
-    # slot width to grow at least twice; a combination of stored rows with
-    # coefficients up to 10^200 outgrows it once more.  The pairings of the
-    # irreducibles with the stored rows, as the solver takes them, must be
-    # the one-shot Gram at every width.
+    # the solver's rows: a graded character's coordinates over the
+    # irreducibles, then its q-elliptic pairings with them.  Characters whose
+    # coordinates reach 1, 10^10 and then 10^30 force the store's slot width
+    # to grow at least twice; a combination of stored rows with coefficients
+    # up to 10^200 outgrows it once more.  The combination must be exact, and
+    # the pairing half of every stored row must be the one-shot Gram of the
+    # irreducibles with the class values of its coordinate half, at every
+    # width.
     g = build(WeylType("B", 2))
-    k = len(g.classes)
-    weight = g.refl_charpoly
-    store = ClassRows(g, weight, graded=True, probes=g.char_table, lead=1)
+    n = len(g.irrep_labels)
+    gram = q_elliptic_gram(g)
+
+    def character(scale):
+        coords = [IntPoly([d * scale for d in data.draw(st.lists(_digit, max_size=3))])
+                  for _ in range(n)]
+        # one coefficient of full size, of either sign
+        lead_digit = data.draw(st.integers(1, 9)) * data.draw(st.sampled_from((1, -1)))
+        coords[data.draw(st.integers(0, n - 1))] += IntPoly([lead_digit * scale])
+        return coords + [sum(map(mul, coords, col), IntPoly()) for col in zip(*gram)]
+
+    store = PackedRows(2 * n)
     widths = []
     for scale in (1, 10**10, 10**30):
         for _ in range(data.draw(st.integers(1, 2))):
-            row = [IntPoly([d * scale * g.order for d in data.draw(st.lists(_digit, max_size=3))])
-                   for _ in range(k + 1)]
-            # one coefficient of full size, of either sign
-            lead_digit = data.draw(st.integers(1, 9)) * data.draw(st.sampled_from((1, -1)))
-            row[1 + data.draw(st.integers(0, k - 1))] += IntPoly([lead_digit * scale * g.order])
-            store.extend([row])
+            store.combine(character(scale), [])
         widths.append(store.b)
     assert len(set(widths)) == 3
 
-    n = len(store.rows)
-    base = [d * g.order for d in data.draw(st.lists(_digit, min_size=k + 1, max_size=k + 1))]
-    terms = [(IntPoly([d * 10**200 + e for d, e in data.draw(st.lists(st.tuples(_digit, _digit),
-                                                                     min_size=1, max_size=3))]), j)
-             for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))]
-    want = [IntPoly([x]) for x in base]
+    stored = len(store.rows)
+    base = character(1)
+    big = st.tuples(_digit.filter(bool), _digit)
+    terms = [(IntPoly([d * 10**200 + e for d, e in data.draw(st.lists(big, min_size=1, max_size=3))]), j)
+             for j in data.draw(st.lists(st.integers(0, stored - 1), min_size=1, max_size=3))]
+    want = base
     for c, j in terms:
         want = [w - c * v for w, v in zip(want, store.rows[j])]
     assert store.combine(base, terms) == want
+    assert store.b > widths[-1]
 
-    classes = [row[1:] for row in store.rows]
-    pairings = [[store.pair(chi, j) for j in range(n + 1)] for chi in g.char_table]
-    assert pairings == _class_gram(g, g.char_table, classes, weight)
-    assert pairings == _class_gram_by_degree(g, g.char_table, classes, weight)
+    classes = [GradedCharacter(g, tuple(row[:n])).values for row in store.rows]
+    pairings = [list(col) for col in zip(*(row[n:] for row in store.rows))]
+    assert pairings == _class_gram(g, g.char_table, classes, g.refl_charpoly)
+    assert pairings == _class_gram_by_degree(g, g.char_table, classes, g.refl_charpoly)
 
 
 # groups with a Springer table, whose solve and verify use Omega

@@ -208,6 +208,17 @@ def test_verify_json_structure(capsys):
     assert {"kl_equation", "lambda_m_product", "cross_orbit_orthogonality"} <= names
 
 
+@pytest.mark.gl12
+def test_verify_ls_at_gl12_passes_every_identity(capsys):
+    # the largest supported solve and its verify suite, kl_equation's
+    # one-point check included, end to end through the CLI
+    code, out, _ = run(capsys, "verify", "ls", "--type", "A", "--rank", "12", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True
+    assert all(c["ok"] for c in data["checks"]), [c for c in data["checks"] if not c["ok"]]
+    assert "kl_equation" in {c["identity"] for c in data["checks"]}
+
+
 def test_springer_show_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "springer", "show", "--type", "C", "--rank", "2", "--json")
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpoly.charring import ClassRows, fake_degree
+from greenpoly.charring import fake_degree, q_elliptic_gram
 from greenpoly.lusztigshoji import (
     SolverError,
     _inverse_parts,
@@ -13,13 +13,16 @@ from greenpoly.lusztigshoji import (
     green,
     isometry_check,
     k_at_minus_one_inverse,
+    kl_width,
     m_block,
     m_matrix,
+    omega_at,
+    omega_on_pairs,
     solve,
     verify,
 )
 from greenpoly.partitions import partitions, transpose
-from greenpoly.polyq import IntPoly, sparse_matmul
+from greenpoly.polyq import IntPoly, PackedRows, slot_bits, sparse_matmul
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
 from oracles import class_gram, dense_product_checks, solve_per_block
@@ -310,25 +313,75 @@ def test_solve_matches_per_block_oracle(tableau, key):
 
 def test_m_takes_cross_orbit_entries_in_full(monkeypatch):
     # the last column of Sp(4), the zero orbit's, is stored plus q^2 times
-    # the column of the orbit (2,1,1), so it no longer pairs to zero with
-    # that orbit's irreducible (its norm still divides p, so the solve ends):
-    # M must still be the class-sum Gram of the stored class values, and
+    # the column of the orbit (2,1,1), and its pairings with the irreducibles
+    # plus q^2 times that column's, so it no longer pairs to zero with that
+    # orbit's irreducible (its norm still divides p, so the solve ends): M
+    # must still be the class-sum Gram of the column's class values, and
     # verify must name the entries across orbits as its witness
     table = table_typeC(2)
     last, earlier = len(table.pairs()) - 1, table.pair_of((2, 1, 1), "triv")
-    combine = ClassRows.combine
+    combine = PackedRows.combine
 
     def add_an_earlier_column(store, base, terms):
         if len(store.rows) == last:
             terms = [*terms, (P(0, 0, -1), earlier)]
         return combine(store, base, terms)
 
-    monkeypatch.setattr(ClassRows, "combine", add_an_earlier_column)
+    monkeypatch.setattr(PackedRows, "combine", add_an_earlier_column)
     tab = solve(table, check=False)
     g = tab.group
     assert tab.M == class_gram(g, tab.class_values, tab.class_values, g.refl_charpoly)
     report = {name: (ok, detail) for name, ok, detail in verify(tab)}
     assert report["cross_orbit_orthogonality"] == (False, [(earlier, last), (last, earlier)])
+
+
+def test_class_values_follow_coords(tableau):
+    # class values are derived from the coordinates once, and afresh for a
+    # copy whose coordinates are replaced
+    tab = tableau("C", 2)
+    values = tab.class_values
+    assert tab.class_values is values
+    coords = list(tab.coords)
+    coords[0] = tuple(c + P(0, 1) for c in coords[0])
+    bad = copy.copy(tab)
+    bad.coords = tuple(coords)
+    chars = list(zip(*tab.group.char_table))
+    assert bad.class_values[0] == tuple(v + P(0, sum(col)) for v, col in zip(values[0], chars))
+    assert bad.class_values[1:] == values[1:]
+    assert tab.class_values is values
+
+
+def test_q_elliptic_gram_is_fresh_per_call():
+    # the solver reads the q-elliptic Gram from a cache per type: a caller
+    # that edits the lists it was given changes neither a later Gram nor a
+    # later solve
+    table = table_typeA(5)
+    g = table.group
+    gram = q_elliptic_gram(g)
+    want = [list(row) for row in gram]
+    gram[0][0] = gram[0][0] + P(1)
+    gram[1].reverse()
+    gram.append(gram.pop(0))
+    assert q_elliptic_gram(g) == want
+    tab, oracle = solve(table, check=False), solve_per_block(table)
+    assert (tab.coords, tab.M, tab.Lam) == (oracle.coords, oracle.M, oracle.Lam)
+
+
+@pytest.mark.parametrize("key", [("A", n) for n in range(2, 9)] + [("C", n) for n in (1, 2, 3)],
+                         ids=lambda k: f"{k[0]}{k[1]}")
+def test_omega_at_one_point_matches_packed_polynomials(tableau, key):
+    # kl_equation takes Omega on the pairs as one integer Gram at q = 2^b;
+    # it must be Omega's polynomials packed at that same b
+    tab = tableau(*key)
+    omega = omega_on_pairs(tab)
+    b = kl_width(tab, tab.k_matrix())
+    assert omega_at(tab, b) == [[x.pack(b) for x in row] for row in omega]
+    # the width holds Omega's coefficients on its own, with no help from
+    # the K Lambda K^t side
+    n = len(tab.pairs)
+    bare = copy.copy(tab)
+    bare.Lam = [[IntPoly()] * n for _ in range(n)]
+    assert kl_width(bare, bare.k_matrix()) >= slot_bits(max(x.norm_inf() for row in omega for x in row))
 
 
 def _mutants(tab):
