@@ -1,6 +1,38 @@
-"""Command-line front end.
+"""greenpoly: exact Green polynomials of Weyl groups from the command line.
 
-Verbs: wg, pairing, fakedeg, springer, green, verify, spin.
+usage: greenpoly VERB [WHAT] [FILE] [OPTION ...]
+
+Verbs:
+  wg {classes,chartable}       conjugacy classes or character table of W
+  pairing gram                 Gram of the irreducibles under --form
+  fakedeg                      fake degrees of the irreducibles
+  springer {show,load} [FILE]  print the orbit table, or validate table FILE
+  green                        Green functions: K, the M blocks and Lambda
+  verify {ls,all}              the exact identity checks (all adds the
+                               Chevalley, elliptic-rank and pin-cover ones)
+  spin {sigma,classify,index}  spin-tensored Green columns and the extended
+                               Dirac index
+
+Options may stand anywhere on the line, before or after the verb, as
+--name value or --name=value; any unique prefix of a name the verb takes
+stands for it (--ty A).  Every verb takes:
+  --type {A,B,C,D,G2}
+  --rank N                     the Weyl rank for wg, pairing and fakedeg; for
+                               springer, green, verify and spin, n of GL(n)
+                               in type A and n of Sp(2n) in type C
+  --format {json,csv,pretty}   default pretty; springer, verify and spin
+                               have no CSV form
+  --json                       shorthand for --format json
+  --data-dir DIR               orbit tables springer_<type><rank>.json that
+                               override the built-ins (default
+                               $GREENPOLY_DATA_DIR)
+  --tolerance X                in (0, 1e-4], default 1e-8; kept for
+                               compatibility: every check is exact
+  -h, --help                   print this text and exit
+pairing also takes --form {qell,minusone,delta} (default qell); spin also
+takes --orbit PARTS (comma-separated, needed by sigma and index) and
+--phi SYSTEM (the local system, default triv).
+
 Exit codes: 0 success, 1 usage or data errors, 2 verification failure.
 Output is deterministic: fixed orderings everywhere, polynomials always
 ascending-degree.
@@ -8,7 +40,6 @@ ascending-degree.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -66,7 +97,7 @@ def _emit(fmt: str, payload, csv_rows=None, pretty_lines=None):
             print(line)
 
 
-def _group(args: argparse.Namespace) -> WeylGroupData:
+def _group(args: Args) -> WeylGroupData:
     if args.family is None or args.rank is None:
         raise UsageError("--type and --rank are required")
     try:
@@ -75,16 +106,16 @@ def _group(args: argparse.Namespace) -> WeylGroupData:
         raise UsageError(str(exc))
 
 
-def _table(args: argparse.Namespace) -> SpringerTable:
+def _table(args: Args) -> SpringerTable:
     """Resolve the orbit table; for type A the rank names GL(n).
 
     A table file in the data directory takes precedence over built-ins, and
     must be the table of the requested type and rank.
     """
+    if args.family is None or args.rank is None:
+        raise UsageError("--type and --rank are required")
     if args.family not in ("A", "C"):
         raise UsageError(f"orbit tables exist for types A and C, not {args.family!r}")
-    if args.rank is None:
-        raise UsageError("--rank required")
     if args.data_dir:
         cand = os.path.join(
             args.data_dir, f"springer_{args.family}{args.rank}.json"
@@ -437,71 +468,147 @@ def _cplx(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# Table one: each verb, its handler, and the WHAT values it takes (none for
+# fakedeg and green).
+VERBS = {
+    "wg": (cmd_wg, ("classes", "chartable")),
+    "pairing": (cmd_pairing, ("gram",)),
+    "fakedeg": (cmd_fakedeg, ()),
+    "springer": (cmd_springer, ("show", "load")),
+    "green": (cmd_green, ()),
+    "verify": (cmd_verify, ("ls", "all")),
+    "spin": (cmd_spin, ("sigma", "classify", "index")),
+}
+
+# Table two: each option, its field, its choices (a tuple) or value type
+# (None for a flag), its default, and the verbs that take it (None: every
+# verb).  No other option shares a prefix with the flag --json, so whether a
+# token takes a value is known before the verb is.
+OPTIONS = {
+    "--type": ("family", ("A", "B", "C", "D", "G2"), None, None),
+    "--rank": ("rank", int, None, None),
+    "--format": ("format", ("json", "csv", "pretty"), "pretty", None),
+    "--json": ("json", None, False, None),
+    "--data-dir": ("data_dir", str, None, None),
+    "--tolerance": ("tolerance", float, 1e-8, None),
+    "--form": ("form", ("qell", "minusone", "delta"), "qell", ("pairing",)),
+    "--orbit": ("orbit", str, None, ("spin",)),
+    "--phi": ("phi", str, "triv", ("spin",)),
+}
+
+class Args:
+    """The parsed command line: verb, what, file, func, and one field per
+    option; an option the verb does not take reads None."""
+
+    def __init__(self, verb: str):
+        self.verb = verb
+        self.func = VERBS[verb][0]
+        self.what = self.file = None
+        for field, _, default, verbs in OPTIONS.values():
+            setattr(self, field, default if verbs is None or verb in verbs else None)
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--type", dest="family", choices=["A", "B", "C", "D", "G2"])
-    common.add_argument(
-        "--rank",
-        type=int,
-        help="Weyl rank for wg/pairing/fakedeg; for the orbit-table verbs, "
-        "n of GL(n) in type A and n of Sp(2n) in type C",
-    )
-    common.add_argument(
-        "--format", choices=["json", "csv", "pretty"], default="pretty"
-    )
-    common.add_argument("--json", action="store_true", help="shorthand for --format json")
-    common.add_argument("--data-dir", default=None)
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-8,
-        help="kept for compatibility: every check, the pin layer's included, is exact",
-    )
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
 
-    p = _Parser(prog="greenpoly", description=__doc__, parents=[common])
-    sub = p.add_subparsers(dest="verb", required=True)
 
-    wg = sub.add_parser("wg", parents=[common])
-    wg.add_argument("what", choices=["classes", "chartable"])
-    wg.set_defaults(func=cmd_wg)
+def _is_option(tok: str) -> bool:
+    # "-" and the negative numbers argparse reads as values (-3, -.5, -2.5)
+    # are values, as in --rank -3
+    digits = tok[1:].replace(".", "", 1)
+    return tok[:1] == "-" and tok != "-" and not (digits.isdecimal() and tok[-1] != ".")
 
-    pairing = sub.add_parser("pairing", parents=[common])
-    pairing.add_argument("what", choices=["gram"])
-    pairing.add_argument("--form", choices=["qell", "minusone", "delta"], default="qell")
-    pairing.set_defaults(func=cmd_pairing)
 
-    fakedeg = sub.add_parser("fakedeg", parents=[common])
-    fakedeg.set_defaults(func=cmd_fakedeg)
+def _takes_value(name: str) -> bool:
+    flags = [opt for opt, spec in OPTIONS.items() if spec[1] is None]
+    return not any(len(name) > 2 and opt.startswith(name) for opt in flags)
 
-    springer = sub.add_parser("springer", parents=[common])
-    springer.add_argument("what", choices=["show", "load"])
-    springer.add_argument("file", nargs="?")
-    springer.set_defaults(func=cmd_springer)
 
-    green = sub.add_parser("green", parents=[common])
-    green.set_defaults(func=cmd_green)
+def _resolve(name: str, verb: str) -> str:
+    """The option that name, or a unique prefix name, stands for under verb."""
+    taken = [opt for opt, spec in OPTIONS.items() if spec[3] is None or verb in spec[3]]
+    if name in taken:
+        return name
+    found = [opt for opt in taken if len(name) > 2 and opt.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+    if not found:
+        raise UsageError(f"unrecognized arguments: {name}")
+    return found[0]
 
-    ver = sub.add_parser("verify", parents=[common])
-    ver.add_argument("what", choices=["ls", "all"])
-    ver.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("spin", parents=[common])
-    sp.add_argument("what", choices=["sigma", "classify", "index"])
-    sp.add_argument("--orbit")
-    sp.add_argument("--phi", default="triv")
-    sp.set_defaults(func=cmd_spin)
-    return p
+def parse_args(argv) -> Args | None:
+    """The Args of argv, or None when argv asks for help (-h or --help).
+
+    Raises UsageError on any malformed argv, worded as argparse words it.
+    """
+    words, given = [], []  # positionals; (option as written, value or None)
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        if not _is_option(tok):
+            words.append(tok)
+            continue
+        name, eq, value = tok.partition("=")
+        if tok == "-h" or len(name) > 2 and "--help".startswith(name):
+            return None
+        if not eq:
+            value = None
+            if _takes_value(name) and i < len(argv) and not _is_option(argv[i]):
+                value = argv[i]
+                i += 1
+        given.append((name, value))
+
+    if not words:
+        raise UsageError("the following arguments are required: verb")
+    verb = words.pop(0)
+    if verb not in VERBS:
+        raise UsageError(f"argument verb: invalid choice: {verb!r} (choose from {_choices(VERBS)})")
+    args = Args(verb)
+    for name, value in given:
+        opt = _resolve(name, verb)
+        field, kind = OPTIONS[opt][:2]
+        if kind is None:
+            if value is not None:
+                raise UsageError(f"argument {opt}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            raise UsageError(f"argument {opt}: expected one argument")
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise UsageError(
+                    f"argument {opt}: invalid choice: {value!r} (choose from {_choices(kind)})"
+                )
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise UsageError(f"argument {opt}: invalid {kind.__name__} value: {value!r}")
+        setattr(args, field, value)
+
+    whats = VERBS[verb][1]
+    if whats:
+        if not words:
+            raise UsageError("the following arguments are required: what")
+        args.what = words.pop(0)
+        if args.what not in whats:
+            raise UsageError(
+                f"argument what: invalid choice: {args.what!r} (choose from {_choices(whats)})"
+            )
+    if verb == "springer" and args.what == "load" and words:
+        args.file = words.pop(0)
+    if words:
+        raise UsageError("unrecognized arguments: " + " ".join(words))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(__doc__ or "", end="")
+            return 0
         if args.json:
             args.format = "json"
         if not (0 < args.tolerance <= 1e-4):

@@ -16,10 +16,16 @@ of its own, and each column is one dense packed row product over all earlier
 columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products.  Both share no arithmetic
 with the packed store or the sparse products they check.
+
+The command line before the table-driven parser: `build_parser` is the
+argparse parser `cli.main` used, one subparser per verb with the common
+options copied into each.  It drops options given before the verb, which
+the table-driven parser keeps.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from math import comb
 from operator import mul
@@ -33,6 +39,16 @@ from greenpoly.charring import (
     irreducible,
     minus_one_gram,
     poincare_poly,
+)
+from greenpoly.cli import (
+    UsageError,
+    cmd_fakedeg,
+    cmd_green,
+    cmd_pairing,
+    cmd_spin,
+    cmd_springer,
+    cmd_verify,
+    cmd_wg,
 )
 from greenpoly.lusztigshoji import (
     GreenTableau,
@@ -268,3 +284,56 @@ def dense_product_checks(tab: GreenTableau) -> list:
     omega = omega_on_pairs(tab)
     kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != omega[i][j]]
     return [("lambda_m_product", bad is None, bad), ("kl_equation", not kl_bad, kl_bad[:4])]
+
+
+# ---------------------------------------------------------------------------
+# the argparse command line
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> _Parser:
+    common = _Parser(add_help=False)
+    common.add_argument("--type", dest="family", choices=["A", "B", "C", "D", "G2"])
+    common.add_argument("--rank", type=int)
+    common.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--data-dir", default=None)
+    common.add_argument("--tolerance", type=float, default=1e-8)
+
+    p = _Parser(prog="greenpoly", parents=[common])
+    sub = p.add_subparsers(dest="verb", required=True)
+
+    wg = sub.add_parser("wg", parents=[common])
+    wg.add_argument("what", choices=["classes", "chartable"])
+    wg.set_defaults(func=cmd_wg)
+
+    pairing = sub.add_parser("pairing", parents=[common])
+    pairing.add_argument("what", choices=["gram"])
+    pairing.add_argument("--form", choices=["qell", "minusone", "delta"], default="qell")
+    pairing.set_defaults(func=cmd_pairing)
+
+    fakedeg = sub.add_parser("fakedeg", parents=[common])
+    fakedeg.set_defaults(func=cmd_fakedeg)
+
+    springer = sub.add_parser("springer", parents=[common])
+    springer.add_argument("what", choices=["show", "load"])
+    springer.add_argument("file", nargs="?")
+    springer.set_defaults(func=cmd_springer)
+
+    green = sub.add_parser("green", parents=[common])
+    green.set_defaults(func=cmd_green)
+
+    ver = sub.add_parser("verify", parents=[common])
+    ver.add_argument("what", choices=["ls", "all"])
+    ver.set_defaults(func=cmd_verify)
+
+    sp = sub.add_parser("spin", parents=[common])
+    sp.add_argument("what", choices=["sigma", "classify", "index"])
+    sp.add_argument("--orbit")
+    sp.add_argument("--phi", default="triv")
+    sp.set_defaults(func=cmd_spin)
+    return p

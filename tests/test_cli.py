@@ -38,8 +38,8 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_is_lean_and_eager():
-    # importing the CLI pulls in no record or rational-number machinery from
-    # the standard library, and loads every layer up front (the bench tracer
+    # importing the CLI pulls in no record, rational-number or argument-parser
+    # machinery from the standard library, and loads every layer up front (the bench tracer
     # reads all eight modules from sys.modules right after this import)
     import greenpoly
 
@@ -49,7 +49,7 @@ def test_cli_import_is_lean_and_eager():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import greenpoly.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'argparse', 'gettext', 'locale')\n"
         "print(*sorted(m for m in heavy if m in sys.modules and m not in before))\n"
         "layers = 'polyq partitions weyl charring springer lusztigshoji spin cli'.split()\n"
         "print(*[m for m in layers if 'greenpoly.' + m not in sys.modules])\n"
@@ -372,6 +372,8 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "wg", "classes")[0] == 1  # missing --type/--rank
     assert run(capsys, "wg", "classes", "--type", "A", "--rank", "40")[0] == 1
     assert run(capsys, "green", "--type", "B", "--rank", "2")[0] == 1  # no B tables
+    for args in (("green", "--rank", "3"), ("springer", "show", "--type", "C")):
+        assert run(capsys, *args) == (1, "", "error: --type and --rank are required\n")
     code, _, err = run(
         capsys, "verify", "ls", "--type", "A", "--rank", "3", "--tolerance", "0.5"
     )
