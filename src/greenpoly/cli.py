@@ -40,6 +40,7 @@ ascending-degree.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -148,35 +149,32 @@ def cmd_wg(args):
             lambda: [f"{_label_str(c.label)}  size {c.size}" for c in g.classes],
         )
         return 0
-    if args.what == "chartable":
-        def payload():
-            return {
-                "irreps": [_label_str(l) for l in g.irrep_labels],
-                "classes": [_label_str(c.label) for c in g.classes],
-                "sizes": [c.size for c in g.classes],
-                "table": [list(row) for row in g.char_table],
-            }
+    # chartable: parse_args admits no other WHAT
+    def payload():
+        return {
+            "irreps": [_label_str(l) for l in g.irrep_labels],
+            "classes": [_label_str(c.label) for c in g.classes],
+            "sizes": [c.size for c in g.classes],
+            "table": [list(row) for row in g.char_table],
+        }
 
-        def rows():
-            return [[""] + [_label_str(c.label) for c in g.classes]] + [
-                [_label_str(lab)] + list(row) for lab, row in zip(g.irrep_labels, g.char_table)
-            ]
+    def rows():
+        return [[""] + [_label_str(c.label) for c in g.classes]] + [
+            [_label_str(lab)] + list(row) for lab, row in zip(g.irrep_labels, g.char_table)
+        ]
 
-        _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
-        return 0
-    raise UsageError(f"unknown wg subcommand {args.what!r}")
+    _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
+    return 0
 
 
 def cmd_pairing(args):
     g = _group(args)
     if args.form == "qell":
         gram = [[str(e) for e in row] for row in q_elliptic_gram(g)]
-    elif args.form in ("minusone", "delta"):
-        # the twisted Gram is the (-1)-elliptic one by the substitution u = w w0
-        # (see charring.delta_twist_pairing)
-        gram = minus_one_gram(g)
     else:
-        raise UsageError("--form must be qell, minusone, or delta")
+        # minusone or delta: the twisted Gram is the (-1)-elliptic one by the
+        # substitution u = w w0 (see charring.delta_twist_pairing)
+        gram = minus_one_gram(g)
 
     def payload():
         return {
@@ -227,24 +225,23 @@ def cmd_springer(args):
 
         _emit(args.format, lambda: save_table(table), None, lines)
         return 0
-    if args.what == "load":
-        if args.file is None:
-            raise UsageError("springer load needs a table FILE")
-        table = load_table(args.file)
-        payload = {
-            "type": table.ambient,
-            "rank": table.n,
-            "orbits": len(table.orbits),
-            "pairs": len(table.pairs()),
-            "valid": True,
-        }
-        line = (
-            f"loaded type {table.ambient} rank {table.n}: "
-            f"{payload['orbits']} orbits, {payload['pairs']} pairs, valid"
-        )
-        _emit(args.format, lambda: payload, None, lambda: [line])
-        return 0
-    raise UsageError(f"unknown springer subcommand {args.what!r}")
+    # load: parse_args admits no other WHAT
+    if args.file is None:
+        raise UsageError("springer load needs a table FILE")
+    table = load_table(args.file)
+    payload = {
+        "type": table.ambient,
+        "rank": table.n,
+        "orbits": len(table.orbits),
+        "pairs": len(table.pairs()),
+        "valid": True,
+    }
+    line = (
+        f"loaded type {table.ambient} rank {table.n}: "
+        f"{payload['orbits']} orbits, {payload['pairs']} pairs, valid"
+    )
+    _emit(args.format, lambda: payload, None, lambda: [line])
+    return 0
 
 
 def _tableau_payload(tab: GreenTableau):
@@ -433,28 +430,27 @@ def cmd_spin(args):
             ],
         )
         return 0
-    if args.what == "index":
-        di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
-        _emit(
-            args.format,
-            lambda: {
-                "orbit": list(lam),
-                "system": args.phi,
-                "even_nonzero": di.even_nonzero,
-                "coset_nonzero": di.coset_nonzero,
-                "even_values": [_cplx(v) for v in di.even_values],
-                "coset_values": [_cplx(v) for v in di.coset_values],
-                "note": di.note,
-            },
-            None,
-            lambda: [
-                f"even part nonzero: {di.even_nonzero}",
-                f"coset part nonzero: {di.coset_nonzero}",
-                di.note,
-            ],
-        )
-        return 0
-    raise UsageError(f"unknown spin subcommand {args.what!r}")
+    # index: parse_args admits no other WHAT
+    di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
+    _emit(
+        args.format,
+        lambda: {
+            "orbit": list(lam),
+            "system": args.phi,
+            "even_nonzero": di.even_nonzero,
+            "coset_nonzero": di.coset_nonzero,
+            "even_values": [_cplx(v) for v in di.even_values],
+            "coset_values": [_cplx(v) for v in di.coset_values],
+            "note": di.note,
+        },
+        None,
+        lambda: [
+            f"even part nonzero: {di.even_nonzero}",
+            f"coset part nonzero: {di.coset_nonzero}",
+            di.note,
+        ],
+    )
+    return 0
 
 
 def _cplx(v) -> str:
@@ -604,19 +600,44 @@ def parse_args(argv) -> Args | None:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit status.
+
+    With argv None, main is the process entry point (the console script,
+    python -m greenpoly.cli) and reads sys.argv[1:].  It then first calls
+    gc.freeze(), which moves every object built so far, the imported modules
+    above all, into the permanent generation: no collection during the run,
+    nor the full one the interpreter makes at exit, walks them again.  That
+    is safe because the process ends right after main returns: it still
+    exits the normal way (streams flushed, atexit handlers run), the OS
+    reclaims the frozen objects, and no object here needs a finalizer to
+    release a resource (files are closed by with blocks).  A call with argv,
+    from a library or a test, leaves the GC state as it was.
+    """
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
         if args is None:
             print(__doc__ or "", end="")
-            return 0
-        if args.json:
-            args.format = "json"
-        if not (0 < args.tolerance <= 1e-4):
-            raise UsageError("--tolerance must lie in (0, 1e-4]")
-        if args.format == "csv" and args.verb in NO_CSV:
-            raise UsageError("no CSV form for this command")
-        args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-        return args.func(args)
+            code = 0
+        else:
+            if args.json:
+                args.format = "json"
+            if not (0 < args.tolerance <= 1e-4):
+                raise UsageError("--tolerance must lie in (0, 1e-4]")
+            if args.format == "csv" and args.verb in NO_CSV:
+                raise UsageError("no CSV form for this command")
+            args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
+            code = args.func(args)
+        sys.stdout.flush()  # here, so a reader that closed stdout is caught below
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (greenpoly ... | head): send what is
+        # still buffered to devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

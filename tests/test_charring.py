@@ -472,9 +472,10 @@ def test_store_grows_and_matches_one_shot_gram(data):
     def character(scale):
         coords = [IntPoly([d * scale for d in data.draw(st.lists(_digit, max_size=3))])
                   for _ in range(n)]
-        # one coefficient of full size, of either sign
+        # one coefficient of full size, of either sign, at degree 3: above the
+        # drawn digits, so none of them can cancel it
         lead_digit = data.draw(st.integers(1, 9)) * data.draw(st.sampled_from((1, -1)))
-        coords[data.draw(st.integers(0, n - 1))] += IntPoly([lead_digit * scale])
+        coords[data.draw(st.integers(0, n - 1))] += IntPoly([0, 0, 0, lead_digit * scale])
         return coords + [sum(map(mul, coords, col), IntPoly()) for col in zip(*gram)]
 
     store = PackedRows(2 * n)

@@ -471,7 +471,7 @@ def test_missing_orbit_is_usage_error(capsys, monkeypatch, what):
     assert (code, out, err) == (1, "", f"error: spin {what} requires --orbit\n")
 
 
-def test_verification_failure_exit_two(capsys, tmp_path):
+def _failing_c3_dir(tmp_path):
     # a table that loads but fails the exact verification battery: move the
     # extra local system of (4,2) in the rank-3 table onto (2,2,2)
     from greenpoly.springer import save_table, table_typeC
@@ -483,7 +483,11 @@ def test_verification_failure_exit_two(capsys, tmp_path):
     moved["char_on_generators"] = [-1]
     d["orbits"][i222]["pairs"].append(moved)
     (tmp_path / "springer_C3.json").write_text(json.dumps(d))
+    return tmp_path
 
+
+def test_verification_failure_exit_two(capsys, tmp_path):
+    _failing_c3_dir(tmp_path)
     code, out, _ = run(
         capsys, "verify", "ls", "--type", "C", "--rank", "3",
         "--data-dir", str(tmp_path), "--json",
@@ -499,3 +503,84 @@ def test_verification_failure_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert "component_isometry" in out
+
+
+def _src_env():
+    import greenpoly
+
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenpoly.__file__)))
+
+
+# what the console script runs: main() with no argument, its status the exit code
+ENTRY = "import sys; from greenpoly.cli import main; sys.exit(main())"
+
+
+def test_entry_point_freezes_the_heap_and_calls_do_not():
+    # importing the CLI and calling main(argv) leave the GC state alone; only
+    # main() as the process entry point freezes the heap built so far
+    code = (
+        "import contextlib, gc, io, sys\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "from greenpoly.cli import main\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "sys.argv = ['greenpoly', 'wg', 'classes', '--type', 'G2', '--rank', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "    rc += main()\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "print(rc, gc.isenabled(), *counts)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    ).stdout
+    rc, enabled, *counts = out.split()
+    assert (rc, enabled, counts[:3]) == ("0", "True", ["0", "0", "0"])
+    assert int(counts[3]) > 0
+
+
+@pytest.mark.parametrize(
+    "status,args",
+    [
+        (0, ("wg", "chartable", "--type", "B", "--rank", "3", "--format", "csv")),
+        (0, ("pairing", "gram", "--type", "D", "--rank", "4", "--form", "delta", "--json")),
+        (0, ("fakedeg", "--type", "G2", "--rank", "2")),
+        (0, ("springer", "load", "C3_FILE", "--json")),
+        (0, ("green", "--type", "A", "--rank", "5")),
+        (0, ("verify", "all", "--type", "C", "--rank", "2", "--json")),
+        (0, ("spin", "index", "--type", "C", "--rank", "3", "--orbit", "4,2", "--phi", "sgn")),
+        (1, ("green", "--rank", "3")),
+        (2, ("verify", "ls", "--type", "C", "--rank", "3", "--json", "--data-dir", "FAILING_DIR")),
+    ],
+)
+def test_entry_point_matches_in_process_call(capsys, tmp_path, status, args):
+    # one command line per verb, and one of each error status: the process
+    # entry point prints the same bytes and exits with the status main(argv) returns
+    import greenpoly
+
+    paths = {
+        "C3_FILE": os.path.join(os.path.dirname(greenpoly.__file__), "data", "springer_C3.json"),
+        "FAILING_DIR": str(_failing_c3_dir(tmp_path)),
+    }
+    args = [paths.get(a, a) for a in args]
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *args], env=_src_env(), capture_output=True)
+    code, out, err = run(capsys, *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert code == status and (out or err)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_silently(unbuffered):
+    # the reader of stdout is gone before the first write (greenpoly ... | head
+    # -n 0): exit 1 with nothing on stderr, neither a data error nor the
+    # interpreter's "Exception ignored" report of a failed flush at exit.
+    # Buffered, the one write is main's last flush; unbuffered, the first print.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ENTRY, "green", "--type", "A", "--rank", "5"],
+        env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

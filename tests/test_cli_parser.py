@@ -1,6 +1,7 @@
 """The table-driven command-line parser against the argparse one it replaced
 (`oracles.build_parser`), and the process-level guarantees around it."""
 
+import gc
 import json
 import os
 import subprocess
@@ -230,7 +231,10 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     # [project.scripts] calls main() with no argument
     argv = ["wg", "classes", "--type", "A", "--rank", "3", "--json"]
     monkeypatch.setattr(sys, "argv", ["greenpoly", *argv])
-    code, out, err = main(), *capsys.readouterr()
+    try:
+        code, out, err = main(), *capsys.readouterr()
+    finally:
+        gc.unfreeze()  # main() froze this process's heap, as it does at a process entry
     assert (code, err) == (0, "") and sum(c["size"] for c in json.loads(out)) == 24  # S4
     assert (main(argv), *capsys.readouterr()) == (code, out, err)
 
