@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 
-from .polyq import IntPoly, ONE, ZERO, slot_bits
+from .polyq import IntPoly, ONE, ZERO, byte_width, pack_ints, slot_bits, split_ints
 from .weyl import WeylGroupData, WeylType, build
 
 
@@ -200,36 +200,27 @@ def _over_order(total, order: int):
     return total // order
 
 
-def _signed_chunks(u: int, width: int, count: int) -> list:
-    """The count signed digits of u in base 2^width, lowest first, each of
-    absolute value below 2^(width - 1), split off by halves: repeated shifts
-    by one digit would take time quadratic in the length of u."""
-    if count == 1:
-        return [u]
-    half = count // 2
-    cut = width * half
-    low, high = u & ((1 << cut) - 1), u >> cut
-    if low >> (cut - 1):
-        low -= 1 << cut
-        high += 1
-    return _signed_chunks(low, width, half) + _signed_chunks(high, width, count - half)
-
-
 def _row_gram(g: WeylGroupData, rows, weight) -> list:
     """The symmetric Gram (1/|W|) sum_k |C_k| x_i(w_k) x_j(w_k) weight_k of
     integer rows x (a character table), one packed dot product per row.
 
-    Each entry is a polynomial of s slots of B bits, one per weight degree.
-    Class k is packed once, S_k = |C_k| weight_k(2^B) sum_j x_j(w_k) 2^(s B j),
-    so that sum_k x_i(w_k) S_k is sum_j |W| G_ij(2^B) 2^(s B j).  B is
-    `slot_bits` of sum_k |C_k| max_j x_j(w_k)^2 |weight_k|_inf, which bounds
-    every coefficient.  The entries j < i sum to less than 2^(s B i - 1) in
-    absolute value, so a shift by s B i, rounded, drops them and leaves u,
-    the entries j >= i.  Signed digits below 2^(B - 1) are unique, so every
-    coefficient in u is divisible by |W| exactly when |W| divides u and the
-    digits of u / |W| are at most (2^(B - 1) - 1) / |W|; those digits are the
-    entries, which are mirrored.  Otherwise the first entry with a
-    coefficient |W| does not divide raises ArithmeticError (`_over_order`).
+    Each entry is a polynomial of s slots of b bits, one per weight degree,
+    where b is `slot_bits` of sum_k |C_k| max_j x_j(w_k)^2 |weight_k|_inf,
+    which bounds every coefficient.  Entries lie S = s b bits apart, rounded
+    up to a whole byte, so that a column packs and a row splits in linear
+    time (`pack_ints`, `split_ints`).  Class k is packed once,
+    P_k = |C_k| weight_k(2^b) sum_j x_j(w_k) 2^(S j), so that
+    sum_k x_i(w_k) P_k, taken over the classes where x_i is nonzero, is
+    sum_j |W| G_ij(2^b) 2^(S j).  The entries j < i sum to less than
+    2^(S i - 1) in absolute value, so a shift by S i, rounded, drops them and
+    leaves u, the entries j >= i.  When |W| divides u, the quotient splits
+    into one signed slot per entry j >= i.  If every nonzero slot unpacks
+    into at most s signed base-2^b digits of at most (2^(b - 1) - 1) / |W|,
+    then |W| times each slot lies within its slot, so by the uniqueness of
+    signed digits it is the class sum there: the slots are the entries at
+    2^b, and are mirrored.  A zero slot is the entry 0 and is not unpacked.
+    Otherwise the first entry with a coefficient |W| does not divide raises
+    ArithmeticError (`_over_order`).
     """
     n, order = len(rows), g.order
     graded = any(isinstance(w, IntPoly) for w in weight)
@@ -239,28 +230,35 @@ def _row_gram(g: WeylGroupData, rows, weight) -> list:
         cls.size * max(map(abs, col)) ** 2 * _norm_inf(w)
         for cls, col, w in zip(g.classes, cols, weight)
     ))
-    stride = slots * b
+    stride = byte_width(slots * b)
     limit = ((1 << (b - 1)) - 1) // order
-    packed = [
-        cls.size * _packed(w, b) * IntPoly(col).pack(stride)
-        for cls, col, w in zip(g.classes, cols, weight)
-    ]
+    sized = [cls.size * _packed(w, b) for cls, w in zip(g.classes, weight)]
+    packed = [sz * pack_ints(col, stride) for sz, col in zip(sized, cols)]
+    if graded:
+        def entry(d):
+            return IntPoly.unpack(d, b) if d else ZERO
 
-    def entries(u, count):
-        chunks = _signed_chunks(u, stride, count)
-        return [IntPoly.unpack(c, b) for c in chunks] if graded else chunks
+        def fits(e):
+            return len(e.coeffs) <= slots and e.norm_inf() <= limit
+    else:
+        def entry(d):
+            return d
+
+        def fits(e):
+            return abs(e) <= limit
 
     gram = [[None] * n for _ in range(n)]
     for i, row in enumerate(rows):
         shift = stride * i
-        u = (sum(map(mul, row, packed)) + ((1 << shift) >> 1)) >> shift
-        quo, rem = divmod(u, order)
-        row_i = entries(quo, n - i)
-        if rem or max(map(_norm_inf, row_i)) > limit:
-            for entry in entries(u, n - i):
-                _over_order(entry, order)
-        for j, entry in enumerate(row_i, i):
-            gram[i][j] = gram[j][i] = entry
+        total = sum([x * p for x, p in zip(row, packed) if x])
+        quo, rem = divmod((total + ((1 << shift) >> 1)) >> shift, order)
+        digits = None if rem else split_ints(quo, stride, n - i)
+        row_i = None if digits is None else list(map(entry, digits))
+        if row_i is None or not all(fits(e) for e in row_i if e):
+            for other in rows[i:]:
+                _over_order(entry(sum(map(mul, map(mul, row, other), sized))), order)
+        for j, e in enumerate(row_i, i):
+            gram[i][j] = gram[j][i] = e
     return gram
 
 

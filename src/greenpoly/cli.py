@@ -170,7 +170,10 @@ def cmd_wg(args):
 def cmd_pairing(args):
     g = _group(args)
     if args.form == "qell":
-        gram = [[str(e) for e in row] for row in q_elliptic_gram(g)]
+        # mirrored and equal entries, most of them 0, share one string
+        text = {}
+        known, add = text.get, text.setdefault
+        gram = [[known(e) or add(e, str(e)) for e in row] for row in q_elliptic_gram(g)]
     else:
         # minusone or delta: the twisted Gram is the (-1)-elliptic one by the
         # substitution u = w w0 (see charring.delta_twist_pairing)

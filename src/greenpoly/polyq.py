@@ -13,7 +13,11 @@ single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
 packed values are packed sums of products, so one big-integer multiply-add
 replaces a schoolbook polynomial product (Harvey, J. Symbolic Comput. 44,
 2009).  The slot width b comes from a coefficient bound computed from the
-inputs (`slot_bits`).
+inputs (`slot_bits`).  For many values in one integer, at a width that is a
+whole number of bytes, `pack_ints` and `split_ints` pack and split in time
+linear in the length: each value, offset by half its slot, is one run of
+little-endian bytes, so a single `int.from_bytes` or `int.to_bytes` moves them
+all, and a constant bias takes the offsets off again.
 
 `RatFun`, a rational function over Q, has no caller in the library.  It stays
 only because the benchmark tracer still counts calls of `RatFun.__init__`;
@@ -22,6 +26,7 @@ it goes once the tracer stops naming it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Union
 
@@ -37,6 +42,48 @@ def slot_bits(bound: int) -> int:
     """Slot width b for packing values whose coefficients are at most bound
     in absolute value: every coefficient then lies below 2^(b-1)."""
     return bound.bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def _bias(width: int, count: int) -> int:
+    """sum_j 2^(width-1) 2^(width j) over j < count: the offsets that make
+    every slot of `pack_ints` and `split_ints` nonnegative."""
+    return int.from_bytes((bytes((width >> 3) - 1) + b"\x80") * count, "little")
+
+
+def pack_ints(values, width: int) -> int:
+    """sum_j values[j] 2^(width j), for a width that is a multiple of 8 and
+    values with -2^(width-1) <= v < 2^(width-1); OverflowError otherwise.
+
+    Each value plus 2^(width-1) is written as width/8 little-endian bytes and
+    the joined bytes are read back as one integer, so the time is linear in
+    the total length, where a shift-accumulate (`IntPoly.pack`) is quadratic.
+    """
+    nbytes, half = width >> 3, 1 << (width - 1)
+    data = b"".join([(v + half).to_bytes(nbytes, "little") for v in values])
+    return int.from_bytes(data, "little") - _bias(width, len(values))
+
+
+def split_ints(u: int, width: int, count: int):
+    """The count signed digits of u in base 2^width, lowest first, each in
+    [-2^(width-1), 2^(width-1)), for a width that is a multiple of 8; None
+    when u is not sum_j d_j 2^(width j) over j < count with such digits.
+
+    The inverse of `pack_ints`, in time linear in count: u plus the bias is
+    written out as bytes once and each slot is read back alone.
+    """
+    nbytes, half = width >> 3, 1 << (width - 1)
+    try:
+        data = (u + _bias(width, count)).to_bytes(nbytes * count, "little")
+    except OverflowError:  # negative, or too long for count slots
+        return None
+    read = int.from_bytes
+    return [read(data[i:i + nbytes], "little") - half for i in range(0, nbytes * count, nbytes)]
+
+
+def byte_width(bits: int) -> int:
+    """bits rounded up to a whole number of bytes."""
+    return -(-bits // 8) * 8
 
 
 class IntPoly:
@@ -106,8 +153,8 @@ class IntPoly:
 
         Each digit shifts the whole remaining integer, so the time is
         quadratic in the number of digits.  A caller that packs many values
-        into one long integer splits it into entries first, by halves
-        (`charring._signed_chunks`), and unpacks each entry alone.
+        into one long integer at a byte-aligned stride splits it into entries
+        first (`split_ints`, linear) and unpacks each entry alone.
         """
         out = []
         mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b

@@ -17,10 +17,11 @@ is found by its label.  In G2 it is the least dihedral index.  `class_of`
 computes an element's label.  `delta_twisted_classes` and `all_elements`
 enumerate the whole group; the tests use them as oracles.
 Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
-tables (`_bc_column`, outer products of whole S_k columns), one table per rank
-shared by B_n and C_n; for D the same columns restricted, with split classes;
-and a hard-coded table for G2.  `build` checks row orthogonality with one
-packed integer sum per row.
+tables (`_bc_column`: each split of a class's cycles adds the outer product
+of two S_k columns, one big-integer product of byte-packed columns, and the
+packed column is split once), one table per rank shared by B_n and C_n; for D
+the same columns restricted, with split classes; and a hard-coded table for
+G2.  `build` checks row orthogonality with one packed integer sum per row.
 Supported ranks: A 1-8, B and C 1-8, D 3-8.
 """
 
@@ -29,10 +30,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from operator import add, mul
+from operator import mul
 
 from .partitions import cycle_type_size, multiplicities, partitions, sym_char
-from .polyq import IntPoly, ONE, slot_bits
+from .polyq import IntPoly, ONE, byte_width, pack_ints, slot_bits, split_ints
 
 SUPPORTED_RANKS = {"A": range(1, 12), "B": range(1, 9), "C": range(1, 9),
                    "D": range(3, 9), "G2": range(2, 3)}
@@ -310,6 +311,30 @@ def _sym_column(rho) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _bc_width(n: int) -> int:
+    """Slot width, in whole bytes, of a packed B_n character column: every
+    value has |chi(w)| <= chi(1) < |W| = 2^n n!."""
+    return byte_width(slot_bits(2**n * factorial(n)))
+
+
+@lru_cache(maxsize=None)
+def _block_packed(rho, n: int) -> int:
+    """The S_k column at rho (k = |rho|), packed as the first factor of an
+    outer product in the block |alpha| = k of a packed B_n column: one slot
+    per partition alpha of k, spaced by the p(n - k) slots of a block row,
+    shifted past the blocks |alpha| > k."""
+    k, w = sum(rho), _bc_width(n)
+    offset = sum(len(partitions(j)) * len(partitions(n - j)) for j in range(k + 1, n + 1))
+    return pack_ints(_sym_column(rho), w * len(partitions(n - k))) << (w * offset)
+
+
+@lru_cache(maxsize=None)
+def _row_packed(rho, n: int) -> int:
+    """The S_k column at rho, packed at the slot width of a B_n column."""
+    return pack_ints(_sym_column(rho), _bc_width(n))
+
+
+@lru_cache(maxsize=None)
 def _bc_column(pos, neg) -> tuple:
     """Every B_n irreducible, in `bipartitions(n)` order, at the class (pos, neg).
 
@@ -318,36 +343,32 @@ def _bc_column(pos, neg) -> tuple:
     So its value is a sum over the ways to send k_c of the m_c cycles of each
     (length, sign) group c to alpha and the rest to beta: the term is
     prod_c C(m_c, k_c) chi^alpha(rho_alpha) chi^beta(rho_beta), negated once for
-    each negative cycle sent to beta.  The irreducibles with |alpha| = k form
-    one block of `bipartitions(n)`, partitions(k) x partitions(n - k) in row
-    order, so a split (rho_alpha, rho_beta) with |rho_alpha| = k adds its
-    coefficient times the outer product of the S_k column at rho_alpha and the
-    S_(n-k) column at rho_beta to that block.  Equal splits are merged first.
+    each negative cycle sent to beta.  The splits (rho_alpha, rho_beta) and
+    their coefficients come from convolving the groups one at a time, longest
+    cycles first, so each split is built in descending order and equal splits
+    merge as they arise.  The irreducibles with |alpha| = k form one block of
+    `bipartitions(n)`, partitions(k) x partitions(n - k) in row order, so a
+    split with |rho_alpha| = k adds its coefficient times the outer product of
+    the S_k column at rho_alpha and the S_(n-k) column at rho_beta to that
+    block.  On packed columns that outer product is one integer product
+    (`_block_packed` times `_row_packed`), and the whole column is one packed
+    sum, split once (`split_ints`).
     """
     n = sum(pos) + sum(neg)
     groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
     groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
-    splits = {}  # (rho_alpha, rho_beta) -> coef
-    for ks in itertools.product(*(range(m + 1) for _, m, _ in groups)):
-        coef, to_a, to_b = 1, [], []
-        for (c, m, sign), k in zip(groups, ks):
-            coef *= comb(m, k) * sign ** (m - k)
-            to_a += [c] * k
-            to_b += [c] * (m - k)
-        key = tuple(sorted(to_a, reverse=True)), tuple(sorted(to_b, reverse=True))
-        splits[key] = splits.get(key, 0) + coef
-    blocks = [[0] * (len(partitions(k)) * len(partitions(n - k))) for k in range(n + 1)]
-    for (ra, rb), coef in splits.items():
-        if not coef:
-            continue
-        block, col_b = blocks[sum(ra)], _sym_column(rb)
-        width = len(col_b)
-        for start, x in zip(range(0, len(block), width), _sym_column(ra)):
-            if x:
-                cx = coef * x
-                block[start:start + width] = map(add, block[start:start + width],
-                                                 map(cx.__mul__, col_b))
-    return tuple(itertools.chain.from_iterable(reversed(blocks)))
+    splits = {((), ()): 1}  # (rho_alpha, rho_beta) -> coef
+    for c, m, sign in sorted(groups, key=lambda grp: -grp[0]):
+        terms = [(k, comb(m, k) * sign ** (m - k)) for k in range(m + 1)]
+        grown = {}
+        for (ra, rb), coef in splits.items():
+            for k, f in terms:
+                key = ra + (c,) * k, rb + (c,) * (m - k)
+                grown[key] = grown.get(key, 0) + coef * f
+        splits = grown
+    total = sum(coef * _block_packed(ra, n) * _row_packed(rb, n)
+                for (ra, rb), coef in splits.items() if coef)
+    return tuple(split_ints(total, _bc_width(n), len(bipartitions(n))))
 
 
 _G2_CLASS_ORDER = ("e", "w0", "rot60", "rot120", "refl_long", "refl_short")
@@ -743,16 +764,17 @@ def _verify(g: WeylGroupData):
     if sum(row[ident] ** 2 for row in g.char_table) != g.order:
         raise AssertionError("sum of squared dimensions is not |W|")
     # row orthogonality X diag(|C_k|) X^T = |W| I, one packed integer per
-    # row: column k over the irreducibles is P_k = sum_j X_jk 2^(b j), and
+    # row: column k over the irreducibles is P_k = sum_j X_jk 2^(b j), b the
+    # slot width of the entries rounded up to a whole byte (`pack_ints`), and
     # row i holds iff sum_k |C_k| X_ik P_k = |W| 2^(b i).  A square X that
     # passes is invertible, so column orthogonality follows.
     cols = list(zip(*g.char_table))
-    b = slot_bits(sum(sz * max(v * v for v in col) for sz, col in zip(sizes, cols)))
-    sized = [sz * IntPoly(col).pack(b) for sz, col in zip(sizes, cols)]
+    b = byte_width(slot_bits(sum(sz * max(v * v for v in col) for sz, col in zip(sizes, cols))))
+    sized = [sz * pack_ints(col, b) for sz, col in zip(sizes, cols)]
     for i, row in enumerate(g.char_table):
         total = sum(map(mul, row, sized))
         if total != g.order << (b * i):
-            entries = IntPoly.unpack(total, b)
+            entries = split_ints(total, b, nirr)
             j = next(j for j in range(nirr) if entries[j] != (g.order if i == j else 0))
             raise AssertionError(
                 f"character table orthogonality fails at rows {i},{j}"

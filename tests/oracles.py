@@ -5,7 +5,10 @@ and its conjugacy classes, and the `*_elements` / `*_direct` pairings sum over
 group elements instead of classes.
 
 Earlier kernels: `bc_column_per_term` is the B_n character column with one
-`sym_char` call per term; `symmetric_class_gram` is the Gram of a list of
+`sym_char` call per term, and `bc_column_outer_products` the same column as
+`weyl._bc_column` took it before the packed kernel: every split from a product
+over the groups of cycles, sorted, and one list outer product of two S_k
+columns per split; `symmetric_class_gram` is the Gram of a list of
 rows with itself, one packed dot product per entry j >= i (a one-shot
 `charring.ClassRows` with the rows as its probes).
 
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import add, mul
 from types import SimpleNamespace
 
 from greenpoly.charring import (
@@ -55,9 +59,11 @@ from greenpoly.lusztigshoji import (
     _inverse_parts,
     omega_on_pairs,
 )
-from greenpoly.partitions import multiplicities, sym_char
+from greenpoly.partitions import multiplicities, partitions, sym_char
 from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
-from greenpoly.weyl import WeylGroupData, WeylType, _inv, _mul, all_elements, bipartitions, simple_generators
+from greenpoly.weyl import (
+    WeylGroupData, WeylType, _inv, _mul, _sym_column, all_elements, bipartitions, simple_generators,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,35 @@ def bc_column_per_term(pos, neg) -> tuple:
             for (ra, rb), coef in by_size[sum(alpha)].items() if coef)
         for alpha, beta in bipartitions(n)
     )
+
+
+@lru_cache(maxsize=None)
+def bc_column_outer_products(pos, neg) -> tuple:
+    """`weyl._bc_column` by list outer products of whole S_k columns."""
+    n = sum(pos) + sum(neg)
+    groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
+    groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
+    splits = {}  # (rho_alpha, rho_beta) -> coef
+    for ks in itertools.product(*(range(m + 1) for _, m, _ in groups)):
+        coef, to_a, to_b = 1, [], []
+        for (c, m, sign), k in zip(groups, ks):
+            coef *= comb(m, k) * sign ** (m - k)
+            to_a += [c] * k
+            to_b += [c] * (m - k)
+        key = tuple(sorted(to_a, reverse=True)), tuple(sorted(to_b, reverse=True))
+        splits[key] = splits.get(key, 0) + coef
+    blocks = [[0] * (len(partitions(k)) * len(partitions(n - k))) for k in range(n + 1)]
+    for (ra, rb), coef in splits.items():
+        if not coef:
+            continue
+        block, col_b = blocks[sum(ra)], _sym_column(rb)
+        width = len(col_b)
+        for start, x in zip(range(0, len(block), width), _sym_column(ra)):
+            if x:
+                cx = coef * x
+                block[start:start + width] = map(add, block[start:start + width],
+                                                 map(cx.__mul__, col_b))
+    return tuple(itertools.chain.from_iterable(reversed(blocks)))
 
 
 def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:

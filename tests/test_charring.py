@@ -31,6 +31,7 @@ from greenpoly.charring import (
     q_elliptic_pairing,
     std_pairing,
 )
+from greenpoly import weyl
 from greenpoly.polyq import IntPoly, PackedRows, sparse_matmul
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
@@ -42,6 +43,7 @@ from greenpoly.weyl import (
 )
 
 from oracles import (
+    bc_column_outer_products,
     bc_column_per_term,
     delta_twist_grams_agree,
     delta_twist_pairing_direct,
@@ -429,6 +431,50 @@ def test_row_gram_checks_each_coefficient(rank, rows, weight, witness):
             kernel(g, rows, rows, weight)
 
 
+def test_row_gram_split_rejection_takes_the_same_error_path(monkeypatch):
+    # A2, classes (3), (2,1), (1,1,1) of sizes 2, 3, 1: the rows give the
+    # class sums 2000 and 1000 on row 0, packed as 2000 + 1000 * 2^S, a
+    # multiple of |W| = 6, while 2000 is not.  At the true width the quotient
+    # always fits its slots, and its digits fail the limit check.  A width
+    # narrowed to one byte is too small for these sums: the quotient 43000
+    # does not fit two 8-bit slots, so `split_ints` rejects the row before
+    # the limit check, and the row must raise the same ArithmeticError.
+    import greenpoly.charring as charring
+
+    g = build(WeylType("A", 2))
+    rows, weight = [[-20, -20, 0], [-10, -10, -10]], [1, 1, 1]
+    message = re.escape("class sums [2000] not divisible by |W| = 6")
+    with pytest.raises(ArithmeticError, match=message):
+        _class_gram(g, rows, rows, weight)
+
+    rejected, split = [], charring.split_ints
+
+    def split_ints(u, width, count):
+        out = split(u, width, count)
+        rejected.append(out is None)
+        return out
+
+    monkeypatch.setattr(charring, "slot_bits", lambda bound: 8)
+    monkeypatch.setattr(charring, "split_ints", split_ints)
+    with pytest.raises(ArithmeticError, match=message):
+        _class_gram(g, rows, rows, weight)
+    assert rejected == [True]
+
+
+def test_row_gram_checks_the_digit_count_of_each_entry():
+    # B2 with weights of degree 0: b = 12, and entries lie 16 bits apart.
+    # Row 0's class sums are 528 and -612, packed as 528 - 612 * 2^16, a
+    # multiple of |W| = 8 while -612 is not.  The quotient's slots are
+    # 66 - 2^15 and -76; the first unpacks into the two small digits 66, -8,
+    # one more than a weight of one slot gives, so it is no entry.
+    g = build(WeylType("B", 2))
+    rows = [[-3, -3, -1, 0, -3], [2, 0, 3, 0, 2]]
+    weight = [P(40), P(-17), P(12), P(32), P(25)]
+    for kernel in (_class_gram, _class_gram_by_degree):
+        with pytest.raises(ArithmeticError, match=re.escape("class sums [-612] ")):
+            kernel(g, rows, rows, weight)
+
+
 @pytest.mark.parametrize(
     "rank,value,witness",
     [
@@ -547,3 +593,18 @@ def test_row_gram_width_holds_a_tight_entry(data):
 def test_bc_columns_match_per_term_oracle(n):
     for pos, neg in bipartitions(n):
         assert _bc_column(pos, neg) == bc_column_per_term(pos, neg)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f in ("B", "C", "D") for r in SUPPORTED_RANKS[f]]
+)
+def test_bcd_tables_match_outer_product_oracle(monkeypatch, family, rank):
+    # the table `build` gives against the one the list outer products give,
+    # with every split of every class taken afresh
+    g = build(WeylType(family, rank))
+    monkeypatch.setattr(weyl, "_bc_column", bc_column_outer_products)
+    if family == "D":
+        table = weyl._build_D(g.type)[1]
+    else:
+        table = weyl._build_BC.__wrapped__(rank)[1]
+    assert g.char_table == table

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from greenpoly.charring import q_elliptic_gram
 from greenpoly.cli import main
+from greenpoly.weyl import WeylType, build
 
 
 def run(capsys, *args):
@@ -431,6 +433,21 @@ def test_pairing_gram(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["gram"][1][1] == 3  # reflection norm in the (-1)-form
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 6), ("D", 6), ("A", 8)])
+def test_qell_gram_entries_print_as_str(capsys, fam, rank):
+    # the q-elliptic Gram formats each distinct entry once; every printed
+    # entry, in JSON and in CSV, is still str of that entry
+    want = [[str(e) for e in row] for row in q_elliptic_gram(build(WeylType(fam, rank)))]
+    grp = ("--type", fam, "--rank", str(rank), "--form", "qell")
+    code, out, _ = run(capsys, "pairing", "gram", *grp, "--json")
+    assert code == 0
+    assert json.loads(out)["gram"] == want
+    code, out, _ = run(capsys, "pairing", "gram", *grp, "--format", "csv")
+    assert code == 0
+    # a label holds commas of its own, so the entries are the last fields
+    assert [line.split(",")[-len(want):] for line in out.splitlines()] == want
 
 
 def test_pairing_gram_delta_matches_minusone(capsys):

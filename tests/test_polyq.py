@@ -8,8 +8,10 @@ from greenpoly.polyq import (
     IntPoly,
     Q,
     RatFun,
+    pack_ints,
     slot_bits,
     sparse_matmul,
+    split_ints,
 )
 
 
@@ -161,3 +163,53 @@ def test_matmul_matches_schoolbook(data):
                            [[x.pack(256) for x in row] for row in B], 0)
     assert packed == [[x.pack(256) for x in row] for row in want]
 
+
+
+# byte-packed slots: a width that is a multiple of 8, from 8 to 2048 bits,
+# and values anywhere in its signed range, its two ends included
+_widths = st.integers(1, 256).map(lambda k: 8 * k)
+
+
+def _slot_values(width):
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    return st.lists(st.one_of(st.integers(lo, hi), st.sampled_from((lo, lo + 1, -1, 0, 1, hi))),
+                    max_size=12)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_pack_ints_is_intpoly_pack(data):
+    width = data.draw(_widths)
+    values = data.draw(_slot_values(width))
+    assert pack_ints(values, width) == IntPoly(values).pack(width)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_split_ints_inverts_pack_ints(data):
+    width = data.draw(_widths)
+    values = data.draw(_slot_values(width))
+    assert split_ints(pack_ints(values, width), width, len(values)) == values
+
+
+@pytest.mark.parametrize("width", [8, 16, 64, 2048])
+def test_split_ints_reads_extreme_digits(width):
+    top = (1 << (width - 1)) - 1
+    for values in ([top, -top, 0, top], [-top, top], [top], [-top], [0], [0, 0, 0], []):
+        assert split_ints(pack_ints(values, width), width, len(values)) == values
+    assert split_ints(0, width, 3) == [0, 0, 0]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_split_ints_rejects_out_of_range(data):
+    # the integers that count signed slots hold are exactly those from
+    # pack_ints([-2^(w-1)] * count) to pack_ints([2^(w-1) - 1] * count)
+    width, count = data.draw(_widths), data.draw(st.integers(0, 6))
+    half = 1 << (width - 1)
+    lowest, highest = pack_ints([-half] * count, width), pack_ints([half - 1] * count, width)
+    assert split_ints(lowest, width, count) == [-half] * count
+    assert split_ints(highest, width, count) == [half - 1] * count
+    beyond = data.draw(st.integers(1, 1 << (width * count + 2)))
+    assert split_ints(lowest - beyond, width, count) is None
+    assert split_ints(highest + beyond, width, count) is None
