@@ -219,8 +219,9 @@ def _row_gram(g: WeylGroupData, rows, weight) -> list:
     then |W| times each slot lies within its slot, so by the uniqueness of
     signed digits it is the class sum there: the slots are the entries at
     2^b, and are mirrored.  A zero slot is the entry 0 and is not unpacked.
-    Otherwise the first entry with a coefficient |W| does not divide raises
-    ArithmeticError (`_over_order`).
+    Otherwise the row's class sums are taken again one entry at a time, and
+    the first with a coefficient |W| does not divide raises ArithmeticError
+    (`_over_order`).
     """
     n, order = len(rows), g.order
     graded = any(isinstance(w, IntPoly) for w in weight)

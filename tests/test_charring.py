@@ -31,7 +31,7 @@ from greenpoly.charring import (
     q_elliptic_pairing,
     std_pairing,
 )
-from greenpoly import weyl
+from greenpoly import charring, weyl
 from greenpoly.polyq import IntPoly, PackedRows, sparse_matmul
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
@@ -439,8 +439,6 @@ def test_row_gram_split_rejection_takes_the_same_error_path(monkeypatch):
     # narrowed to one byte is too small for these sums: the quotient 43000
     # does not fit two 8-bit slots, so `split_ints` rejects the row before
     # the limit check, and the row must raise the same ArithmeticError.
-    import greenpoly.charring as charring
-
     g = build(WeylType("A", 2))
     rows, weight = [[-20, -20, 0], [-10, -10, -10]], [1, 1, 1]
     message = re.escape("class sums [2000] not divisible by |W| = 6")

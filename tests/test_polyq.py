@@ -164,7 +164,6 @@ def test_matmul_matches_schoolbook(data):
     assert packed == [[x.pack(256) for x in row] for row in want]
 
 
-
 # byte-packed slots: a width that is a multiple of 8, from 8 to 2048 bits,
 # and values anywhere in its signed range, its two ends included
 _widths = st.integers(1, 256).map(lambda k: 8 * k)
