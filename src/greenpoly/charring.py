@@ -4,27 +4,24 @@ Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
 with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
 q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
 the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
-and Omega.  All of them go through `_class_gram`, on integers packed by
-Kronecker substitution, in one of two layouts.  The one-shot store
-`ClassRows` packs each polynomial class value of two lists of rows into one
-integer f(2^b) and takes each entry as one integer dot product over the
-classes.  The Gram of the character table with itself (the q-elliptic,
-(-1)-elliptic and Omega Grams, and Omega at one integer point for the
-solver's check) is row-packed instead (`_row_gram`): each class column is
-packed over the irreducibles, so one integer dot product per row and weight
-degree gives that row's entries at once, with no pairing unpacked alone.
-The q-elliptic Gram of the irreducibles is kept per type: by bilinearity it
-gives the solver every pairing of a Green column, so the solver takes no
-class sum of its own.  The brute-force sums over group elements are test
-oracles.  The coinvariant class function is an integer polynomial for every
-w, which keeps fake degrees and the fake-degree matrix inside Z[q]
-throughout.
+and Omega.  All of them go through one kernel, `_class_gram`, on integers
+packed by Kronecker substitution: each class column of the right-hand rows
+is packed over those rows once, so one integer dot product per left-hand row
+gives that row's entries at once, with no pairing unpacked alone.  A Gram of
+rows with themselves (the q-elliptic, (-1)-elliptic and Omega Grams, and
+Omega at one integer point for the solver's check) keeps only the entries
+on and above the diagonal of each row and mirrors them.  The q-elliptic Gram
+of the irreducibles is kept per type: by bilinearity it gives the solver
+every pairing of a Green column, so the solver takes no class sum of its
+own.  The brute-force sums over group elements are test oracles.  The
+coinvariant class function is an integer polynomial for every w, which keeps
+fake degrees and the fake-degree matrix inside Z[q] throughout.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import mul
 
 from .polyq import IntPoly, ONE, ZERO, byte_width, pack_ints, slot_bits, split_ints
@@ -120,72 +117,16 @@ def graded_irreducible(g: WeylGroupData, i: int) -> GradedCharacter:
 # pairings
 
 
-def _packed(v, b: int) -> int:
-    """A class value (int or IntPoly) at q = 2^b."""
-    return v.pack(b) if isinstance(v, IntPoly) else v
-
-
-def _norm_inf(v) -> int:
-    return v.norm_inf() if isinstance(v, IntPoly) else abs(v)
-
-
-def _norm1(v) -> int:
-    return v.norm1() if isinstance(v, IntPoly) else abs(v)
-
-
-class ClassRows:
-    """Rows of class values, packed once for the class-sum pairings of one weight.
-
-    Each row lists one value per class, an int or an IntPoly.  A pairing
-    takes one of the `probes`, rows given up front and not stored, and one
-    of the stored `rows`.  Graded rows or weights are packed at one slot
-    width b, `slot_bits` of sum_k |C_k| reach_k one_k |weight_k|_1, where
-    reach_k is the largest |coefficient| of a probe on class k and one_k the
-    largest |.|_1 of a stored row there; that bounds every pairing
-    coefficient.  Each stored row is kept packed at q = 2^b (`IntPoly.pack`)
-    and times |C_k| weight_k(2^b), so a pairing is one integer dot product
-    over the classes, tested for zero before it is unpacked.  Ungraded rows
-    and weights need no width: their packed form is the row.
-    """
-
-    def __init__(self, g: WeylGroupData, weight, rows, probes):
-        self.order = g.order
-        sizes = [cls.size for cls in g.classes]
-        self.graded = any(isinstance(v, IntPoly) for v in chain(weight, *rows, *probes))
-        self.b = b = 0
-        if self.graded:
-            reach = [max(map(_norm_inf, col)) for col in zip(*probes)]
-            one = [max(map(_norm1, col)) for col in zip(*rows)]
-            self.b = b = slot_bits(
-                sum(map(mul, map(mul, sizes, reach), map(mul, one, map(_norm1, weight))))
-            )
-            self.limit = ((1 << (b - 1)) - 1) // self.order
-        sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
-        self.weighted = [list(map(mul, sized, self.pack(row))) for row in rows]
-
-    def pack(self, row) -> list:
-        """A row at q = 2^b."""
-        return [_packed(v, self.b) for v in row]
-
-    def pair(self, a, j):
-        """(1/|W|) sum_k |C_k| a_k row_j(w_k) weight_k for a packed class row a.
-
-        A graded sum is divided by |W| before it is unpacked.  Its
-        coefficients are signed digits below 2^(b-1), which are unique, so
-        all of them are divisible exactly when |W| divides the packed sum
-        and the digits of the quotient are at most (2^(b-1) - 1)/|W|.
-        """
-        total = sum(map(mul, a, self.weighted[j]))
-        if not self.graded:
-            return _over_order(total, self.order)
-        if not total:
-            return ZERO
-        quo, rem = divmod(total, self.order)
-        if not rem:
-            entry = IntPoly.unpack(quo, self.b)
-            if entry.norm_inf() <= self.limit:
-                return entry
-        return _over_order(IntPoly.unpack(total, self.b), self.order)
+def _reach(rows, norm) -> tuple:
+    """Per class, the largest norm of a value of the rows there (abs for an
+    int); and the most coefficients of one IntPoly value, at least 1, or 0
+    when every value is an int."""
+    cols = list(zip(*rows))
+    counts = [len(v.coeffs) or 1 for v in chain(*rows) if isinstance(v, IntPoly)]
+    if not counts:
+        return [max(map(abs, col)) for col in cols], 0
+    norms = [max(norm(v) if isinstance(v, IntPoly) else abs(v) for v in col) for col in cols]
+    return norms, max(counts)
 
 
 def _over_order(total, order: int):
@@ -200,42 +141,58 @@ def _over_order(total, order: int):
     return total // order
 
 
-def _row_gram(g: WeylGroupData, rows, weight) -> list:
-    """The symmetric Gram (1/|W|) sum_k |C_k| x_i(w_k) x_j(w_k) weight_k of
-    integer rows x (a character table), one packed dot product per row.
+def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
+    """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
 
-    Each entry is a polynomial of s slots of b bits, one per weight degree,
-    where b is `slot_bits` of sum_k |C_k| max_j x_j(w_k)^2 |weight_k|_inf,
-    which bounds every coefficient.  Entries lie S = s b bits apart, rounded
-    up to a whole byte, so that a column packs and a row splits in linear
-    time (`pack_ints`, `split_ints`).  Class k is packed once,
-    P_k = |C_k| weight_k(2^b) sum_j x_j(w_k) 2^(S j), so that
-    sum_k x_i(w_k) P_k, taken over the classes where x_i is nonzero, is
-    sum_j |W| G_ij(2^b) 2^(S j).  The entries j < i sum to less than
-    2^(S i - 1) in absolute value, so a shift by S i, rounded, drops them and
-    leaves u, the entries j >= i.  When |W| divides u, the quotient splits
-    into one signed slot per entry j >= i.  If every nonzero slot unpacks
-    into at most s signed base-2^b digits of at most (2^(b - 1) - 1) / |W|,
-    then |W| times each slot lies within its slot, so by the uniqueness of
-    signed digits it is the class sum there: the slots are the entries at
-    2^b, and are mirrored.  A zero slot is the entry 0 and is not unpacked.
+    Each row, and the weight, lists one value per class, an int or an IntPoly.
+    Entries are IntPolys if any value is one, else ints.  An entry is a
+    polynomial of s = n_a + n_b + n_w - 2 slots of b bits, where n_a, n_b and
+    n_w are the most coefficients of one value of rows_a, rows_b and the
+    weight (an int has one), and b is `slot_bits` of
+    sum_k |C_k| max_i |a_ik|_1 max_j |b_jk|_1 |weight_k|_inf, which bounds
+    every coefficient.  A class whose term in that sum is 0 adds nothing to
+    any entry and is left out.  Entries lie S = s b bits apart, rounded up to
+    a whole byte, so that a column packs and a row splits in time linear in
+    its length (`pack_ints`, `split_ints`).  Class k is packed once, each
+    value at q = 2^b, as P_k = |C_k| weight_k(2^b) sum_j b_j(w_k) 2^(S j), so
+    that sum_k a_i(w_k) P_k, taken over the classes where a_i is nonzero, is
+    sum_j |W| G_ij(2^b) 2^(S j).
+
+    When rows_a is rows_b the Gram is symmetric: the entries j < i of row i
+    sum to less than 2^(S i - 1) in absolute value, so a shift by S i,
+    rounded, drops them, and the entries j >= i are taken and mirrored.
+    When |W| divides u, the row's sum or what the shift leaves of it, the
+    quotient splits into one signed slot per entry.  If every nonzero slot
+    unpacks into at most s signed base-2^b digits of at most
+    (2^(b - 1) - 1) / |W|, then |W| times each slot lies within its slot, so
+    by the uniqueness of signed digits it is the class sum there: the slots
+    are the entries at 2^b.  A zero slot is the entry 0 and is not unpacked.
     Otherwise the row's class sums are taken again one entry at a time, and
     the first with a coefficient |W| does not divide raises ArithmeticError
-    (`_over_order`).
+    (`_over_order`): the rows were not virtual characters.
     """
-    n, order = len(rows), g.order
-    graded = any(isinstance(w, IntPoly) for w in weight)
-    slots = max([1] + [len(w.coeffs) for w in weight if isinstance(w, IntPoly)])
-    cols = list(zip(*rows))
-    b = slot_bits(sum(
-        cls.size * max(map(abs, col)) ** 2 * _norm_inf(w)
-        for cls, col, w in zip(g.classes, cols, weight)
-    ))
+    order, symmetric = g.order, rows_a is rows_b
+    reach_a, n_a = _reach(rows_a, IntPoly.norm1)
+    reach_b, n_b = (reach_a, n_a) if symmetric else _reach(rows_b, IntPoly.norm1)
+    reach_w, n_w = _reach([weight], IntPoly.norm_inf)
+    terms = [cls.size * x * y * z for cls, x, y, z in zip(g.classes, reach_a, reach_b, reach_w)]
+    b = slot_bits(sum(terms))
+    slots = max(n_a, 1) + max(n_b, 1) + max(n_w, 1) - 2
     stride = byte_width(slots * b)
     limit = ((1 << (b - 1)) - 1) // order
-    sized = [cls.size * _packed(w, b) for cls, w in zip(g.classes, weight)]
-    packed = [sz * pack_ints(col, stride) for sz, col in zip(sized, cols)]
-    if graded:
+
+    def live(row, graded) -> list:
+        """A row's values on the classes with a nonzero term, at q = 2^b."""
+        values = compress(row, terms)
+        if not graded:
+            return list(values)
+        return [v.pack(b) if isinstance(v, IntPoly) else v for v in values]
+
+    live_a = [live(row, n_a) for row in rows_a]
+    live_b = live_a if symmetric else [live(row, n_b) for row in rows_b]
+    sized = [cls.size * w for cls, w in zip(compress(g.classes, terms), live(weight, n_w))]
+    packed = [sz * pack_ints(col, stride) for sz, col in zip(sized, zip(*live_b))]
+    if n_a or n_b or n_w:
         def entry(d):
             return IntPoly.unpack(d, b) if d else ZERO
 
@@ -248,40 +205,19 @@ def _row_gram(g: WeylGroupData, rows, weight) -> list:
         def fits(e):
             return abs(e) <= limit
 
-    gram = [[None] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        shift = stride * i
-        total = sum([x * p for x, p in zip(row, packed) if x])
+    gram = []
+    for i, a in enumerate(live_a):
+        start = i if symmetric else 0
+        shift = stride * start
+        total = sum([x * p for x, p in zip(a, packed) if x])
         quo, rem = divmod((total + ((1 << shift) >> 1)) >> shift, order)
-        digits = None if rem else split_ints(quo, stride, n - i)
-        row_i = None if digits is None else list(map(entry, digits))
-        if row_i is None or not all(fits(e) for e in row_i if e):
-            for other in rows[i:]:
-                _over_order(entry(sum(map(mul, map(mul, row, other), sized))), order)
-        for j, e in enumerate(row_i, i):
-            gram[i][j] = gram[j][i] = e
+        digits = None if rem else split_ints(quo, stride, len(live_b) - start)
+        row = None if digits is None else list(map(entry, digits))
+        if row is None or not all(fits(e) for e in row if e):
+            row = [_over_order(entry(sum(map(mul, map(mul, a, other), sized))), order)
+                   for other in live_b[start:]]
+        gram.append([r[i] for r in gram] + row if symmetric else row)
     return gram
-
-
-def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
-    """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
-
-    Each row, and the weight, lists one value per class, an int or an IntPoly.
-    Entries are IntPolys if any value is one, else ints.  When rows_a is
-    rows_b the Gram is symmetric and the rows must hold ints: `_row_gram`
-    takes it one packed row at a time.  Otherwise it is a one-shot
-    `ClassRows` holding rows_b, with rows_a as its probes: every row is
-    packed once, at the exact width `slot_bits` of the bound
-    sum_k |C_k| |a_k|_inf |b_k|_1 |weight_k|_1 on every coefficient, and
-    each entry is one integer dot product over the classes.  A sum not
-    divisible by |W| means the rows are not virtual characters and raises
-    ArithmeticError.
-    """
-    if rows_a is rows_b:
-        return _row_gram(g, rows_a, weight)
-    store = ClassRows(g, weight, rows_b, probes=rows_a)
-    js = range(len(rows_b))
-    return [[store.pair(a, j) for j in js] for a in map(store.pack, rows_a)]
 
 
 def _pair(a, b, weight):
@@ -311,7 +247,7 @@ def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
 @lru_cache(maxsize=None)
 def _qell_rows(t: WeylType):
     g = build(t)
-    return tuple(map(tuple, _row_gram(g, g.char_table, g.refl_charpoly)))
+    return tuple(map(tuple, _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)))
 
 
 def q_elliptic_gram(g: WeylGroupData) -> list:
@@ -347,10 +283,6 @@ def _coinvariant_values(t: WeylType):
     g = build(t)
     p = poincare_poly(g)
     return tuple(p.divexact(g.refl_charpoly[k]) for k in range(len(g.classes)))
-
-
-def coinvariant_value(g: WeylGroupData, cls: int) -> IntPoly:
-    return _coinvariant_values(g.type)[cls]
 
 
 @lru_cache(maxsize=None)

@@ -44,8 +44,8 @@ from .charring import (
     fake_degree,
     _coinvariant_values,
     _omega_rows,
+    _class_gram,
     _qell_rows,
-    _row_gram,
     poincare_poly,
 )
 from .polyq import IntPoly, ONE, ZERO, PackedRows, adjugate, slot_bits, sparse_matmul
@@ -284,11 +284,11 @@ def kl_width(tab: GreenTableau, K) -> int:
 
 def omega_at(tab: GreenTableau, b: int) -> list:
     """Omega on the pairs at q = 2^b, as integers: one class-sum Gram of the
-    pairs' character rows (`_row_gram`) with the integer weights c_k(2^b), so
-    no polynomial entry of Omega is formed."""
-    g = tab.group
+    pairs' character rows with themselves (`_class_gram`) with the integer
+    weights c_k(2^b), so no polynomial entry of Omega is formed."""
+    g, rows = tab.group, _pair_rows(tab)
     weight = [c.pack(b) for c in _coinvariant_values(g.type)]
-    return _row_gram(g, _pair_rows(tab), weight)
+    return _class_gram(g, rows, rows, weight)
 
 
 def verify(tab: GreenTableau):

@@ -8,9 +8,13 @@ Earlier kernels: `bc_column_per_term` is the B_n character column with one
 `sym_char` call per term, and `bc_column_outer_products` the same column as
 `weyl._bc_column` took it before the packed kernel: every split from a product
 over the groups of cycles, sorted, and one list outer product of two S_k
-columns per split; `symmetric_class_gram` is the Gram of a list of
-rows with itself, one packed dot product per entry j >= i (a one-shot
-`charring.ClassRows` with the rows as its probes).
+columns per split.
+
+Class sums: `class_gram` is the class-sum Gram one entry at a time, each
+entry one dot product of values packed at the width of the call's inputs,
+for integer and graded values alike, and `symmetric_class_gram` is its Gram
+of a list of rows with itself.  Neither shares code with `charring`, whose
+kernel packs whole class columns and takes one dot product per row.
 
 The solver before the packed store: `solve_per_block` is the
 orthogonalisation as it ran when each orbit block called the class-sum
@@ -36,7 +40,6 @@ from operator import add, mul
 from types import SimpleNamespace
 
 from greenpoly.charring import (
-    ClassRows,
     GradedCharacter,
     VirtualCharacter,
     _same_group,
@@ -202,17 +205,6 @@ def bc_column_outer_products(pos, neg) -> tuple:
     return tuple(itertools.chain.from_iterable(reversed(blocks)))
 
 
-def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
-    """The Gram of rows with itself from a one-shot `ClassRows` that holds
-    the rows and has them as its probes: each entry j >= i one packed dot
-    product, the rest mirrored."""
-    store = ClassRows(g, weight, rows, probes=rows)
-    gram = []
-    for i, a in enumerate(map(store.pack, rows)):
-        gram.append([gram[m][i] for m in range(i)] + [store.pair(a, j) for j in range(i, len(rows))])
-    return gram
-
-
 # ---------------------------------------------------------------------------
 # the solver before the packed store
 
@@ -231,7 +223,9 @@ def _norm1(v) -> int:
 
 def class_gram(g, rows_a, rows_b, weight) -> list:
     """(1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k on values packed at the
-    exact width of this call's inputs; graded weights only."""
+    exact width of this call's inputs, one packed dot product per entry.
+    Entries are IntPolys if any value is one, else ints."""
+    graded = any(isinstance(v, IntPoly) for v in itertools.chain(weight, *rows_a, *rows_b))
     sizes = [cls.size for cls in g.classes]
     sup_a = [max(map(_norm_inf, col)) for col in zip(*rows_a)]
     one_b = [max(map(_norm1, col)) for col in zip(*rows_b)]
@@ -240,10 +234,17 @@ def class_gram(g, rows_a, rows_b, weight) -> list:
     sized = [s * _packed(w, b) for s, w in zip(sizes, weight)]
     packed_a = [[_packed(v, b) for v in row] for row in rows_a]
     weighted_b = [[s * _packed(v, b) for s, v in zip(sized, row)] for row in rows_b]
-    return [
+    gram = [
         [IntPoly.unpack(sum(map(mul, row, bw)), b).divexact_int(g.order) for bw in weighted_b]
         for row in packed_a
     ]
+    return gram if graded else [[e[0] for e in row] for row in gram]
+
+
+def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
+    """The Gram of rows with itself, every entry taken alone by `class_gram`
+    (the kernel takes entries j >= i only and mirrors them)."""
+    return class_gram(g, rows, rows, weight)
 
 
 def matmul(A, B) -> list:

@@ -412,6 +412,25 @@ def test_symmetric_gram_mirrors_and_checks_every_entry(graded):
         _class_gram(g, rows, rows, weight)
 
 
+@pytest.mark.parametrize("graded", [False, True])
+def test_kernel_leaves_out_classes_of_weight_zero(graded):
+    # A1 weighted by det_V(1 + w), times 1 + q when graded: 2 on the identity
+    # class, 0 on the reflection class.  The row's 10^6 on the reflection
+    # class adds nothing, and the slot width, which bounds the classes with
+    # a nonzero term only, does not hold it: that class must not be packed
+    g = build(WeylType("A", 1))
+    row = [10**6] * len(g.classes)
+    row[g.identity_class] = 2
+    weight = _det_values(g, -1)
+    if graded:
+        weight = [P(w, w) for w in weight]
+    rows = [row]
+    want = _class_gram_by_degree(g, rows, rows, weight)
+    assert want == [[P(4, 4) if graded else 4]]
+    assert _class_gram(g, rows, rows, weight) == want
+    assert _class_gram(g, rows, [list(row)], weight) == want
+
+
 @pytest.mark.parametrize(
     "rank,rows,weight,witness",
     [
@@ -485,8 +504,8 @@ def test_row_gram_checks_the_digit_count_of_each_entry():
     ],
 )
 def test_store_pairing_checks_each_coefficient(rank, value, witness):
-    # one graded class sum, on the identity class alone, through the packed
-    # store (rows_a is not rows_b)
+    # one graded class sum, on the identity class alone, through the
+    # rectangular call (rows_a is not rows_b)
     g = build(WeylType("A", rank))
     probe, row, weight = ([0] * len(g.classes) for _ in range(3))
     probe[g.identity_class], row[g.identity_class], weight[g.identity_class] = 1, value, P(1)
@@ -506,7 +525,7 @@ def test_store_grows_and_matches_one_shot_gram(data):
     # coordinates reach 1, 10^10 and then 10^30 force the store's slot width
     # to grow at least twice; a combination of stored rows with coefficients
     # up to 10^200 outgrows it once more.  The combination must be exact, and
-    # the pairing half of every stored row must be the one-shot Gram of the
+    # the pairing half of every stored row must be the class-sum Gram of the
     # irreducibles with the class values of its coordinate half, at every
     # width.
     g = build(WeylType("B", 2))
