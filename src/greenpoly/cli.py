@@ -41,22 +41,33 @@ ascending-degree.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import spin as spinmod
-from .charring import fake_degree, minus_one_gram, q_elliptic_gram
-from .lusztigshoji import GreenTableau, SolverError, m_block, solve, verify
-from .springer import (
-    SpringerTable,
-    TableFormatError,
-    load_table,
-    save_table,
-    table_typeA,
-    table_typeC,
+
+def _layer(name: str):
+    """The module greenpoly.<name>, registered in sys.modules and on the
+    package as an import registers it, but lazily: its body runs when one of
+    its attributes is first read.  A module already imported is kept."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = find_spec(fullname)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every layer is registered, so importing the CLI runs none of them and a verb
+# runs only those it reaches (bench/tracer.py reads all of them from
+# sys.modules right after the import).
+polyq, partitions, weyl, charring, springer, lusztigshoji, spin = map(
+    _layer, ("polyq", "partitions", "weyl", "charring", "springer", "lusztigshoji", "spin")
 )
-from .weyl import WeylGroupData, WeylType, build
 
 DATA_DIR_ENV = "GREENPOLY_DATA_DIR"
 
@@ -82,32 +93,32 @@ def _label_str(lab) -> str:
     return "(" + ",".join(map(str, lab)) + ")"
 
 
-def _emit(fmt: str, payload, csv_rows=None, pretty_lines=None):
+def _emit(fmt: str, payload, csv_rows, pretty_lines):
     """Print the one form that fmt names.  Each form is a function of no
     arguments, called only for the format printed, so a verb builds no form
     it does not print."""
     if fmt == "json":
+        import json
+
         print(json.dumps(payload()))
     elif fmt == "csv":
         for row in csv_rows():
             print(",".join(str(x) for x in row))
-    elif pretty_lines is None:
-        print(json.dumps(payload(), indent=1))
     else:
         for line in pretty_lines():
             print(line)
 
 
-def _group(args: Args) -> WeylGroupData:
+def _group(args: Args) -> weyl.WeylGroupData:
     if args.family is None or args.rank is None:
         raise UsageError("--type and --rank are required")
     try:
-        return build(WeylType(args.family, args.rank))
+        return weyl.build(weyl.WeylType(args.family, args.rank))
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _table(args: Args) -> SpringerTable:
+def _table(args: Args) -> springer.SpringerTable:
     """Resolve the orbit table; for type A the rank names GL(n).
 
     A table file in the data directory takes precedence over built-ins, and
@@ -118,19 +129,24 @@ def _table(args: Args) -> SpringerTable:
     if args.family not in ("A", "C"):
         raise UsageError(f"orbit tables exist for types A and C, not {args.family!r}")
     if args.data_dir:
+        if not os.path.isdir(args.data_dir):
+            raise UsageError(
+                f"data directory {args.data_dir!r} (--data-dir or ${DATA_DIR_ENV}) "
+                "is not a directory"
+            )
         cand = os.path.join(
             args.data_dir, f"springer_{args.family}{args.rank}.json"
         )
         if os.path.exists(cand):
-            table = load_table(cand)
+            table = springer.load_table(cand)
             if (table.ambient, table.n) != (args.family, args.rank):
-                raise TableFormatError(
+                raise springer.TableFormatError(
                     f"{cand} holds the type {table.ambient} rank {table.n} table, "
                     f"not type {args.family} rank {args.rank}"
                 )
             return table
     try:
-        return (table_typeA if args.family == "A" else table_typeC)(args.rank)
+        return (springer.table_typeA if args.family == "A" else springer.table_typeC)(args.rank)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -173,11 +189,11 @@ def cmd_pairing(args):
         # mirrored and equal entries, most of them 0, share one string
         text = {}
         known, add = text.get, text.setdefault
-        gram = [[known(e) or add(e, str(e)) for e in row] for row in q_elliptic_gram(g)]
+        gram = [[known(e) or add(e, str(e)) for e in row] for row in charring.q_elliptic_gram(g)]
     else:
         # minusone or delta: the twisted Gram is the (-1)-elliptic one by the
         # substitution u = w w0 (see charring.delta_twist_pairing)
-        gram = minus_one_gram(g)
+        gram = charring.minus_one_gram(g)
 
     def payload():
         return {
@@ -198,12 +214,12 @@ def cmd_fakedeg(args):
 
     def payload():
         return [
-            {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
+            {"irrep": _label_str(l), "fake_degree": charring.fake_degree(g, i).to_json()}
             for i, l in enumerate(g.irrep_labels)
         ]
 
     def rows():
-        return [[_label_str(l), str(fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
+        return [[_label_str(l), str(charring.fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
 
     _emit(args.format, payload, rows, lambda: [f"{a}: {b}" for a, b in rows()])
     return 0
@@ -226,12 +242,12 @@ def cmd_springer(args):
                 )
             return out
 
-        _emit(args.format, lambda: save_table(table), None, lines)
+        _emit(args.format, lambda: springer.save_table(table), None, lines)
         return 0
     # load: parse_args admits no other WHAT
     if args.file is None:
         raise UsageError("springer load needs a table FILE")
-    table = load_table(args.file)
+    table = springer.load_table(args.file)
     payload = {
         "type": table.ambient,
         "rank": table.n,
@@ -247,7 +263,7 @@ def cmd_springer(args):
     return 0
 
 
-def _tableau_payload(tab: GreenTableau):
+def _tableau_payload(tab: lusztigshoji.GreenTableau):
     g = tab.group
     pairs = [tab.pair_name(j) for j in range(len(tab.pairs))]
     return {
@@ -273,7 +289,7 @@ def _tableau_payload(tab: GreenTableau):
 
 def cmd_green(args):
     table = _table(args)
-    tab = solve(table)
+    tab = lusztigshoji.solve(table)
     n = len(tab.pairs)
 
     def rows():
@@ -293,7 +309,7 @@ def cmd_green(args):
             out.append(f"X_q[{tab.pair_name(j)}] = " + " + ".join(terms))
         out.append("M(q) diagonal blocks:")
         for orbit in dict.fromkeys(o for o, _ in tab.pairs):
-            block = m_block(tab, orbit)
+            block = lusztigshoji.m_block(tab, orbit)
             lab = str(table.orbits[orbit].label.partition)
             if len(block) == 1:
                 out.append(f"  {lab}: {block[0][0]}")
@@ -310,23 +326,20 @@ def cmd_green(args):
 def cmd_verify(args):
     checks = []
     if args.what in ("ls", "all"):
-        tab = solve(_table(args), check=False)
-        for name, ok, detail in verify(tab):
+        tab = lusztigshoji.solve(_table(args), check=False)
+        for name, ok, detail in lusztigshoji.verify(tab):
             checks.append({"identity": name, "ok": ok, "detail": _json_safe(detail)})
     if args.what == "all":
         g = tab.group
-        from .charring import chevalley_failure, minus_one_gram_rank
-        from .weyl import delta_elliptic_count
-
-        k = chevalley_failure(g)  # the first class where x_1(w) det(1 - qw) != p(q)
+        k = charring.chevalley_failure(g)  # the first class where x_1(w) det(1 - qw) != p(q)
         chev_bad = None if k is None else _label_str(g.classes[k].label)
         checks.append({"identity": "chevalley_product", "ok": chev_bad is None, "detail": chev_bad})
-        rank, count = minus_one_gram_rank(g), delta_elliptic_count(g)
+        rank, count = charring.minus_one_gram_rank(g), weyl.delta_elliptic_count(g)
         rank_bad = None if rank == count else {"rank": rank, "count": count}
         checks.append({"identity": "elliptic_rank_count", "ok": rank_bad is None, "detail": rank_bad})
         try:
-            pin = spinmod.build_pin(g)
-            pair = spinmod.braid_failure(pin)
+            pin = spin.build_pin(g)
+            pair = spin.braid_failure(pin)
             braid_bad = None if pair is None else {"pair": list(pair)}
             sq_bad = None  # label of the first class where tr^2 != a_V det_V(1 + w)
             for k, c in enumerate(g.classes):
@@ -335,11 +348,13 @@ def cmd_verify(args):
                     break
             checks.append({"identity": "pin_braid_relations", "ok": braid_bad is None, "detail": braid_bad})
             checks.append({"identity": "spin_square_trace", "ok": sq_bad is None, "detail": sq_bad})
-        except spinmod.PinConstructionError as exc:
+        except spin.PinConstructionError as exc:
             checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
     failures = [c for c in checks if not c["ok"]]
     payload = {"checks": checks, "ok": not failures}
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         for c in checks:
@@ -367,7 +382,7 @@ def _parse_orbit(text) -> tuple:
     return parts
 
 
-def _parse_pair(table: SpringerTable, text, phi) -> tuple:
+def _parse_pair(table: springer.SpringerTable, text, phi) -> tuple:
     """The orbit partition of --orbit, checked with --phi against the table."""
     lam = _parse_orbit(text)
     try:
@@ -383,10 +398,10 @@ def cmd_spin(args):
     table = _table(args)
     if args.what in ("sigma", "index"):
         lam = _parse_pair(table, args.orbit, args.phi)
-    tab = solve(table)
-    pin = spinmod.build_pin(tab.group)
+    tab = lusztigshoji.solve(table)
+    pin = spin.build_pin(tab.group)
     if args.what == "sigma":
-        st = spinmod.sigma_tilde(tab, pin, lam, args.phi)
+        st = spin.sigma_tilde(tab, pin, lam, args.phi)
         values = list(zip(tab.group.classes, st.values))
         _emit(
             args.format,
@@ -406,11 +421,9 @@ def cmd_spin(args):
             raise UsageError("classification applies to type A tables")
         out = []
         for rec in table.orbits:
-            from .partitions import is_distinct
-
-            if not is_distinct(rec.label.partition):
+            if not partitions.is_distinct(rec.label.partition):
                 continue
-            rep = spinmod.classify_constituents(tab, pin, rec.label.partition)
+            rep = spin.classify_constituents(tab, pin, rec.label.partition)
             out.append(
                 {
                     "orbit": list(rep.partition),
@@ -434,7 +447,7 @@ def cmd_spin(args):
         )
         return 0
     # index: parse_args admits no other WHAT
-    di = spinmod.dirac_index_char(tab, pin, lam, args.phi)
+    di = spin.dirac_index_char(tab, pin, lam, args.phi)
     _emit(
         args.format,
         lambda: {
@@ -467,16 +480,17 @@ def _cplx(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Table one: each verb, its handler, and the WHAT values it takes (none for
-# fakedeg and green).
+# Table one: each verb, its handler, the WHAT values it takes (none for
+# fakedeg and green), and the layer it runs on, whose imports bring in every
+# other layer the verb reaches.
 VERBS = {
-    "wg": (cmd_wg, ("classes", "chartable")),
-    "pairing": (cmd_pairing, ("gram",)),
-    "fakedeg": (cmd_fakedeg, ()),
-    "springer": (cmd_springer, ("show", "load")),
-    "green": (cmd_green, ()),
-    "verify": (cmd_verify, ("ls", "all")),
-    "spin": (cmd_spin, ("sigma", "classify", "index")),
+    "wg": (cmd_wg, ("classes", "chartable"), weyl),
+    "pairing": (cmd_pairing, ("gram",), charring),
+    "fakedeg": (cmd_fakedeg, (), charring),
+    "springer": (cmd_springer, ("show", "load"), springer),
+    "green": (cmd_green, (), lusztigshoji),
+    "verify": (cmd_verify, ("ls", "all"), spin),
+    "spin": (cmd_spin, ("sigma", "classify", "index"), spin),
 }
 
 # Table two: each option, its field, its choices (a tuple) or value type
@@ -606,32 +620,44 @@ def main(argv=None) -> int:
     """Run one command line and return its exit status.
 
     With argv None, main is the process entry point (the console script,
-    python -m greenpoly.cli) and reads sys.argv[1:].  It then first calls
-    gc.freeze(), which moves every object built so far, the imported modules
-    above all, into the permanent generation: no collection during the run,
-    nor the full one the interpreter makes at exit, walks them again.  That
-    is safe because the process ends right after main returns: it still
-    exits the normal way (streams flushed, atexit handlers run), the OS
-    reclaims the frozen objects, and no object here needs a finalizer to
-    release a resource (files are closed by with blocks).  A call with argv,
-    from a library or a test, leaves the GC state as it was.
+    python -m greenpoly.cli) and reads sys.argv[1:].  Once the command line
+    is parsed, it runs the verb's layer (and json, for JSON output) and then
+    calls gc.freeze(), also when the command line is rejected.  That moves
+    every object built so far, the layers' modules above all, into the
+    permanent generation: no collection during the run, nor the full one the
+    interpreter makes at exit, walks them again.  That is safe because the
+    process ends right after main returns: it still exits the normal way
+    (streams flushed, atexit handlers run), the OS reclaims the frozen
+    objects, and no object here needs a finalizer to release a resource
+    (files are closed by with blocks).  A call with argv, from a library or
+    a test, leaves the GC state as it was and runs each layer on first use.
     """
-    if argv is None:
-        gc.freeze()
-        argv = sys.argv[1:]
+    entry = argv is None
     try:
-        args = parse_args(argv)
+        try:
+            args = parse_args(sys.argv[1:] if entry else argv)
+            if args is not None:
+                if args.json:
+                    args.format = "json"
+                if not (0 < args.tolerance <= 1e-4):
+                    raise UsageError("--tolerance must lie in (0, 1e-4]")
+                if args.format == "csv" and args.verb in NO_CSV:
+                    raise UsageError("no CSV form for this command")
+                args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
+                if entry:
+                    # run the verb's layer (a module that _layer registered
+                    # runs on its first attribute read) and json for JSON
+                    # output now, so that the freeze covers what they build
+                    VERBS[args.verb][2].__name__
+                    if args.format == "json":
+                        import json
+        finally:
+            if entry:
+                gc.freeze()
         if args is None:
             print(__doc__ or "", end="")
             code = 0
         else:
-            if args.json:
-                args.format = "json"
-            if not (0 < args.tolerance <= 1e-4):
-                raise UsageError("--tolerance must lie in (0, 1e-4]")
-            if args.format == "csv" and args.verb in NO_CSV:
-                raise UsageError("no CSV form for this command")
-            args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
             code = args.func(args)
         sys.stdout.flush()  # here, so a reader that closed stdout is caught below
         return code
@@ -644,10 +670,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TableFormatError, OSError) as exc:
+    except (springer.TableFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
-    except SolverError as exc:
+    except lusztigshoji.SolverError as exc:
+        import json
+
         print(json.dumps({"ok": False, "violated": str(exc)}))
         return 2
 

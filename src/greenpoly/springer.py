@@ -15,8 +15,6 @@ contributes its invariant degrees with a sign character in degree m.
 
 from __future__ import annotations
 
-import json
-
 from .charring import fake_degree
 from .partitions import dominates, is_distinct, multiplicities, partitions, transpose
 from .polyq import IntPoly, ONE
@@ -361,6 +359,7 @@ def table_typeC(n: int) -> SpringerTable:
 
         return _assemble(group_type, "C", 2, _orbit_partitions_C(2), systems_for)
     if n in (1, 3):
+        import json
         from importlib import resources
 
         ref = resources.files("greenpoly.data").joinpath(f"springer_C{n}.json")
@@ -440,6 +439,8 @@ def _require_keys(obj, keys, where):
 def load_table(source) -> SpringerTable:
     """Build a SpringerTable from a JSON dict or a path to one."""
     if isinstance(source, (str, bytes)):
+        import json
+
         with open(source, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)

@@ -1,13 +1,13 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from greenpoly.charring import q_elliptic_gram
 from greenpoly.cli import main
 from greenpoly.weyl import WeylType, build
+
+from conftest import run_fresh
 
 
 def run(capsys, *args):
@@ -16,58 +16,86 @@ def run(capsys, *args):
     return code, out, err
 
 
+# ran() lists the layers whose module bodies have run: exec puts __builtins__
+# into the globals of every module it runs, and object.__getattribute__ reads
+# the dict of a lazily registered module without running it
+RAN = (
+    "import sys\n"
+    "LAYERS = 'polyq partitions weyl charring springer lusztigshoji spin cli'.split()\n"
+    "def ran():\n"
+    "    return [m for m in LAYERS if '__builtins__' in\n"
+    "            object.__getattribute__(sys.modules['greenpoly.' + m], '__dict__')]\n"
+)
+
+
 def test_cli_import_leaves_numpy_out():
     # the pin layer is exact integer arithmetic: no verb, the pin verbs and
     # `verify all` included, imports numpy
-    import greenpoly
-
-    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import contextlib, io, sys\n"
+    code = RAN + (
+        "import contextlib, io\n"
         "from greenpoly.cli import main\n"
         "runs = [['spin', 'classify', '--type', 'A', '--rank', '4'],\n"
         "        ['spin', 'index', '--type', 'C', '--rank', '2', '--orbit', '2,2', '--phi', 'triv'],\n"
         "        ['verify', 'all', '--type', 'C', '--rank', '2']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(args) for args in runs]\n"
-        "print(codes, 'numpy' in sys.modules, 'greenpoly.spin' in sys.modules)\n"
+        "print(codes, 'numpy' in sys.modules, 'spin' in ran())\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = run_fresh(code, text=True, check=True).stdout
     assert out.split() == ["[0,", "0,", "0]", "False", "True"]
 
 
 def test_cli_import_is_lean_and_eager():
-    # importing the CLI pulls in no record, rational-number or argument-parser
-    # machinery from the standard library, and loads every layer up front (the bench tracer
-    # reads all eight modules from sys.modules right after this import)
-    import greenpoly
-
-    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys\n"
+    # importing the CLI pulls in no record, rational-number, argument-parser
+    # or JSON machinery from the standard library, and registers every layer
+    # up front without running any (the bench tracer reads all eight modules
+    # from sys.modules right after this import)
+    code = RAN + (
         "before = set(sys.modules)\n"
         "import greenpoly.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'argparse', 'gettext', 'locale')\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'argparse', 'gettext', 'locale',\n"
+        "         'json')\n"
         "print(*sorted(m for m in heavy if m in sys.modules and m not in before))\n"
-        "layers = 'polyq partitions weyl charring springer lusztigshoji spin cli'.split()\n"
-        "print(*[m for m in layers if 'greenpoly.' + m not in sys.modules])\n"
+        "print(*[m for m in LAYERS if 'greenpoly.' + m not in sys.modules])\n"
+        "print(*ran())\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split("\n") == ["", "", ""]  # nothing heavy loaded, no layer missing
+    out = run_fresh(code, text=True, check=True).stdout
+    # nothing heavy loaded, no layer missing, only the CLI run
+    assert out.split("\n") == ["", "", "cli", ""]
+
+
+def test_entry_point_runs_only_the_layers_of_its_verb():
+    # wg runs on weyl, which imports polyq and partitions; the JSON form adds
+    # json, and the character ring, tables, solver and pin layer stay unrun
+    code = RAN + (
+        "import contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "from greenpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = main()\n"
+        "print(rc, 'json' in sys.modules and 'json' not in before, *ran())\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    out = run_fresh(code, "wg", "classes", "--type", "B", "--rank", "3", "--json", text=True, check=True)
+    status, printed = out.stdout.split("\n", 1)
+    assert status.split() == ["0", "True", "polyq", "partitions", "weyl", "cli"]
+    assert len(json.loads(printed)) == 10  # the classes of W(B3)
+
+
+def test_layer_imported_after_the_cli_is_usable():
+    # _layer sets each lazy module on the package, as an import does, so
+    # the package attribute an import statement binds is the working module
+    code = (
+        "import greenpoly.cli\n"
+        "import greenpoly.weyl\n"
+        "from greenpoly import spin\n"
+        "print(len(greenpoly.weyl.build(greenpoly.weyl.WeylType('B', 3)).classes), spin.build_pin.__name__)\n"
+    )
+    assert run_fresh(code, text=True, check=True).stdout.split() == ["10", "build_pin"]
 
 
 def test_verify_all_loads_no_rationals():
     # the (-1)-elliptic rank is computed by integer Bareiss elimination
-    import greenpoly
-
-    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import contextlib, io, sys\n"
         "from greenpoly.cli import main\n"
@@ -75,9 +103,7 @@ def test_verify_all_loads_no_rationals():
         "    rc = main(['verify', 'all', '--type', 'C', '--rank', '2'])\n"
         "print(rc, *sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = run_fresh(code, text=True, check=True).stdout
     assert out.split() == ["0"]
 
 
@@ -337,6 +363,34 @@ def test_data_dir_table_must_match_request(capsys, tmp_path):
     assert "type C rank 2" in err
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_data_dir_must_be_a_directory(capsys, monkeypatch, tmp_path, via_env):
+    # a missing directory, or a file, is refused by every verb that reads an
+    # orbit table, whether --data-dir or GREENPOLY_DATA_DIR names it; the
+    # group verbs read no table and run as before
+    a_file = tmp_path / "springer_A3.json"
+    a_file.write_text("{}")
+    table_verbs = [
+        ("springer", "show", "--type", "A", "--rank", "3"),
+        ("green", "--type", "A", "--rank", "3"),
+        ("verify", "all", "--type", "A", "--rank", "3"),
+        ("spin", "classify", "--type", "A", "--rank", "3"),
+    ]
+    for path in (str(tmp_path / "missing"), str(a_file)):
+        given = () if via_env else ("--data-dir", path)
+        if via_env:
+            monkeypatch.setenv("GREENPOLY_DATA_DIR", path)
+        for args in table_verbs:
+            code, out, err = run(capsys, *args, *given)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: data directory {path!r} (--data-dir or $GREENPOLY_DATA_DIR) "
+                "is not a directory\n"
+            )
+        code, out, err = run(capsys, "wg", "classes", "--type", "A", "--rank", "3", *given)
+        assert code == 0 and out and not err
+
+
 @pytest.mark.parametrize("family, rank", [("A", "13"), ("C", "4"), ("A", "1"), ("C", "0")])
 def test_table_rank_out_of_range(capsys, family, rank):
     code, out, err = run(capsys, "green", "--type", family, "--rank", rank)
@@ -396,12 +450,15 @@ def test_usage_errors_exit_one(capsys):
 )
 def test_csv_rejected_before_any_work(capsys, monkeypatch, args):
     import greenpoly.cli as cli
+    from greenpoly import lusztigshoji, springer
 
     def refuse(*a, **k):
         raise AssertionError("built or solved before --format csv was rejected")
 
-    for name in ("_group", "_table", "load_table", "solve"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in (
+        (cli, "_group"), (cli, "_table"), (springer, "load_table"), (lusztigshoji, "solve")
+    ):
+        monkeypatch.setattr(module, name, refuse)
     code, out, err = run(capsys, *args, "--format", "csv")
     assert (code, out, err) == (1, "", "error: no CSV form for this command\n")
 
@@ -522,12 +579,6 @@ def test_verification_failure_exit_two(capsys, tmp_path):
     assert "component_isometry" in out
 
 
-def _src_env():
-    import greenpoly
-
-    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenpoly.__file__)))
-
-
 # what the console script runs: main() with no argument, its status the exit code
 ENTRY = "import sys; from greenpoly.cli import main; sys.exit(main())"
 
@@ -548,12 +599,44 @@ def test_entry_point_freezes_the_heap_and_calls_do_not():
         "counts.append(gc.get_freeze_count())\n"
         "print(rc, gc.isenabled(), *counts)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
-    ).stdout
+    out = run_fresh(code, text=True, check=True).stdout
     rc, enabled, *counts = out.split()
     assert (rc, enabled, counts[:3]) == ("0", "True", ["0", "0", "0"])
     assert int(counts[3]) > 0
+
+
+def test_entry_point_freezes_after_the_verbs_layer_runs():
+    # main() runs the verb's layer, and json for JSON output, before the
+    # freeze, so the functions they define lie in the permanent generation,
+    # which gc.get_objects() does not list.  wg runs weyl but not the solver,
+    # whose first use here comes after the freeze; green runs the solver,
+    # which imports weyl, and prints no JSON.  A command line the parser
+    # rejects still ends with a frozen heap.
+    # (The freeze count alone cannot show this: it also counts the garbage
+    # no collection has reached yet.)
+    code = (
+        "import contextlib, gc, io, sys\n"
+        "from greenpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = main()\n"
+        "fns = [sys.modules['greenpoly.weyl'].build, sys.modules['greenpoly.lusztigshoji'].solve,\n"
+        "       __import__('json').dumps]\n"
+        "live = {id(o) for o in gc.get_objects()}\n"
+        "print(rc, gc.get_freeze_count() > 0, *[gc.is_tracked(f) and id(f) not in live for f in fns])\n"
+    )
+    runs = [
+        run_fresh(code, *args, text=True, check=True).stdout.split()
+        for args in (
+            ("green", "--type", "E", "--rank", "3"),
+            ("wg", "classes", "--type", "A", "--rank", "3", "--json"),
+            ("green", "--type", "A", "--rank", "3"),
+        )
+    ]
+    assert runs == [
+        ["1", "True", "False", "False", "False"],
+        ["0", "True", "True", "False", "True"],
+        ["0", "True", "True", "True", "False"],
+    ]
 
 
 @pytest.mark.parametrize(
@@ -580,7 +663,7 @@ def test_entry_point_matches_in_process_call(capsys, tmp_path, status, args):
         "FAILING_DIR": str(_failing_c3_dir(tmp_path)),
     }
     args = [paths.get(a, a) for a in args]
-    proc = subprocess.run([sys.executable, "-c", ENTRY, *args], env=_src_env(), capture_output=True)
+    proc = run_fresh(ENTRY, *args)
     code, out, err = run(capsys, *args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
     assert code == status and (out or err)
@@ -592,12 +675,13 @@ def test_closed_stdout_exits_one_silently(unbuffered):
     # -n 0): exit 1 with nothing on stderr, neither a data error nor the
     # interpreter's "Exception ignored" report of a failed flush at exit.
     # Buffered, the one write is main's last flush; unbuffered, the first print.
-    proc = subprocess.Popen(
-        [sys.executable, "-c", ENTRY, "green", "--type", "A", "--rank", "5"],
-        env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_fresh(
+            ENTRY, "green", "--type", "A", "--rank", "5",
+            env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -4,7 +4,6 @@
 import gc
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import pytest
 import greenpoly.cli as cli
 from greenpoly.cli import UsageError, main, parse_args
 
+from conftest import run_fresh
 from oracles import build_parser
 
 FIELDS = (
@@ -244,9 +244,7 @@ def test_verbs_load_no_argument_parser():
     # several milliseconds: no verb may bring it back
     import greenpoly
 
-    src = os.path.dirname(os.path.dirname(greenpoly.__file__))
-    table = os.path.join(src, "greenpoly", "data", "springer_C3.json")
-    env = dict(os.environ, PYTHONPATH=src)
+    table = os.path.join(os.path.dirname(greenpoly.__file__), "data", "springer_C3.json")
     code = (
         "import contextlib, io, sys\n"
         "from greenpoly.cli import main\n"
@@ -259,9 +257,7 @@ def test_verbs_load_no_argument_parser():
         "    codes = [main(args) for args in runs]\n"
         "print(*codes, *sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, table], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = run_fresh(code, table, text=True, check=True).stdout
     assert out.split() == ["0"] * 12
 
 
