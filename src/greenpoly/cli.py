@@ -351,16 +351,14 @@ def cmd_verify(args):
         except spin.PinConstructionError as exc:
             checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
     failures = [c for c in checks if not c["ok"]]
-    payload = {"checks": checks, "ok": not failures}
-    if args.format == "json":
-        import json
 
-        print(json.dumps(payload))
-    else:
+    def lines():
         for c in checks:
             status = "pass" if c["ok"] else "FAIL"
             extra = "" if c["ok"] or c["detail"] is None else f"  {c['detail']}"
-            print(f"{status}  {c['identity']}{extra}")
+            yield f"{status}  {c['identity']}{extra}"
+
+    _emit(args.format, lambda: {"checks": checks, "ok": not failures}, None, lines)
     return 2 if failures else 0
 
 

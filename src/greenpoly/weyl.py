@@ -1,28 +1,34 @@
 """Finite Weyl group models for types A, B/C, D and G2.
 
-Elements are concrete: permutation tuples for A, signed permutation tuples
-for B/C/D, and dihedral indices for G2.  Conjugacy classes come in closed form
-from their labels, with no enumeration of the group: cycle types for A;
-signed cycle types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with
-an even number of negative cycles, where a label with mu- empty and all parts
-of mu+ even splits into "+" and "-" halves; and the six dihedral classes of
-G2.  Class representatives follow two conventions.  In type A the class of
-cycle type lam is represented by the product of cycles on consecutive points,
-longest first (i -> i+1 within each block), which is not in general the least
-element: A2's class (2,1) is represented by (1,0,2), while its least element is
-(0,2,1).  In types B/C/D the representative is the lexicographically least
-signed permutation of the class, found by a pruned search (`_lex_elements`)
-on its first read and then kept; `build` reads none, and the identity class
-is found by its label.  In G2 it is the least dihedral index.  `class_of`
-computes an element's label.  `delta_twisted_classes` and `all_elements`
-enumerate the whole group; the tests use them as oracles.
+Every element is a signed permutation w of 1..m, the tuple (w(1), ..., w(m))
+with entries +-1..+-m, acting on the ambient R^m by e_j -> sign(w(j)) e_|w(j)|.
+m is the rank for B/C/D, whose groups are all signed permutations (B/C) and
+those with an even number of sign changes (D); rank + 1 for A_r, whose group
+is the permutations S_{r+1}; and 3 for G2, whose group is +-S_3 acting on the
+plane x1 + x2 + x3 = 0.  Conjugacy classes come in closed form from their
+labels, with no enumeration of the group: cycle types for A; signed cycle
+types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with an even
+number of negative cycles, where a label with mu- empty and all parts of mu+
+even splits into "+" and "-" halves; and the six classes of G2, named from
+their signed cycle types.  Class representatives follow two conventions.  In
+type A the class of cycle type lam is represented by the product of cycles on
+consecutive points, longest first (i -> i+1 within each block), which is not
+in general the least element: A2's class (2,1) is represented by (2,1,3),
+while its least element is (1,3,2).  In types B/C/D and G2 the representative
+is the lexicographically least element of the class; for B/C/D it is found
+by a pruned search (`_lex_elements`) on its first read and then kept, so
+`build` reads none, and the identity class is found by its label.
+`class_of` computes an element's label.  `reduced_word` finds descents from
+the simple roots of `_ambient_simple_roots`, the same roots the pin layer
+lifts.  `delta_twisted_classes` and `all_elements` enumerate the whole
+group; the tests use them as oracles.
 Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
 tables (`_bc_column`: each split of a class's cycles adds the outer product
 of two S_k columns, one big-integer product of byte-packed columns, and the
 packed column is split once), one table per rank shared by B_n and C_n; for D
 the same columns restricted, with split classes; and a hard-coded table for
 G2.  `build` checks row orthogonality with one packed integer sum per row.
-Supported ranks: A 1-8, B and C 1-8, D 3-8.
+Supported ranks: A 1-11, B and C 1-8, D 3-8.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ class ConjClass:
     def __init__(self, size: int, label, representative=None):
         self.size = size
         self.label = label  # partition / (mu+, mu-) / (mu+, mu-, tag) / G2 name
-        if representative is not None:  # types A and G2: a tuple or an int
+        if representative is not None:  # types A and G2
             self.representative = representative
 
     @cached_property
@@ -91,20 +97,8 @@ class ConjClass:
 # element arithmetic
 
 
-def perm_mul(u, w):
-    """(u*w)(i) = u(w(i)) for permutation tuples."""
-    return tuple(u[w[i]] for i in range(len(w)))
-
-
-def perm_inv(w):
-    out = [0] * len(w)
-    for i, j in enumerate(w):
-        out[j] = i
-    return tuple(out)
-
-
 def sp_mul(u, w):
-    """Signed permutations, entries +-1..+-n; (u*w) acts as u after w."""
+    """Signed permutations, entries +-1..+-m; (u*w) acts as u after w."""
     out = []
     for x in w:
         y = u[abs(x) - 1]
@@ -119,120 +113,50 @@ def sp_inv(w):
     return tuple(out)
 
 
-def g2_mul(u, w):
-    """Dihedral order 12; index = 6*b + k encodes s^b r^k."""
-    bu, ku = divmod(u, 6)
-    bw, kw = divmod(w, 6)
-    if bu == 0:
-        if bw == 0:
-            return (ku + kw) % 6
-        return 6 + (kw - ku) % 6
-    if bw == 0:
-        return 6 + (ku + kw) % 6
-    return (kw - ku) % 6
-
-
-def g2_inv(w):
-    b, k = divmod(w, 6)
-    return w if b else (-k) % 6
-
-
-def _mul(t: WeylType):
-    if t.family == "A":
-        return perm_mul
-    if t.family == "G2":
-        return g2_mul
-    return sp_mul
-
-
-def _inv(t: WeylType):
-    if t.family == "A":
-        return perm_inv
-    if t.family == "G2":
-        return g2_inv
-    return sp_inv
-
-
-def _identity_label(t: WeylType):
-    """The label of the identity's class, as in `ConjClass.label`."""
-    if t.family == "A":
-        return (1,) * (t.rank + 1)
-    if t.family == "G2":
-        return "e"
-    ones = (1,) * t.rank
-    return (ones, (), "") if t.family == "D" else (ones, ())
+def _ambient_dim(t: WeylType) -> int:
+    """m: the group acts on R^m, and its elements permute and sign 1..m."""
+    return {"A": t.rank + 1, "G2": 3}.get(t.family, t.rank)
 
 
 def identity_element(t: WeylType):
-    if t.family == "A":
-        return tuple(range(t.rank + 1))
-    if t.family == "G2":
-        return 0
-    return tuple(range(1, t.rank + 1))
+    return tuple(range(1, _ambient_dim(t) + 1))
 
 
 def simple_generators(t: WeylType):
-    if t.family == "A":
-        n = t.rank + 1
-        gens = []
-        for i in range(n - 1):
-            g = list(range(n))
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        return gens
+    """The reflections in the roots of `_ambient_simple_roots`, in order."""
     if t.family == "G2":
-        return [6, 7]  # short and long simple reflections
-    n = t.rank
+        return [(2, 1, 3), (-1, -3, -2)]  # short and long simple reflections
+    n = _ambient_dim(t)
     gens = []
     for i in range(n - 1):
         g = list(range(1, n + 1))
         g[i], g[i + 1] = g[i + 1], g[i]
         gens.append(tuple(g))
-    if t.family in ("B", "C"):
-        g = list(range(1, n + 1))
+    if t.family == "A":
+        return gens
+    g = list(range(1, n + 1))
+    if t.family == "D":  # reflection in e_{n-1} + e_n
+        g[n - 2], g[n - 1] = -n, -(n - 1)
+    else:  # B/C: reflection in e_n
         g[n - 1] = -n
-        gens.append(tuple(g))
-    else:  # D: reflection in e_{n-1} + e_n
-        g = list(range(1, n + 1))
-        if n >= 2:
-            g[n - 2], g[n - 1] = -n, -(n - 1)
-        gens.append(tuple(g))
-    return gens
+    return gens + [tuple(g)]
 
 
 def all_elements(t: WeylType):
+    n = _ambient_dim(t)
+    signings = list(itertools.product((1, -1), repeat=n))
     if t.family == "A":
-        return [tuple(p) for p in itertools.permutations(range(t.rank + 1))]
-    if t.family == "G2":
-        return list(range(12))
-    n = t.rank
-    out = []
-    for p in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if t.family == "D" and signs.count(-1) % 2:
-                continue
-            out.append(tuple(s * x for s, x in zip(signs, p)))
-    return out
+        signings = signings[:1]  # no sign changes
+    elif t.family == "G2":
+        signings = [signings[0], signings[-1]]  # +-S_3
+    elif t.family == "D":
+        signings = [s for s in signings if s.count(-1) % 2 == 0]
+    return [tuple(s * x for s, x in zip(signs, p))
+            for p in itertools.permutations(range(1, n + 1)) for signs in signings]
 
 
 # ---------------------------------------------------------------------------
 # labels and characteristic polynomials
-
-
-def perm_cycle_type(w):
-    n = len(w)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, c = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = w[j]
-            c += 1
-        parts.append(c)
-    return tuple(sorted(parts, reverse=True))
 
 
 def signed_cycle_type(w):
@@ -265,11 +189,22 @@ _G2_CHARPOLY = {
 }
 
 
+# the G2 class of an element of +-S_3, by its signed cycle type: -1 acts on
+# the plane as the rotation by 180 degrees, so a negated 3-cycle is a
+# rotation by 60 degrees and a negated transposition a reflection in a long
+# root
+_G2_NAMES = {
+    ((1, 1, 1), ()): "e",
+    ((), (1, 1, 1)): "w0",
+    ((3,), ()): "rot120",
+    ((), (3,)): "rot60",
+    ((2, 1), ()): "refl_short",
+    ((2,), (1,)): "refl_long",
+}
+
+
 def g2_class_name(w):
-    b, k = divmod(w, 6)
-    if b:
-        return "refl_short" if k % 2 == 0 else "refl_long"
-    return {0: "e", 1: "rot60", 2: "rot120", 3: "w0", 4: "rot120", 5: "rot60"}[k]
+    return _G2_NAMES[signed_cycle_type(w)]
 
 
 def charpoly_of_label(t: WeylType, label) -> IntPoly:
@@ -414,22 +349,21 @@ class WeylGroupData:
 
     @property
     def identity_class(self) -> int:
-        return self._class_index[_identity_label(self.type)]
+        return self.class_of(identity_element(self.type))
 
     def class_of(self, w) -> int:
         return self._class_index[class_label(self.type, w)]
 
     def mul(self, u, w):
-        return _mul(self.type)(u, w)
+        return sp_mul(u, w)
 
     def inv(self, w):
-        return _inv(self.type)(w)
+        return sp_inv(w)
 
     # -- delta = -w0 ------------------------------------------------------
     def delta_element(self, w):
         """The group automorphism w -> w0 w w0."""
-        m = _mul(self.type)
-        return m(self.w0, m(w, self.w0))
+        return sp_mul(self.w0, sp_mul(w, self.w0))
 
     def delta_is_trivial(self) -> bool:
         gens = simple_generators(self.type)
@@ -450,11 +384,9 @@ def _degrees(t: WeylType):
 
 
 def _w0(t: WeylType):
+    n = _ambient_dim(t)
     if t.family == "A":
-        return tuple(reversed(range(t.rank + 1)))
-    if t.family == "G2":
-        return 3
-    n = t.rank
+        return tuple(range(n, 0, -1))
     if t.family == "D" and n % 2 == 1:
         return tuple([-i for i in range(1, n)] + [n])
     return tuple(-i for i in range(1, n + 1))
@@ -600,11 +532,11 @@ def _d_tag(w, pos, neg) -> str:
 
 def class_label(t: WeylType, w):
     """The label of the conjugacy class of w, as in `ConjClass.label`."""
-    if t.family == "A":
-        return perm_cycle_type(w)
-    if t.family == "G2":
-        return g2_class_name(w)
     pos, neg = signed_cycle_type(w)
+    if t.family == "A":
+        return pos
+    if t.family == "G2":
+        return _G2_NAMES[pos, neg]
     if t.family == "D":
         return pos, neg, _d_tag(w, pos, neg)
     return pos, neg
@@ -621,7 +553,7 @@ def _build_A(t: WeylType):
         rep = []
         start = 0
         for c in lab:
-            rep.extend(list(range(start + 1, start + c)) + [start])
+            rep.extend(list(range(start + 2, start + c + 1)) + [start + 1])
             start += c
         classes.append(ConjClass(cycle_type_size(n, lab), lab, tuple(rep)))
     irreps = partitions(n)
@@ -700,7 +632,7 @@ def _d_pair_key(a, b, labels):
 
 def _build_G2(t: WeylType):
     members = {}
-    for w in range(12):
+    for w in sorted(all_elements(t)):
         members.setdefault(g2_class_name(w), []).append(w)
     classes = [
         ConjClass(len(members[name]), name, members[name][0])
@@ -813,9 +745,7 @@ def delta_twisted_classes(g: WeylGroupData):
     Ellipticity is det_V(1 - w delta) != 0, computed as det_V(1 + w w0).
     """
     t = g.type
-    mul, inv = _mul(t), _inv(t)
-    gens = simple_generators(t)
-    gen_data = [(u, inv(g.delta_element(u))) for u in gens]
+    gen_data = [(u, sp_inv(g.delta_element(u))) for u in simple_generators(t)]
     seen = set()
     out = []
     for e in all_elements(t):
@@ -827,20 +757,14 @@ def delta_twisted_classes(g: WeylGroupData):
             nxt = []
             for w in frontier:
                 for u, dui in gen_data:
-                    c = mul(u, mul(w, dui))
+                    c = sp_mul(u, sp_mul(w, dui))
                     if c not in orbit:
                         orbit.add(c)
                         nxt.append(c)
             frontier = nxt
         seen |= orbit
         rep = min(orbit)
-        ww0 = mul(rep, g.w0)
-        if t.family == "A":
-            p = charpoly_of_label(t, perm_cycle_type(ww0))
-        elif t.family == "G2":
-            p = charpoly_of_label(t, g2_class_name(ww0))
-        else:
-            p = charpoly_of_label(t, signed_cycle_type(ww0))
+        p = charpoly_of_label(t, class_label(t, sp_mul(rep, g.w0)))
         out.append((rep, len(orbit), p.eval(-1) != 0))
     return out
 
@@ -862,35 +786,36 @@ def delta_elliptic_count(g: WeylGroupData) -> int:
 
 
 def _ambient_simple_roots(t: WeylType):
-    """Simple roots as integer vectors in the standard ambient coordinates;
-    for G2 the short root (1,-1,0) and the long root (-2,1,1) of the
-    sum-zero plane in R^3."""
+    """Simple roots as integer vectors in the ambient coordinates of R^m:
+    e_i - e_(i+1) for i < m, then e_m for B/C and e_(m-1) + e_m for D; for
+    G2 the short root (1,-1,0) and the long root (-2,1,1) of the sum-zero
+    plane in R^3."""
     if t.family == "G2":
         return [(1, -1, 0), (-2, 1, 1)]
-    if t.family == "A":
-        n = t.rank + 1
-        return [
-            tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n))
-            for i in range(t.rank)
-        ]
-    n = t.rank
+    m = _ambient_dim(t)
     roots = [
-        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n))
-        for i in range(n - 1)
+        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(m))
+        for i in range(m - 1)
     ]
     if t.family in ("B", "C"):
-        roots.append(tuple(1 if k == n - 1 else 0 for k in range(n)))
-    else:
-        roots.append(tuple(1 if k >= n - 2 else 0 for k in range(n)))
+        roots.append(tuple(1 if k == m - 1 else 0 for k in range(m)))
+    elif t.family == "D":
+        roots.append(tuple(1 if k >= m - 2 else 0 for k in range(m)))
     return roots
 
 
-def _act_ambient(t: WeylType, w, vec):
-    if t.family == "A":
-        out = [0] * len(vec)
-        for j, c in enumerate(vec):
-            out[w[j]] += c
-        return tuple(out)
+def _rho(t: WeylType) -> tuple:
+    """A vector with positive pairing on every simple root, and so on every
+    positive root, and nonzero on every root: w(alpha) < 0 exactly when
+    <w(alpha), rho> < 0.  (m, ..., 1) for A-D; G2 takes one in its plane,
+    since the sign of the first nonzero coordinate is wrong for (-2,1,1)."""
+    if t.family == "G2":
+        return (-1, -2, 3)
+    return tuple(range(_ambient_dim(t), 0, -1))
+
+
+def _act_ambient(w, vec):
+    """w(vec) for the signed permutation w, acting by e_j -> sign(w(j)) e_|w(j)|."""
     out = [0] * len(vec)
     for j, c in enumerate(vec):
         img = w[j]
@@ -901,41 +826,26 @@ def _act_ambient(t: WeylType, w, vec):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _g2_words():
-    words = {0: ()}
-    frontier = [0]
-    gens = simple_generators(WeylType("G2", 2))
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, s in enumerate(gens):
-                v = g2_mul(w, s)
-                if v not in words:
-                    words[v] = words[w] + (i,)
-                    nxt.append(v)
-        frontier = nxt
-    return words
-
-
 def reduced_word(g: WeylGroupData, w) -> tuple:
-    """Indices i1..ik of simple generators with w = s_{i1} ... s_{ik}."""
+    """Indices i1..ik of simple generators with w = s_{i1} ... s_{ik}.
+
+    Strips the least right descent i, w(alpha_i) < 0, until w is the identity.
+    w is orthogonal, so <w(alpha_i), rho> = <alpha_i, w^-1(rho)>: one image
+    per step serves every root.
+    """
     t = g.type
-    if t.family == "G2":
-        return _g2_words()[w]
     roots = _ambient_simple_roots(t)
     gens = simple_generators(t)
-    mul = _mul(t)
+    rho = _rho(t)
     word = []
     ident = identity_element(t)
     cur = w
     while cur != ident:
+        back = _act_ambient(sp_inv(cur), rho)
         for i, alpha in enumerate(roots):
-            img = _act_ambient(t, cur, alpha)
-            neg = next(c for c in img if c)
-            if neg < 0:
+            if sum(map(mul, alpha, back)) < 0:
                 word.append(i)
-                cur = mul(cur, gens[i])
+                cur = sp_mul(cur, gens[i])
                 break
         else:  # pragma: no cover - would mean a non-identity with no descent
             raise AssertionError("descent not found")
@@ -946,11 +856,10 @@ def reduced_word(g: WeylGroupData, w) -> tuple:
 def braid_order(g: WeylGroupData, i: int, j: int) -> int:
     """Order of s_i s_j in W."""
     gens = simple_generators(g.type)
-    mul = _mul(g.type)
-    prod = mul(gens[i], gens[j])
+    prod = sp_mul(gens[i], gens[j])
     ident = identity_element(g.type)
     cur, m = prod, 1
     while cur != ident:
-        cur = mul(cur, prod)
+        cur = sp_mul(cur, prod)
         m += 1
     return m

@@ -65,7 +65,7 @@ from greenpoly.lusztigshoji import (
 from greenpoly.partitions import multiplicities, partitions, sym_char
 from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
 from greenpoly.weyl import (
-    WeylGroupData, WeylType, _inv, _mul, _sym_column, all_elements, bipartitions, simple_generators,
+    WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, simple_generators, sp_inv, sp_mul,
 )
 
 
@@ -79,8 +79,7 @@ def elements(g: WeylGroupData):
 
 def brute_force_classes(t: WeylType):
     """Orbit partition of the whole group under conjugation by generators."""
-    mul_, inv = _mul(t), _inv(t)
-    gen_pairs = [(s, inv(s)) for s in simple_generators(t)]
+    gen_pairs = [(s, sp_inv(s)) for s in simple_generators(t)]
     seen = set()
     orbits = []
     for e in all_elements(t):
@@ -92,7 +91,7 @@ def brute_force_classes(t: WeylType):
             nxt = []
             for w in frontier:
                 for s, si in gen_pairs:
-                    c = mul_(s, mul_(w, si))
+                    c = sp_mul(s, sp_mul(w, si))
                     if c not in orbit:
                         orbit.add(c)
                         nxt.append(c)

@@ -110,17 +110,46 @@ class TestPinRep:
         # conjugating the representative changes the lift at most by sign
         pin = pins("B", 2)
         g = pin.group
-        from greenpoly.weyl import _mul, simple_generators
+        from greenpoly.weyl import simple_generators, sp_mul
 
-        mul = _mul(g.type)
         gens = simple_generators(g.type)
         for cls in g.classes:
             w = cls.representative
-            conj = mul(gens[0], mul(w, gens[0]))
+            conj = sp_mul(gens[0], sp_mul(w, gens[0]))
             u1 = pin.lift(reduced_word(g, w))
             u2 = pin.lift(reduced_word(g, conj))
             # tr^2 = dim^2 x_0^2 / N, compared exactly
             assert u1.coeffs.get(0, 0) ** 2 * u2.norm == u2.coeffs.get(0, 0) ** 2 * u1.norm
+
+    def test_sign_convention_is_pinned(self, pins):
+        # The sign of a class's lift, and so of the traces that `spin sigma`
+        # and `spin index` print, is fixed by the reduced word of the class
+        # representative.  The numpy oracle reuses those words, so only these
+        # recorded values pin them.
+        words = {
+            ("A", 4): [(0, 1, 2, 3), (0, 1, 2), (3, 0, 1), (0, 1), (2, 0), (0,), ()],
+            ("B", 3): [
+                (), (0, 1, 2, 1, 0), (2, 0, 1, 2, 0), (1, 2, 0, 1, 2, 0, 1, 0),
+                (2, 0, 1, 0), (2, 1, 2, 0, 1, 2), (2, 0, 1, 2, 0, 1),
+                (2, 1, 2, 0, 1, 2, 0, 1, 0), (2, 1, 2, 0, 1), (2, 1, 2, 0, 1, 2, 1),
+            ],
+            ("D", 4): [
+                (), (0, 1, 3, 1, 0), (1, 2, 0, 1, 3, 1, 2, 0, 1, 0), (3, 1, 2, 0, 1, 3),
+                (0, 1, 3, 0, 1, 0), (0, 1, 3, 0, 1, 2, 0, 1), (1, 3, 0, 1, 2, 0, 1),
+                (3, 1, 2, 0, 1, 3, 1), (3, 1, 2, 0, 1, 3, 2), (0, 1, 3, 1, 2, 0, 1),
+                (3, 1, 2, 0, 1, 3, 0, 1, 2, 0, 1, 0), (3, 0, 1, 2, 0, 1),
+                (3, 1, 2, 0, 1, 3, 1, 2),
+            ],
+        }
+        for (fam, rank), want in words.items():
+            g = pins(fam, rank).group
+            assert [reduced_word(g, cls.representative) for cls in g.classes] == want
+        pin = pins("C", 3)
+        r8 = 2 * 2**0.5
+        traces = [4.0, 0.0, 0.0, 0.0, r8, 0.0, -2.0, 0.0, 0.0, 0.0]
+        index = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, r8, 2.0]
+        assert spin_traces_by_class(pin) == pytest.approx(traces, abs=1e-12)
+        assert index_traces_by_class(pin) == pytest.approx(index, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from greenpoly.weyl import (
     reduced_word,
     refl_charpoly,
     simple_generators,
-    _mul,
+    sp_mul,
 )
 
 import oracles
@@ -149,7 +149,8 @@ def _split_positive_rep(mu):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("B", r) for r in range(1, 7)]
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(1, 7)]
     + [("C", r) for r in range(1, 7)]
     + [("D", r) for r in range(3, 7)]
     + [("G2", 2)],
@@ -157,11 +158,20 @@ def _split_positive_rep(mu):
 def test_closed_form_classes_match_orbit_partition(family, rank):
     t = WeylType(family, rank)
     g = build(t)
-    orbits = {min(orb): orb for orb in brute_force_classes(t)}
+    orbits = brute_force_classes(t)
     assert len(orbits) == len(g.classes)
-    for k, cls in enumerate(g.classes):
-        orb = orbits[cls.representative]  # the representative is min(orbit)
+    found = set()
+    for orb in orbits:
+        k = g.class_of(next(iter(orb)))
+        assert all(g.class_of(w) == k for w in orb)
+        found.add(k)
+        cls = g.classes[k]
         assert cls.size == len(orb)
+        assert cls.representative in orb
+        if family == "A":  # not the least element: its convention is pinned below
+            assert weyl.signed_cycle_type(cls.representative) == (cls.label, ())
+            continue
+        assert cls.representative == min(orb)
         if family == "G2":
             assert cls.label == weyl.g2_class_name(cls.representative)
         else:
@@ -170,7 +180,7 @@ def test_closed_form_classes_match_orbit_partition(family, rank):
         if family == "D" and cls.label[2]:
             want = "+" if _split_positive_rep(cls.label[0]) in orb else "-"
             assert cls.label[2] == want
-        assert all(g.class_of(w) == k for w in orb)
+    assert len(found) == len(g.classes)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
@@ -180,7 +190,7 @@ def test_type_a_representatives_are_consecutive_cycles(rank):
     for cls in build(WeylType("A", rank)).classes:
         w, start = [], 0
         for c in cls.label:
-            w += list(range(start + 1, start + c)) + [start]
+            w += list(range(start + 2, start + c + 1)) + [start + 1]
             start += c
         assert cls.representative == tuple(w)
 
@@ -189,7 +199,7 @@ def test_type_a_representative_is_not_least():
     g = build(WeylType("A", 2))
     rep = next(c.representative for c in g.classes if c.label == (2, 1))
     orbit = next(o for o in brute_force_classes(WeylType("A", 2)) if rep in o)
-    assert rep == (1, 0, 2) and min(orbit) == (0, 2, 1)
+    assert rep == (2, 1, 3) and min(orbit) == (1, 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -262,13 +272,50 @@ def test_reduced_words_multiply_back():
     for fam, r in [("A", 3), ("B", 3), ("D", 4), ("G2", 2)]:
         g = build(WeylType(fam, r))
         gens = simple_generators(g.type)
-        mul = _mul(g.type)
         for cls in g.classes:
             w = cls.representative
             cur = identity_element(g.type)
             for i in reduced_word(g, w):
-                cur = mul(cur, gens[i])
+                cur = sp_mul(cur, gens[i])
             assert cur == w
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(1, 7)]
+    + [("C", r) for r in range(1, 7)]
+    + [("D", r) for r in range(3, 7)]
+    + [("G2", 2)],
+)
+def test_word_of_w0_is_reduced(family, rank):
+    # the longest element has length N, the number of positive roots, which
+    # is sum(d - 1) over the fundamental degrees d
+    g = build(WeylType(family, rank))
+    assert len(reduced_word(g, g.w0)) == sum(d - 1 for d in g.degrees)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 5)]
+    + [("B", r) for r in range(1, 5)]
+    + [("C", r) for r in range(1, 5)]
+    + [("D", r) for r in range(3, 6)]
+    + [("G2", 2)],
+)
+def test_generators_are_the_simple_root_reflections(family, rank):
+    # s_i(alpha_j) = alpha_j - (2 <alpha_j, alpha_i> / <alpha_i, alpha_i>) alpha_i,
+    # compared after multiplying through by <alpha_i, alpha_i>
+    t = WeylType(family, rank)
+    roots = weyl._ambient_simple_roots(t)
+    gens = simple_generators(t)
+    assert len(gens) == len(roots) == rank
+    for s, a in zip(gens, roots):
+        aa = sum(map(mul, a, a))
+        for b in roots:
+            ab = sum(map(mul, a, b))
+            want = tuple(aa * y - 2 * ab * x for x, y in zip(a, b))
+            assert tuple(aa * y for y in weyl._act_ambient(s, b)) == want
 
 
 def test_braid_orders():
