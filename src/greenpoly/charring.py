@@ -167,9 +167,13 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     (2^(b - 1) - 1) / |W|, then |W| times each slot lies within its slot, so
     by the uniqueness of signed digits it is the class sum there: the slots
     are the entries at 2^b.  A zero slot is the entry 0 and is not unpacked.
-    Otherwise the row's class sums are taken again one entry at a time, and
-    the first with a coefficient |W| does not divide raises ArithmeticError
-    (`_over_order`): the rows were not virtual characters.
+    That test depends only on the slot's value (b, s and |W| are fixed for
+    the call), so each distinct value of a graded Gram is unpacked and tested
+    once, however many slots hold it: the B6 q-elliptic Gram has 920 nonzero
+    slots on and above the diagonal and 31 distinct values.  Otherwise the
+    row's class sums are taken again one entry at a time, and the first with
+    a coefficient |W| does not divide raises ArithmeticError (`_over_order`):
+    the rows were not virtual characters.
     """
     order, symmetric = g.order, rows_a is rows_b
     reach_a, n_a = _reach(rows_a, IntPoly.norm1)
@@ -196,14 +200,22 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
         def entry(d):
             return IntPoly.unpack(d, b) if d else ZERO
 
-        def fits(e):
-            return len(e.coeffs) <= slots and e.norm_inf() <= limit
+        fitted = {0: ZERO}  # slot value -> its entry, or None if it does not fit
+
+        def entries(digits):
+            values = set(digits)
+            for d in values.difference(fitted):
+                e = entry(d)
+                fitted[d] = e if len(e.coeffs) <= slots and e.norm_inf() <= limit else None
+            if any(fitted[d] is None for d in values):
+                return None
+            return list(map(fitted.__getitem__, digits))
     else:
         def entry(d):
             return d
 
-        def fits(e):
-            return abs(e) <= limit
+        def entries(digits):
+            return digits if all(abs(e) <= limit for e in digits if e) else None
 
     gram = []
     for i, a in enumerate(live_a):
@@ -212,8 +224,8 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
         total = sum([x * p for x, p in zip(a, packed) if x])
         quo, rem = divmod((total + ((1 << shift) >> 1)) >> shift, order)
         digits = None if rem else split_ints(quo, stride, len(live_b) - start)
-        row = None if digits is None else list(map(entry, digits))
-        if row is None or not all(fits(e) for e in row if e):
+        row = None if digits is None else entries(digits)
+        if row is None:
             row = [_over_order(entry(sum(map(mul, map(mul, a, other), sized))), order)
                    for other in live_b[start:]]
         gram.append([r[i] for r in gram] + row if symmetric else row)
@@ -279,10 +291,33 @@ def poincare_poly(g: WeylGroupData) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _coinvariant_values(t: WeylType):
-    """Graded character of the coinvariant algebra, one IntPoly per class."""
+    """Graded character of the coinvariant algebra, one IntPoly per class:
+    p(q)/det_V(1 - qw), by one integer division at q = 2^b.
+
+    Its coefficients are traces of w on the graded pieces, so none exceeds
+    top, the largest coefficient at the identity, in absolute value.  A
+    det_V(1 - qw) has |.|_1 <= 2^rank, so for a quotient v with |v|_inf <= top,
+    v det - p has coefficients below 2^(b - 1) for b = slot_bits(top 2^rank +
+    |p|_inf).  When p(2^b) = v(2^b) det(2^b) for the v unpacked from the
+    integer quotient, v det - p vanishes at 2^b and so, by the uniqueness of
+    signed digits, everywhere: v is the exact quotient.  A class that fails
+    the test (none should) falls back to `IntPoly.divexact`.
+    """
     g = build(t)
     p = poincare_poly(g)
-    return tuple(p.divexact(g.refl_charpoly[k]) for k in range(len(g.classes)))
+    top = p.divexact(g.refl_charpoly[g.identity_class]).norm_inf()
+    b = slot_bits((top << t.rank) + p.norm_inf())
+    at = p.pack(b)
+
+    def quotient(det: IntPoly) -> IntPoly:
+        quo, rem = divmod(at, det.pack(b))
+        if not rem:
+            v = IntPoly.unpack(quo, b)
+            if v.norm_inf() <= top:
+                return v
+        return p.divexact(det)
+
+    return tuple(map(quotient, g.refl_charpoly))
 
 
 @lru_cache(maxsize=None)

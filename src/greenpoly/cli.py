@@ -93,14 +93,102 @@ def _label_str(lab) -> str:
     return "(" + ",".join(map(str, lab)) + ")"
 
 
+# the escapes json.dumps writes for these characters by name; every other
+# character outside ' '..'~' is written as \uXXXX
+_NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                  "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(c: str) -> str:
+    if " " <= c <= "~" and c not in '"\\':
+        return c
+    named = _NAMED_ESCAPES.get(c)
+    if named is not None:
+        return named
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # a UTF-16 surrogate pair
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _plain(s: str) -> bool:
+    """Whether json.dumps writes s between quotes as it stands: printable
+    ASCII (' '..'~') with no quote or backslash."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj) -> str:
+    """obj as json.dumps(obj) writes it with its default arguments: the
+    separators ", " and ": ", ASCII only, NaN and the infinities allowed.
+    Values are str, int, float, bool, None, and lists, tuples and dicts of
+    them, dict keys str; anything else raises TypeError.
+
+    Written here so that printing JSON does not import json, whose import
+    compiles the decoder's regular expressions.  The keys of a dict, and a
+    list of strings, are joined and tested for escapes all at once; a list of
+    plain ints is written by repr, which writes it as json does; and any
+    other string is escaped once.
+    """
+    strings = {}
+
+    def string(s: str) -> str:
+        text = strings.get(s)
+        if text is None:
+            text = strings[s] = '"' + (s if _plain(s) else "".join(map(_escape, s))) + '"'
+        return text
+
+    def encode(x) -> str:
+        if type(x) is str:
+            return strings.get(x) or string(x)
+        if isinstance(x, dict):
+            if _plain("".join(x)):  # the join raises TypeError on a key not a str
+                return "{" + ", ".join(['"' + k + '": ' + encode(v) for k, v in x.items()]) + "}"
+            return "{" + ", ".join([string(k) + ": " + encode(v) for k, v in x.items()]) + "}"
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            if isinstance(x[0], str):
+                try:
+                    plain = _plain("".join(x))
+                except TypeError:  # an item that is not a str
+                    plain = False
+                if plain:
+                    return '["' + '", "'.join(x) + '"]'
+            elif set(map(type, x)) == {int}:  # bool is not type int
+                return repr(x if type(x) is list else list(x))
+            return "[" + ", ".join([encode(v) for v in x]) + "]"
+        if isinstance(x, str):
+            return string(x)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float):
+            return _json_float(x)
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return encode(obj)
+
+
 def _emit(fmt: str, payload, csv_rows, pretty_lines):
     """Print the one form that fmt names.  Each form is a function of no
     arguments, called only for the format printed, so a verb builds no form
     it does not print."""
     if fmt == "json":
-        import json
-
-        print(json.dumps(payload()))
+        print(_json_text(payload()))
     elif fmt == "csv":
         for row in csv_rows():
             print(",".join(str(x) for x in row))
@@ -619,16 +707,17 @@ def main(argv=None) -> int:
 
     With argv None, main is the process entry point (the console script,
     python -m greenpoly.cli) and reads sys.argv[1:].  Once the command line
-    is parsed, it runs the verb's layer (and json, for JSON output) and then
-    calls gc.freeze(), also when the command line is rejected.  That moves
-    every object built so far, the layers' modules above all, into the
-    permanent generation: no collection during the run, nor the full one the
-    interpreter makes at exit, walks them again.  That is safe because the
-    process ends right after main returns: it still exits the normal way
-    (streams flushed, atexit handlers run), the OS reclaims the frozen
-    objects, and no object here needs a finalizer to release a resource
-    (files are closed by with blocks).  A call with argv, from a library or
-    a test, leaves the GC state as it was and runs each layer on first use.
+    is parsed, it runs the verb's layer and then calls gc.freeze(), also when
+    the command line is rejected.  That moves every object built so far,
+    the layers' modules above all, into the permanent generation: no
+    collection during the run, nor the full one the interpreter makes at
+    exit, walks them again.  That is safe because the process ends right
+    after main returns: it still exits the normal way (streams flushed,
+    atexit handlers run), the OS reclaims the frozen objects, and no object
+    here needs a finalizer to release a resource (files are closed by with
+    blocks).  A call with argv, from a library or a test, leaves the GC state
+    as it was and runs each layer on first use.  JSON output is written by
+    `_json_text`, so a verb imports json only if it reads a table file.
     """
     entry = argv is None
     try:
@@ -644,11 +733,9 @@ def main(argv=None) -> int:
                 args.data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
                 if entry:
                     # run the verb's layer (a module that _layer registered
-                    # runs on its first attribute read) and json for JSON
-                    # output now, so that the freeze covers what they build
+                    # runs on its first attribute read) now, so that the
+                    # freeze covers what it builds
                     VERBS[args.verb][2].__name__
-                    if args.format == "json":
-                        import json
         finally:
             if entry:
                 gc.freeze()
@@ -672,9 +759,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except lusztigshoji.SolverError as exc:
-        import json
-
-        print(json.dumps({"ok": False, "violated": str(exc)}))
+        print(_json_text({"ok": False, "violated": str(exc)}))
         return 2
 
 

@@ -122,10 +122,11 @@ def identity_element(t: WeylType):
     return tuple(range(1, _ambient_dim(t) + 1))
 
 
-def simple_generators(t: WeylType):
+@lru_cache(maxsize=None)
+def simple_generators(t: WeylType) -> tuple:
     """The reflections in the roots of `_ambient_simple_roots`, in order."""
     if t.family == "G2":
-        return [(2, 1, 3), (-1, -3, -2)]  # short and long simple reflections
+        return ((2, 1, 3), (-1, -3, -2))  # short and long simple reflections
     n = _ambient_dim(t)
     gens = []
     for i in range(n - 1):
@@ -133,13 +134,13 @@ def simple_generators(t: WeylType):
         g[i], g[i + 1] = g[i + 1], g[i]
         gens.append(tuple(g))
     if t.family == "A":
-        return gens
+        return tuple(gens)
     g = list(range(1, n + 1))
     if t.family == "D":  # reflection in e_{n-1} + e_n
         g[n - 2], g[n - 1] = -n, -(n - 1)
     else:  # B/C: reflection in e_n
         g[n - 1] = -n
-    return gens + [tuple(g)]
+    return (*gens, tuple(g))
 
 
 def all_elements(t: WeylType):
@@ -216,13 +217,16 @@ def charpoly_of_label(t: WeylType, label) -> IntPoly:
         return out.divexact(IntPoly((1, -1)))
     if t.family == "G2":
         return _G2_CHARPOLY[label]
-    pos, neg = label[0], label[1]
-    out = ONE
-    for c in pos:
-        out = out * IntPoly((1,) + (0,) * (c - 1) + (-1,))
-    for c in neg:
-        out = out * IntPoly((1,) + (0,) * (c - 1) + (1,))
-    return out
+    # B/C/D: prod (1 - q^c) over the positive cycles and (1 + q^c) over the
+    # negative ones, one integer product at q = 2^b; a coefficient is at most
+    # 2^(number of cycles) <= 2^rank, so b = slot_bits(2^rank) = rank + 2
+    b = t.rank + 2
+    out = 1
+    for c in label[0]:
+        out *= 1 - (1 << b * c)
+    for c in label[1]:
+        out *= 1 + (1 << b * c)
+    return IntPoly.unpack(out, b)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +789,14 @@ def delta_elliptic_count(g: WeylGroupData) -> int:
 # exact descent in reduced words and for the pin construction
 
 
-def _ambient_simple_roots(t: WeylType):
+@lru_cache(maxsize=None)
+def _ambient_simple_roots(t: WeylType) -> tuple:
     """Simple roots as integer vectors in the ambient coordinates of R^m:
     e_i - e_(i+1) for i < m, then e_m for B/C and e_(m-1) + e_m for D; for
     G2 the short root (1,-1,0) and the long root (-2,1,1) of the sum-zero
     plane in R^3."""
     if t.family == "G2":
-        return [(1, -1, 0), (-2, 1, 1)]
+        return ((1, -1, 0), (-2, 1, 1))
     m = _ambient_dim(t)
     roots = [
         tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(m))
@@ -801,9 +806,10 @@ def _ambient_simple_roots(t: WeylType):
         roots.append(tuple(1 if k == m - 1 else 0 for k in range(m)))
     elif t.family == "D":
         roots.append(tuple(1 if k >= m - 2 else 0 for k in range(m)))
-    return roots
+    return tuple(roots)
 
 
+@lru_cache(maxsize=None)
 def _rho(t: WeylType) -> tuple:
     """A vector with positive pairing on every simple root, and so on every
     positive root, and nonzero on every root: w(alpha) < 0 exactly when
@@ -831,24 +837,31 @@ def reduced_word(g: WeylGroupData, w) -> tuple:
 
     Strips the least right descent i, w(alpha_i) < 0, until w is the identity.
     w is orthogonal, so <w(alpha_i), rho> = <alpha_i, w^-1(rho)>: one image
-    per step serves every root.
+    per step serves every root.  Each step shortens w by one, so no word is
+    longer than N, the number of positive roots.  A longer word, or a
+    non-identity with no descent, means that w is not in W or that the
+    generators are not the reflections in the simple roots: RuntimeError.
     """
     t = g.type
-    roots = _ambient_simple_roots(t)
-    gens = simple_generators(t)
-    rho = _rho(t)
+    roots, gens, rho = _ambient_simple_roots(t), simple_generators(t), _rho(t)
+    longest = sum(g.degrees) - len(g.degrees)  # N = sum_i (d_i - 1)
     word = []
     ident = identity_element(t)
     cur = w
-    while cur != ident:
+    while cur != ident and len(word) < longest:
         back = _act_ambient(sp_inv(cur), rho)
         for i, alpha in enumerate(roots):
             if sum(map(mul, alpha, back)) < 0:
                 word.append(i)
                 cur = sp_mul(cur, gens[i])
                 break
-        else:  # pragma: no cover - would mean a non-identity with no descent
-            raise AssertionError("descent not found")
+        else:
+            break
+    if cur != ident:
+        raise RuntimeError(
+            f"no reduced word for {w} in type {t}: it is not in W, or the simple "
+            "generators do not match the simple roots"
+        )
     word.reverse()
     return tuple(word)
 

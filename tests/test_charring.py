@@ -135,6 +135,17 @@ def test_fake_degree_dimension_sum():
         assert acc == expect
 
 
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+)
+def test_coinvariant_values_match_long_division(family, rank):
+    # one integer division per class at q = 2^b against the polynomial long
+    # division of p(q) by det_V(1 - qw)
+    g = build(WeylType(family, rank))
+    p = poincare_poly(g)
+    assert _coinvariant_values(g.type) == tuple(p.divexact(d) for d in g.refl_charpoly)
+
+
 def test_omega_a1():
     g = build(WeylType("A", 1))
     om = omega_matrix(g)
@@ -386,6 +397,23 @@ def test_graded_values_match_per_degree_sums(data):
     by_degree = _by_degree(coords)
     want = tuple(IntPoly([sum(map(mul, cd, col)) for cd in by_degree]) for col in zip(*g.char_table))
     assert GradedCharacter(g, tuple(coords)).values == want
+
+
+def test_graded_gram_unpacks_each_distinct_slot_once(monkeypatch):
+    # B6's q-elliptic Gram has 920 nonzero entries on and above the diagonal,
+    # which take 31 distinct values; each value is unpacked once
+    g = build(WeylType("B", 6))
+    unpack, calls = IntPoly.unpack, []
+
+    def counted(n, b):
+        calls.append(n)
+        return unpack(n, b)
+
+    monkeypatch.setattr(IntPoly, "unpack", staticmethod(counted))
+    gram = _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
+    upper = [e for i, row in enumerate(gram) for e in row[i:] if e]
+    assert (len(upper), len(set(upper)), len(calls)) == (920, 31, 31)
+    assert gram == q_elliptic_gram(g)
 
 
 def test_packed_kernel_rejects_non_characters():

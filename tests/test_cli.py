@@ -2,9 +2,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenpoly.charring import q_elliptic_gram
-from greenpoly.cli import main
+from greenpoly.cli import _json_text, main
 from greenpoly.weyl import WeylType, build
 
 from conftest import run_fresh
@@ -65,20 +67,20 @@ def test_cli_import_is_lean_and_eager():
 
 
 def test_entry_point_runs_only_the_layers_of_its_verb():
-    # wg runs on weyl, which imports polyq and partitions; the JSON form adds
-    # json, and the character ring, tables, solver and pin layer stay unrun
+    # wg runs on weyl, which imports polyq and partitions; the JSON form
+    # imports no json, and the character ring, tables, solver and pin layer
+    # stay unrun
     code = RAN + (
         "import contextlib, io\n"
-        "before = set(sys.modules)\n"
         "from greenpoly.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    rc = main()\n"
-        "print(rc, 'json' in sys.modules and 'json' not in before, *ran())\n"
+        "print(rc, 'json' in sys.modules, *ran())\n"
         "print(out.getvalue(), end='')\n"
     )
     out = run_fresh(code, "wg", "classes", "--type", "B", "--rank", "3", "--json", text=True, check=True)
     status, printed = out.stdout.split("\n", 1)
-    assert status.split() == ["0", "True", "polyq", "partitions", "weyl", "cli"]
+    assert status.split() == ["0", "False", "polyq", "partitions", "weyl", "cli"]
     assert len(json.loads(printed)) == 10  # the classes of W(B3)
 
 
@@ -105,6 +107,68 @@ def test_verify_all_loads_no_rationals():
     )
     out = run_fresh(code, text=True, check=True).stdout
     assert out.split() == ["0"]
+
+
+# every character class json.dumps escapes: controls, DEL, quotes, non-ASCII,
+# lone surrogates and characters above U+FFFF (written as surrogate pairs)
+_text = st.text(st.characters(exclude_categories=()) | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+_leaf = (
+    st.none() | st.booleans() | st.floats() | _text
+    | st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+)
+_json_values = st.recursive(
+    _leaf,
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_text, inner)
+        # the writer's one-join paths: lists of ints and lists of strings
+        | st.lists(st.integers()) | st.lists(_text) | st.lists(st.text("0123456789-"))
+    ),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+@settings(deadline=None, max_examples=150)
+def test_json_text_is_json_dumps(value):
+    assert _json_text(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "a"}, {"a": {None: 1}}, {("a",): 1}, [b"x"], ["a", b"x"], {1, 2}, [object()], 1j]
+)
+def test_json_text_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+C3_TABLE = os.path.join(os.path.dirname(__file__), "..", "src", "greenpoly", "data", "springer_C3.json")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("wg", "classes", "--type", "D", "--rank", "4"),
+        ("wg", "chartable", "--type", "G2", "--rank", "2"),
+        ("pairing", "gram", "--type", "B", "--rank", "3", "--form", "qell"),
+        ("pairing", "gram", "--type", "B", "--rank", "3", "--form", "minusone"),
+        ("pairing", "gram", "--type", "A", "--rank", "3", "--form", "delta"),
+        ("fakedeg", "--type", "B", "--rank", "3"),
+        ("springer", "show", "--type", "C", "--rank", "2"),
+        ("springer", "load", C3_TABLE),
+        ("green", "--type", "A", "--rank", "4"),
+        ("green", "--type", "C", "--rank", "2"),
+        ("verify", "ls", "--type", "A", "--rank", "4"),
+        ("verify", "all", "--type", "C", "--rank", "2"),
+        ("spin", "sigma", "--type", "A", "--rank", "4", "--orbit", "3,1"),
+        ("spin", "classify", "--type", "A", "--rank", "4"),
+        ("spin", "index", "--type", "C", "--rank", "2", "--orbit", "2,2"),
+    ],
+    ids=" ".join,
+)
+def test_json_output_is_what_json_writes(capsys, args):
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_wg_classes_json(capsys):
@@ -577,6 +641,9 @@ def test_verification_failure_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert "component_isometry" in out
+    # the solver's failure is one JSON object, as json writes it
+    assert out == json.dumps(json.loads(out)) + "\n"
+    assert json.loads(out)["ok"] is False
 
 
 # what the console script runs: main() with no argument, its status the exit code
@@ -606,11 +673,11 @@ def test_entry_point_freezes_the_heap_and_calls_do_not():
 
 
 def test_entry_point_freezes_after_the_verbs_layer_runs():
-    # main() runs the verb's layer, and json for JSON output, before the
-    # freeze, so the functions they define lie in the permanent generation,
-    # which gc.get_objects() does not list.  wg runs weyl but not the solver,
-    # whose first use here comes after the freeze; green runs the solver,
-    # which imports weyl, and prints no JSON.  A command line the parser
+    # main() runs the verb's layer before the freeze, so the functions it
+    # defines lie in the permanent generation, which gc.get_objects() does
+    # not list.  wg runs weyl but not the solver, whose first use here comes
+    # after the freeze; green runs the solver, which imports weyl.  No run
+    # imports json, the JSON form of wg included.  A command line the parser
     # rejects still ends with a frozen heap.
     # (The freeze count alone cannot show this: it also counts the garbage
     # no collection has reached yet.)
@@ -619,10 +686,10 @@ def test_entry_point_freezes_after_the_verbs_layer_runs():
         "from greenpoly.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    rc = main()\n"
-        "fns = [sys.modules['greenpoly.weyl'].build, sys.modules['greenpoly.lusztigshoji'].solve,\n"
-        "       __import__('json').dumps]\n"
+        "fns = [sys.modules['greenpoly.weyl'].build, sys.modules['greenpoly.lusztigshoji'].solve]\n"
         "live = {id(o) for o in gc.get_objects()}\n"
-        "print(rc, gc.get_freeze_count() > 0, *[gc.is_tracked(f) and id(f) not in live for f in fns])\n"
+        "print(rc, gc.get_freeze_count() > 0, 'json' in sys.modules,\n"
+        "      *[gc.is_tracked(f) and id(f) not in live for f in fns])\n"
     )
     runs = [
         run_fresh(code, *args, text=True, check=True).stdout.split()
@@ -634,8 +701,8 @@ def test_entry_point_freezes_after_the_verbs_layer_runs():
     ]
     assert runs == [
         ["1", "True", "False", "False", "False"],
-        ["0", "True", "True", "False", "True"],
-        ["0", "True", "True", "True", "False"],
+        ["0", "True", "False", "True", "False"],
+        ["0", "True", "False", "True", "True"],
     ]
 
 

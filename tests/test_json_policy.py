@@ -1,0 +1,60 @@
+"""The package reads JSON only where it reads a table file: `json` is imported
+in `springer.load_table` and the packaged-table loader `springer.table_typeC`,
+and nowhere else, the CLI least of all, which writes its JSON itself
+(`cli._json_text`) so that printing JSON does not import `json`."""
+
+import ast
+from pathlib import Path
+
+import greenpoly
+
+PACKAGE = Path(greenpoly.__file__).resolve().parent
+TABLE_READERS = {("springer.py", "load_table"), ("springer.py", "table_typeC")}
+
+
+def _json_imports(tree):
+    """(enclosing function or None, line) for every import of json or of a
+    module under it."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else []
+        else:
+            names = []
+        if any(name == "json" or name.startswith("json.") for name in names):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def _package_json_imports():
+    return [
+        (path.relative_to(PACKAGE).as_posix(), func, line)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for func, line in _json_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+
+
+def test_json_imported_only_by_the_table_readers():
+    outside = [site for site in _package_json_imports() if site[:2] not in TABLE_READERS]
+    assert not outside, f"json imported outside the table readers: {outside}"
+
+
+def test_import_finder_sees_every_form():
+    tree = ast.parse(
+        "import json\n"
+        "def f():\n"
+        "    import os, json.decoder\n"
+        "    from json import dumps\n"
+        "from . import json_like\n"
+        "import jsonschema\n"
+    )
+    assert _json_imports(tree) == [(None, 1), ("f", 3), ("f", 4)]

@@ -318,6 +318,44 @@ def test_generators_are_the_simple_root_reflections(family, rank):
             assert tuple(aa * y for y in weyl._act_ambient(s, b)) == want
 
 
+def test_reduced_word_raises_past_the_length_of_w0(monkeypatch):
+    # a long generator that is not the reflection in the long simple root
+    # sends the descent loop round a cycle; the loop stops at N letters
+    g = build(WeylType("G2", 2))
+    short = simple_generators(g.type)[0]
+    rot60 = next(c.representative for c in g.classes if c.label == "rot60")
+    monkeypatch.setattr(weyl, "simple_generators", lambda t: (short, (-1, -2, -3)))
+    with pytest.raises(RuntimeError, match="no reduced word for"):
+        reduced_word(g, rot60)
+
+
+def test_reduced_word_raises_outside_the_group():
+    # one sign change is in W(B4) but not in W(D4): the loop runs out of
+    # descents before it reaches the identity
+    with pytest.raises(RuntimeError, match="no reduced word for"):
+        reduced_word(build(WeylType("D", 4)), (-1, 2, 3, 4))
+
+
+def _charpoly_by_products(label) -> IntPoly:
+    """det_V(1 - qw) of a B/C/D class label as a product of IntPolys:
+    (1 - q^c) per positive and (1 + q^c) per negative cycle."""
+    out = IntPoly((1,))
+    for cycles, sign in ((label[0], -1), (label[1], 1)):
+        for c in cycles:
+            out = out * IntPoly((1,) + (0,) * (c - 1) + (sign,))
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("B", r) for r in range(2, 9)] + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)],
+)
+def test_packed_charpoly_matches_product_oracle(family, rank):
+    t = WeylType(family, rank)
+    for cls in build(t).classes:
+        assert weyl.charpoly_of_label(t, cls.label) == _charpoly_by_products(cls.label)
+
+
 def test_braid_orders():
     g = build(WeylType("G2", 2))
     assert braid_order(g, 0, 1) == 6
