@@ -143,7 +143,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     gram = _qell_rows(g.type)
     # a column is its coordinates over the irreducibles, then its pairings
     # with them; both are linear in the column, so one combination gives both
-    store = PackedRows(2 * nirr)
+    store = PackedRows()
     npairs = len(pairs)
     coords: list = []  # K's columns: each column's coordinates
     supports: list = []  # per column, the irreducibles where it is nonzero

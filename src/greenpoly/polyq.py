@@ -27,7 +27,8 @@ it goes once the tracer stops naming it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from itertools import chain
+from operator import attrgetter, sub
 from typing import Iterable, Union
 
 
@@ -297,6 +298,7 @@ class IntPoly:
 
 
 _set_coeffs = IntPoly.coeffs.__set__
+_coeffs = attrgetter("coeffs")
 
 
 def _poly(coeffs) -> IntPoly:
@@ -337,30 +339,39 @@ def sparse_matmul(A, B, zero=ZERO) -> list:
     return out
 
 
+def _row_norm(row) -> int:
+    """Largest |coefficient| of any IntPoly in row, by one C-level scan."""
+    return max(map(abs, chain.from_iterable(map(_coeffs, row))), default=0)
+
+
 class PackedRows:
     """Rows of IntPolys kept packed at one slot width b, for exact integer
     combinations of them.
 
     A new row is base - sum c * row_j over (c, j) in terms, taken on the
-    packed rows at q = 2^b.  Its coefficient at position p is at most
-    |base_p|_inf + sum |c|_1 top_p in absolute value, top_p being the
-    largest |coefficient| of a stored row there.  Once b holds that bound
-    the integer the combination gives is the new row's packed form, so the
-    row is unpacked once and never packed again.  When the bound outgrows b,
-    b becomes max(needed, 2b) and every stored row is packed again, so a row
-    is repacked O(log) times however many rows follow.
+    packed rows at q = 2^b.  Each coefficient of its entry at position p is
+    at most |base_p|_inf + sum |c|_1 |row_j,p|_inf in absolute value, and so
+    at most max_p |base_p|_inf + (sum |c|_1) top, top being the largest
+    |coefficient| anywhere in a stored row.  That one bound holds at every
+    position; it is read from one scan of the base's coefficients, and top
+    is kept by one scan of each row stored.  Once b holds the bound, the
+    integer the combination gives at each position is the new entry's
+    packed form, so the row is unpacked once and never packed again.  When
+    the bound outgrows b, b becomes max(needed, 2b) and every stored row is
+    packed again, so a row is repacked O(log) times however many rows
+    follow.
     """
 
-    def __init__(self, width: int):
+    def __init__(self):
         self.b = 0
         self.rows: list = []  # each row's IntPolys
         self.packed: list = []  # each row at q = 2^b
-        self.top = [0] * width
+        self.top = 0  # the largest |coefficient| of a stored row
 
     def combine(self, base, terms) -> list:
         """Store and return the row base - sum c * row_j over (c, j) in terms."""
         scale = sum(c.norm1() for c, _ in terms)
-        needed = slot_bits(max(map(add, map(IntPoly.norm_inf, base), (scale * t for t in self.top))))
+        needed = slot_bits(_row_norm(base) + scale * self.top)
         if needed > self.b:
             self.b = b = max(needed, 2 * self.b)
             self.packed = [[x.pack(b) for x in row] for row in self.rows]
@@ -371,7 +382,7 @@ class PackedRows:
         row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]
         self.rows.append(row)
         self.packed.append(acc)
-        self.top = list(map(max, self.top, map(IntPoly.norm_inf, row)))
+        self.top = max(self.top, _row_norm(row))
         return row
 
 

@@ -24,6 +24,11 @@ columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products.  Both share no arithmetic
 with the packed store or the sparse products they check.
 
+The JSON payload before the writer's default hook: `tableau_payload_dicts`
+is the `green --json` payload as `cli._tableau_payload` built it, with one
+`{"coeffs": [...]}` dict per polynomial and every name taken again at each
+use, ready for `json.dumps` as it stands.
+
 The command line before the table-driven parser: `build_parser` is the
 argparse parser `cli.main` used, one subparser per verb with the common
 options copied into each.  It drops options given before the verb, which
@@ -49,6 +54,7 @@ from greenpoly.charring import (
 )
 from greenpoly.cli import (
     UsageError,
+    _label_str,
     cmd_fakedeg,
     cmd_green,
     cmd_pairing,
@@ -319,6 +325,33 @@ def dense_product_checks(tab: GreenTableau) -> list:
     omega = omega_on_pairs(tab)
     kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != omega[i][j]]
     return [("lambda_m_product", bad is None, bad), ("kl_equation", not kl_bad, kl_bad[:4])]
+
+
+# ---------------------------------------------------------------------------
+# the green --json payload with a dict per polynomial
+
+
+def tableau_payload_dicts(tab: GreenTableau) -> dict:
+    g = tab.group
+    return {
+        "pairs": [tab.pair_name(j) for j in range(len(tab.pairs))],
+        "irreps": [_label_str(l) for l in g.irrep_labels],
+        "K_columns": [
+            {
+                "pair": tab.pair_name(j),
+                "coords": {
+                    _label_str(g.irrep_labels[i]): c.to_json()
+                    for i, c in enumerate(tab.coords[j])
+                    if c
+                },
+            }
+            for j in range(len(tab.pairs))
+        ],
+        "M": [[e.to_json() for e in row] for row in tab.M],
+        "Lambda": [[e.to_json() for e in row] for row in tab.Lam],
+        "p": tab.p.to_json(),
+        "notes": tab.notes,
+    }
 
 
 # ---------------------------------------------------------------------------

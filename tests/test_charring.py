@@ -32,7 +32,9 @@ from greenpoly.charring import (
     std_pairing,
 )
 from greenpoly import charring, weyl
-from greenpoly.polyq import IntPoly, PackedRows, sparse_matmul
+from greenpoly.lusztigshoji import solve
+from greenpoly.polyq import IntPoly, PackedRows, slot_bits, sparse_matmul
+from greenpoly.springer import table_typeA, table_typeC
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
     WeylType,
@@ -569,7 +571,7 @@ def test_store_grows_and_matches_one_shot_gram(data):
         coords[data.draw(st.integers(0, n - 1))] += IntPoly([0, 0, 0, lead_digit * scale])
         return coords + [sum(map(mul, coords, col), IntPoly()) for col in zip(*gram)]
 
-    store = PackedRows(2 * n)
+    store = PackedRows()
     widths = []
     for scale in (1, 10**10, 10**30):
         for _ in range(data.draw(st.integers(1, 2))):
@@ -592,6 +594,68 @@ def test_store_grows_and_matches_one_shot_gram(data):
     pairings = [list(col) for col in zip(*(row[n:] for row in store.rows))]
     assert pairings == _class_gram(g, g.char_table, classes, g.refl_charpoly)
     assert pairings == _class_gram_by_degree(g, g.char_table, classes, g.refl_charpoly)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_combine_bounds_every_position_by_the_largest_stored_coefficient(data):
+    # one stored row's largest coefficient, in [2^99, 2^100), sits at another
+    # position than the base's largest, and a term takes it at least twice,
+    # so the combination outgrows the width that row was stored at: only a
+    # bound that counts the stored rows at every position (the store's one
+    # scalar does) makes the store wider first.  The result must be the
+    # schoolbook combination.
+    width = data.draw(st.integers(2, 5))
+    small = st.lists(_digit, max_size=3).map(IntPoly)
+    entries = st.lists(small, min_size=width, max_size=width)
+    store = PackedRows()
+    for _ in range(data.draw(st.integers(0, 2))):
+        store.combine(data.draw(entries), [])
+    big_at, base_at = data.draw(st.permutations(range(width)))[:2]
+    row = data.draw(entries)
+    row[big_at] += IntPoly([0, data.draw(st.integers(2**99, 2**100 - 1)) * data.draw(st.sampled_from((1, -1)))])
+    store.combine(row, [])
+    base = data.draw(entries)
+    base[base_at] += IntPoly([data.draw(st.integers(10**5, 10**10))])
+    lead = data.draw(st.integers(2, 9)) * data.draw(st.sampled_from((1, -1)))
+    terms = [(IntPoly(data.draw(st.lists(_digit, max_size=2)) + [lead]), len(store.rows) - 1)]
+    terms += [(c, data.draw(st.integers(0, len(store.rows) - 1)))
+              for c in data.draw(st.lists(small.filter(bool), max_size=2))]
+    want = base
+    for c, j in terms:
+        want = [w - c * v for w, v in zip(want, store.rows[j])]
+    assert store.combine(base, terms) == want
+
+
+# the tables `solve` runs on: GL(2)-GL(8) and Sp(2)-Sp(6)
+_SOLVED_TABLES = [("A", n) for n in range(2, 9)] + [("C", n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("family,rank", _SOLVED_TABLES, ids=[f"{f}{r}" for f, r in _SOLVED_TABLES])
+def test_solver_widths_hold_the_per_position_bound(monkeypatch, family, rank):
+    # each combination's coefficient at position p is at most
+    # |base_p|_inf + sum_c |c|_1 max_j |row_j,p|_inf over the stored rows;
+    # the width every combination of the solve runs at must hold that bound
+    combine, widths = PackedRows.combine, []
+
+    def record(store, base, terms):
+        stored = list(store.rows)
+        row = combine(store, base, terms)
+        scale = sum(c.norm1() for c, _ in terms)
+        bound = max(
+            x.norm_inf() + scale * max((r[p].norm_inf() for r in stored), default=0)
+            for p, x in enumerate(base)
+        )
+        # checked at each call, so that a failure names the first combination
+        # that ran too narrow
+        assert slot_bits(bound) <= store.b, (len(widths), store.b, bound)
+        widths.append(store.b)
+        return row
+
+    monkeypatch.setattr(PackedRows, "combine", record)
+    table = (table_typeA if family == "A" else table_typeC)(rank)
+    solve(table)
+    assert widths == sorted(widths) and len(widths) == len(table.pairs())
 
 
 # groups with a Springer table, whose solve and verify use Omega

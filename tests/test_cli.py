@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpoly.charring import q_elliptic_gram
-from greenpoly.cli import _json_text, main
+from greenpoly.charring import fake_degree, q_elliptic_gram
+from greenpoly.cli import _json_text, _label_str, main
+from greenpoly.lusztigshoji import solve
+from greenpoly.polyq import ZERO, IntPoly
+from greenpoly.springer import table_typeA, table_typeC
 from greenpoly.weyl import WeylType, build
 
 from conftest import run_fresh
+from oracles import tableau_payload_dicts
 
 
 def run(capsys, *args):
@@ -127,10 +131,88 @@ _json_values = st.recursive(
 )
 
 
-@given(_json_values)
+_coefficient = st.integers() | st.integers(2**63, 2**200) | st.integers(-(2**200), -(2**63))
+
+
+@st.composite
+def _with_polys(draw):
+    """A JSON value with IntPolys among its leaves: ZERO and a few drawn
+    polynomials, each leaf either a polynomial itself (so one object may be
+    repeated) or an equal copy of it (equal but distinct objects)."""
+    pool = [ZERO] + draw(st.lists(st.lists(_coefficient, max_size=5).map(IntPoly), min_size=1, max_size=4))
+    member = st.sampled_from(pool)
+    leaf = _leaf | member | member.map(lambda f: IntPoly(f.coeffs))
+    return draw(st.recursive(
+        leaf,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_text, inner),
+        max_leaves=20,
+    ))
+
+
+@given(_json_values, _with_polys())
 @settings(deadline=None, max_examples=150)
-def test_json_text_is_json_dumps(value):
+def test_json_text_is_json_dumps(value, with_polys):
     assert _json_text(value) == json.dumps(value)
+    assert _json_text(with_polys, IntPoly.to_json) == json.dumps(with_polys, default=IntPoly.to_json)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        ZERO,
+        [ZERO, ZERO, [ZERO]],
+        [IntPoly([2**63, -(2**63) - 1, 0, 1])] * 3,
+        {"a": IntPoly([-(2**64), 1]), "b": IntPoly([-(2**64), 1]), "c": [IntPoly([-(2**64), 1])]},
+    ],
+    ids=["zero", "zero-repeated", "one-object-repeated", "equal-but-distinct"],
+)
+def test_json_text_writes_polynomials_by_the_hook(value):
+    assert _json_text(value, IntPoly.to_json) == json.dumps(value, default=IntPoly.to_json)
+
+
+class _Chain:
+    """A value json cannot write: `_unchain` turns it into its length and a
+    new _Chain one shorter, so each call of the hook but the first at every
+    top-level chain meets an object made, and dropped, during the call."""
+
+    def __init__(self, k):
+        self.k = k
+
+
+def _unchain(c):
+    return [c.k, _Chain(c.k - 1)] if c.k else "end"
+
+
+def test_json_text_hook_meets_new_objects():
+    # an object the hook made is encoded, dropped, and its id may be taken by
+    # the next one: the writer's memo of hooked values must not match it
+    value = [_Chain(k) for k in (3, 1, 4, 1, 5, 9, 2, 6)]
+    assert _json_text(value, _unchain) == json.dumps(value, default=_unchain)
+
+
+_GREEN_TABLES = [("A", n) for n in range(2, 9)] + [("C", n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("family,rank", _GREEN_TABLES, ids=[f"{f}{r}" for f, r in _GREEN_TABLES])
+def test_green_json_is_json_dumps_of_dict_payload(capsys, family, rank):
+    # the payload as built with one {"coeffs": ...} dict per polynomial,
+    # written by json itself
+    code, out, _ = run(capsys, "green", "--type", family, "--rank", str(rank), "--json")
+    assert code == 0
+    tab = solve((table_typeA if family == "A" else table_typeC)(rank))
+    assert out == json.dumps(tableau_payload_dicts(tab)) + "\n"
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4), ("G2", 2)])
+def test_fakedeg_json_is_json_dumps_of_dict_payload(capsys, family, rank):
+    code, out, _ = run(capsys, "fakedeg", "--type", family, "--rank", str(rank), "--json")
+    assert code == 0
+    g = build(WeylType(family, rank))
+    payload = [
+        {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
+        for i, l in enumerate(g.irrep_labels)
+    ]
+    assert out == json.dumps(payload) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The package reads JSON only where it reads a table file: `json` is imported
 in `springer.load_table` and the packaged-table loader `springer.table_typeC`,
 and nowhere else, the CLI least of all, which writes its JSON itself
-(`cli._json_text`) so that printing JSON does not import `json`."""
+(`cli._json_text`) so that printing JSON does not import `json`.  A
+polynomial reaches that writer as it is, through its `default` hook
+(`IntPoly.to_json`): the CLI builds no `{"coeffs": ...}` dict itself."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,29 @@ def test_import_finder_sees_every_form():
         "import jsonschema\n"
     )
     assert _json_imports(tree) == [(None, 1), ("f", 3), ("f", 4)]
+
+
+def _to_json_calls(tree):
+    """The lines of every call of a method named to_json."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_json"
+    ]
+
+
+def test_cli_calls_no_to_json():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert not _to_json_calls(tree), "cli.py calls to_json; pass IntPolys to the writer's hook"
+
+
+def test_to_json_finder_sees_calls_not_references():
+    tree = ast.parse(
+        "a = f.to_json()\n"
+        "b = [e.to_json() for e in row]\n"
+        "c = g(default=IntPoly.to_json)\n"
+        "d = to_json(x)\n"
+    )
+    assert _to_json_calls(tree) == [1, 2]
