@@ -126,29 +126,21 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_text(obj, default=None) -> str:
-    """obj as json.dumps(obj, default=default) writes it with its other
-    arguments left at their defaults: the separators ", " and ": ", ASCII
-    only, NaN and the infinities allowed.  Values are str, int, float, bool,
-    None, and lists, tuples and dicts of them, dict keys str; any other value
-    is written as default(value) is, and raises TypeError when default is
-    None.
+def _json_text(obj) -> str:
+    """obj as json.dumps(obj, default=polyq.IntPoly.to_json) writes it with
+    its other arguments left at their defaults: the separators ", " and ": ",
+    ASCII only, NaN and the infinities allowed.  Values are str, int, float,
+    bool, None, IntPolys, and lists, tuples and dicts of them, dict keys str;
+    any other value raises TypeError.
 
     Written here so that printing JSON does not import json, whose import
     compiles the decoder's regular expressions.  The keys of a dict, and a
     list of strings, are joined and tested for escapes all at once; a list of
-    plain ints is written by repr, which writes it as json does; and any
-    other string is escaped once.  Each distinct object that goes through
-    default is encoded once per call, so an object the payload holds many
-    times (the zero polynomial in every empty entry of a matrix) is looked
-    up, not converted again.  Its text is kept under its id together with
-    the object, so that no other value takes that id while the call runs,
-    and objects are told apart by identity, not by __eq__.  json.dumps calls
-    default at every occurrence; the two agree whenever default gives one
-    object the same value each time, as `IntPoly.to_json` does.
+    plain ints is written by repr, which writes it as json does; any other
+    string is escaped once; and an IntPoly is written from its coefficients
+    in one join, so no {"coeffs": ...} dict is built for it.
     """
     strings = {}
-    hooked = {}  # id(value) -> (value, its text)
 
     def string(s: str) -> str:
         text = strings.get(s)
@@ -159,9 +151,6 @@ def _json_text(obj, default=None) -> str:
     def encode(x) -> str:
         if type(x) is str:
             return strings.get(x) or string(x)
-        seen = hooked.get(id(x))
-        if seen is not None:
-            return seen[1]
         if isinstance(x, dict):
             if _plain("".join(x)):  # the join raises TypeError on a key not a str
                 return "{" + ", ".join(['"' + k + '": ' + encode(v) for k, v in x.items()]) + "}"
@@ -191,23 +180,20 @@ def _json_text(obj, default=None) -> str:
             return int.__repr__(x)
         if isinstance(x, float):
             return _json_float(x)
-        if default is None:
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        text = encode(default(x))
-        hooked[id(x)] = (x, text)  # x is kept, so no other value takes its id
-        return text
+        if type(x) is polyq.IntPoly:  # as json writes x.to_json()
+            coeffs = '", "'.join(map(str, x.coeffs))
+            return '{"coeffs": ["' + coeffs + '"]}' if coeffs else '{"coeffs": []}'
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
     return encode(obj)
 
 
-def _emit(fmt: str, payload, csv_rows, pretty_lines, default=None):
+def _emit(fmt: str, payload, csv_rows, pretty_lines):
     """Print the one form that fmt names.  Each form is a function of no
     arguments, called only for the format printed, so a verb builds no form
-    it does not print.  The JSON form is written by `_json_text` with the
-    hook default, which writes what the payload holds besides plain values
-    (`IntPoly.to_json` for a payload of polynomials)."""
+    it does not print."""
     if fmt == "json":
-        print(_json_text(payload(), default))
+        print(_json_text(payload()))
     elif fmt == "csv":
         for row in csv_rows():
             print(",".join(str(x) for x in row))
@@ -328,7 +314,7 @@ def cmd_fakedeg(args):
     def rows():
         return [[_label_str(l), str(charring.fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
 
-    _emit(args.format, payload, rows, lambda: [f"{a}: {b}" for a, b in rows()], polyq.IntPoly.to_json)
+    _emit(args.format, payload, rows, lambda: [f"{a}: {b}" for a, b in rows()])
     return 0
 
 
@@ -372,8 +358,7 @@ def cmd_springer(args):
 
 def _tableau_payload(tab: lusztigshoji.GreenTableau):
     """The JSON payload of a solved tableau, its polynomials left as IntPolys
-    for the writer's hook `IntPoly.to_json`; each pair and irreducible is
-    named once."""
+    for `_json_text` to write; each pair and irreducible is named once."""
     pairs = [tab.pair_name(j) for j in range(len(tab.pairs))]
     irreps = [_label_str(l) for l in tab.group.irrep_labels]
     return {
@@ -422,7 +407,7 @@ def cmd_green(args):
                     out.append("    [" + ", ".join(str(e) for e in row) + "]")
         return out
 
-    _emit(args.format, lambda: _tableau_payload(tab), rows, lines, polyq.IntPoly.to_json)
+    _emit(args.format, lambda: _tableau_payload(tab), rows, lines)
     return 0
 
 

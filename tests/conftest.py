@@ -26,6 +26,10 @@ def run_fresh(code, *args, env=None, **kwargs):
     )
 
 
+# the Springer tables `solve` runs on in the tests: GL(2)-GL(8) and Sp(2)-Sp(6)
+SOLVED_TABLES = [("A", n) for n in range(2, 9)] + [("C", n) for n in range(1, 4)]
+
+
 @lru_cache(maxsize=None)
 def solved(ambient: str, n: int):
     if ambient == "A":

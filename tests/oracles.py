@@ -24,7 +24,7 @@ columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products.  Both share no arithmetic
 with the packed store or the sparse products they check.
 
-The JSON payload before the writer's default hook: `tableau_payload_dicts`
+The JSON payload before the writer took polynomials: `tableau_payload_dicts`
 is the `green --json` payload as `cli._tableau_payload` built it, with one
 `{"coeffs": [...]}` dict per polynomial and every name taken again at each
 use, ready for `json.dumps` as it stands.

@@ -44,6 +44,7 @@ from greenpoly.weyl import (
     delta_elliptic_count,
 )
 
+from conftest import SOLVED_TABLES
 from oracles import (
     bc_column_outer_products,
     bc_column_per_term,
@@ -601,10 +602,9 @@ def test_store_grows_and_matches_one_shot_gram(data):
 def test_combine_bounds_every_position_by_the_largest_stored_coefficient(data):
     # one stored row's largest coefficient, in [2^99, 2^100), sits at another
     # position than the base's largest, and a term takes it at least twice,
-    # so the combination outgrows the width that row was stored at: only a
-    # bound that counts the stored rows at every position (the store's one
-    # scalar does) makes the store wider first.  The result must be the
-    # schoolbook combination.
+    # so the combination outgrows the width that row was stored at: a bound
+    # read from the base's positions alone would leave the store too narrow.
+    # The result must be the schoolbook combination.
     width = data.draw(st.integers(2, 5))
     small = st.lists(_digit, max_size=3).map(IntPoly)
     entries = st.lists(small, min_size=width, max_size=width)
@@ -627,11 +627,7 @@ def test_combine_bounds_every_position_by_the_largest_stored_coefficient(data):
     assert store.combine(base, terms) == want
 
 
-# the tables `solve` runs on: GL(2)-GL(8) and Sp(2)-Sp(6)
-_SOLVED_TABLES = [("A", n) for n in range(2, 9)] + [("C", n) for n in range(1, 4)]
-
-
-@pytest.mark.parametrize("family,rank", _SOLVED_TABLES, ids=[f"{f}{r}" for f, r in _SOLVED_TABLES])
+@pytest.mark.parametrize("family,rank", SOLVED_TABLES, ids=[f"{f}{r}" for f, r in SOLVED_TABLES])
 def test_solver_widths_hold_the_per_position_bound(monkeypatch, family, rank):
     # each combination's coefficient at position p is at most
     # |base_p|_inf + sum_c |c|_1 max_j |row_j,p|_inf over the stored rows;

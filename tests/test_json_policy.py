@@ -2,8 +2,9 @@
 in `springer.load_table` and the packaged-table loader `springer.table_typeC`,
 and nowhere else, the CLI least of all, which writes its JSON itself
 (`cli._json_text`) so that printing JSON does not import `json`.  A
-polynomial reaches that writer as it is, through its `default` hook
-(`IntPoly.to_json`): the CLI builds no `{"coeffs": ...}` dict itself."""
+polynomial reaches that writer as it is, and the writer writes it from its
+coefficients as `json.dumps(default=IntPoly.to_json)` would: the CLI builds
+no `{"coeffs": ...}` dict."""
 
 import ast
 from pathlib import Path
@@ -75,7 +76,7 @@ def _to_json_calls(tree):
 
 def test_cli_calls_no_to_json():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert not _to_json_calls(tree), "cli.py calls to_json; pass IntPolys to the writer's hook"
+    assert not _to_json_calls(tree), "cli.py calls to_json; pass IntPolys to the writer as they are"
 
 
 def test_to_json_finder_sees_calls_not_references():
