@@ -416,7 +416,7 @@ def cmd_verify(args):
     if args.what in ("ls", "all"):
         tab = lusztigshoji.solve(_table(args), check=False)
         for name, ok, detail in lusztigshoji.verify(tab):
-            checks.append({"identity": name, "ok": ok, "detail": _json_safe(detail)})
+            checks.append({"identity": name, "ok": ok, "detail": detail})
     if args.what == "all":
         g = tab.group
         k = charring.chevalley_failure(g)  # the first class where x_1(w) det(1 - qw) != p(q)
@@ -448,16 +448,6 @@ def cmd_verify(args):
 
     _emit(args.format, lambda: {"checks": checks, "ok": not failures}, None, lines)
     return 2 if failures else 0
-
-
-def _json_safe(x):
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return str(x)
 
 
 def _parse_orbit(text) -> tuple:

@@ -41,8 +41,9 @@ def _trim(coeffs):
 
 def slot_bits(bound: int) -> int:
     """Slot width b for packing values whose coefficients are at most bound
-    in absolute value: every coefficient then lies below 2^(b-1)."""
-    return bound.bit_length() + 1
+    in absolute value: every coefficient then lies below 2^(b-1).  b is at
+    least 2, the narrowest width `IntPoly.unpack` reads."""
+    return max(bound.bit_length() + 1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +152,15 @@ class IntPoly:
     def unpack(n: int, b: int) -> "IntPoly":
         """The f with f(2^b) = n, reading signed base-2^b digits; exact when
         every coefficient of f lies strictly between -2^(b-1) and 2^(b-1).
+        ValueError for b < 2: at b = 1 no nonzero digit lies in that range.
 
         Each digit shifts the whole remaining integer, so the time is
         quadratic in the number of digits.  A caller that packs many values
         into one long integer at a byte-aligned stride splits it into entries
         first (`split_ints`, linear) and unpacks each entry alone.
         """
+        if b < 2:
+            raise ValueError(f"slot width {b} is below 2")
         out = []
         mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
         while n:

@@ -1,16 +1,18 @@
 """Nilpotent-orbit combinatorics and Springer correspondence tables.
 
 Built-in tables: GL(n) for 2 <= n <= 12 (all component groups trivial) and
-Sp(2n) for n in {1,2,3}.  The Sp(4) table is hard-coded from the worked
-rank-2 example; ranks 1 and 3 ship as JSON reference data and go through the
-same validation as user-ingested files.  A table is its orbits, largest
-first, each an `OrbitRecord` of a label and its local systems; d_e, A(e) and
-the closure order, which is dominance (Hesselink 1976; Collingwood-McGovern,
-Thm. 6.2.5), are computed from the partitions.  The component-group action on
-the graded space M is built from the reductive part of the centralizer:
-Sp blocks and odd orthogonal blocks contribute trivially, an O_2 block
-contributes a sign line to V_Z, and an even orthogonal block O_{2m} (m >= 2)
-contributes its invariant degrees with a sign character in degree m.
+Sp(2n) for n in {1,2,3}.  The GL(n) systems are computed from the
+partitions; the Sp(2n) systems are written out in `_SP_TABLES` (Carter,
+Finite Groups of Lie Type, 13.3).  Both are assembled and validated by the
+same code, as is a table loaded from a JSON file.  A table is its orbits,
+largest first, each an `OrbitRecord` of a label and its local systems; d_e,
+A(e) and the closure order, which is dominance (Hesselink 1976;
+Collingwood-McGovern, Thm. 6.2.5), are computed from the partitions.  The
+component-group action on the graded space M is built from the reductive
+part of the centralizer: Sp blocks and odd orthogonal blocks contribute
+trivially, an O_2 block contributes a sign line to V_Z, and an even
+orthogonal block O_{2m} (m >= 2) contributes its invariant degrees with a
+sign character in degree m.
 """
 
 from __future__ import annotations
@@ -295,14 +297,6 @@ def nsol_by_pairing(label: OrbitLabel) -> bool:
 # built-in tables
 
 
-def _orbit_partitions_C(n):
-    out = []
-    for lam in partitions(2 * n):
-        if all(m % 2 == 0 for p, m in multiplicities(lam).items() if p % 2):
-            out.append(lam)
-    return tuple(out)
-
-
 def _assemble(group_type, ambient, n, orbit_parts, systems_for):
     g = build(group_type)
     orbits = [
@@ -328,46 +322,50 @@ def table_typeA(n: int) -> SpringerTable:
     return _assemble(group_type, "A", n, partitions(n), systems_for)
 
 
-_SP4_TABLE = {
-    # partition -> list of (system label, sign-bearing part or None, (alpha, beta))
-    (4,): [("triv", None, ((), (1, 1)))],
-    (2, 2): [("triv", None, ((1,), (1,))), ("sgn", 2, ((1, 1), ()))],
-    (2, 1, 1): [("triv", None, ((), (2,)))],
-    (1, 1, 1, 1): [("triv", None, ((2,), ()))],
+# rank n -> {partition: [(local system, the even parts whose generators it
+# sends to -1, the bipartition (alpha, beta) it corresponds to)]}, orbits
+# largest first
+_SP_TABLES = {
+    1: {
+        (2,): [("triv", (), ((), (1,)))],
+        (1, 1): [("triv", (), ((1,), ()))],
+    },
+    2: {
+        (4,): [("triv", (), ((), (1, 1)))],
+        (2, 2): [("triv", (), ((1,), (1,))), ("sgn", (2,), ((1, 1), ()))],
+        (2, 1, 1): [("triv", (), ((), (2,)))],
+        (1, 1, 1, 1): [("triv", (), ((2,), ()))],
+    },
+    3: {
+        (6,): [("triv", (), ((), (1, 1, 1)))],
+        (4, 2): [("triv", (), ((1,), (1, 1))), ("sgn", (4, 2), ((1, 1, 1), ()))],
+        (4, 1, 1): [("triv", (), ((), (2, 1)))],
+        (3, 3): [("triv", (), ((1, 1), (1,)))],
+        (2, 2, 2): [("triv", (), ((1,), (2,)))],
+        (2, 2, 1, 1): [("triv", (), ((2,), (1,))), ("sgn", (2,), ((2, 1), ()))],
+        (2, 1, 1, 1, 1): [("triv", (), ((), (3,)))],
+        (1, 1, 1, 1, 1, 1): [("triv", (), ((3,), ()))],
+    },
 }
 
 
 def table_typeC(n: int) -> SpringerTable:
-    """Sp(2n) Springer table for n in {1,2,3}.
+    """Sp(2n) Springer table for n in {1,2,3}, built from `_SP_TABLES`."""
+    if n not in _SP_TABLES:
+        raise ValueError(
+            f"no built-in table for Sp({2 * n}): type C tables cover Sp(2n) for "
+            "1 <= n <= 3; load a table file for more"
+        )
+    systems = _SP_TABLES[n]
 
-    Rank 2 is hard-coded; ranks 1 and 3 are read from the packaged reference
-    files and validated exactly like user-supplied tables.
-    """
-    if n == 2:
-        group_type = WeylType("C", 2)
-        g = build(group_type)
+    def systems_for(lam, g):
+        gens = component_group(OrbitLabel(lam, "C")).generator_names
+        return [
+            LocalSystem(label, sum(1 << gens.index(p) for p in minus), g.irrep_labels.index(bip))
+            for label, minus, bip in systems[lam]
+        ]
 
-        def systems_for(lam, g):
-            out = []
-            comp = component_group(OrbitLabel(lam, "C"))
-            for label, sign_part, bip in _SP4_TABLE[lam]:
-                mask = 0
-                if sign_part is not None:
-                    mask = 1 << comp.generator_names.index(sign_part)
-                out.append(LocalSystem(label, mask, g.irrep_labels.index(bip)))
-            return out
-
-        return _assemble(group_type, "C", 2, _orbit_partitions_C(2), systems_for)
-    if n in (1, 3):
-        import json
-        from importlib import resources
-
-        ref = resources.files("greenpoly.data").joinpath(f"springer_C{n}.json")
-        return load_table(json.loads(ref.read_text()))
-    raise ValueError(
-        f"no built-in table for Sp({2 * n}): type C tables cover Sp(2n) for "
-        "1 <= n <= 3; load a table file for more"
-    )
+    return _assemble(WeylType("C", n), "C", n, tuple(systems), systems_for)
 
 
 # ---------------------------------------------------------------------------

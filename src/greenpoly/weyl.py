@@ -361,9 +361,6 @@ class WeylGroupData:
     def mul(self, u, w):
         return sp_mul(u, w)
 
-    def inv(self, w):
-        return sp_inv(w)
-
     # -- delta = -w0 ------------------------------------------------------
     def delta_element(self, w):
         """The group automorphism w -> w0 w w0."""

@@ -86,6 +86,23 @@ def test_entry_point_runs_only_the_layers_of_its_verb():
     assert len(json.loads(printed)) == 10  # the classes of W(B3)
 
 
+def test_type_c_green_imports_no_json():
+    # the built-in Sp(6) table is a Python literal: solving it and printing
+    # the tableau as JSON reads no file and leaves json unimported
+    code = (
+        "import contextlib, io, sys\n"
+        "from greenpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = main()\n"
+        "print(rc, 'json' in sys.modules)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    out = run_fresh(code, "green", "--type", "C", "--rank", "3", "--json", text=True, check=True)
+    status, printed = out.stdout.split("\n", 1)
+    assert status.split() == ["0", "False"]
+    assert len(json.loads(printed)["pairs"]) == 10  # the pairs of Sp(6)
+
+
 def test_layer_imported_after_the_cli_is_usable():
     # _layer sets each lazy module on the package, as an import does, so
     # the package attribute an import statement binds is the working module

@@ -1,6 +1,6 @@
 """The package reads JSON only where it reads a table file: `json` is imported
-in `springer.load_table` and the packaged-table loader `springer.table_typeC`,
-and nowhere else, the CLI least of all, which writes its JSON itself
+in `springer.load_table` and nowhere else, not by the built-in tables, which
+are Python literals, and not by the CLI, which writes its JSON itself
 (`cli._json_text`) so that printing JSON does not import `json`.  A
 polynomial reaches that writer as it is, and the writer writes it from its
 coefficients as `json.dumps(default=IntPoly.to_json)` would: the CLI builds
@@ -12,7 +12,7 @@ from pathlib import Path
 import greenpoly
 
 PACKAGE = Path(greenpoly.__file__).resolve().parent
-TABLE_READERS = {("springer.py", "load_table"), ("springer.py", "table_typeC")}
+TABLE_READERS = {("springer.py", "load_table")}
 
 
 def _json_imports(tree):

@@ -72,6 +72,13 @@ class TestIntPoly:
         assert IntPoly.unpack(f.pack(b), b) == f
         assert f.pack(b) == f.eval(2**b)
 
+    def test_slot_width_is_at_least_two(self):
+        # at b = 1 the signed digits are -1 and 0 only, so unpacking 1 would
+        # carry forever; slot_bits never gives b = 1 and unpack refuses it
+        assert slot_bits(0) == 2 and slot_bits(1) == 2
+        with pytest.raises(ValueError):
+            IntPoly.unpack(1, 1)
+
     def test_json_roundtrip(self):
         f = P(1, 0, -1)
         assert f.to_json() == {"coeffs": ["1", "0", "-1"]}

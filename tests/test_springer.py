@@ -32,6 +32,11 @@ from greenpoly.springer import (
 )
 
 
+HERE = os.path.dirname(__file__)
+SP2_FILE = os.path.join(HERE, "data", "springer_C1.json")
+SP6_FILE = os.path.join(HERE, "..", "src", "greenpoly", "data", "springer_C3.json")
+
+
 def P(*cs):
     return IntPoly(cs)
 
@@ -105,8 +110,15 @@ class TestTypeC:
             OrbitLabel((3, 2, 1), "C")  # odd parts with odd multiplicity
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no built-in table for Sp\(8\): type C tables cover "
+                           r"Sp\(2n\) for 1 <= n <= 3; load a table file for more$"):
             table_typeC(4)
+
+    @pytest.mark.parametrize("n,path", [(1, SP2_FILE), (3, SP6_FILE)], ids=["Sp(2)", "Sp(6)"])
+    def test_matches_reference_file(self, n, path):
+        # the built-in table saves as the reference JSON, key for key
+        with open(path, encoding="utf-8") as fh:
+            assert save_table(table_typeC(n)) == json.load(fh)
 
 
 class TestMRep:
