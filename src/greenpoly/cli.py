@@ -345,7 +345,7 @@ def cmd_springer(args):
         "type": table.ambient,
         "rank": table.n,
         "orbits": len(table.orbits),
-        "pairs": len(table.pairs()),
+        "pairs": len(table.pairs),
         "valid": True,
     }
     line = (
@@ -396,9 +396,9 @@ def cmd_green(args):
             ]
             out.append(f"X_q[{tab.pair_name(j)}] = " + " + ".join(terms))
         out.append("M(q) diagonal blocks:")
-        for orbit in dict.fromkeys(o for o, _ in tab.pairs):
+        for orbit, rec in enumerate(table.orbits):
             block = lusztigshoji.m_block(tab, orbit)
-            lab = str(table.orbits[orbit].label.partition)
+            lab = str(rec.label.partition)
             if len(block) == 1:
                 out.append(f"  {lab}: {block[0][0]}")
             else:
@@ -472,6 +472,8 @@ def cmd_spin(args):
     if args.what in ("sigma", "index") and args.orbit is None:
         raise UsageError(f"spin {args.what} requires --orbit")
     table = _table(args)
+    if args.what == "classify" and table.ambient != "A":
+        raise UsageError("classification applies to type A tables")
     if args.what in ("sigma", "index"):
         lam = _parse_pair(table, args.orbit, args.phi)
     tab = lusztigshoji.solve(table)
@@ -493,8 +495,6 @@ def cmd_spin(args):
         )
         return 0
     if args.what == "classify":
-        if table.ambient != "A":
-            raise UsageError("classification applies to type A tables")
         out = []
         for rec in table.orbits:
             if not partitions.is_distinct(rec.label.partition):

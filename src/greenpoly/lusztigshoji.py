@@ -50,7 +50,6 @@ from .charring import (
 )
 from .polyq import IntPoly, ONE, ZERO, PackedRows, adjugate, slot_bits, sparse_matmul
 from .springer import SpringerTable, q_M_gram
-from .weyl import WeylGroupData
 
 
 class SolverError(RuntimeError):
@@ -58,12 +57,11 @@ class SolverError(RuntimeError):
 
 
 class GreenTableau:
-    def __init__(self, table: SpringerTable, group: WeylGroupData, pairs: list,
-                 coords: list, M: list, Lam: list, p: IntPoly,
-                 notes: dict | None = None):
+    def __init__(self, table: SpringerTable, coords: list, M: list, Lam: list,
+                 p: IntPoly, notes: dict | None = None):
         self.table = table
-        self.group = group
-        self.pairs = pairs  # (orbit index, system index), table order
+        self.group = table.group
+        self.pairs = table.pairs  # (orbit index, system index), numbered by the table
         self.coords = tuple(coords)  # per pair: tuple of IntPoly over irreps (the K column)
         self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
         self.Lam = Lam  # block-diagonal, IntPoly
@@ -82,9 +80,6 @@ class GreenTableau:
             cached = self._class_values = (self.coords, values)
         return cached[1]
 
-    def pair_index(self, orbit: int, system: int) -> int:
-        return self.pairs.index((orbit, system))
-
     def pair_name(self, j: int) -> str:
         o, s = self.pairs[j]
         rec = self.table.orbits[o]
@@ -92,9 +87,7 @@ class GreenTableau:
 
     def k_entry(self, i: int, j: int) -> IntPoly:
         """Graded multiplicity of the i-th pair's irreducible in column j."""
-        oi, si = self.pairs[i]
-        irrep = self.table.orbits[oi].systems[si].irrep
-        return self.coords[j][irrep]
+        return self.coords[j][self.table.pair_irreps[i]]
 
     def k_matrix(self):
         n = len(self.pairs)
@@ -138,8 +131,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     """
     g = table.group
     nirr = len(g.irrep_labels)
-    pairs = table.pairs()
-    pair_irrep = table.pair_irreps()
+    pairs, pair_irrep, blocks = table.pairs, table.pair_irreps, table.blocks
     gram = _qell_rows(g.type)
     # a column is its coordinates over the irreducibles, then its pairings
     # with them; both are linear in the column, so one combination gives both
@@ -149,18 +141,15 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     supports: list = []  # per column, the irreducibles where it is nonzero
     V: list = []  # V[j][a] = <chi_a, column j>^q, taken once per column
     M = [[ZERO] * npairs for _ in range(npairs)]
-    blocks: list = []  # (orbit, range of pair positions) in processing order
-    block_inverse: dict = {}  # orbit -> (adjugate, determinant) of its Gram block
+    block_inverse: list = []  # per finished orbit, (adjugate, determinant) of its Gram block
 
-    for orbit, rec in enumerate(table.orbits):
-        start = len(coords)
-        members = range(start, start + len(rec.systems))
+    for orbit, members in enumerate(blocks):
         for j in members:
             sigma = pair_irrep[j]
             # earlier blocks are mutually orthogonal, so the irreducible is
             # projected onto each of them on its own
             terms = []
-            for prev_orbit, prev_members in blocks:
+            for prev_orbit, (prev_members, (adj, det)) in enumerate(zip(blocks, block_inverse)):
                 u = [V[jp][sigma] for jp in prev_members]
                 if not any(u):
                     continue
@@ -170,7 +159,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
                         f"{table.orbits[prev_orbit].label.partition}, which is "
                         "not above it in the closure order"
                     )
-                adj, det = block_inverse[prev_orbit]
                 for adj_row, jp in zip(adj, prev_members):
                     num = sum(map(mul, adj_row, u), ZERO)
                     try:
@@ -194,18 +182,16 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             V.append(row[nirr:])
             for i, x in enumerate(_gram_column(coords, supports, V[j])):
                 M[i][j] = M[j][i] = x
-        block_inverse[orbit] = _inverse_parts(
+        block_inverse.append(_inverse_parts(
             [[M[a][b] for b in members] for a in members],
-            f"within-orbit Gram block at orbit {rec.label.partition}",
-        )
-        blocks.append((orbit, members))
+            f"within-orbit Gram block at orbit {table.orbits[orbit].label.partition}",
+        ))
 
     coords = list(map(tuple, coords))
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]
-    for orbit, members in blocks:
-        adj, det = block_inverse[orbit]
+    for members, (adj, det) in zip(blocks, block_inverse):
         for adj_row, a in zip(adj, members):
             for x, b in zip(adj_row, members):
                 num = x * p
@@ -219,8 +205,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
 
     tab = GreenTableau(
         table=table,
-        group=g,
-        pairs=pairs,
         coords=coords,
         M=M,
         Lam=Lam,
@@ -245,14 +229,14 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
 
 def omega_on_pairs(tab: GreenTableau):
     rows = _omega_rows(tab.group.type)
-    irr = tab.table.pair_irreps()
+    irr = tab.table.pair_irreps
     return [[rows[a][b] for b in irr] for a in irr]
 
 
 def _pair_rows(tab: GreenTableau) -> list:
     """The character-table rows of the pairs' irreducibles, in pair order."""
     chars = tab.group.char_table
-    return [chars[a] for a in tab.table.pair_irreps()]
+    return [chars[a] for a in tab.table.pair_irreps]
 
 
 def kl_width(tab: GreenTableau, K) -> int:
@@ -378,7 +362,7 @@ def verify(tab: GreenTableau):
 
     # the minimal orbit's column must be the coinvariant character
     zero_orbit = max(range(len(table.orbits)), key=lambda o: table.orbits[o].d_e)
-    j = tab.pair_index(zero_orbit, 0)
+    j = table.blocks[zero_orbit][0]
     bad = next(
         (label for i, label in enumerate(tab.group.irrep_labels)
          if tab.coords[j][i] != fake_degree(tab.group, i)),
@@ -395,7 +379,7 @@ def verify(tab: GreenTableau):
 def green(tab: GreenTableau, partition, system="triv") -> GradedCharacter:
     j = tab.table.pair_of(partition, system)
     gc = GradedCharacter(tab.group, tab.coords[j])
-    irrep = tab.table.pair_irreps()[j]
+    irrep = tab.table.pair_irreps[j]
     deg0 = tuple(c[0] for c in tab.coords[j])
     expected = tuple(1 if i == irrep else 0 for i in range(len(deg0)))
     if deg0 != expected:
@@ -417,8 +401,7 @@ def m_matrix(tab: GreenTableau):
                     raise SolverError(f"Lambda is not block diagonal at {a},{b}")
                 if tab.M[a][b]:
                     raise SolverError(f"M mismatch at {a},{b}")
-    for orbit in range(len(tab.table.orbits)):
-        members = [j for j, (o, _) in enumerate(tab.pairs) if o == orbit]
+    for orbit, members in enumerate(tab.table.blocks):
         adj, det = _inverse_parts(
             [[tab.Lam[a][b] for b in members] for a in members],
             f"Lambda block at orbit {tab.table.orbits[orbit].label.partition}",
@@ -431,7 +414,7 @@ def m_matrix(tab: GreenTableau):
 
 
 def m_block(tab: GreenTableau, orbit: int):
-    members = [j for j, (o, _) in enumerate(tab.pairs) if o == orbit]
+    members = tab.table.blocks[orbit]
     return [[tab.M[a][b] for b in members] for a in members]
 
 

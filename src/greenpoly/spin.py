@@ -425,8 +425,7 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
     a_v = 2 if tab.group.type.rank % 2 else 1
     rec = tab.table.orbits[to]
     total = 0
-    for s2, sys2 in enumerate(rec.systems):
-        j = jt - ts + s2  # an orbit's pairs are consecutive
+    for j, sys2 in zip(tab.table.blocks[to], rec.systems):
         # expansion of the source irreducible over the X-basis reads off the
         # transposed inverse (columns of K are the X coordinates)
         coef = kinv[j][i]
@@ -441,7 +440,7 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
 
 def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
     """Independent class-sum evaluation of the same multiplicity."""
-    sigma_irrep = tab.table.pair_irreps()[tab.table.pair_of(*source)]
+    sigma_irrep = tab.table.pair_irreps[tab.table.pair_of(*source)]
     g = tab.group
     sigma = VirtualCharacter(
         g, tuple(1 if i == sigma_irrep else 0 for i in range(len(g.irrep_labels)))

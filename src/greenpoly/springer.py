@@ -5,14 +5,16 @@ Sp(2n) for n in {1,2,3}.  The GL(n) systems are computed from the
 partitions; the Sp(2n) systems are written out in `_SP_TABLES` (Carter,
 Finite Groups of Lie Type, 13.3).  Both are assembled and validated by the
 same code, as is a table loaded from a JSON file.  A table is its orbits,
-largest first, each an `OrbitRecord` of a label and its local systems; d_e,
-A(e) and the closure order, which is dominance (Hesselink 1976;
-Collingwood-McGovern, Thm. 6.2.5), are computed from the partitions.  The
-component-group action on the graded space M is built from the reductive
-part of the centralizer: Sp blocks and odd orthogonal blocks contribute
-trivially, an O_2 block contributes a sign line to V_Z, and an even
-orthogonal block O_{2m} (m >= 2) contributes its invariant degrees with a
-sign character in degree m.
+largest first, each an `OrbitRecord` of a label and its local systems, one
+of them the plain system `triv`.  The pairs (e, phi) are numbered once, on
+the table (`SpringerTable.pairs`, `pair_irreps`, `blocks`), and every
+consumer reads that numbering.  d_e, A(e) and the closure order, which is
+dominance (Hesselink 1976; Collingwood-McGovern, Thm. 6.2.5), are computed
+from the partitions.  The component-group action on the graded space M is
+built from the reductive part of the centralizer: Sp blocks and odd
+orthogonal blocks contribute trivially, an O_2 block contributes a sign line
+to V_Z, and an even orthogonal block O_{2m} (m >= 2) contributes its
+invariant degrees with a sign character in degree m.
 """
 
 from __future__ import annotations
@@ -116,11 +118,26 @@ class OrbitRecord:
 
 
 class SpringerTable:
+    """A Springer table: its orbits, largest first, and the pairs (e, phi).
+
+    The pairs are numbered here, once: orbit by orbit in table order, and
+    within an orbit in the order of its systems.  `pairs[j]` is pair j's
+    (orbit index, system index), `pair_irreps[j]` its irreducible, and
+    `blocks[i]` the range of orbit i's pair positions, the orbit blocks of
+    K(q) and Lambda(q).
+    """
+
     def __init__(self, group_type: WeylType, ambient: str, n: int, orbits: list):
         self.group_type = group_type
         self.ambient = ambient
         self.n = n  # GL(n) or Sp(2n)
         self.orbits = orbits
+        self.pairs, self.pair_irreps, self.blocks = [], [], []
+        for i, rec in enumerate(orbits):
+            self.blocks.append(range(len(self.pairs), len(self.pairs) + len(rec.systems)))
+            for s, sys in enumerate(rec.systems):
+                self.pairs.append((i, s))
+                self.pair_irreps.append(sys.irrep)
         # (i, j): orbit i > orbit j in the closure order, which for GL(n) and
         # Sp(2n) is dominance of the partitions
         parts = [rec.label.partition for rec in orbits]
@@ -135,17 +152,6 @@ class SpringerTable:
     def group(self) -> WeylGroupData:
         return build(self.group_type)
 
-    def pairs(self):
-        """Flattened (orbit index, system index) list in table order."""
-        return [
-            (i, s) for i, rec in enumerate(self.orbits) for s in range(len(rec.systems))
-        ]
-
-    def pair_irreps(self):
-        return [
-            rec.systems[s].irrep for rec in self.orbits for s in range(len(rec.systems))
-        ]
-
     def find_orbit(self, partition) -> int:
         partition = tuple(partition)
         for i, rec in enumerate(self.orbits):
@@ -153,17 +159,14 @@ class SpringerTable:
                 return i
         raise KeyError(f"no orbit {partition}")
 
-    def find_system(self, orbit: int, label: str) -> int:
-        for s, sys in enumerate(self.orbits[orbit].systems):
-            if sys.label == label:
-                return s
-        raise KeyError(f"orbit {self.orbits[orbit].label.partition} has no system {label!r}")
-
     def pair_of(self, partition, system: str = "triv") -> int:
-        """Position of the pair (orbit, local system) in `pairs()` order."""
+        """Position of the pair (orbit, local system) in `pairs`."""
         orbit = self.find_orbit(partition)
-        s = self.find_system(orbit, system)
-        return sum(len(rec.systems) for rec in self.orbits[:orbit]) + s
+        rec = self.orbits[orbit]
+        for s, sys in enumerate(rec.systems):
+            if sys.label == system:
+                return self.blocks[orbit][s]
+        raise KeyError(f"orbit {rec.label.partition} has no system {system!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -572,21 +575,31 @@ def validate_table(table: SpringerTable):
         if rec.label.partition in seen:
             raise TableFormatError(f"duplicate orbit {rec.label.partition}")
         seen.add(rec.label.partition)
-    # lowest fake-degree term of the plain-system image must be d_e
-    sgn = g.sgn_index
+    # each orbit has one plain system, `triv`, on the trivial character, no
+    # two of its systems share a label or a character, and the lowest
+    # fake-degree term of the plain system's image is q^{d_e}
     for rec in table.orbits:
-        for sys in rec.systems:
-            if sys.label != "triv":
-                continue
-            classical = _tensor_sgn_index(g, sys.irrep)
-            fd = fake_degree(g, classical)
-            val = next(k for k, c in enumerate(fd.coeffs) if c)
-            if val != rec.d_e:
-                raise TableFormatError(
-                    f"orbit {rec.label.partition}: plain local system maps to "
-                    f"{g.irrep_labels[sys.irrep]} whose twisted fake degree "
-                    f"starts at q^{val}, expected q^{rec.d_e}"
-                )
+        labels = [sys.label for sys in rec.systems]
+        masks = [sys.char_mask for sys in rec.systems]
+        if labels.count("triv") != 1 or masks[labels.index("triv")]:
+            raise TableFormatError(
+                f"orbit {rec.label.partition}: needs exactly one system 'triv', "
+                "on the trivial character"
+            )
+        if len(set(labels)) < len(labels) or len(set(masks)) < len(masks):
+            raise TableFormatError(
+                f"orbit {rec.label.partition}: two local systems share a label "
+                "or a character"
+            )
+        plain = rec.systems[labels.index("triv")].irrep
+        fd = fake_degree(g, _tensor_sgn_index(g, plain))
+        val = next(k for k, c in enumerate(fd.coeffs) if c)
+        if val != rec.d_e:
+            raise TableFormatError(
+                f"orbit {rec.label.partition}: plain local system maps to "
+                f"{g.irrep_labels[plain]} whose twisted fake degree "
+                f"starts at q^{val}, expected q^{rec.d_e}"
+            )
 
 
 def _tensor_sgn_index(g: WeylGroupData, i: int) -> int:

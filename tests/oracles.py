@@ -271,7 +271,7 @@ def solve_per_block(table) -> SimpleNamespace:
     `lusztigshoji.solve(table, check=False)`, block by block."""
     g = table.group
     nirr = len(g.irrep_labels)
-    pair_irrep = table.pair_irreps()
+    pair_irrep = table.pair_irreps
     weight = g.refl_charpoly
     coords, class_values, blocks, block_inverse = [], [], [], {}
     for orbit, rec in enumerate(table.orbits):

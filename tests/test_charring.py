@@ -651,7 +651,7 @@ def test_solver_widths_hold_the_per_position_bound(monkeypatch, family, rank):
     monkeypatch.setattr(PackedRows, "combine", record)
     table = (table_typeA if family == "A" else table_typeC)(rank)
     solve(table)
-    assert widths == sorted(widths) and len(widths) == len(table.pairs())
+    assert widths == sorted(widths) and len(widths) == len(table.pairs)
 
 
 # groups with a Springer table, whose solve and verify use Omega

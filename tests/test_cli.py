@@ -720,6 +720,64 @@ def test_verification_failure_exit_two(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("failing", [False, True], ids=["built-in", "failing-table"])
+def test_spin_classify_rejects_type_c_before_solving(capsys, monkeypatch, tmp_path, failing):
+    from greenpoly import lusztigshoji, spin
+
+    def refuse(*a, **k):
+        raise AssertionError("solved or built the pin cover before rejecting type C")
+
+    monkeypatch.setattr(lusztigshoji, "solve", refuse)
+    monkeypatch.setattr(spin, "build_pin", refuse)
+    args = ["spin", "classify", "--type", "C", "--rank", "3"]
+    if failing:
+        args += ["--data-dir", str(_failing_c3_dir(tmp_path))]
+    assert run(capsys, *args) == (1, "", "error: classification applies to type A tables\n")
+    args[3] = "B"
+    assert run(capsys, *args) == (
+        1, "", "error: orbit tables exist for types A and C, not 'B'\n"
+    )
+
+
+def _gl2_without_triv_dir(tmp_path):
+    # a GL(2) table whose orbit (2) carries both systems, triv -> (1,1) and
+    # x -> (2), and whose orbit (1,1) carries none
+    d = {
+        "type": "A",
+        "rank": 2,
+        "orbits": [
+            {
+                "partition": [2],
+                "pairs": [
+                    {"local_system": "triv", "irrep": [1, 1]},
+                    {"local_system": "x", "irrep": [2]},
+                ],
+            },
+            {"partition": [1, 1], "pairs": []},
+        ],
+        "closure": [[0, 1]],
+    }
+    (tmp_path / "springer_A2.json").write_text(json.dumps(d))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "verb", [["springer", "load"], ["green"], ["verify", "ls"], ["spin", "classify"]],
+    ids=lambda verb: " ".join(verb),
+)
+def test_orbit_without_triv_system_is_a_data_error(capsys, tmp_path, verb):
+    d = _gl2_without_triv_dir(tmp_path)
+    if verb[0] == "springer":
+        args = verb + [str(d / "springer_A2.json")]
+    else:
+        args = verb + ["--type", "A", "--rank", "2", "--data-dir", str(d)]
+    # orbit (2,) is reported first: in GL(2) all its systems are on the
+    # trivial character
+    assert run(capsys, *args) == (
+        1, "", "data error: orbit (2,): two local systems share a label or a character\n"
+    )
+
+
 # what the console script runs: main() with no argument, its status the exit code
 ENTRY = "import sys; from greenpoly.cli import main; sys.exit(main())"
 

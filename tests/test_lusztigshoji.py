@@ -162,7 +162,7 @@ class TestChecks:
         n = len(tab.pairs)
         coords = list(tab.coords)
         col = list(coords[n - 1])
-        irrep = tab.table.pair_irreps()[0]
+        irrep = tab.table.pair_irreps[0]
         col[irrep] = col[irrep] + P(1)
         coords[n - 1] = tuple(col)
         bad = copy.copy(tab)
@@ -173,7 +173,7 @@ class TestChecks:
         # K(-1) below the diagonal: the inverse check raises, also under -O
         coords = list(tab.coords)
         col = list(coords[0])
-        col[tab.table.pair_irreps()[n - 1]] = P(1)
+        col[tab.table.pair_irreps[n - 1]] = P(1)
         coords[0] = tuple(col)
         bad = copy.copy(tab)
         bad.coords = coords
@@ -200,7 +200,7 @@ class TestChecks:
 
         # the zero orbit's column off at two irreducibles: the first is named
         zero = max(range(len(tab.table.orbits)), key=lambda o: tab.table.orbits[o].d_e)
-        j = tab.pair_index(zero, 0)
+        j = tab.table.blocks[zero][0]
         coords = list(tab.coords)
         col = list(coords[j])
         for i in (1, len(col) - 1):
@@ -279,7 +279,7 @@ def test_type_a_column_dimension_multinomial(tableau):
         tab = tableau("A", n)
         ident = tab.group.identity_class
         for lam in partitions(n):
-            j = tab.pair_index(tab.table.find_orbit(lam), 0)
+            j = tab.table.blocks[tab.table.find_orbit(lam)][0]
             total = sum(
                 c.eval(1) * tab.group.char_table[i][ident]
                 for i, c in enumerate(tab.coords[j])
@@ -319,7 +319,7 @@ def test_m_takes_cross_orbit_entries_in_full(monkeypatch):
     # must still be the class-sum Gram of the column's class values, and
     # verify must name the entries across orbits as its witness
     table = table_typeC(2)
-    last, earlier = len(table.pairs()) - 1, table.pair_of((2, 1, 1), "triv")
+    last, earlier = len(table.pairs) - 1, table.pair_of((2, 1, 1), "triv")
     combine = PackedRows.combine
 
     def add_an_earlier_column(store, base, terms):
@@ -395,7 +395,7 @@ def _mutants(tab):
     Lam[b][a] = Lam[b][a] + P(1)
     coords = list(tab.coords)
     col = list(coords[a])
-    irrep = tab.table.pair_irreps()[b]
+    irrep = tab.table.pair_irreps[b]
     col[irrep] = col[irrep] + P(0, 0, 1)
     coords[a] = tuple(col)
     out = []
@@ -465,7 +465,7 @@ def test_type_a_columns_count_flags(tableau, n):
     dims = [row[tab.group.identity_class] for row in tab.group.char_table]
     for lam in partitions(n):
         orbit = tab.table.find_orbit(lam)
-        col = tab.coords[tab.pair_index(orbit, 0)]
+        col = tab.coords[tab.table.blocks[orbit][0]]
         total = sum((c * d for c, d in zip(col, dims)), IntPoly())
         assert total == _flag_count(transpose(lam)).reverse(tab.table.orbits[orbit].d_e), lam
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.cli import main
-from greenpoly.lusztigshoji import solve
 from greenpoly.polyq import IntPoly
 from greenpoly.springer import (
     OrbitLabel,
@@ -58,7 +57,7 @@ class TestTypeA:
     def test_bijection_counts(self):
         for n in range(2, 13):
             t = table_typeA(n)
-            assert len(t.pairs()) == len(t.group.irrep_labels)
+            assert len(t.pairs) == len(t.group.irrep_labels)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -76,9 +75,7 @@ class TestTypeC:
             ((1, 1, 1, 1), ["triv"]),
         ]
         g = t.group
-        lab = lambda o, s: g.irrep_labels[
-            t.orbits[t.find_orbit(o)].systems[t.find_system(t.find_orbit(o), s)].irrep
-        ]
+        lab = lambda o, s: g.irrep_labels[t.pair_irreps[t.pair_of(o, s)]]
         assert lab((4,), "triv") == ((), (1, 1))
         assert lab((2, 2), "triv") == ((1,), (1,))
         assert lab((2, 2), "sgn") == ((1, 1), ())
@@ -284,6 +281,54 @@ class TestSerialization:
             load_table(d)
         assert "fake degree" in str(err.value)
 
+    @staticmethod
+    def _systems(d, partition):
+        return next(o for o in d["orbits"] if o["partition"] == partition)["pairs"]
+
+    @staticmethod
+    def _move_onto_42(d, source, label, char):
+        # the last system of orbit `source` moved onto (4,2) under a new label
+        # and character; the assignment stays a bijection
+        moved = TestSerialization._systems(d, source).pop()
+        moved.update(local_system=label, char_on_generators=char)
+        TestSerialization._systems(d, [4, 2]).append(moved)
+
+    @pytest.mark.parametrize(
+        "rank,edit,message",
+        [
+            (2, lambda d: TestSerialization._systems(d, [2, 2])[0].update(local_system="x"),
+             "orbit (2, 2): needs exactly one system 'triv'"),
+            (2, lambda d: TestSerialization._systems(d, [2, 2])[1].update(local_system="triv"),
+             "orbit (2, 2): needs exactly one system 'triv'"),
+            (2, lambda d: [
+                s.update(char_on_generators=[-s["char_on_generators"][0]])
+                for s in TestSerialization._systems(d, [2, 2])
+            ], "orbit (2, 2): needs exactly one system 'triv', on the trivial character"),
+            (3, lambda d: TestSerialization._move_onto_42(d, [4, 1, 1], "y", [1, -1]),
+             "orbit (4, 1, 1): needs exactly one system 'triv'"),
+            (2, lambda d: TestSerialization._systems(d, [2, 2])[1].update(char_on_generators=[1]),
+             "orbit (2, 2): two local systems share a label or a character"),
+            (3, lambda d: TestSerialization._move_onto_42(d, [2, 2, 1, 1], "sgn", [1, -1]),
+             "orbit (4, 2): two local systems share a label or a character"),
+            (3, lambda d: TestSerialization._move_onto_42(d, [2, 2, 1, 1], "y", [-1, -1]),
+             "orbit (4, 2): two local systems share a label or a character"),
+        ],
+        ids=["no-triv", "two-triv", "triv-on-sign", "orbit-without-systems",
+             "shared-character", "shared-label-of-three", "shared-character-of-three"],
+    )
+    def test_orbit_systems_rule(self, rank, edit, message):
+        # every orbit has one system `triv`, on the trivial character, and no
+        # two systems of one orbit share a label or a character
+        d = save_table(table_typeC(rank))
+        edit(d)
+        with pytest.raises(TableFormatError) as err:
+            load_table(d)
+        assert str(err.value).startswith(message)
+        if "share" in message and rank == 3:
+            # the moved system loads under a label and character of its own
+            self._systems(d, [4, 2])[-1].update(local_system="y", char_on_generators=[1, -1])
+            load_table(d)
+
 
 # ---------------------------------------------------------------------------
 # derived structure: closure order and pair lookup
@@ -314,22 +359,25 @@ def test_greater_is_dominance_and_save_load_round_trips(make, n):
 
 @pytest.mark.parametrize("make,n", _ALL_TABLES, ids=_ALL_IDS)
 def test_pair_of_matches_find_orbit_and_system(make, n):
-    tab = solve(make(n))
-    t = tab.table
-    for rec in t.orbits:
+    t = make(n)
+    # the pairs run orbit by orbit, each orbit's block one consecutive range
+    assert [j for block in t.blocks for j in block] == list(range(len(t.pairs)))
+    for orbit, rec in enumerate(t.orbits):
         lam = rec.label.partition
-        orbit = t.find_orbit(lam)
-        for sys in rec.systems:
-            expected = tab.pair_index(orbit, t.find_system(orbit, sys.label))
-            assert t.pair_of(lam, sys.label) == t.pair_of(list(lam), sys.label) == expected
+        assert t.find_orbit(lam) == orbit
+        for s, sys in enumerate(rec.systems):
+            j = t.blocks[orbit][s]
+            assert (t.pairs[j], t.pair_irreps[j]) == ((orbit, s), sys.irrep)
+            assert t.pair_of(lam, sys.label) == t.pair_of(list(lam), sys.label) == j
     lam = t.orbits[0].label.partition
-    for args in [((9, 9),), ((9, 9), "sgn"), (lam, "bogus")]:
+    for args, text in [
+        (((9, 9),), "no orbit (9, 9)"),
+        (((9, 9), "sgn"), "no orbit (9, 9)"),
+        ((lam, "bogus"), f"orbit {lam} has no system 'bogus'"),
+    ]:
         with pytest.raises(KeyError) as got:
             t.pair_of(*args)
-        with pytest.raises(KeyError) as want:
-            orbit = t.find_orbit(args[0])
-            t.find_system(orbit, args[1] if len(args) > 1 else "triv")
-        assert got.value.args == want.value.args
+        assert got.value.args == (text,)
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +457,52 @@ def mutated_tables(draw):
     return obj
 
 
-def _loads_or_rejects(obj):
+def _loads_or_rejects(obj) -> bool:
+    """True if obj loads; False if it raises TableFormatError."""
     try:
         load_table(obj)
     except TableFormatError:
-        pass
+        return False
+    return True
+
+
+def _cli(*args) -> int:
+    """The exit status of one command line, which prints at most one stderr
+    line and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    return code
+
+
+def _cli_exits_cleanly(obj):
+    """`springer load` on obj, and for a table that loads, `verify ls` on it
+    through --data-dir, under the file name of its type and rank."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        code = _cli("springer", "load", path)
+        assert code in (0, 1)
+        if code == 0:
+            family, rank = obj["type"], obj["rank"]
+            os.rename(path, os.path.join(tmp, f"springer_{family}{rank}.json"))
+            code = _cli("verify", "ls", "--type", family, "--rank", str(rank), "--data-dir", tmp)
+            assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("base", range(len(_BASE_TABLES)), ids=["A4", "C2", "C3"])
 def test_every_field_mutated_loads_or_rejects(base):
-    # the first entry of every field, dropped or swapped for each edge value
+    # the first entry of every field, dropped or swapped for each edge value;
+    # the CLI runs each one that loads
     for (path, key), *_ in _fields(_BASE_TABLES[base]).values():
         for value in [_DROP] + _EDGE_VALUES:
             obj = copy.deepcopy(_BASE_TABLES[base])
             _mutate(obj, path, key, copy.deepcopy(value))
-            _loads_or_rejects(obj)
+            if _loads_or_rejects(obj):
+                _cli_exits_cleanly(obj)
 
 
 @given(mutated_tables())
@@ -435,13 +514,4 @@ def test_mutated_table_loads_or_raises_table_format_error(obj):
 @given(mutated_tables())
 @settings(deadline=None, max_examples=40)
 def test_mutated_table_cli_exits_cleanly(obj):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["springer", "load", path])
-    assert code in (0, 1)
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) <= 1
+    _cli_exits_cleanly(obj)
