@@ -92,9 +92,6 @@ class GradedCharacter:
     def value(self, cls: int) -> IntPoly:
         return self.values[cls]
 
-    def negate_q(self) -> "GradedCharacter":
-        return GradedCharacter(self.group, tuple(c.negate_q() for c in self.coords))
-
 
 def _same_group(a, b):
     if a.group is not b.group:
@@ -301,7 +298,7 @@ def _coinvariant_values(t: WeylType):
     |p|_inf).  When p(2^b) = v(2^b) det(2^b) for the v unpacked from the
     integer quotient, v det - p vanishes at 2^b and so, by the uniqueness of
     signed digits, everywhere: v is the exact quotient.  A class that fails
-    the test (none should) falls back to `IntPoly.divexact`.
+    the test raises ArithmeticError: its det_V(1 - qw) does not divide p.
     """
     g = build(t)
     p = poincare_poly(g)
@@ -309,15 +306,17 @@ def _coinvariant_values(t: WeylType):
     b = slot_bits((top << t.rank) + p.norm_inf())
     at = p.pack(b)
 
-    def quotient(det: IntPoly) -> IntPoly:
+    def quotient(cls, det: IntPoly) -> IntPoly:
         quo, rem = divmod(at, det.pack(b))
-        if not rem:
-            v = IntPoly.unpack(quo, b)
-            if v.norm_inf() <= top:
-                return v
-        return p.divexact(det)
+        v = IntPoly.unpack(quo, b)
+        if rem or v.norm_inf() > top:
+            raise ArithmeticError(
+                f"class {cls.label}: p(q)/det_V(1 - qw) for det = {det} is not a "
+                f"polynomial with coefficients at most {top}"
+            )
+        return v
 
-    return tuple(map(quotient, g.refl_charpoly))
+    return tuple(map(quotient, g.classes, g.refl_charpoly))
 
 
 @lru_cache(maxsize=None)

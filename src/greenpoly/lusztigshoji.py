@@ -23,9 +23,9 @@ nonzero (`_gram_column`): an entry within a block is the lookup
 V[j][sigma_i] once column j pairs to zero with every earlier irreducible,
 and an entry across orbits is then an empty sum; a column that does not
 pair to zero gets those entries in full.  So M holds true pairings, which
-`cross_orbit_orthogonality` checks.  A column's class values are derived
-from its coordinates when first read (`GreenTableau.class_values`), which
-only the twisted-trace check does.
+`cross_orbit_orthogonality` checks.  No check forms a class value of a
+column: the twisted-trace identity is checked on the coordinates
+(`caction_check`).
 
 `verify` takes Lambda M and K Lambda as exact products that skip zero
 factors (`polyq.sparse_matmul`), and checks K Lambda K^t = Omega at the one
@@ -68,17 +68,6 @@ class GreenTableau:
         self.p = p
         self.notes = {} if notes is None else notes
         self._k_minus_one_inverse = None  # (coords it was computed from, inverse)
-        self._class_values = None  # (coords they were derived from, values)
-
-    @property
-    def class_values(self) -> list:
-        """Per pair, the column's value on each class, a tuple of IntPolys,
-        derived from `coords` on first read and again when they change."""
-        cached = self._class_values
-        if cached is None or cached[0] is not self.coords:
-            values = [GradedCharacter(self.group, col).values for col in self.coords]
-            cached = self._class_values = (self.coords, values)
-        return cached[1]
 
     def pair_name(self, j: int) -> str:
         o, s = self.pairs[j]
@@ -438,34 +427,31 @@ def caction_check(tab: GreenTableau) -> CactionResult:
     for all w; eps is the scalar by which the normalized diagram-automorphism
     action acts on the phi-isotypic part.  strict_ok reports whether eps = +1
     everywhere.
+
+    The identity is checked on the column's coordinates K_a: w0 is central,
+    so it acts on the irreducible chi_a by the sign e_a = chi_a(w0)/chi_a(1),
+    and X_{-q}(w0 w) = sum_a e_a K_a(-q) chi_a(w).  The irreducible characters
+    are linearly independent, so the identity holds on every class exactly
+    when eps K_a(q) = (-1)^{d_e} sgn(w0) e_a K_a(-q) for every a.
     """
     g = tab.group
     if not g.delta_is_trivial():
         raise SolverError("twisted-trace check requires w0 central")
-    sgn_w0 = g.sgn_of_class(g.class_of(g.w0))
-    w0_times = [g.class_of(g.mul(g.w0, cls.representative)) for cls in g.classes]
+    w0, one = g.class_of(g.w0), g.identity_class
+    sgn_w0 = g.sgn_of_class(w0)
+    signs = [row[w0] // row[one] for row in g.char_table]
     twists = {}
     ok = True
-    for j, (orbit, s) in enumerate(tab.pairs):
-        d = tab.table.orbits[orbit].d_e
-        base = (-1) ** d * sgn_w0
-        good_eps = None
-        for eps in (1, -1):
-            hold = True
-            for k, kk in enumerate(w0_times):
-                lhs = tab.class_values[j][k] * eps
-                rhs = tab.class_values[j][kk].negate_q() * base
-                if lhs != rhs:
-                    hold = False
-                    break
-            if hold:
-                good_eps = eps
-                break
-        if good_eps is None:
-            ok = False
-            twists[tab.pair_name(j)] = 0
-        else:
-            twists[tab.pair_name(j)] = good_eps
+    for j, (orbit, _) in enumerate(tab.pairs):
+        base = (-1) ** tab.table.orbits[orbit].d_e * sgn_w0
+        negated = [c.negate_q() * (base * e) for c, e in zip(tab.coords[j], signs)]
+        good_eps = next(
+            (eps for eps in (1, -1)
+             if all(c * eps == x for c, x in zip(tab.coords[j], negated))),
+            0,
+        )
+        ok = ok and good_eps != 0
+        twists[tab.pair_name(j)] = good_eps
     strict = ok and all(v == 1 for v in twists.values())
     return CactionResult(ok, twists, strict)
 
@@ -481,15 +467,18 @@ def k_at_minus_one_inverse(tab: GreenTableau):
         return cached[1]
     n = len(tab.pairs)
     K1 = [[tab.k_entry(i, j).eval(-1) for j in range(n)] for i in range(n)]
+    # the back substitution reads only the entries above the diagonal, so
+    # with K1 = U + D + L (U unitriangular, D diagonal, L strictly lower) it
+    # gives U^-1, and K1 U^-1 = I + (D + L) U^-1 is I only when D + L = 0;
+    # its first entry off I, row by row, is the first entry of D + L
+    for i in range(n):
+        for j in range(i + 1):
+            if K1[i][j] != (i == j):
+                raise SolverError(f"K(-1) is not unitriangular: inverse fails at {i},{j}")
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # K1 is upper unitriangular in table order
     for j in range(n):
         for i in range(j - 1, -1, -1):
             acc = sum(K1[i][k] * inv[k][j] for k in range(i + 1, j + 1))
             inv[i][j] = -acc
-    for i in range(n):
-        for j in range(n):
-            if sum(K1[i][k] * inv[k][j] for k in range(n)) != (i == j):
-                raise SolverError(f"K(-1) is not unitriangular: inverse fails at {i},{j}")
     tab._k_minus_one_inverse = (tab.coords, inv)
     return inv

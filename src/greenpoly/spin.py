@@ -358,8 +358,8 @@ def classify_constituents(
     else:
         a_lam = 2 ** ((ell - 1) // 2)
     expected_single = a_lam * a_lam
-    st = sigma_tilde(tab, pin, lam)
-    norm = st.exact_norm
+    x = _column_at(tab, tab.table.pair_of(lam), -1)
+    norm = pin.a_v * minus_one_pairing(x, x)
     if norm == expected_single:
         constituents = 1
     elif norm == 2 * expected_single:
@@ -372,8 +372,7 @@ def classify_constituents(
     if (constituents == 1) != even:
         raise ArithmeticError(f"norm pattern contradicts the parity of {lam}")
     dim_each = 2 ** ((n - ell) // 2) * g_lambda(lam)
-    x1 = _column_at(tab, tab.table.pair_of(lam), -1)
-    betti = x1.value(tab.group.identity_class)
+    betti = x.value(tab.group.identity_class)
     return TypeAClassification(
         lam, even, a_lam, constituents, dim_each, norm, betti
     )

@@ -24,6 +24,16 @@ columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products.  Both share no arithmetic
 with the packed store or the sparse products they check.
 
+The twisted-trace check before it read coordinates: `caction_check_by_class`
+is `lusztigshoji.caction_check` as it compared every column's value on every
+class with its value at -q on the class of w0 times that class's
+representative.
+
+Kostka-Foulkes polynomials by charge: `kostka_foulkes` sums q^charge(T)
+over the semistandard tableaux T of a shape and content (`ssyt`), with
+Lascoux and Schutzenberger's charge (`charge`) of the reading word, bottom
+row first.  It shares no code with the solver, whose GL(n) columns it checks.
+
 The JSON payload before the writer took polynomials: `tableau_payload_dicts`
 is the `green --json` payload as `cli._tableau_payload` built it, with one
 `{"coeffs": [...]}` dict per polynomial and every name taken again at each
@@ -64,7 +74,9 @@ from greenpoly.cli import (
     cmd_wg,
 )
 from greenpoly.lusztigshoji import (
+    CactionResult,
     GreenTableau,
+    SolverError,
     _inverse_parts,
     omega_on_pairs,
 )
@@ -325,6 +337,107 @@ def dense_product_checks(tab: GreenTableau) -> list:
     omega = omega_on_pairs(tab)
     kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != omega[i][j]]
     return [("lambda_m_product", bad is None, bad), ("kl_equation", not kl_bad, kl_bad[:4])]
+
+
+# ---------------------------------------------------------------------------
+# the twisted-trace check class by class
+
+
+def caction_check_by_class(tab: GreenTableau) -> CactionResult:
+    """eps * X_q(e,phi)(w) = (-1)^{d_e} sgn(w0) X_{-q}(e,phi)(w0 w) tested on
+    every class w, from each column's class values."""
+    g = tab.group
+    if not g.delta_is_trivial():
+        raise SolverError("twisted-trace check requires w0 central")
+    sgn_w0 = g.sgn_of_class(g.class_of(g.w0))
+    w0_times = [g.class_of(g.mul(g.w0, cls.representative)) for cls in g.classes]
+    twists = {}
+    ok = True
+    for j, (orbit, _) in enumerate(tab.pairs):
+        values = GradedCharacter(g, tab.coords[j]).values
+        base = (-1) ** tab.table.orbits[orbit].d_e * sgn_w0
+        good_eps = 0
+        for eps in (1, -1):
+            if all(values[k] * eps == values[kk].negate_q() * base
+                   for k, kk in enumerate(w0_times)):
+                good_eps = eps
+                break
+        ok = ok and good_eps != 0
+        twists[tab.pair_name(j)] = good_eps
+    return CactionResult(ok, twists, ok and all(v == 1 for v in twists.values()))
+
+
+# ---------------------------------------------------------------------------
+# Kostka-Foulkes polynomials by charge
+
+
+def _horizontal_strips(shape: tuple, size: int):
+    """The shapes nu containing `shape` with nu/shape a horizontal strip of
+    `size` boxes: row i grows by at most shape[i-1] - shape[i]."""
+    rows = list(shape) + [0]
+
+    def grow(i, left):
+        if i == len(rows):
+            if not left:
+                yield ()
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for k in range(room + 1):
+            for rest in grow(i + 1, left - k):
+                yield (rows[i] + k,) + rest
+
+    for nu in grow(0, size):
+        yield tuple(x for x in nu if x)
+
+
+def ssyt(shape: tuple, content: tuple) -> list:
+    """The semistandard tableaux of `shape` with `content` (the letters r
+    appear content[r-1] times), each as a tuple of rows."""
+    chains = [((), ())]  # (shape so far, tableau so far)
+    for letter, count in enumerate(content, 1):
+        nxt = []
+        for inner, rows in chains:
+            for outer in _horizontal_strips(inner, count):
+                if all(i < len(shape) and x <= shape[i] for i, x in enumerate(outer)):
+                    padded = list(rows) + [()] * (len(outer) - len(rows))
+                    nxt.append((outer, tuple(
+                        row + (letter,) * (x - len(row)) for row, x in zip(padded, outer)
+                    )))
+        chains = nxt
+    return [rows for outer, rows in chains if outer == tuple(shape)]
+
+
+def charge(word) -> int:
+    """Charge of a word whose content is a partition: split off standard
+    subwords, each found by reading right to left, cyclically, for 1, 2, ...;
+    a letter's index is its predecessor's, plus 1 if the search for it
+    wrapped around; the charge is the sum of all indices."""
+    word = list(word)
+    total = 0
+    while word:
+        used, pos, index = set(), len(word), 0
+        for letter in range(1, max(word) + 1):
+            # the first unused copy of the letter left of pos, else from the right end
+            left = [i for i in range(pos - 1, -1, -1) if i not in used and word[i] == letter]
+            if not left:
+                index += letter > 1
+                left = [i for i in range(len(word) - 1, pos - 1, -1)
+                        if i not in used and word[i] == letter]
+            pos = left[0]
+            used.add(pos)
+            total += index
+        word = [x for i, x in enumerate(word) if i not in used]
+    return total
+
+
+def kostka_foulkes(shape: tuple, content: tuple) -> IntPoly:
+    """K_{shape,content}(q) = sum of q^charge(T) over T in SSYT(shape, content),
+    T read row by row from the bottom row up, each row left to right."""
+    total = ZERO
+    for rows in ssyt(tuple(shape), tuple(content)):
+        word = [x for row in reversed(rows) for x in row]
+        total = total + IntPoly((0,) * charge(word) + (1,))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import re
 from fractions import Fraction
 from itertools import chain
@@ -147,6 +148,22 @@ def test_coinvariant_values_match_long_division(family, rank):
     g = build(WeylType(family, rank))
     p = poincare_poly(g)
     assert _coinvariant_values(g.type) == tuple(p.divexact(d) for d in g.refl_charpoly)
+
+
+@pytest.mark.parametrize("family,rank,cls", [("A", 3, 0), ("B", 3, 2), ("G2", 2, 2), ("D", 4, 4)])
+def test_coinvariant_values_raise_where_det_does_not_divide(monkeypatch, family, rank, cls):
+    # one class's det_V(1 - qw) doubled (not the identity's, which sets the
+    # coefficient bound): the quotient's constant term is 1/2, so no
+    # polynomial quotient exists, and the error names that class
+    g = build(WeylType(family, rank))
+    assert cls != g.identity_class
+    bad = copy.copy(g)
+    bad.refl_charpoly = list(g.refl_charpoly)
+    bad.refl_charpoly[cls] = bad.refl_charpoly[cls] * 2
+    monkeypatch.setattr(charring, "build", lambda t: bad)
+    label = g.classes[cls].label
+    with pytest.raises(ArithmeticError, match=re.escape(f"class {label}:")):
+        _coinvariant_values.__wrapped__(g.type)
 
 
 def test_omega_a1():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpoly.charring import fake_degree, q_elliptic_gram
+from greenpoly import charring, weyl
+from greenpoly.charring import GradedCharacter, fake_degree, q_elliptic_gram
 from greenpoly.lusztigshoji import (
     SolverError,
     _inverse_parts,
@@ -25,7 +26,13 @@ from greenpoly.partitions import partitions, transpose
 from greenpoly.polyq import IntPoly, PackedRows, slot_bits, sparse_matmul
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
-from oracles import class_gram, dense_product_checks, solve_per_block
+from oracles import (
+    caction_check_by_class,
+    class_gram,
+    dense_product_checks,
+    kostka_foulkes,
+    solve_per_block,
+)
 
 
 def P(*cs):
@@ -179,6 +186,17 @@ class TestChecks:
         bad.coords = coords
         with pytest.raises(SolverError, match="unitriangular"):
             k_at_minus_one_inverse(bad)
+        # a diagonal entry of K(-1) other than 1: 1 + q is 0 at q = -1
+        j = n // 2
+        coords = list(tab.coords)
+        col = list(coords[j])
+        irrep = tab.table.pair_irreps[j]
+        col[irrep] = col[irrep] + P(0, 1)
+        coords[j] = tuple(col)
+        bad = copy.copy(tab)
+        bad.coords = coords
+        with pytest.raises(SolverError, match=f"not unitriangular: inverse fails at {j},{j}"):
+            k_at_minus_one_inverse(bad)
 
     @pytest.mark.parametrize("key", [("A", 4), ("C", 3)])
     def test_failure_witnesses(self, tableau, key):
@@ -240,6 +258,30 @@ class TestCaction:
     def test_requires_central_w0(self, tableau):
         with pytest.raises(SolverError):
             caction_check(tableau("A", 3))
+
+    @pytest.mark.parametrize("key", [("C", 1), ("C", 2), ("C", 3), ("A", 2)],
+                             ids=["Sp2", "Sp4", "Sp6", "GL2"])
+    def test_matches_class_by_class_oracle(self, tableau, key):
+        # the check on coordinates against the identity taken on every class,
+        # on the solved table and on copies with one coordinate of one column
+        # moved, by q at its own irreducible (that pair gets no sign) or by q^2
+        # at the last irreducible
+        tab = tableau(*key)
+        tabs = [tab]
+        if key[0] == "C" and key[1] > 1:
+            for j in range(len(tab.pairs)):
+                for a, shift in ((tab.table.pair_irreps[j], P(0, 1)), (-1, P(0, 0, 1))):
+                    coords = list(tab.coords)
+                    col = list(coords[j])
+                    col[a] = col[a] + shift
+                    coords[j] = tuple(col)
+                    bad = copy.copy(tab)
+                    bad.coords = tuple(coords)
+                    tabs.append(bad)
+            assert sum(0 in caction_check(t).twists.values() for t in tabs) >= len(tab.pairs)
+        for t in tabs:
+            got, want = caction_check(t), caction_check_by_class(t)
+            assert (got.ok, got.twists, got.strict_ok) == (want.ok, want.twists, want.strict_ok)
 
 
 class TestConventionErrors:
@@ -305,7 +347,6 @@ def test_solve_matches_per_block_oracle(tableau, key):
     tab = tableau(*key)
     want = solve_per_block(tab.table)
     assert tab.coords == want.coords
-    assert tab.class_values == want.class_values
     assert tab.M == want.M
     assert tab.Lam == want.Lam
     assert tab.p == want.p
@@ -330,25 +371,10 @@ def test_m_takes_cross_orbit_entries_in_full(monkeypatch):
     monkeypatch.setattr(PackedRows, "combine", add_an_earlier_column)
     tab = solve(table, check=False)
     g = tab.group
-    assert tab.M == class_gram(g, tab.class_values, tab.class_values, g.refl_charpoly)
+    values = [GradedCharacter(g, col).values for col in tab.coords]
+    assert tab.M == class_gram(g, values, values, g.refl_charpoly)
     report = {name: (ok, detail) for name, ok, detail in verify(tab)}
     assert report["cross_orbit_orthogonality"] == (False, [(earlier, last), (last, earlier)])
-
-
-def test_class_values_follow_coords(tableau):
-    # class values are derived from the coordinates once, and afresh for a
-    # copy whose coordinates are replaced
-    tab = tableau("C", 2)
-    values = tab.class_values
-    assert tab.class_values is values
-    coords = list(tab.coords)
-    coords[0] = tuple(c + P(0, 1) for c in coords[0])
-    bad = copy.copy(tab)
-    bad.coords = tuple(coords)
-    chars = list(zip(*tab.group.char_table))
-    assert bad.class_values[0] == tuple(v + P(0, sum(col)) for v, col in zip(values[0], chars))
-    assert bad.class_values[1:] == values[1:]
-    assert tab.class_values is values
 
 
 def test_q_elliptic_gram_is_fresh_per_call():
@@ -468,6 +494,46 @@ def test_type_a_columns_count_flags(tableau, n):
         col = tab.coords[tab.table.blocks[orbit][0]]
         total = sum((c * d for c, d in zip(col, dims)), IntPoly())
         assert total == _flag_count(transpose(lam)).reverse(tab.table.orbits[orbit].d_e), lam
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_type_a_columns_are_kostka_foulkes(tableau, n):
+    # the column of the orbit mu has, at the irreducible lam, the Kostka-Foulkes
+    # polynomial K_{lam^t, mu}(q), computed by charge with no solver code
+    tab = tableau("A", n)
+    labels = tab.group.irrep_labels
+    for mu in partitions(n):
+        col = tab.coords[tab.table.blocks[tab.table.find_orbit(mu)][0]]
+        for lam, c in zip(labels, col):
+            assert c == kostka_foulkes(transpose(lam), mu), (mu, lam)
+
+
+def test_gl4_column_by_hand(tableau):
+    # orbit (2,1,1) = (3,1) + q (2,2) + (q + q^2) (2,1,1) + q^3 (1^4)
+    tab = tableau("A", 4)
+    col = tab.coords[tab.table.blocks[tab.table.find_orbit((2, 1, 1))][0]]
+    want = {(3, 1): P(1), (2, 2): P(0, 1), (2, 1, 1): P(0, 1, 1), (1, 1, 1, 1): P(0, 0, 0, 1)}
+    assert {lam: c for lam, c in zip(tab.group.irrep_labels, col) if c} == want
+
+
+@pytest.mark.parametrize("key", [("C", 1), ("C", 2), ("C", 3), ("A", 2)],
+                         ids=["Sp2", "Sp4", "Sp6", "GL2"])
+def test_solve_and_verify_read_no_class_value(monkeypatch, key):
+    # solve and verify hold every identity without a class value of a Green
+    # column or a class representative; the per-type caches are emptied so
+    # that they are filled again under the patch
+    table = (table_typeA if key[0] == "A" else table_typeC)(key[1])
+
+    def forbidden(self):
+        raise AssertionError("read under the policy")
+
+    monkeypatch.setattr(weyl.ConjClass, "representative", property(forbidden))
+    monkeypatch.setattr(charring.GradedCharacter, "values", property(forbidden))
+    for cache in (charring._qell_rows, charring._coinvariant_values,
+                  charring._fake_degrees, charring._omega_rows):
+        cache.cache_clear()
+    report = {name: ok for name, ok, _ in verify(solve(table))}
+    assert report["twist_identity"] and all(report.values())
 
 
 # ---------------------------------------------------------------------------

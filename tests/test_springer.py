@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -515,3 +516,57 @@ def test_mutated_table_loads_or_raises_table_format_error(obj):
 @settings(deadline=None, max_examples=40)
 def test_mutated_table_cli_exits_cleanly(obj):
     _cli_exits_cleanly(obj)
+
+
+# ---------------------------------------------------------------------------
+# tables that load: mutations that validation cannot see reach the solver
+
+_LABELS = st.one_of(
+    st.sampled_from(["sgn2", "\u03c3", "\u03b5\u2032", "\u7b26\u53f7", "x y"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+)
+
+
+@st.composite
+def loadable_mutated_tables(draw):
+    """A saved C2 or C3 table with one to four mutations that validation
+    cannot catch: the irreducibles of two non-plain systems swapped across
+    orbits; a non-plain system's character redrawn as a non-trivial +-1
+    vector that no other system of its orbit has; a non-plain system renamed;
+    or an orbit's d_e or comp_group dropped."""
+    obj = copy.deepcopy(draw(st.sampled_from(_BASE_TABLES[1:])))
+    orbits = obj["orbits"]
+    nonplain = [orec["pairs"][i] for orec in orbits for i in range(1, len(orec["pairs"]))]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["swap", "character", "rename", "drop"]))
+        if op == "drop":
+            draw(st.sampled_from(orbits)).pop(draw(st.sampled_from(["d_e", "comp_group"])), None)
+            continue
+        orec = draw(st.sampled_from([o for o in orbits if len(o["pairs"]) > 1]))
+        sys = draw(st.sampled_from(orec["pairs"][1:]))
+        others = [s for s in orec["pairs"] if s is not sys]
+        if op == "swap":
+            other = draw(st.sampled_from(nonplain))
+            sys["irrep"], other["irrep"] = other["irrep"], sys["irrep"]
+        elif op == "character":
+            taken = [s.get("char_on_generators") for s in others]
+            sys["char_on_generators"] = draw(st.sampled_from([
+                list(v) for v in itertools.product((1, -1), repeat=len(sys["char_on_generators"]))
+                if -1 in v and list(v) not in taken
+            ]))
+        else:
+            taken = {s["local_system"] for s in others}
+            sys["local_system"] = draw(_LABELS.filter(lambda x: x not in taken))
+    return obj
+
+
+@given(loadable_mutated_tables())
+@settings(deadline=None, max_examples=30)
+def test_loadable_mutated_table_green_and_verify_exit_cleanly(obj):
+    assert _loads_or_rejects(obj)
+    rank = obj["rank"]
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, f"springer_C{rank}.json"), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        for verb in (["green"], ["verify", "ls"]):
+            assert _cli(*verb, "--type", "C", "--rank", str(rank), "--data-dir", tmp) in (0, 1, 2)
