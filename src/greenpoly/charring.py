@@ -1,10 +1,9 @@
 """Virtual and graded characters of a Weyl group and their pairings.
 
 Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
-with a per-class weight c: 1 for the standard pairing, det_V(1 - q w) for the
-q-elliptic pairing, its values at q = +-1 for the (+-1)-elliptic pairings, and
-the coinvariant-algebra class function p(q)/det_V(1 - q w) for fake degrees
-and Omega.  All of them go through one kernel, `_class_gram`, on integers
+with a per-class weight c: det_V(1 - q w) for the q-elliptic pairing, its
+value at q = -1 for the (-1)-elliptic pairing, and the coinvariant-algebra
+class function p(q)/det_V(1 - q w) for fake degrees and Omega.  All of them go through one kernel, `_class_gram`, on integers
 packed by Kronecker substitution: each class column of the right-hand rows
 is packed over those rows once, so one integer dot product per left-hand row
 gives that row's entries at once, with no pairing unpacked alone.  A Gram of
@@ -12,8 +11,10 @@ rows with themselves (the q-elliptic, (-1)-elliptic and Omega Grams, and
 Omega at one integer point for the solver's check) keeps only the entries
 on and above the diagonal of each row and mirrors them.  The q-elliptic Gram
 of the irreducibles is kept per type: by bilinearity it gives the solver
-every pairing of a Green column, so the solver takes no class sum of its
-own.  The brute-force sums over group elements are test oracles.  The
+every pairing of a Green column, and through the solver's M it gives the
+spin layer every pairing that layer reports, so neither takes a class sum
+of its own.  The standard pairing, the pairing at q = 1 and the brute-force
+sums over group elements are test oracles.  The
 coinvariant class function is an integer polynomial for every w, which keeps
 fake degrees and the fake-degree matrix inside Z[q] throughout.
 """
@@ -239,10 +240,6 @@ def _det_values(g: WeylGroupData, q0: int) -> list:
     return [p.eval(q0) for p in g.refl_charpoly]
 
 
-def std_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
-    return _pair(a, b, [1] * len(a.group.classes))
-
-
 def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
     """<a, b>^q = (1/|W|) sum size * a(w) * b(w) * det_V(1 - q w).
 
@@ -268,11 +265,6 @@ def q_elliptic_gram(g: WeylGroupData) -> list:
 def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
     """The q-elliptic pairing at q = -1, i.e. weighted by det_V(1 + w)."""
     return _pair(a, b, _det_values(a.group, -1))
-
-
-def one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
-    """The q-elliptic pairing at q = 1 (weighted by det_V(1 - w))."""
-    return _pair(a, b, _det_values(a.group, 1))
 
 
 # ---------------------------------------------------------------------------

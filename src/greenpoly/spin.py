@@ -16,9 +16,14 @@ z = e_1 ... e_n; for A_r and G2, V is the sum-zero plane of R^{r+1} (R^3 for
 G2) and z = eps e_full u/sqrt(r+1) with u = e_0 + ... + e_r, the orientation
 eps being -1 for A and +1 for G2.  Every identity of the pin layer (the
 reflection property of the lifts, the braid relations, tr^2 = a_V det(1 + w))
-is checked as an equality of integers, and all norms and multiplicities
-route through exact character-ring identities; floats appear only in the
-trace values returned for printing.
+is checked as an equality of integers.  Every integer the layer reports
+is read off the solved tableau, with no class sum: pairings are bilinear and
+evaluation at q0 is a ring map, so the entry M_ab(q0) of the q-elliptic Gram
+of the Green columns is the pairing < X_q0(a), X_q0(b) >^q0, and the
+alternating Betti sum X_{-1}(1) is sum_a K_aj(-1) dim chi_a.  Class values
+of a column are formed only for the class functions that `sigma_tilde` and
+`dirac_index_char` return for printing, and for `char_formula_check`, which
+tests them; floats appear only in those values.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import copysign, factorial, sqrt
 
-from .charring import minus_one_pairing, one_pairing, VirtualCharacter
+from .charring import VirtualCharacter
 from .lusztigshoji import GreenTableau, k_at_minus_one_inverse
 from .partitions import distinct_partitions, is_distinct
 from .springer import q_M_pairing
@@ -255,7 +260,7 @@ class SpinClassFunction:
     def __init__(self, group: WeylGroupData, values: list, exact_norm: int):
         self.group = group
         self.values = values  # float per class, for the stored lift choice
-        self.exact_norm = exact_norm  # a_V < X_{-1}, X_{-1} >^{-1}_W, computed exactly
+        self.exact_norm = exact_norm  # a_V M_jj(-1) = a_V < X_{-1}, X_{-1} >^{-1}_W
 
     def dimension(self) -> float:
         return self.values[self.group.identity_class]
@@ -275,18 +280,17 @@ def sigma_tilde(
     x = _column_at(tab, j, -1)
     traces = spin_traces_by_class(pin)
     values = [x.value(k) * traces[k] for k in range(len(tab.group.classes))]
-    norm = pin.a_v * minus_one_pairing(x, x)
-    return SpinClassFunction(tab.group, values, norm)
+    return SpinClassFunction(tab.group, values, pin.a_v * tab.M[j][j].eval(-1))
 
 
 def sigma_tilde_pairing(tab: GreenTableau, pin: PinRep, pa, pb) -> int:
     """Exact double-cover pairing of two spin class functions by orbit pair.
 
-    pa, pb are (partition, system) tuples; computed in the character ring as
-    a_V < X_{-1}(a), X_{-1}(b) >^{-1}_W.
+    pa, pb are (partition, system) tuples; the pairing is
+    a_V < X_{-1}(a), X_{-1}(b) >^{-1}_W = a_V M_ab(-1).
     """
     ja, jb = tab.table.pair_of(*pa), tab.table.pair_of(*pb)
-    return pin.a_v * minus_one_pairing(_column_at(tab, ja, -1), _column_at(tab, jb, -1))
+    return pin.a_v * tab.M[ja][jb].eval(-1)
 
 
 def char_formula_check(
@@ -358,8 +362,8 @@ def classify_constituents(
     else:
         a_lam = 2 ** ((ell - 1) // 2)
     expected_single = a_lam * a_lam
-    x = _column_at(tab, tab.table.pair_of(lam), -1)
-    norm = pin.a_v * minus_one_pairing(x, x)
+    j = tab.table.pair_of(lam)
+    norm = pin.a_v * tab.M[j][j].eval(-1)
     if norm == expected_single:
         constituents = 1
     elif norm == 2 * expected_single:
@@ -372,7 +376,9 @@ def classify_constituents(
     if (constituents == 1) != even:
         raise ArithmeticError(f"norm pattern contradicts the parity of {lam}")
     dim_each = 2 ** ((n - ell) // 2) * g_lambda(lam)
-    betti = x.value(tab.group.identity_class)
+    # X_{-1}(1) = sum_a K_aj(-1) dim chi_a
+    one = tab.group.identity_class
+    betti = sum(c.eval(-1) * row[one] for c, row in zip(tab.coords[j], tab.group.char_table) if c)
     return TypeAClassification(
         lam, even, a_lam, constituents, dim_each, norm, betti
     )
@@ -437,18 +443,6 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
     return a_v * total
 
 
-def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
-    """Independent class-sum evaluation of the same multiplicity."""
-    sigma_irrep = tab.table.pair_irreps[tab.table.pair_of(*source)]
-    g = tab.group
-    sigma = VirtualCharacter(
-        g, tuple(1 if i == sigma_irrep else 0 for i in range(len(g.irrep_labels)))
-    )
-    x = _column_at(tab, tab.table.pair_of(*target), -1)
-    a_v = 2 if g.type.rank % 2 else 1
-    return a_v * minus_one_pairing(sigma, x)
-
-
 class DiracIndex:
     note = "coset part reported projectively; its global scalar is not fixed"
 
@@ -456,8 +450,8 @@ class DiracIndex:
                  coset_nonzero: bool):
         self.even_values = even_values  # X_1(w) * (tr S+ - tr S-) per class
         self.coset_values = coset_values  # X_{-1}(w) * tr(S) per class, up to a global scalar
-        self.even_nonzero = even_nonzero  # exact: <X_1, X_1>^1 != 0
-        self.coset_nonzero = coset_nonzero  # exact: <X_{-1}, X_{-1}>^{-1} != 0
+        self.even_nonzero = even_nonzero  # <X_1, X_1>^1 = M_jj(1) != 0
+        self.coset_nonzero = coset_nonzero  # <X_{-1}, X_{-1}>^{-1} = M_jj(-1) != 0
 
 
 def dirac_index_char(tab: GreenTableau, pin: PinRep, partition, system="triv"):
@@ -468,9 +462,4 @@ def dirac_index_char(tab: GreenTableau, pin: PinRep, partition, system="triv"):
     full = spin_traces_by_class(pin)
     even_vals = [x1.value(k) * half_diff[k] for k in range(len(tab.group.classes))]
     coset_vals = [xm.value(k) * full[k] for k in range(len(tab.group.classes))]
-    return DiracIndex(
-        even_vals,
-        coset_vals,
-        one_pairing(x1, x1) != 0,
-        minus_one_pairing(xm, xm) != 0,
-    )
+    return DiracIndex(even_vals, coset_vals, tab.M[j][j].eval(1) != 0, tab.M[j][j].eval(-1) != 0)

@@ -39,7 +39,7 @@ from math import comb, factorial
 from operator import mul
 
 from .partitions import cycle_type_size, multiplicities, partitions, sym_char
-from .polyq import IntPoly, ONE, byte_width, pack_ints, slot_bits, split_ints
+from .polyq import IntPoly, byte_width, pack_ints, slot_bits, split_ints
 
 SUPPORTED_RANKS = {"A": range(1, 12), "B": range(1, 9), "C": range(1, 9),
                    "D": range(3, 9), "G2": range(2, 3)}
@@ -209,23 +209,30 @@ def g2_class_name(w):
 
 
 def charpoly_of_label(t: WeylType, label) -> IntPoly:
-    """det_V(1 - q w) for any element with the given class label."""
-    if t.family == "A":
-        out = ONE
-        for c in label:
-            out = out * IntPoly((1,) + (0,) * (c - 1) + (-1,))
-        return out.divexact(IntPoly((1, -1)))
+    """det_V(1 - q w) for any element with the given class label.
+
+    One integer product at q = 2^b: prod (1 - q^c) over the positive cycles
+    and (1 + q^c) over the negative ones (B/C/D), a coefficient of which is
+    at most 2^(number of cycles) <= 2^rank, so b = slot_bits(2^rank) =
+    rank + 2.  In type A the label is a partition of rank + 1 and V is the
+    sum-zero plane of R^(rank + 1), so the product over the cycles, all
+    positive, is divided exactly by 1 - q, the factor of the fixed line.
+    Each coefficient of the quotient is a partial sum of the product's, at
+    most 2^(rank + 1), so b = slot_bits(2^(rank + 1)) = rank + 3.
+    """
     if t.family == "G2":
         return _G2_CHARPOLY[label]
-    # B/C/D: prod (1 - q^c) over the positive cycles and (1 + q^c) over the
-    # negative ones, one integer product at q = 2^b; a coefficient is at most
-    # 2^(number of cycles) <= 2^rank, so b = slot_bits(2^rank) = rank + 2
-    b = t.rank + 2
+    if t.family == "A":
+        positive, negative, b = label, (), t.rank + 3
+    else:
+        positive, negative, b = label[0], label[1], t.rank + 2
     out = 1
-    for c in label[0]:
+    for c in positive:
         out *= 1 - (1 << b * c)
-    for c in label[1]:
+    for c in negative:
         out *= 1 + (1 << b * c)
+    if t.family == "A":
+        out //= 1 - (1 << b)
     return IntPoly.unpack(out, b)
 
 

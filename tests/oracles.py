@@ -24,6 +24,24 @@ columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products.  Both share no arithmetic
 with the packed store or the sparse products they check.
 
+Class-sum pairings that no production path takes: `std_pairing` and
+`one_pairing` run `charring`'s kernel on the weights 1 and det_V(1 - w).
+
+The spin layer's integers by class sums, as `spin` took them before it read
+them off the solved tableau: a_V times the (-1)-elliptic pairing of two
+columns' values at q = -1 (`spin_pairings_by_class_sums`), the Dirac index
+flags as the columns' (+-1)-elliptic norms (`index_flags_by_class_sums`),
+the alternating Betti sum as the column's value at the identity
+(`alternating_betti_by_class_value`), and the tensor multiplicity as one
+class sum against the source pair's irreducible
+(`tensor_spin_multiplicity_oracle`).
+
+Schur's spin characters of the double cover of S_n: `schur_spin_character`
+reads X^lambda_rho off Q_lambda in power sums (`schur_q`), the Pfaffian of the
+two-row Q_(r,s), in exact `Fraction` arithmetic (Macdonald, Symmetric
+Functions and Hall Polynomials, III.8).  It shares no code with the pin
+layer, whose type A values it checks.
+
 The twisted-trace check before it read coordinates: `caction_check_by_class`
 is `lusztigshoji.caction_check` as it compared every column's value on every
 class with its value at -q on the class of w0 times that class's
@@ -50,16 +68,20 @@ from __future__ import annotations
 import argparse
 import itertools
 from functools import lru_cache
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 from operator import add, mul
 from types import SimpleNamespace
 
 from greenpoly.charring import (
     GradedCharacter,
     VirtualCharacter,
+    _det_values,
+    _pair,
     _same_group,
     irreducible,
     minus_one_gram,
+    minus_one_pairing,
     poincare_poly,
 )
 from greenpoly.cli import (
@@ -82,6 +104,7 @@ from greenpoly.lusztigshoji import (
 )
 from greenpoly.partitions import multiplicities, partitions, sym_char
 from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
+from greenpoly.spin import PinRep, _column_at
 from greenpoly.weyl import (
     WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, simple_generators, sp_inv, sp_mul,
 )
@@ -165,6 +188,125 @@ def delta_twist_grams_agree(g: WeylGroupData) -> bool:
         for i in range(n)
         for j in range(i, n)
     )
+
+
+# ---------------------------------------------------------------------------
+# class-sum pairings that no production path takes
+
+
+def std_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
+    return _pair(a, b, [1] * len(a.group.classes))
+
+
+def one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
+    """The q-elliptic pairing at q = 1 (weighted by det_V(1 - w))."""
+    return _pair(a, b, _det_values(a.group, 1))
+
+
+# ---------------------------------------------------------------------------
+# the spin layer's integers by class sums
+
+
+def spin_pairings_by_class_sums(tab: GreenTableau, pin: PinRep) -> list:
+    """a_V < X_{-1}(a), X_{-1}(b) >^{-1} for every two pairs a, b, one class
+    sum each: `spin.sigma_tilde_pairing`, and on the diagonal the norms of
+    `sigma_tilde` and `classify_constituents`."""
+    cols = [_column_at(tab, j, -1) for j in range(len(tab.pairs))]
+    return [[pin.a_v * minus_one_pairing(x, y) for y in cols] for x in cols]
+
+
+def index_flags_by_class_sums(tab: GreenTableau, j: int) -> tuple:
+    """`spin.dirac_index_char`'s flags: < X_1, X_1 >^1 != 0 and
+    < X_{-1}, X_{-1} >^{-1} != 0 for column j."""
+    x1, xm = _column_at(tab, j, 1), _column_at(tab, j, -1)
+    return one_pairing(x1, x1) != 0, minus_one_pairing(xm, xm) != 0
+
+
+def alternating_betti_by_class_value(tab: GreenTableau, j: int) -> int:
+    """X_{-1}(1): column j at q = -1, valued on the identity class."""
+    return _column_at(tab, j, -1).value(tab.group.identity_class)
+
+
+def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
+    """`spin.tensor_spin_multiplicity` as one class sum: a_V times the
+    (-1)-elliptic pairing of the source pair's irreducible with the target
+    column at q = -1."""
+    g = tab.group
+    sigma = irreducible(g, tab.table.pair_irreps[tab.table.pair_of(*source)])
+    x = _column_at(tab, tab.table.pair_of(*target), -1)
+    a_v = 2 if g.type.rank % 2 else 1
+    return a_v * minus_one_pairing(sigma, x)
+
+
+# ---------------------------------------------------------------------------
+# Schur's Q-functions in power sums
+
+
+def _z(rho) -> int:
+    """z_rho = prod_i i^(m_i) m_i!, the order of the centraliser of a
+    permutation of cycle type rho."""
+    out = 1
+    for part, m in multiplicities(rho).items():
+        out *= part**m * factorial(m)
+    return out
+
+
+def _times(f: dict, h: dict) -> dict:
+    """The product of two symmetric functions, each a dict rho -> the
+    coefficient of p_rho."""
+    out = {}
+    for r, a in f.items():
+        for s, b in h.items():
+            key = tuple(sorted(r + s, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_one_row(r: int) -> dict:
+    """q_r = sum over the rho |- r with only odd parts of 2^l(rho) p_rho / z_rho."""
+    return {rho: Fraction(2 ** len(rho), _z(rho)) for rho in partitions(r) if all(p % 2 for p in rho)}
+
+
+def _q_two_rows(r: int, s: int) -> dict:
+    """Q_(r,s) = q_r q_s + 2 sum_{i=1}^{s} (-1)^i q_{r+i} q_{s-i}, r > s >= 0."""
+    out = _times(_q_one_row(r), _q_one_row(s))
+    for i in range(1, s + 1):
+        for rho, c in _times(_q_one_row(r + i), _q_one_row(s - i)).items():
+            out[rho] = out.get(rho, 0) + 2 * (-1) ** i * c
+    return out
+
+
+def schur_q(lam) -> dict:
+    """Q_lambda in power sums, lambda strict: the Pfaffian of the matrix of
+    the Q_(lambda_i, lambda_j), lambda padded with a 0 to even length,
+    expanded along its first row."""
+    parts = tuple(lam) + ((0,) if len(lam) % 2 else ())
+
+    def pfaffian(rows: tuple) -> dict:
+        if not rows:
+            return {(): Fraction(1)}
+        out = {}
+        for k in range(1, len(rows)):
+            minor = pfaffian(rows[1:k] + rows[k + 1:])
+            for rho, c in _times(_q_two_rows(parts[rows[0]], parts[rows[k]]), minor).items():
+                out[rho] = out.get(rho, 0) + (-1) ** (k - 1) * c
+        return out
+
+    return pfaffian(tuple(range(len(parts))))
+
+
+def schur_spin_character(lam) -> dict:
+    """X^lambda_rho for each rho where it is nonzero, from
+    Q_lambda = sum_rho 2^l(rho) z_rho^-1 X^lambda_rho p_rho; an integer."""
+    out = {}
+    for rho, c in schur_q(lam).items():
+        x = c * _z(rho) / 2 ** len(rho)
+        if x.denominator != 1:
+            raise ArithmeticError(f"X^{lam} at {rho} is {x}, not an integer")
+        if x:
+            out[rho] = int(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ report; every numeric tolerance is pinned in the test body.
 
 import time
 
-import numpy as np
 import pytest
 
 from greenpoly.charring import minus_one_gram_rank
@@ -34,7 +33,6 @@ from greenpoly.spin import (
     sigma_tilde,
     spin_traces_by_class,
     tensor_spin_multiplicity,
-    tensor_spin_multiplicity_oracle,
 )
 from greenpoly.springer import (
     OrbitLabel,
@@ -48,6 +46,7 @@ from greenpoly.springer import (
 from greenpoly.weyl import WeylType, build, delta_elliptic_count
 
 from conftest import solved
+from oracles import tensor_spin_multiplicity_oracle
 
 
 def P(*cs):

@@ -26,11 +26,9 @@ from greenpoly.charring import (
     minus_one_pairing,
     omega_entry,
     omega_matrix,
-    one_pairing,
     poincare_poly,
     q_elliptic_gram,
     q_elliptic_pairing,
-    std_pairing,
 )
 from greenpoly import charring, weyl
 from greenpoly.lusztigshoji import solve
@@ -51,7 +49,9 @@ from oracles import (
     bc_column_per_term,
     delta_twist_grams_agree,
     delta_twist_pairing_direct,
+    one_pairing,
     q_elliptic_pairing_elements,
+    std_pairing,
     std_pairing_elements,
     symmetric_class_gram,
 )

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
+from greenpoly import charring
+from greenpoly.charring import VirtualCharacter
 from greenpoly.partitions import distinct_partitions
 from greenpoly.spin import (
     DiracIndex,
@@ -18,7 +22,6 @@ from greenpoly.spin import (
     sign_twist_space_dimension,
     spin_traces_by_class,
     tensor_spin_multiplicity,
-    tensor_spin_multiplicity_oracle,
     trace_spin,
 )
 from greenpoly.springer import nsol_predicate
@@ -28,6 +31,15 @@ from greenpoly.weyl import (
     build,
     delta_elliptic_count,
     reduced_word,
+)
+
+from conftest import SOLVED_TABLES
+from oracles import (
+    alternating_betti_by_class_value,
+    index_flags_by_class_sums,
+    schur_spin_character,
+    spin_pairings_by_class_sums,
+    tensor_spin_multiplicity_oracle,
 )
 
 ALL_TYPES = (
@@ -302,6 +314,62 @@ class TestSigmaTilde:
             for b in parts:
                 if a != b:
                     assert sigma_tilde_pairing(tab, pin, (a, "triv"), (b, "triv")) == 0
+
+
+@pytest.mark.parametrize("ambient,n", SOLVED_TABLES)
+def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n):
+    # every integer the spin layer reports equals its class-sum form, with
+    # the class-sum kernel out of reach, and, for the classification and the
+    # pairings, every class value of a character too
+    tab = tableau(ambient, n)
+    pin = build_pin(tab.group)
+    names = [
+        (tab.table.orbits[o].label.partition, tab.table.orbits[o].systems[s].label)
+        for o, s in tab.pairs
+    ]
+    pairing = spin_pairings_by_class_sums(tab, pin)
+    flags = [index_flags_by_class_sums(tab, j) for j in range(len(names))]
+    strict = [(tab.table.pair_of(lam), lam) for lam in distinct_partitions(n)] if ambient == "A" else []
+    betti = [alternating_betti_by_class_value(tab, j) for j, _ in strict]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spin layer took a class sum or a class value")
+
+    monkeypatch.setattr(charring, "_pair", refuse)
+    monkeypatch.setattr(charring, "_class_gram", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(VirtualCharacter, "values", property(refuse))
+        for (j, lam), want in zip(strict, betti):
+            rep = classify_constituents(tab, pin, lam)
+            assert (rep.exact_norm, rep.alternating_betti) == (pairing[j][j], want), lam
+        for a, pa in enumerate(names):
+            for b, pb in enumerate(names):
+                assert sigma_tilde_pairing(tab, pin, pa, pb) == pairing[a][b], (pa, pb)
+    for j, (lam, phi) in enumerate(names):
+        assert sigma_tilde(tab, pin, lam, phi).exact_norm == pairing[j][j], (lam, phi)
+        di = dirac_index_char(tab, pin, lam, phi)
+        assert (di.even_nonzero, di.coset_nonzero) == flags[j], (lam, phi)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_tilde_is_schur_spin_character(tableau, n):
+    # Schur's spin characters of the double cover of S_n: on a class rho with
+    # only odd parts, sigma~(lambda)(rho) = a_lambda 2^((l(rho) - l(lambda) +
+    # eps)/2) X^lambda_rho, eps = (n - l(lambda)) mod 2 (the exponent is an
+    # integer, as l(rho) and n have the same parity); on every other class
+    # it is 0
+    tab = tableau("A", n)
+    pin = build_pin(tab.group)
+    for lam in distinct_partitions(n):
+        a_lam = classify_constituents(tab, pin, lam).a_lambda
+        eps = (n - len(lam)) % 2
+        chi = schur_spin_character(lam)
+        for cls, got in zip(tab.group.classes, sigma_tilde(tab, pin, lam).values):
+            rho = cls.label
+            want = 0
+            if all(p % 2 for p in rho):
+                want = a_lam * Fraction(2) ** ((len(rho) - len(lam) + eps) // 2) * chi.get(rho, 0)
+            assert abs(got - want) < 1e-9, (lam, rho)
 
 
 class TestClassification:

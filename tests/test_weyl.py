@@ -336,24 +336,27 @@ def test_reduced_word_raises_outside_the_group():
         reduced_word(build(WeylType("D", 4)), (-1, 2, 3, 4))
 
 
-def _charpoly_by_products(label) -> IntPoly:
-    """det_V(1 - qw) of a B/C/D class label as a product of IntPolys:
-    (1 - q^c) per positive and (1 + q^c) per negative cycle."""
+def _charpoly_by_products(family, label) -> IntPoly:
+    """det_V(1 - qw) of a class label as a product of IntPolys: (1 - q^c)
+    per positive and (1 + q^c) per negative cycle of a B/C/D label; for
+    type A, (1 - q^c) per cycle, divided by 1 - q."""
     out = IntPoly((1,))
-    for cycles, sign in ((label[0], -1), (label[1], 1)):
+    signed = ((label, -1),) if family == "A" else ((label[0], -1), (label[1], 1))
+    for cycles, sign in signed:
         for c in cycles:
             out = out * IntPoly((1,) + (0,) * (c - 1) + (sign,))
-    return out
+    return out.divexact(IntPoly((1, -1))) if family == "A" else out
 
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("B", r) for r in range(2, 9)] + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)],
+    [("B", r) for r in range(2, 9)] + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+    + [("A", r) for r in range(1, 12)],
 )
 def test_packed_charpoly_matches_product_oracle(family, rank):
     t = WeylType(family, rank)
     for cls in build(t).classes:
-        assert weyl.charpoly_of_label(t, cls.label) == _charpoly_by_products(cls.label)
+        assert weyl.charpoly_of_label(t, cls.label) == _charpoly_by_products(family, cls.label)
 
 
 def test_braid_orders():
