@@ -57,18 +57,6 @@ class VirtualCharacter:
     def value(self, cls: int) -> int:
         return self.values[cls]
 
-    def __add__(self, other):
-        _same_group(self, other)
-        return VirtualCharacter(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        _same_group(self, other)
-        return VirtualCharacter(
-            self.group, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
 
 class GradedCharacter:
     """IntPoly coordinates over the irreducibles of `group`; immutable."""

@@ -438,7 +438,7 @@ def caction_check(tab: GreenTableau) -> CactionResult:
     if not g.delta_is_trivial():
         raise SolverError("twisted-trace check requires w0 central")
     w0, one = g.class_of(g.w0), g.identity_class
-    sgn_w0 = g.sgn_of_class(w0)
+    sgn_w0 = g.char_table[g.sgn_index][w0]
     signs = [row[w0] // row[one] for row in g.char_table]
     twists = {}
     ok = True

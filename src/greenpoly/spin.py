@@ -45,6 +45,7 @@ from .weyl import (
     identity_element,
     reduced_word,
     simple_generators,
+    sp_mul,
 )
 
 
@@ -228,11 +229,10 @@ def trace_spin(pin: PinRep, word, check: bool = True) -> float:
     g = pin.group
     u = pin.lift(word)
     if check:
-        mul = g.mul
         gens = simple_generators(g.type)
         cur = identity_element(g.type)
         for i in word:
-            cur = mul(cur, gens[i])
+            cur = sp_mul(cur, gens[i])
         det = g.refl_charpoly[g.class_of(cur)].eval(-1)
         if not pin.spin_square_holds(u, det):
             raise PinConstructionError(

@@ -445,7 +445,8 @@ def load_table(source) -> SpringerTable:
         with open(source, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
+            # not UTF-8, not JSON, an over-long integer, or nested too deep
+            except (ValueError, RecursionError) as exc:
                 raise TableFormatError(f"not a JSON table: {exc}")
     else:
         obj = source
@@ -512,6 +513,12 @@ def load_table(source) -> SpringerTable:
             if not isinstance(sys["local_system"], str):
                 raise TableFormatError(
                     f"{where}: local_system {sys['local_system']!r} is not a string"
+                )
+            try:
+                sys["local_system"].encode("utf-8")
+            except UnicodeEncodeError:  # no output can print it
+                raise TableFormatError(
+                    f"{where}: local_system {sys['local_system']!r} holds a lone surrogate"
                 )
             mask = 0
             if "char_on_generators" in sys:

@@ -4,30 +4,33 @@ Every element is a signed permutation w of 1..m, the tuple (w(1), ..., w(m))
 with entries +-1..+-m, acting on the ambient R^m by e_j -> sign(w(j)) e_|w(j)|.
 m is the rank for B/C/D, whose groups are all signed permutations (B/C) and
 those with an even number of sign changes (D); rank + 1 for A_r, whose group
-is the permutations S_{r+1}; and 3 for G2, whose group is +-S_3 acting on the
-plane x1 + x2 + x3 = 0.  Conjugacy classes come in closed form from their
+is the permutations S_{r+1}; and 3 for G2, whose group S_3 x {+-1} acts on
+the plane x1 + x2 + x3 = 0.  Conjugacy classes come in closed form from their
 labels, with no enumeration of the group: cycle types for A; signed cycle
 types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with an even
 number of negative cycles, where a label with mu- empty and all parts of mu+
-even splits into "+" and "-" halves; and the six classes of G2, named from
-their signed cycle types.  Class representatives follow two conventions.  In
+even splits into "+" and "-" halves; and for G2 the pairs (mu, eps) of an S_3
+cycle type and a sign, the class of eps sigma for sigma of type mu, named in
+`_G2_CLASSES`.  Class representatives follow two conventions.  In
 type A the class of cycle type lam is represented by the product of cycles on
 consecutive points, longest first (i -> i+1 within each block), which is not
 in general the least element: A2's class (2,1) is represented by (2,1,3),
 while its least element is (1,3,2).  In types B/C/D and G2 the representative
-is the lexicographically least element of the class; for B/C/D it is found
-by a pruned search (`_lex_elements`) on its first read and then kept, so
-`build` reads none, and the identity class is found by its label.
+is the lexicographically least element of the class: for G2 it is written
+down from (mu, eps) (`_g2_least`); for B/C/D it is found by a pruned search
+(`_lex_elements`) on its first read and then kept, so `build` reads none.
 `class_of` computes an element's label.  `reduced_word` finds descents from
 the simple roots of `_ambient_simple_roots`, the same roots the pin layer
-lifts.  `delta_twisted_classes` and `all_elements` enumerate the whole
-group; the tests use them as oracles.
+lifts, and `braid_order` reads the Coxeter exponent m_ij off the angle
+between two of them.  `delta_twisted_classes` and `all_elements` enumerate
+the whole group; the tests use them as oracles.
 Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
 tables (`_bc_column`: each split of a class's cycles adds the outer product
 of two S_k columns, one big-integer product of byte-packed columns, and the
 packed column is split once), one table per rank shared by B_n and C_n; for D
-the same columns restricted, with split classes; and a hard-coded table for
-G2.  `build` checks row orthogonality with one packed integer sum per row.
+the same columns restricted, with split classes; and for G2 the S_3 table
+times the two characters of the centre.  `build` checks row orthogonality
+with one packed integer sum per row.
 Supported ranks: A 1-11, B and C 1-8, D 3-8.
 """
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
 
 from .partitions import cycle_type_size, multiplicities, partitions, sym_char
@@ -180,32 +183,18 @@ def signed_cycle_type(w):
     return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
 
 
-_G2_CHARPOLY = {
-    "e": IntPoly((1, -2, 1)),
-    "rot60": IntPoly((1, -1, 1)),
-    "rot120": IntPoly((1, 1, 1)),
-    "w0": IntPoly((1, 2, 1)),
-    "refl_short": IntPoly((1, 0, -1)),
-    "refl_long": IntPoly((1, 0, -1)),
+# the G2 classes (mu, eps), in table order, by name: -1 acts on the plane as
+# the rotation by 180 degrees, so a negated 3-cycle is a rotation by 60
+# degrees and a negated transposition a reflection in a long root
+_G2_CLASSES = {
+    "e": ((1, 1, 1), 1),
+    "w0": ((1, 1, 1), -1),
+    "rot60": ((3,), -1),
+    "rot120": ((3,), 1),
+    "refl_long": ((2, 1), -1),
+    "refl_short": ((2, 1), 1),
 }
-
-
-# the G2 class of an element of +-S_3, by its signed cycle type: -1 acts on
-# the plane as the rotation by 180 degrees, so a negated 3-cycle is a
-# rotation by 60 degrees and a negated transposition a reflection in a long
-# root
-_G2_NAMES = {
-    ((1, 1, 1), ()): "e",
-    ((), (1, 1, 1)): "w0",
-    ((3,), ()): "rot120",
-    ((), (3,)): "rot60",
-    ((2, 1), ()): "refl_short",
-    ((2,), (1,)): "refl_long",
-}
-
-
-def g2_class_name(w):
-    return _G2_NAMES[signed_cycle_type(w)]
+_G2_NAMES = {key: name for name, key in _G2_CLASSES.items()}
 
 
 def charpoly_of_label(t: WeylType, label) -> IntPoly:
@@ -214,25 +203,24 @@ def charpoly_of_label(t: WeylType, label) -> IntPoly:
     One integer product at q = 2^b: prod (1 - q^c) over the positive cycles
     and (1 + q^c) over the negative ones (B/C/D), a coefficient of which is
     at most 2^(number of cycles) <= 2^rank, so b = slot_bits(2^rank) =
-    rank + 2.  In type A the label is a partition of rank + 1 and V is the
-    sum-zero plane of R^(rank + 1), so the product over the cycles, all
-    positive, is divided exactly by 1 - q, the factor of the fixed line.
-    Each coefficient of the quotient is a partial sum of the product's, at
-    most 2^(rank + 1), so b = slot_bits(2^(rank + 1)) = rank + 3.
+    rank + 2.  In types A and G2, V is the sum-zero plane of R^(rank + 1),
+    and an element eps sigma (eps = 1 in type A) with sigma of cycle type mu
+    has det(1 - q eps sigma) = prod (1 - (eps q)^c) over the parts c of mu
+    on R^(rank + 1); that product is divided exactly by 1 - eps q, the factor
+    of the line (1, ..., 1).  Each coefficient of the quotient is a signed
+    sum of the product's, at most 2^(rank + 1), so b = slot_bits(2^(rank + 1))
+    = rank + 3.
     """
-    if t.family == "G2":
-        return _G2_CHARPOLY[label]
-    if t.family == "A":
-        positive, negative, b = label, (), t.rank + 3
+    if t.family in ("A", "G2"):
+        mu, eps = (label, 1) if t.family == "A" else _G2_CLASSES[label]
+        signed, b = [(c, eps**c) for c in mu], t.rank + 3
     else:
-        positive, negative, b = label[0], label[1], t.rank + 2
+        signed, b = [(c, 1) for c in label[0]] + [(c, -1) for c in label[1]], t.rank + 2
     out = 1
-    for c in positive:
-        out *= 1 - (1 << b * c)
-    for c in negative:
-        out *= 1 + (1 << b * c)
-    if t.family == "A":
-        out //= 1 - (1 << b)
+    for c, sign in signed:
+        out *= 1 - sign * (1 << b * c)
+    if t.family in ("A", "G2"):
+        out //= 1 - eps * (1 << b)
     return IntPoly.unpack(out, b)
 
 
@@ -317,16 +305,15 @@ def _bc_column(pos, neg) -> tuple:
     return tuple(split_ints(total, _bc_width(n), len(bipartitions(n))))
 
 
-_G2_CLASS_ORDER = ("e", "w0", "rot60", "rot120", "refl_long", "refl_short")
-_G2_IRREPS = ("triv", "sgn", "chi1", "chi2", "refl", "rot2")
-_G2_TABLE = {
-    #            e   w0 r60 r120 rl  rs
-    "triv":    (1,  1,  1,  1,  1,  1),
-    "sgn":     (1,  1,  1,  1, -1, -1),
-    "chi1":    (1, -1, -1,  1, -1,  1),
-    "chi2":    (1, -1, -1,  1,  1, -1),
-    "refl":    (2, -2,  1, -1,  0,  0),
-    "rot2":    (2,  2, -1, -1,  0,  0),
+# the G2 irreducibles (lam, delta), in table order, by name: the S_3
+# irreducible lam times the character delta of the centre {+-1}
+_G2_IRREPS = {
+    "triv": ((3,), 1),
+    "sgn": ((1, 1, 1), 1),
+    "chi1": ((3,), -1),
+    "chi2": ((1, 1, 1), -1),
+    "refl": ((2, 1), -1),
+    "rot2": ((2, 1), 1),
 }
 
 
@@ -350,23 +337,10 @@ class WeylGroupData:
         self.triv_index = triv_index
         self.refl_index = refl_index
         self._class_index = {c.label: i for i, c in enumerate(classes)}
-
-    # -- basic lookups ---------------------------------------------------
-    def char_value(self, irrep: int, cls: int) -> int:
-        return self.char_table[irrep][cls]
-
-    def irrep_dim(self, irrep: int) -> int:
-        return self.char_table[irrep][self.identity_class]
-
-    @property
-    def identity_class(self) -> int:
-        return self.class_of(identity_element(self.type))
+        self.identity_class = self.class_of(identity_element(type))
 
     def class_of(self, w) -> int:
         return self._class_index[class_label(self.type, w)]
-
-    def mul(self, u, w):
-        return sp_mul(u, w)
 
     # -- delta = -w0 ------------------------------------------------------
     def delta_element(self, w):
@@ -376,9 +350,6 @@ class WeylGroupData:
     def delta_is_trivial(self) -> bool:
         gens = simple_generators(self.type)
         return all(self.delta_element(g) == g for g in gens)
-
-    def sgn_of_class(self, cls: int) -> int:
-        return self.char_table[self.sgn_index][cls]
 
 
 def _degrees(t: WeylType):
@@ -543,8 +514,8 @@ def class_label(t: WeylType, w):
     pos, neg = signed_cycle_type(w)
     if t.family == "A":
         return pos
-    if t.family == "G2":
-        return _G2_NAMES[pos, neg]
+    if t.family == "G2":  # w = eps sigma, and the cycles of sigma are those of w
+        return _G2_NAMES[tuple(sorted(pos + neg, reverse=True)), 1 if w[0] > 0 else -1]
     if t.family == "D":
         return pos, neg, _d_tag(w, pos, neg)
     return pos, neg
@@ -554,16 +525,20 @@ def _class_order(cls: ConjClass):
     return -len(cls.label[0]), cls.label
 
 
+def _consecutive_cycles(parts) -> tuple:
+    """The permutation with cycles (1 .. p1)(p1 + 1 .. p1 + p2)... on
+    consecutive points, i -> i + 1 within each."""
+    rep, start = [], 0
+    for c in parts:
+        rep += [*range(start + 2, start + c + 1), start + 1]
+        start += c
+    return tuple(rep)
+
+
 def _build_A(t: WeylType):
     n = t.rank + 1
-    classes = []
-    for lab in partitions(n):
-        rep = []
-        start = 0
-        for c in lab:
-            rep.extend(list(range(start + 2, start + c + 1)) + [start + 1])
-            start += c
-        classes.append(ConjClass(cycle_type_size(n, lab), lab, tuple(rep)))
+    classes = [ConjClass(cycle_type_size(n, lab), lab, _consecutive_cycles(lab))
+               for lab in partitions(n)]
     irreps = partitions(n)
     table = tuple(
         tuple(sym_char(lam, cls.label) for cls in classes) for lam in irreps
@@ -638,16 +613,32 @@ def _d_pair_key(a, b, labels):
     raise KeyError((a, b))
 
 
+def _g2_least(mu, eps) -> tuple:
+    """The least element of the G2 class (mu, eps).
+
+    For eps = 1 it is the least sigma of cycle type mu, whose cycles sit on
+    consecutive points, shortest first.  For eps = -1 it is minus the
+    greatest sigma, which in S_3 is the least one conjugated by (1 2).
+    """
+    least = _consecutive_cycles(mu[::-1])
+    if eps > 0:
+        return least
+    s = (2, 1, 3)
+    return tuple(-x for x in sp_mul(s, sp_mul(least, s)))
+
+
 def _build_G2(t: WeylType):
-    members = {}
-    for w in sorted(all_elements(t)):
-        members.setdefault(g2_class_name(w), []).append(w)
-    classes = [
-        ConjClass(len(members[name]), name, members[name][0])
-        for name in _G2_CLASS_ORDER
-    ]
-    table = tuple(tuple(_G2_TABLE[ir]) for ir in _G2_IRREPS)
-    return classes, table, _G2_IRREPS, _G2_IRREPS.index("sgn"), 0
+    """W(G2) = S_3 x {+-1}: the class (mu, eps) is |C_mu| elements of S_3
+    times eps, and the irreducible (lam, delta) takes chi^lam(mu) there,
+    times delta when eps = -1."""
+    classes = [ConjClass(cycle_type_size(3, mu), name, _g2_least(mu, eps))
+               for name, (mu, eps) in _G2_CLASSES.items()]
+    table = tuple(
+        tuple(sym_char(lam, mu) * (delta if eps < 0 else 1) for mu, eps in _G2_CLASSES.values())
+        for lam, delta in _G2_IRREPS.values()
+    )
+    labels = tuple(_G2_IRREPS)
+    return classes, table, labels, labels.index("sgn"), labels.index("triv")
 
 
 @lru_cache(maxsize=None)
@@ -663,16 +654,10 @@ def build(t: WeylType) -> WeylGroupData:
         classes, table, labels, sgn, triv = _build_G2(t)
 
     degrees = _degrees(t)
-    order = 1
-    for d in degrees:
-        order *= d
-    if t.family == "A":
-        order = factorial(t.rank + 1)
     charpolys = [charpoly_of_label(t, c.label) for c in classes]
-
     g = WeylGroupData(
         type=t,
-        order=order,
+        order=prod(degrees),
         classes=list(classes),  # B_n and C_n share one cached tuple
         char_table=table,
         irrep_labels=tuple(labels),
@@ -681,10 +666,9 @@ def build(t: WeylType) -> WeylGroupData:
         refl_charpoly=charpolys,
         sgn_index=sgn,
         triv_index=triv,
-        refl_index=-1,
+        refl_index=_reflection_irrep(table, charpolys),
     )
     _verify(g)
-    g.refl_index = _find_reflection_irrep(g)
     return g
 
 
@@ -692,11 +676,6 @@ def _verify(g: WeylGroupData):
     sizes = [c.size for c in g.classes]
     if sum(sizes) != g.order:
         raise AssertionError("class sizes do not sum to |W|")
-    deg_prod = 1
-    for d in g.degrees:
-        deg_prod *= d
-    if deg_prod != g.order:
-        raise AssertionError("product of fundamental degrees is not |W|")
     ident = g.identity_class
     nirr = len(g.char_table)
     if nirr != len(g.classes):
@@ -724,17 +703,13 @@ def _verify(g: WeylGroupData):
         raise AssertionError("identity charpoly is not (1-q)^rank")
 
 
-def _find_reflection_irrep(g: WeylGroupData) -> int:
+def _reflection_irrep(table, charpolys) -> int:
     # trace of w on V is -[q^1] det(1 - q w)
-    target = tuple(-p[1] for p in g.refl_charpoly)
-    for i, row in enumerate(g.char_table):
+    target = tuple(-p[1] for p in charpolys)
+    for i, row in enumerate(table):
         if row == target:
             return i
     raise AssertionError("reflection character not found in the table")
-
-
-def refl_charpoly(g: WeylGroupData, cls: int) -> IntPoly:
-    return g.refl_charpoly[cls]
 
 
 def minus_one_elliptic_classes(g: WeylGroupData) -> set:
@@ -871,12 +846,14 @@ def reduced_word(g: WeylGroupData, w) -> tuple:
 
 
 def braid_order(g: WeylGroupData, i: int, j: int) -> int:
-    """Order of s_i s_j in W."""
-    gens = simple_generators(g.type)
-    prod = sp_mul(gens[i], gens[j])
-    ident = identity_element(g.type)
-    cur, m = prod, 1
-    while cur != ident:
-        cur = sp_mul(cur, prod)
-        m += 1
-    return m
+    """Order m of s_i s_j in W, read off the simple roots.
+
+    The angle between alpha_i and alpha_j is pi - pi/m, so
+    4 <alpha_i, alpha_j>^2 / (|alpha_i|^2 |alpha_j|^2) = 4 cos^2(pi/m) is
+    0, 1, 2, 3 for m = 2, 3, 4, 6 (Humphreys, Reflection Groups and Coxeter
+    Groups, 1990, ch. 1-2), and 4 for i = j, m = 1.
+    """
+    roots = _ambient_simple_roots(g.type)
+    a, b = roots[i], roots[j]
+    ab, aa, bb = sum(map(mul, a, b)), sum(map(mul, a, a)), sum(map(mul, b, b))
+    return (2, 3, 4, 6, 1)[4 * ab * ab // (aa * bb)]

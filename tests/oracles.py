@@ -57,6 +57,12 @@ is the `green --json` payload as `cli._tableau_payload` built it, with one
 `{"coeffs": [...]}` dict per polynomial and every name taken again at each
 use, ready for `json.dumps` as it stands.
 
+G2 and the braid orders before their closed forms: `G2_TABLE` and
+`G2_CHARPOLY` are W(G2)'s character table and characteristic polynomials
+as they were typed in by hand, `G2_SIGNED_TYPES` names each G2 class by the
+signed cycle type of its elements, and `braid_order_by_products` is the order
+of s_i s_j found by multiplying the generators until the identity.
+
 The command line before the table-driven parser: `build_parser` is the
 argparse parser `cli.main` used, one subparser per verb with the common
 options copied into each.  It drops options given before the verb, which
@@ -168,7 +174,7 @@ def delta_twist_pairing_direct(a: VirtualCharacter, b: VirtualCharacter) -> int:
     g = a.group
     total = 0
     for w in elements(g):
-        ww0 = g.mul(w, g.w0)
+        ww0 = sp_mul(w, g.w0)
         k = g.class_of(ww0)
         # det_V(1 - w delta) with delta = -w0 on V equals det_V(1 + w w0)
         d = g.refl_charpoly[k].eval(-1)
@@ -188,6 +194,52 @@ def delta_twist_grams_agree(g: WeylGroupData) -> bool:
         for i in range(n)
         for j in range(i, n)
     )
+
+
+# ---------------------------------------------------------------------------
+# G2 and the braid orders before their closed forms
+
+
+G2_TABLE = {
+    #            e   w0 r60 r120 rl  rs
+    "triv":    (1,  1,  1,  1,  1,  1),
+    "sgn":     (1,  1,  1,  1, -1, -1),
+    "chi1":    (1, -1, -1,  1, -1,  1),
+    "chi2":    (1, -1, -1,  1,  1, -1),
+    "refl":    (2, -2,  1, -1,  0,  0),
+    "rot2":    (2,  2, -1, -1,  0,  0),
+}
+
+G2_CHARPOLY = {
+    "e": IntPoly((1, -2, 1)),
+    "rot60": IntPoly((1, -1, 1)),
+    "rot120": IntPoly((1, 1, 1)),
+    "w0": IntPoly((1, 2, 1)),
+    "refl_short": IntPoly((1, 0, -1)),
+    "refl_long": IntPoly((1, 0, -1)),
+}
+
+# the G2 class of an element of +-S_3 by its signed cycle type
+G2_SIGNED_TYPES = {
+    "e": ((1, 1, 1), ()),
+    "w0": ((), (1, 1, 1)),
+    "rot120": ((3,), ()),
+    "rot60": ((), (3,)),
+    "refl_short": ((2, 1), ()),
+    "refl_long": ((2,), (1,)),
+}
+
+
+def braid_order_by_products(t: WeylType, i: int, j: int) -> int:
+    """Order of s_i s_j, by multiplying until the identity."""
+    gens = simple_generators(t)
+    prod = sp_mul(gens[i], gens[j])
+    ident = tuple(range(1, len(prod) + 1))
+    cur, m = prod, 1
+    while cur != ident:
+        cur = sp_mul(cur, prod)
+        m += 1
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +543,8 @@ def caction_check_by_class(tab: GreenTableau) -> CactionResult:
     g = tab.group
     if not g.delta_is_trivial():
         raise SolverError("twisted-trace check requires w0 central")
-    sgn_w0 = g.sgn_of_class(g.class_of(g.w0))
-    w0_times = [g.class_of(g.mul(g.w0, cls.representative)) for cls in g.classes]
+    sgn_w0 = g.char_table[g.sgn_index][g.class_of(g.w0)]
+    w0_times = [g.class_of(sp_mul(g.w0, cls.representative)) for cls in g.classes]
     twists = {}
     ok = True
     for j, (orbit, _) in enumerate(tab.pairs):

@@ -122,8 +122,8 @@ def test_fake_degrees_s3():
 def test_fake_degree_at_one_is_dim():
     for fam, r in [("A", 3), ("B", 2), ("G2", 2), ("D", 4)]:
         g = build(WeylType(fam, r))
-        for i in range(len(g.irrep_labels)):
-            assert fake_degree(g, i).eval(1) == g.irrep_dim(i)
+        for i, row in enumerate(g.char_table):
+            assert fake_degree(g, i).eval(1) == row[g.identity_class]
 
 
 def test_fake_degree_dimension_sum():
@@ -131,8 +131,8 @@ def test_fake_degree_dimension_sum():
     for fam, r in [("A", 3), ("B", 3)]:
         g = build(WeylType(fam, r))
         acc = IntPoly()
-        for i in range(len(g.irrep_labels)):
-            acc = acc + fake_degree(g, i) * g.irrep_dim(i)
+        for i, row in enumerate(g.char_table):
+            acc = acc + fake_degree(g, i) * row[g.identity_class]
         expect = IntPoly((1,))
         for m in g.degrees:
             expect = expect * IntPoly((1,) * m)

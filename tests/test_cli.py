@@ -449,6 +449,11 @@ def _c2_file(edit=None, text=None, data=None):
     return write
 
 
+# well-formed JSON that every verb reading the table refuses in one line
+_LONE_SURROGATE_LABEL = _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system="\ud800"))
+_NESTED_TOO_DEEP = _c2_file(data=b"[" * 100_000 + b"]" * 100_000)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -471,6 +476,8 @@ def _c2_file(edit=None, text=None, data=None):
         _c2_file(lambda d: d["orbits"][0]["pairs"][0].update(char_on_generators=[True])),
         _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators=[1.0])),
         _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators="1\n-1")),
+        _LONE_SURROGATE_LABEL,
+        _NESTED_TOO_DEEP,
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
@@ -478,7 +485,7 @@ def _c2_file(edit=None, text=None, data=None):
         "closure-not-index-pairs", "local-system-not-a-string", "no-file",
         "file-is-a-directory", "not-utf8", "rank-overflows", "integer-too-long",
         "d-e-false", "d-e-float", "k-float", "character-true", "character-float",
-        "characters-with-newline",
+        "characters-with-newline", "local-system-lone-surrogate", "nested-too-deep",
     ],
 )
 def test_springer_load_malformed_input(capsys, tmp_path, make):
@@ -489,6 +496,21 @@ def test_springer_load_malformed_input(capsys, tmp_path, make):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_LONE_SURROGATE_LABEL, _NESTED_TOO_DEEP],
+    ids=["local-system-lone-surrogate", "nested-too-deep"],
+)
+@pytest.mark.parametrize(
+    "verb", [("springer", "show"), ("green",), ("green", "--format", "csv")], ids=" ".join
+)
+def test_data_dir_unprintable_or_deep_table(capsys, tmp_path, make, verb):
+    make(tmp_path).rename(tmp_path / "springer_C2.json")
+    code, out, err = run(capsys, *verb, "--type", "C", "--rank", "2", "--data-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_data_dir_table_must_match_request(capsys, tmp_path):

@@ -27,7 +27,6 @@ from greenpoly.weyl import (
     identity_element,
     minus_one_elliptic_classes,
     reduced_word,
-    refl_charpoly,
     simple_generators,
     sp_mul,
 )
@@ -81,29 +80,28 @@ def test_identity_charpoly():
     for fam, r in [("A", 3), ("B", 3), ("D", 4), ("G2", 2)]:
         g = build(WeylType(fam, r))
         ident = g.identity_class
-        assert refl_charpoly(g, ident) == IntPoly((1, -1)) ** g.type.rank
+        assert g.refl_charpoly[ident] == IntPoly((1, -1)) ** g.type.rank
 
 
 def test_reflection_class_charpoly_a1():
     g = build(WeylType("A", 1))
     refl = next(i for i, c in enumerate(g.classes) if c.size == 1 and i != g.identity_class)
-    assert refl_charpoly(g, refl) == IntPoly((1, 1))
+    assert g.refl_charpoly[refl] == IntPoly((1, 1))
 
 
 def test_w0_charpoly_b2():
     g = build(WeylType("B", 2))
     k = g.class_of(g.w0)
-    assert refl_charpoly(g, k) == IntPoly((1, 1)) ** 2
+    assert g.refl_charpoly[k] == IntPoly((1, 1)) ** 2
 
 
 def test_char_values():
     g = build(WeylType("B", 2))
-    for k in range(len(g.classes)):
-        assert g.char_value(g.triv_index, k) == 1
+    assert set(g.char_table[g.triv_index]) == {1}
     # sign character at w0: length of w0 is 4
-    assert g.char_value(g.sgn_index, g.class_of(g.w0)) == 1
+    assert g.char_table[g.sgn_index][g.class_of(g.w0)] == 1
     # reflection character at identity = rank
-    assert g.char_value(g.refl_index, g.identity_class) == 2
+    assert g.char_table[g.refl_index][g.identity_class] == 2
 
 
 def test_minus_one_elliptic():
@@ -116,7 +114,7 @@ def test_minus_one_elliptic():
     for fam, r in [("A", 3), ("B", 3), ("D", 4), ("G2", 2)]:
         gg = build(WeylType(fam, r))
         for k in minus_one_elliptic_classes(gg):
-            assert gg.char_value(gg.sgn_index, k) == 1
+            assert gg.char_table[gg.sgn_index][k] == 1
 
 
 @pytest.mark.parametrize(
@@ -172,11 +170,11 @@ def test_closed_form_classes_match_orbit_partition(family, rank):
             assert weyl.signed_cycle_type(cls.representative) == (cls.label, ())
             continue
         assert cls.representative == min(orb)
+        signed = weyl.signed_cycle_type(cls.representative)
         if family == "G2":
-            assert cls.label == weyl.g2_class_name(cls.representative)
+            assert signed == oracles.G2_SIGNED_TYPES[cls.label]
         else:
-            pos, neg = weyl.signed_cycle_type(cls.representative)
-            assert cls.label[:2] == (pos, neg)
+            assert cls.label[:2] == signed
         if family == "D" and cls.label[2]:
             want = "+" if _split_positive_rep(cls.label[0]) in orb else "-"
             assert cls.label[2] == want
@@ -227,7 +225,7 @@ def test_build_and_twisted_count_never_enumerate(monkeypatch):
     uncached_build = build.__wrapped__
     for fam in ("B", "C", "D"):
         uncached_build(WeylType(fam, 6))
-    for fam, r in (("A", 7), ("D", 5)):
+    for fam, r in (("A", 7), ("D", 5), ("G2", 2)):
         delta_elliptic_count(uncached_build(WeylType(fam, r)))
 
 
@@ -338,25 +336,54 @@ def test_reduced_word_raises_outside_the_group():
 
 def _charpoly_by_products(family, label) -> IntPoly:
     """det_V(1 - qw) of a class label as a product of IntPolys: (1 - q^c)
-    per positive and (1 + q^c) per negative cycle of a B/C/D label; for
-    type A, (1 - q^c) per cycle, divided by 1 - q."""
+    per positive and (1 + q^c) per negative cycle of a B/C/D label, of a
+    type A label (all positive), or of the signed cycle type of a G2 class.
+    In types A and G2 the product is divided by the factor of the line
+    (1, ..., 1): 1 + q if some cycle is negative (then the element is
+    -sigma), else 1 - q."""
+    if family == "A":
+        label = (label, ())
+    elif family == "G2":
+        label = oracles.G2_SIGNED_TYPES[label]
     out = IntPoly((1,))
-    signed = ((label, -1),) if family == "A" else ((label[0], -1), (label[1], 1))
-    for cycles, sign in signed:
+    for cycles, sign in ((label[0], -1), (label[1], 1)):
         for c in cycles:
             out = out * IntPoly((1,) + (0,) * (c - 1) + (sign,))
-    return out.divexact(IntPoly((1, -1))) if family == "A" else out
+    if family in ("A", "G2"):
+        out = out.divexact(IntPoly((1, 1 if label[1] else -1)))
+    return out
 
 
 @pytest.mark.parametrize(
     "family,rank",
     [("B", r) for r in range(2, 9)] + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
-    + [("A", r) for r in range(1, 12)],
+    + [("A", r) for r in range(1, 12)] + [("G2", 2)],
 )
 def test_packed_charpoly_matches_product_oracle(family, rank):
     t = WeylType(family, rank)
     for cls in build(t).classes:
         assert weyl.charpoly_of_label(t, cls.label) == _charpoly_by_products(family, cls.label)
+
+
+def test_g2_closed_forms_match_typed_tables():
+    g = build(WeylType("G2", 2))
+    names = [cls.label for cls in g.classes]
+    assert names == ["e", "w0", "rot60", "rot120", "refl_long", "refl_short"]
+    assert g.irrep_labels == tuple(oracles.G2_TABLE)
+    assert g.char_table == tuple(oracles.G2_TABLE.values())
+    assert g.refl_charpoly == [oracles.G2_CHARPOLY[name] for name in names]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(fam, r) for fam, ranks in SUPPORTED_RANKS.items() for r in ranks],
+)
+def test_braid_order_matches_products(family, rank):
+    t = WeylType(family, rank)
+    g = build(t)
+    for i in range(rank):
+        for j in range(rank):
+            assert braid_order(g, i, j) == oracles.braid_order_by_products(t, i, j), (i, j)
 
 
 def test_braid_orders():
