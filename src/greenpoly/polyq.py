@@ -19,9 +19,10 @@ linear in the length: each value, offset by half its slot, is one run of
 little-endian bytes, so a single `int.from_bytes` or `int.to_bytes` moves them
 all, and a constant bias takes the offsets off again.
 
-`RatFun`, a rational function over Q, has no caller in the library.  It stays
-only because the benchmark tracer still counts calls of `RatFun.__init__`;
-it goes once the tracer stops naming it.
+Nothing here leaves Z[q]: every division is exact (`IntPoly.divexact`, the
+pivots of `adjugate`), and there is no field of fractions.  `RatFun` is a
+placeholder whose constructor raises; it stays only because the benchmark
+tracer still counts calls of `RatFun.__init__`.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class IntPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("IntPoly is immutable")
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def const(c: int) -> "IntPoly":
-        return IntPoly((c,))
 
     # -- structure ------------------------------------------------------
     @property
@@ -214,33 +210,26 @@ class IntPoly:
         return out
 
     def divexact(self, other: "IntPoly") -> "IntPoly":
-        """Exact division; raises ValueError on a nonzero remainder."""
-        q, r = self.divmod(other)
-        if r:
-            raise ValueError(f"inexact polynomial division: remainder {r}")
-        return q
-
-    def divmod(self, other: "IntPoly"):
-        """Division within Z[q]: quotient and remainder, where a nonzero
-        remainder (possibly the partially reduced numerator) means the exact
-        quotient does not lie in Z[q]."""
+        """The quotient self/other in Z[q], by long division.  ValueError when
+        it does not lie in Z[q]: the message shows the numerator as reduced
+        so far, the remainder once the division has run to the end."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         num = list(self.coeffs)
         den = other.coeffs
-        dl = den[-1]
-        out = [0] * max(0, len(num) - len(den) + 1)
+        dl, top = den[-1], len(den) - 1
+        out = [0] * max(0, len(num) - top)
         for k in range(len(out) - 1, -1, -1):
-            c = num[k + len(den) - 1]
-            if c % dl:
-                # quotient leaves Z[q]; signal through the remainder
-                return _poly(out), _poly(num)
-            f = c // dl
+            f, r = divmod(num[k + top], dl)
+            if r:  # the quotient leaves Z[q]
+                break
             out[k] = f
             if f:
                 for j, dj in enumerate(den):
                     num[k + j] -= f * dj
-        return _poly(out), _poly(num)
+        if any(num):
+            raise ValueError(f"inexact polynomial division: remainder {_poly(num)}")
+        return _poly(out)
 
     def divisible_int(self, n: int) -> bool:
         return all(c % n == 0 for c in self.coeffs)
@@ -273,10 +262,6 @@ class IntPoly:
     # -- io ----------------------------------------------------------------
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "IntPoly":
-        return IntPoly(tuple(int(c) for c in obj["coeffs"]))
 
     def __repr__(self):
         return f"IntPoly({self})"
@@ -422,211 +407,10 @@ def adjugate(rows) -> tuple:
     return [[x * sign for x in row[n:]] for row in m], prev * sign
 
 
-# ---------------------------------------------------------------------------
-# rational coefficients
-
-
-def _fr_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _fr_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fr_trim(out)
-
-
-def _fr_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _fr_trim(out)
-
-
-def _fr_neg(a):
-    return tuple(-c for c in a)
-
-
-def _to_int_primitive(a):
-    """Clear denominators and content; returns (int coeff tuple, scale)."""
-    from fractions import Fraction
-    from math import gcd, lcm
-
-    if not a:
-        return (), Fraction(1)
-    den = 1
-    for c in a:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    g = g or 1
-    return tuple(c // g for c in ints), Fraction(g, den)
-
-
-def _int_gcd_poly(a, b):
-    """gcd of integer coefficient tuples via a primitive PRS; result primitive."""
-    from math import gcd
-
-    def content(u):
-        g = 0
-        for c in u:
-            g = gcd(g, c)
-        return g or 1
-
-    def primitive(u):
-        g = content(u)
-        return tuple(c // g for c in u)
-
-    a, b = _trim(a), _trim(b)
-    if not a:
-        return primitive(b) if b else ()
-    if not b:
-        return primitive(a)
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = primitive(a), primitive(b)
-    while True:
-        # pseudo-remainder: scale by the leading coefficient at every step so
-        # everything stays integral, then strip content
-        r = list(a)
-        lc = b[-1]
-        while r and len(r) >= len(b):
-            top = r[-1]
-            shift = len(r) - len(b)
-            r = [lc * c for c in r]
-            for j, bj in enumerate(b):
-                r[shift + j] -= top * bj
-            r = list(_trim(r))
-        if not r:
-            return b
-        a, b = b, primitive(tuple(r))
-
-
 class RatFun:
-    """Reduced rational function num/den with rational coefficients.
+    """Retired: greenpoly computes in Z[q] only.  The name stays because the
+    benchmark tracer counts calls of `RatFun.__init__`; it goes with that
+    counter."""
 
-    Canonical form: gcd(num, den) = 1 and den monic, so equal fractions are
-    componentwise equal.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        from fractions import Fraction
-
-        if isinstance(num, IntPoly):
-            num = tuple(Fraction(c) for c in num.coeffs)
-        if isinstance(den, IntPoly):
-            den = tuple(Fraction(c) for c in den.coeffs)
-        if den is None:
-            den = (Fraction(1),)
-        num = _fr_trim(Fraction(c) for c in num)
-        den = _fr_trim(Fraction(c) for c in den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        num, den = self._reduce(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFun is immutable")
-
-    @staticmethod
-    def _reduce(num, den):
-        from fractions import Fraction
-
-        if not num:
-            return (), (Fraction(1),)
-        ni, ns = _to_int_primitive(num)
-        di, ds = _to_int_primitive(den)
-        g = _int_gcd_poly(ni, di)
-        if len(g) > 1:
-            gp = IntPoly(g)
-            ni = IntPoly(ni).divexact(gp).coeffs
-            di = IntPoly(di).divexact(gp).coeffs
-        scale = ns / ds / di[-1]
-        num = tuple(Fraction(c) * scale for c in ni)
-        den = tuple(Fraction(c, di[-1]) for c in di)
-        return num, den
-
-    @staticmethod
-    def from_int(c) -> "RatFun":
-        return RatFun((c,))
-
-    def is_zero(self):
-        return not self.num
-
-    def is_polynomial(self):
-        return self.den == (1,)
-
-    def as_intpoly(self) -> IntPoly:
-        """Convert to IntPoly; raises if not an integer polynomial."""
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        out = []
-        for c in self.num:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient in {self}")
-            out.append(c.numerator)
-        return IntPoly(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFun)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatFun(
-            _fr_add(_fr_mul(self.num, other.den), _fr_mul(other.num, self.den)),
-            _fr_mul(self.den, other.den),
-        )
-
-    def __neg__(self):
-        return RatFun(_fr_neg(self.num), self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RatFun(_fr_mul(self.num, other.num), _fr_mul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(_fr_mul(self.num, other.den), _fr_mul(self.den, other.num))
-
-    def to_json(self):
-        return {
-            "num": {"coeffs": [str(c) for c in self.num]},
-            "den": {"coeffs": [str(c) for c in self.den]},
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return RatFun(obj["num"]["coeffs"], obj["den"]["coeffs"])
-
-    def __repr__(self):
-        def fmt(cs):
-            return "+".join(f"{c}q^{i}" if i else str(c) for i, c in enumerate(cs)) or "0"
-
-        if self.is_polynomial():
-            return f"RatFun({fmt(self.num)})"
-        return f"RatFun(({fmt(self.num)})/({fmt(self.den)}))"
-
+    def __init__(self, *args):
+        raise TypeError("RatFun is retired: greenpoly computes in Z[q] only")

@@ -33,7 +33,7 @@ from math import copysign, factorial, sqrt
 
 from .charring import VirtualCharacter
 from .lusztigshoji import GreenTableau, k_at_minus_one_inverse
-from .partitions import distinct_partitions, is_distinct
+from .partitions import distinct_partitions, is_distinct, partitions, transpose
 from .springer import q_M_pairing
 from .weyl import (
     WeylGroupData,
@@ -110,6 +110,12 @@ class PinElement:
         self.norm = norm
 
 
+def _a_v(rank: int) -> int:
+    """a_V, the ratio of tr(w)^2 on the spin module to det(1 + w): 2 for odd
+    rank, where the module is the sum of the two simple spin modules, else 1."""
+    return 2 if rank % 2 else 1
+
+
 class PinRep:
     def __init__(self, group: WeylGroupData, n: int, roots: list, volume: dict,
                  volume_norm: int, z_square_sign: int, c: complex):
@@ -123,7 +129,7 @@ class PinRep:
 
     @property
     def a_v(self) -> int:
-        return 2 if self.n % 2 else 1
+        return _a_v(self.n)
 
     @property
     def spin_dim(self) -> int:
@@ -399,8 +405,6 @@ def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
     Closed forms in the partitions of the rank for A-D; for G2 it equals the
     number of elliptic delta-twisted classes, which is computed.
     """
-    from .partitions import partitions, transpose
-
     if family == "A":
         return len(distinct_partitions(rank + 1))
     if family in ("B", "C"):
@@ -427,7 +431,6 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
     jt = tab.table.pair_of(*target)
     to, ts = tab.pairs[jt]
     kinv = k_at_minus_one_inverse(tab)
-    a_v = 2 if tab.group.type.rank % 2 else 1
     rec = tab.table.orbits[to]
     total = 0
     for j, sys2 in zip(tab.table.blocks[to], rec.systems):
@@ -440,7 +443,7 @@ def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
             rec.label, rec.systems[ts].char_mask, sys2.char_mask
         ).eval(-1)
         total += coef * pairing
-    return a_v * total
+    return _a_v(tab.group.type.rank) * total
 
 
 class DiracIndex:

@@ -510,15 +510,17 @@ def load_table(source) -> SpringerTable:
             raise TableFormatError(f"{where}: 'pairs' is not a list")
         for sys in orec["pairs"]:
             _require_keys(sys, ("local_system", "irrep"), f"{where} pair")
-            if not isinstance(sys["local_system"], str):
-                raise TableFormatError(
-                    f"{where}: local_system {sys['local_system']!r} is not a string"
-                )
+            name = sys["local_system"]
+            if not isinstance(name, str):
+                raise TableFormatError(f"{where}: local_system {name!r} is not a string")
             try:
-                sys["local_system"].encode("utf-8")
+                name.encode("utf-8")
             except UnicodeEncodeError:  # no output can print it
+                raise TableFormatError(f"{where}: local_system {name!r} holds a lone surrogate")
+            if not name or "," in name or not name.isprintable():  # one CSV cell, one line
                 raise TableFormatError(
-                    f"{where}: local_system {sys['local_system']!r} holds a lone surrogate"
+                    f"{where}: local_system {name!r} is empty or holds a comma "
+                    "or an unprintable character"
                 )
             mask = 0
             if "char_on_generators" in sys:
@@ -528,13 +530,12 @@ def load_table(source) -> SpringerTable:
                 ):
                     raise TableFormatError(f"{where}: bad char_on_generators {vals!r}")
                 mask = sum(1 << i for i, v in enumerate(vals) if v == -1)
-            elif sys["local_system"] != "triv" and comp.kind != "trivial":
+            elif name != "triv" and comp.kind != "trivial":
                 raise TableFormatError(
-                    f"{where}: nontrivial system {sys['local_system']!r} needs "
-                    "char_on_generators"
+                    f"{where}: nontrivial system {name!r} needs char_on_generators"
                 )
             irrep = _irrep_label_from_json(g, sys["irrep"], where)
-            rec.systems.append(LocalSystem(sys["local_system"], mask, irrep))
+            rec.systems.append(LocalSystem(name, mask, irrep))
         orbits.append(rec)
 
     closure = obj.get("closure", [])

@@ -487,7 +487,7 @@ def solve_per_block(table) -> SimpleNamespace:
         earlier = [coords[jp] + class_values[jp] for jp in range(start)]
         for j, u_all in zip(members, proj):
             sigma = pair_irrep[j]
-            base = [ZERO] * nirr + [IntPoly.const(x) for x in g.char_table[sigma]]
+            base = [ZERO] * nirr + [IntPoly((x,)) for x in g.char_table[sigma]]
             base[sigma] = ONE
             terms = [(ONE, base)]
             for prev_orbit, prev_members in blocks:

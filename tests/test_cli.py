@@ -452,6 +452,10 @@ def _c2_file(edit=None, text=None, data=None):
 # well-formed JSON that every verb reading the table refuses in one line
 _LONE_SURROGATE_LABEL = _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system="\ud800"))
 _NESTED_TOO_DEEP = _c2_file(data=b"[" * 100_000 + b"]" * 100_000)
+# labels that would split a CSV row or a `springer show` line
+_COMMA_NEWLINE_LABEL = _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system="a,b\nc"))
+_EMPTY_LABEL = _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system=""))
+_UNPRINTABLE_LABEL = _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system="s\tgn"))
 
 
 @pytest.mark.parametrize(
@@ -478,6 +482,9 @@ _NESTED_TOO_DEEP = _c2_file(data=b"[" * 100_000 + b"]" * 100_000)
         _c2_file(lambda d: d["orbits"][1]["pairs"][0].update(char_on_generators="1\n-1")),
         _LONE_SURROGATE_LABEL,
         _NESTED_TOO_DEEP,
+        _COMMA_NEWLINE_LABEL,
+        _EMPTY_LABEL,
+        _UNPRINTABLE_LABEL,
     ],
     ids=[
         "rank-out-of-range", "orbit-without-pairs", "non-integer-part",
@@ -486,6 +493,7 @@ _NESTED_TOO_DEEP = _c2_file(data=b"[" * 100_000 + b"]" * 100_000)
         "file-is-a-directory", "not-utf8", "rank-overflows", "integer-too-long",
         "d-e-false", "d-e-float", "k-float", "character-true", "character-float",
         "characters-with-newline", "local-system-lone-surrogate", "nested-too-deep",
+        "local-system-comma-newline", "local-system-empty", "local-system-unprintable",
     ],
 )
 def test_springer_load_malformed_input(capsys, tmp_path, make):
@@ -500,8 +508,10 @@ def test_springer_load_malformed_input(capsys, tmp_path, make):
 
 @pytest.mark.parametrize(
     "make",
-    [_LONE_SURROGATE_LABEL, _NESTED_TOO_DEEP],
-    ids=["local-system-lone-surrogate", "nested-too-deep"],
+    [_LONE_SURROGATE_LABEL, _NESTED_TOO_DEEP, _COMMA_NEWLINE_LABEL, _EMPTY_LABEL,
+     _UNPRINTABLE_LABEL],
+    ids=["local-system-lone-surrogate", "nested-too-deep", "local-system-comma-newline",
+         "local-system-empty", "local-system-unprintable"],
 )
 @pytest.mark.parametrize(
     "verb", [("springer", "show"), ("green",), ("green", "--format", "csv")], ids=" ".join

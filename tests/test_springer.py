@@ -330,6 +330,24 @@ class TestSerialization:
             self._systems(d, [4, 2])[-1].update(local_system="y", char_on_generators=[1, -1])
             load_table(d)
 
+    @pytest.mark.parametrize(
+        "label", ["a,b\nc", "", ",", "a,b", "a\nb", "tab\t", "\u00a0", "zero\u200bwidth", "\x7f",
+                  "\ud800"],
+        ids=["comma-and-newline", "empty", "comma", "comma-inside", "newline", "tab",
+             "no-break-space", "format-character", "delete", "lone-surrogate"],
+    )
+    def test_local_system_label_is_one_printable_cell(self, label):
+        # a label is printed raw as one CSV cell and on one line of
+        # `springer show`: nonempty, no comma, every character printable; a
+        # lone surrogate keeps its own message
+        d = save_table(table_typeC(2))
+        self._systems(d, [2, 2])[1].update(local_system=label)
+        with pytest.raises(TableFormatError) as err:
+            load_table(d)
+        reason = ("holds a lone surrogate" if label == "\ud800"
+                  else "is empty or holds a comma or an unprintable character")
+        assert str(err.value) == f"orbit #1: local_system {label!r} {reason}"
+
 
 # ---------------------------------------------------------------------------
 # derived structure: closure order and pair lookup
@@ -521,9 +539,15 @@ def test_mutated_table_cli_exits_cleanly(obj):
 # ---------------------------------------------------------------------------
 # tables that load: mutations that validation cannot see reach the solver
 
+# labels that `load_table` admits: nonempty, no comma, every character
+# printable (str.isprintable: no category C or Z but the ASCII space)
 _LABELS = st.one_of(
     st.sampled_from(["sgn2", "\u03c3", "\u03b5\u2032", "\u7b26\u53f7", "x y"]),
-    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+    st.text(
+        st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), include_characters=" ",
+                      exclude_characters=","),
+        min_size=1, max_size=6,
+    ),
 )
 
 
