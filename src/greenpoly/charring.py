@@ -325,10 +325,6 @@ def _omega_rows(t: WeylType):
     return tuple(map(tuple, gram))
 
 
-def omega_entry(g: WeylGroupData, i: int, j: int) -> IntPoly:
-    return _omega_rows(g.type)[i][j]
-
-
 def omega_matrix(g: WeylGroupData) -> tuple:
     """Symmetric matrix of graded multiplicities of tensor squares in the
     coinvariant algebra, as rows of IntPolys; row/column order follows the

@@ -188,6 +188,12 @@ def _json_text(obj) -> str:
     return encode(obj)
 
 
+def _csv_field(x) -> str:
+    """x as a CSV field, quoted when it holds a comma or a quote (RFC 4180)."""
+    s = str(x)
+    return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s else s
+
+
 def _emit(fmt: str, payload, csv_rows, pretty_lines):
     """Print the one form that fmt names.  Each form is a function of no
     arguments, called only for the format printed, so a verb builds no form
@@ -196,7 +202,7 @@ def _emit(fmt: str, payload, csv_rows, pretty_lines):
         print(_json_text(payload()))
     elif fmt == "csv":
         for row in csv_rows():
-            print(",".join(str(x) for x in row))
+            print(",".join(map(_csv_field, row)))
     else:
         for line in pretty_lines():
             print(line)

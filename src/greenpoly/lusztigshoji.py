@@ -10,6 +10,12 @@ G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
 (adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
 division that raises SolverError when the quotient leaves Z[q].
 
+Column i is its irreducible minus a Z[q]-combination of earlier columns, and
+the tableau keeps that combination as `GreenTableau.expansion`: pair i maps
+to {j: c} with its irreducible equal to sum c * (column j), c = 1 at j = i.
+So E K^t = I for E the matrix of the c's: the solve gives K's inverse, which
+`spin` reads at q = -1.
+
 A column is one packed row (`polyq.PackedRows`): its coordinates over the
 irreducibles, then its pairings with every irreducible, V[j][a] =
 <chi_a, column j>^q.  Pairings are bilinear, so the irreducible chi_sigma
@@ -57,17 +63,17 @@ class SolverError(RuntimeError):
 
 
 class GreenTableau:
-    def __init__(self, table: SpringerTable, coords: list, M: list, Lam: list,
-                 p: IntPoly, notes: dict | None = None):
+    def __init__(self, table: SpringerTable, coords: list, expansion: list, M: list,
+                 Lam: list, p: IntPoly, notes: dict | None = None):
         self.table = table
         self.group = table.group
         self.pairs = table.pairs  # (orbit index, system index), numbered by the table
         self.coords = tuple(coords)  # per pair: tuple of IntPoly over irreps (the K column)
+        self.expansion = tuple(expansion)  # per pair: {j: c}, irreducible = sum c * column j
         self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
         self.Lam = Lam  # block-diagonal, IntPoly
         self.p = p
         self.notes = {} if notes is None else notes
-        self._k_minus_one_inverse = None  # (coords it was computed from, inverse)
 
     def pair_name(self, j: int) -> str:
         o, s = self.pairs[j]
@@ -127,6 +133,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     store = PackedRows()
     npairs = len(pairs)
     coords: list = []  # K's columns: each column's coordinates
+    expansion: list = []  # per column, its irreducible over the columns
     supports: list = []  # per column, the irreducibles where it is nonzero
     V: list = []  # V[j][a] = <chi_a, column j>^q, taken once per column
     M = [[ZERO] * npairs for _ in range(npairs)]
@@ -165,6 +172,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             base = [ZERO] * nirr + list(gram[sigma])
             base[sigma] = ONE
             row = store.combine(base, terms)
+            expansion.append({j: ONE, **{jp: c for c, jp in terms}})
             col = row[:nirr]
             coords.append(col)
             supports.append({a for a, k in enumerate(col) if k})
@@ -195,6 +203,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     tab = GreenTableau(
         table=table,
         coords=coords,
+        expansion=expansion,
         M=M,
         Lam=Lam,
         p=p,
@@ -376,32 +385,6 @@ def green(tab: GreenTableau, partition, system="triv") -> GradedCharacter:
     return gc
 
 
-def m_matrix(tab: GreenTableau):
-    """M both ways: direct pairings (stored) and p * Lambda^{-1}; must agree.
-
-    Lambda is block diagonal by orbit, so its inverse is taken block by
-    block, as adj / det in Z[q].
-    """
-    n = len(tab.pairs)
-    for a in range(n):
-        for b in range(n):
-            if tab.pairs[a][0] != tab.pairs[b][0]:
-                if tab.Lam[a][b]:
-                    raise SolverError(f"Lambda is not block diagonal at {a},{b}")
-                if tab.M[a][b]:
-                    raise SolverError(f"M mismatch at {a},{b}")
-    for orbit, members in enumerate(tab.table.blocks):
-        adj, det = _inverse_parts(
-            [[tab.Lam[a][b] for b in members] for a in members],
-            f"Lambda block at orbit {tab.table.orbits[orbit].label.partition}",
-        )
-        for adj_row, a in zip(adj, members):
-            for x, b in zip(adj_row, members):
-                if x * tab.p != tab.M[a][b] * det:
-                    raise SolverError(f"M mismatch at {a},{b}")
-    return tab.M
-
-
 def m_block(tab: GreenTableau, orbit: int):
     members = tab.table.blocks[orbit]
     return [[tab.M[a][b] for b in members] for a in members]
@@ -455,30 +438,3 @@ def caction_check(tab: GreenTableau) -> CactionResult:
     strict = ok and all(v == 1 for v in twists.values())
     return CactionResult(ok, twists, strict)
 
-
-def k_at_minus_one_inverse(tab: GreenTableau):
-    """Integer inverse of the unitriangular matrix K(-1), computed once.
-
-    The tableau keeps the inverse with the `coords` it came from, so a
-    tableau whose coords are replaced (say in a copy) computes it afresh.
-    """
-    cached = tab._k_minus_one_inverse
-    if cached is not None and cached[0] is tab.coords:
-        return cached[1]
-    n = len(tab.pairs)
-    K1 = [[tab.k_entry(i, j).eval(-1) for j in range(n)] for i in range(n)]
-    # the back substitution reads only the entries above the diagonal, so
-    # with K1 = U + D + L (U unitriangular, D diagonal, L strictly lower) it
-    # gives U^-1, and K1 U^-1 = I + (D + L) U^-1 is I only when D + L = 0;
-    # its first entry off I, row by row, is the first entry of D + L
-    for i in range(n):
-        for j in range(i + 1):
-            if K1[i][j] != (i == j):
-                raise SolverError(f"K(-1) is not unitriangular: inverse fails at {i},{j}")
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            acc = sum(K1[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = -acc
-    tab._k_minus_one_inverse = (tab.coords, inv)
-    return inv

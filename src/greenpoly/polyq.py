@@ -1,7 +1,9 @@
 """Exact arithmetic over Z[q]: polynomials and matrices of polynomials.
 
-Everything here is immutable and normalized on construction, so equal values
-compare equal componentwise and can be shared freely across threads.
+An `IntPoly` is immutable and normalized on construction, so equal values
+compare equal componentwise and can be shared freely across threads; `ZERO`
+and `ONE` are such shared values.  A `PackedRows` is mutable: it grows with
+each row it combines, and belongs to the one caller that builds it.
 
 All linear algebra stays in Z[q]: `adjugate` inverts a square block up to its
 determinant by fraction-free elimination, and `sparse_matmul` multiplies

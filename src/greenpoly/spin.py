@@ -32,7 +32,7 @@ from functools import cached_property
 from math import copysign, factorial, sqrt
 
 from .charring import VirtualCharacter
-from .lusztigshoji import GreenTableau, k_at_minus_one_inverse
+from .lusztigshoji import GreenTableau
 from .partitions import distinct_partitions, is_distinct, partitions, transpose
 from .springer import q_M_pairing
 from .weyl import (
@@ -42,10 +42,7 @@ from .weyl import (
     braid_order,
     build,
     delta_elliptic_count,
-    identity_element,
     reduced_word,
-    simple_generators,
-    sp_mul,
 )
 
 
@@ -226,28 +223,6 @@ def braid_check(pin: PinRep, tol: float = 1e-10) -> bool:
     return braid_failure(pin) is None
 
 
-def trace_spin(pin: PinRep, word, check: bool = True) -> float:
-    """Trace of the lifted word on the (sum of) spin module(s).
-
-    With check set, verifies tr^2 = a_V det_V(1 + w) exactly against the
-    characteristic polynomial of the underlying group element.
-    """
-    g = pin.group
-    u = pin.lift(word)
-    if check:
-        gens = simple_generators(g.type)
-        cur = identity_element(g.type)
-        for i in word:
-            cur = sp_mul(cur, gens[i])
-        det = g.refl_charpoly[g.class_of(cur)].eval(-1)
-        if not pin.spin_square_holds(u, det):
-            raise PinConstructionError(
-                f"spin-square identity violated: tr^2 = {pin.trace(u) ** 2}, "
-                f"a_V det(1+w) = {pin.a_v * det}"
-            )
-    return pin.trace(u)
-
-
 def spin_traces_by_class(pin: PinRep):
     """One lift trace per conjugacy class (lift fixed by the stored word)."""
     return [pin.trace(u) for u in pin.class_lifts]
@@ -426,17 +401,15 @@ def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
 def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
     """Multiplicity pairing of sigma(e,phi) tensor S against the target
     spin-tensored column: a_V sum_phi'' Kinv(-1)[source,(e',phi'')] *
-    <phi', phi''>^{-1}_{A(e')}."""
+    <phi', phi''>^{-1}_{A(e')}, with Kinv read off the solver's `expansion`."""
     i = tab.table.pair_of(*source)
     jt = tab.table.pair_of(*target)
     to, ts = tab.pairs[jt]
-    kinv = k_at_minus_one_inverse(tab)
+    expansion = tab.expansion[i]
     rec = tab.table.orbits[to]
     total = 0
     for j, sys2 in zip(tab.table.blocks[to], rec.systems):
-        # expansion of the source irreducible over the X-basis reads off the
-        # transposed inverse (columns of K are the X coordinates)
-        coef = kinv[j][i]
+        coef = expansion[j].eval(-1) if j in expansion else 0
         if not coef:
             continue
         pairing = q_M_pairing(

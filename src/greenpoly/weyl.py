@@ -11,14 +11,12 @@ types (mu+, mu-) for B/C, of size 2^n n!/z; for D the labels with an even
 number of negative cycles, where a label with mu- empty and all parts of mu+
 even splits into "+" and "-" halves; and for G2 the pairs (mu, eps) of an S_3
 cycle type and a sign, the class of eps sigma for sigma of type mu, named in
-`_G2_CLASSES`.  Class representatives follow two conventions.  In
-type A the class of cycle type lam is represented by the product of cycles on
-consecutive points, longest first (i -> i+1 within each block), which is not
-in general the least element: A2's class (2,1) is represented by (2,1,3),
-while its least element is (1,3,2).  In types B/C/D and G2 the representative
-is the lexicographically least element of the class: for G2 it is written
-down from (mu, eps) (`_g2_least`); for B/C/D it is found by a pruned search
-(`_lex_elements`) on its first read and then kept, so `build` reads none.
+`_G2_CLASSES`.  Every class is represented by its lexicographically least
+element.  In type A that is the product of cycles on consecutive points,
+shortest first (i -> i+1 within each block; A2's class (2,1) is (1,3,2)),
+and for G2 it is written down from (mu, eps) (`_g2_least`); for B/C/D it is
+found by a pruned search (`_lex_elements`) on its first read and then kept,
+so `build` reads none.
 `class_of` computes an element's label.  `reduced_word` finds descents from
 the simple roots of `_ambient_simple_roots`, the same roots the pin layer
 lifts, and `braid_order` reads the Coxeter exponent m_ij off the angle
@@ -537,7 +535,7 @@ def _consecutive_cycles(parts) -> tuple:
 
 def _build_A(t: WeylType):
     n = t.rank + 1
-    classes = [ConjClass(cycle_type_size(n, lab), lab, _consecutive_cycles(lab))
+    classes = [ConjClass(cycle_type_size(n, lab), lab, _consecutive_cycles(lab[::-1]))
                for lab in partitions(n)]
     irreps = partitions(n)
     table = tuple(

@@ -24,7 +24,6 @@ from greenpoly.charring import (
     minus_one_gram,
     minus_one_gram_rank,
     minus_one_pairing,
-    omega_entry,
     omega_matrix,
     poincare_poly,
     q_elliptic_gram,
@@ -172,18 +171,19 @@ def test_omega_a1():
     assert om[0][0] == P(1)
     q = P(0, 1)
     i, j = g.triv_index, g.sgn_index
-    assert omega_entry(g, i, j) == q
-    assert omega_entry(g, i, i) == P(1)
+    assert om[i][j] == q
+    assert om[i][i] == P(1)
 
 
 def test_omega_symmetric_and_triv_column():
     for fam, r in [("A", 2), ("B", 2)]:
         g = build(WeylType(fam, r))
+        om = omega_matrix(g)
         n = len(g.irrep_labels)
         for i in range(n):
-            assert omega_entry(g, i, g.triv_index) == fake_degree(g, i)
+            assert om[i][g.triv_index] == fake_degree(g, i)
             for j in range(n):
-                assert omega_entry(g, i, j) == omega_entry(g, j, i)
+                assert om[i][j] == om[j][i]
 
 
 def test_gram_times_omega_is_p_identity():

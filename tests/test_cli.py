@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -641,6 +642,53 @@ def test_csv_verbs_print_csv(capsys):
         assert code == 0 and "," in out and not out.lstrip().startswith(("{", "["))
 
 
+def _csv_and_json(capsys, *args):
+    """The CSV rows of a command, checked to be of one length, and its JSON."""
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len({len(row) for row in rows}) == 1, args
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    return rows, json.loads(out)
+
+
+def _check_green_csv(capsys, *args):
+    rows, data = _csv_and_json(capsys, "green", *args)
+    assert rows[0] == [""] + data["pairs"]
+    assert [row[0] for row in rows[1:]] == data["pairs"]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2), ("C", 2)])
+def test_csv_parses_with_the_json_labels(capsys, fam, rank):
+    # labels hold commas of their own, so such a field is quoted (RFC 4180):
+    # every CSV form parses into rows of one length, labelled as in the JSON
+    grp = ("--type", fam, "--rank", str(rank))
+    rows, data = _csv_and_json(capsys, "wg", "classes", *grp)
+    assert rows == [["label", "size"]] + [[c["label"], str(c["size"])] for c in data]
+    rows, data = _csv_and_json(capsys, "wg", "chartable", *grp)
+    assert rows == [[""] + data["classes"]] + [
+        [label] + list(map(str, row)) for label, row in zip(data["irreps"], data["table"])
+    ]
+    rows, data = _csv_and_json(capsys, "pairing", "gram", *grp)
+    assert rows == [[label] + row for label, row in zip(data["irreps"], data["gram"])]
+    rows, data = _csv_and_json(capsys, "fakedeg", *grp)
+    assert [row[0] for row in rows] == [d["irrep"] for d in data]
+    if fam in ("A", "C"):  # the orbit tables: GL(3) and Sp(4)
+        _check_green_csv(capsys, *grp)
+
+
+def test_csv_quotes_a_double_quote(capsys, tmp_path):
+    # a loaded local system may hold a double quote, doubled inside the quotes
+    _c2_file(lambda d: d["orbits"][1]["pairs"][1].update(local_system='s"gn'))(tmp_path).rename(
+        tmp_path / "springer_C2.json"
+    )
+    code, out, _ = run(capsys, "green", "--type", "C", "--rank", "2", "--format", "csv",
+                       "--data-dir", str(tmp_path))
+    assert code == 0 and '"(2, 2):s""gn"' in out
+    _check_green_csv(capsys, "--type", "C", "--rank", "2", "--data-dir", str(tmp_path))
+
+
 def test_deterministic_output(capsys):
     a = run(capsys, "green", "--type", "C", "--rank", "2", "--json")
     b = run(capsys, "green", "--type", "C", "--rank", "2", "--json")
@@ -673,8 +721,7 @@ def test_qell_gram_entries_print_as_str(capsys, fam, rank):
     assert json.loads(out)["gram"] == want
     code, out, _ = run(capsys, "pairing", "gram", *grp, "--format", "csv")
     assert code == 0
-    # a label holds commas of its own, so the entries are the last fields
-    assert [line.split(",")[-len(want):] for line in out.splitlines()] == want
+    assert [row[1:] for row in csv.reader(out.splitlines())] == want
 
 
 def test_pairing_gram_delta_matches_minusone(capsys):

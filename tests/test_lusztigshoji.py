@@ -13,19 +13,18 @@ from greenpoly.lusztigshoji import (
     caction_check,
     green,
     isometry_check,
-    k_at_minus_one_inverse,
     kl_width,
     m_block,
-    m_matrix,
     omega_at,
     omega_on_pairs,
     solve,
     verify,
 )
 from greenpoly.partitions import partitions, transpose
-from greenpoly.polyq import IntPoly, PackedRows, slot_bits, sparse_matmul
+from greenpoly.polyq import ONE, ZERO, IntPoly, PackedRows, slot_bits, sparse_matmul
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
+from conftest import SOLVED_TABLES
 from oracles import (
     caction_check_by_class,
     class_gram,
@@ -127,9 +126,15 @@ class TestChecks:
                     (name, detail) for name, ok, detail in report if not ok
                 ]
 
-    def test_m_matrix_cross_check(self, tableau):
-        for key in [("A", 3), ("C", 2), ("C", 3)]:
-            m_matrix(tableau(*key))
+    def test_lambda_vanishes_off_the_orbit_blocks(self, tableau):
+        for key in SOLVED_TABLES:
+            tab = tableau(*key)
+            orbit = [o for o, _ in tab.pairs]
+            off = [
+                (a, b) for a, row in enumerate(tab.Lam) for b, x in enumerate(row)
+                if x and orbit[a] != orbit[b]
+            ]
+            assert off == [], key
 
     def test_isometry(self, tableau):
         tab = tableau("C", 2)
@@ -156,47 +161,6 @@ class TestChecks:
             green(tab, (4,))
         with pytest.raises(KeyError):
             green(tab, (2, 1), "sgn")
-
-    def test_k_minus_one_inverse(self, tableau):
-        tab = tableau("C", 3)
-        k_at_minus_one_inverse(tab)  # verifies internally
-
-    def test_k_minus_one_inverse_cached_per_coords(self, tableau):
-        tab = tableau("A", 4)
-        inv = k_at_minus_one_inverse(tab)
-        assert k_at_minus_one_inverse(tab) is inv
-        # a copy with other columns gets its own inverse, not the cached one
-        n = len(tab.pairs)
-        coords = list(tab.coords)
-        col = list(coords[n - 1])
-        irrep = tab.table.pair_irreps[0]
-        col[irrep] = col[irrep] + P(1)
-        coords[n - 1] = tuple(col)
-        bad = copy.copy(tab)
-        bad.coords = coords
-        other = k_at_minus_one_inverse(bad)
-        assert other != inv and other[0][n - 1] == inv[0][n - 1] - 1
-        assert k_at_minus_one_inverse(tab) is inv
-        # K(-1) below the diagonal: the inverse check raises, also under -O
-        coords = list(tab.coords)
-        col = list(coords[0])
-        col[tab.table.pair_irreps[n - 1]] = P(1)
-        coords[0] = tuple(col)
-        bad = copy.copy(tab)
-        bad.coords = coords
-        with pytest.raises(SolverError, match="unitriangular"):
-            k_at_minus_one_inverse(bad)
-        # a diagonal entry of K(-1) other than 1: 1 + q is 0 at q = -1
-        j = n // 2
-        coords = list(tab.coords)
-        col = list(coords[j])
-        irrep = tab.table.pair_irreps[j]
-        col[irrep] = col[irrep] + P(0, 1)
-        coords[j] = tuple(col)
-        bad = copy.copy(tab)
-        bad.coords = coords
-        with pytest.raises(SolverError, match=f"not unitriangular: inverse fails at {j},{j}"):
-            k_at_minus_one_inverse(bad)
 
     @pytest.mark.parametrize("key", [("A", 4), ("C", 3)])
     def test_failure_witnesses(self, tableau, key):
@@ -350,6 +314,20 @@ def test_solve_matches_per_block_oracle(tableau, key):
     assert tab.M == want.M
     assert tab.Lam == want.Lam
     assert tab.p == want.p
+
+
+@pytest.mark.parametrize(
+    "ambient,n", [*SOLVED_TABLES, pytest.param("A", 12, marks=pytest.mark.gl12)]
+)
+def test_expansion_inverts_k(tableau, ambient, n):
+    # the irreducible of pair i is sum_j E_ij X_j, so E K^t = I over Z[q]
+    tab = tableau(ambient, n)
+    K = tab.k_matrix()
+    for i, terms in enumerate(tab.expansion):
+        assert terms[i] == ONE
+        for r, k_row in enumerate(K):
+            got = sum((c * k_row[j] for j, c in terms.items() if k_row[j]), ZERO)
+            assert got == (ONE if r == i else ZERO), (i, r)
 
 
 def test_m_takes_cross_orbit_entries_in_full(monkeypatch):

@@ -70,7 +70,7 @@ def test_mutable_defaults_are_per_instance():
     assert t2.greater == set()
 
     g = build(WeylType("A", 2))
-    tabs = [GreenTableau(t1, [], [], [], ONE) for _ in range(2)]
+    tabs = [GreenTableau(t1, [], [], [], [], ONE) for _ in range(2)]
     tabs[0].notes["x"] = 1
     assert tabs[1].notes == {}
 

@@ -4,10 +4,10 @@ import pytest
 
 from greenpoly import charring
 from greenpoly.charring import VirtualCharacter
+from greenpoly.lusztigshoji import GreenTableau
 from greenpoly.partitions import distinct_partitions
 from greenpoly.spin import (
     DiracIndex,
-    PinConstructionError,
     braid_check,
     braid_failure,
     build_pin,
@@ -22,7 +22,6 @@ from greenpoly.spin import (
     sign_twist_space_dimension,
     spin_traces_by_class,
     tensor_spin_multiplicity,
-    trace_spin,
 )
 from greenpoly.springer import nsol_predicate
 from greenpoly.weyl import (
@@ -31,6 +30,8 @@ from greenpoly.weyl import (
     build,
     delta_elliptic_count,
     reduced_word,
+    simple_generators,
+    sp_mul,
 )
 
 from conftest import SOLVED_TABLES
@@ -87,12 +88,11 @@ class TestPinRep:
 
     def test_identity_trace_is_spin_dim(self, pins):
         pin = pins("B", 3)
-        word = ()
-        t = trace_spin(pin, word)
+        t = pin.trace(pin.lift(()))
         # odd rank: S+ + S-: 2 * 2^{(n-1)/2} = 2^{(n+1)/2}
         assert abs(t - 2 ** 2) < 1e-12
         pin = pins("B", 2)
-        assert abs(trace_spin(pin, ()) - 2) < 1e-12
+        assert abs(pin.trace(pin.lift(())) - 2) < 1e-12
 
     def test_s3_coxeter_value(self, pins):
         pin = pins("A", 2)
@@ -112,18 +112,18 @@ class TestPinRep:
         pin = pins("A", 2)
         # the check is exact: it passes on a true lift with no tolerance at
         # all, and a lift off the root direction breaks it
-        trace_spin(pin, (0, 1))
-        bad = build_pin(pin.group)
+        g = pin.group
+        gens = simple_generators(g.type)
+        det = g.refl_charpoly[g.class_of(sp_mul(gens[0], gens[1]))].eval(-1)
+        assert pin.spin_square_holds(pin.lift((0, 1)), det)
+        bad = build_pin(g)
         bad.roots[0] = (1, 0, 0)  # orthogonal to alpha_1: x_0 = 0, det(1 + w) = 1
-        with pytest.raises(PinConstructionError):
-            trace_spin(bad, (0, 1))
+        assert not bad.spin_square_holds(bad.lift((0, 1)), det)
 
     def test_squared_values_lift_independent(self, pins):
         # conjugating the representative changes the lift at most by sign
         pin = pins("B", 2)
         g = pin.group
-        from greenpoly.weyl import simple_generators, sp_mul
-
         gens = simple_generators(g.type)
         for cls in g.classes:
             w = cls.representative
@@ -139,7 +139,7 @@ class TestPinRep:
         # representative.  The numpy oracle reuses those words, so only these
         # recorded values pin them.
         words = {
-            ("A", 4): [(0, 1, 2, 3), (0, 1, 2), (3, 0, 1), (0, 1), (2, 0), (0,), ()],
+            ("A", 4): [(0, 1, 2, 3), (1, 2, 3), (2, 3, 0), (2, 3), (3, 1), (3,), ()],
             ("B", 3): [
                 (), (0, 1, 2, 1, 0), (2, 0, 1, 2, 0), (1, 2, 0, 1, 2, 0, 1, 0),
                 (2, 0, 1, 0), (2, 1, 2, 0, 1, 2), (2, 0, 1, 2, 0, 1),
@@ -156,12 +156,18 @@ class TestPinRep:
         for (fam, rank), want in words.items():
             g = pins(fam, rank).group
             assert [reduced_word(g, cls.representative) for cls in g.classes] == want
-        pin = pins("C", 3)
         r8 = 2 * 2**0.5
-        traces = [4.0, 0.0, 0.0, 0.0, r8, 0.0, -2.0, 0.0, 0.0, 0.0]
-        index = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, r8, 2.0]
-        assert spin_traces_by_class(pin) == pytest.approx(traces, abs=1e-12)
-        assert index_traces_by_class(pin) == pytest.approx(index, abs=1e-12)
+        pinned = {
+            ("A", 4): ([1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 4.0], [5**0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            ("C", 3): (
+                [4.0, 0.0, 0.0, 0.0, r8, 0.0, -2.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, r8, 2.0],
+            ),
+        }
+        for (fam, rank), (traces, index) in pinned.items():
+            pin = pins(fam, rank)
+            assert spin_traces_by_class(pin) == pytest.approx(traces, abs=1e-12)
+            assert index_traces_by_class(pin) == pytest.approx(index, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +337,16 @@ def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n
     flags = [index_flags_by_class_sums(tab, j) for j in range(len(names))]
     strict = [(tab.table.pair_of(lam), lam) for lam in distinct_partitions(n)] if ambient == "A" else []
     betti = [alternating_betti_by_class_value(tab, j) for j, _ in strict]
+    multiplicity = [[tensor_spin_multiplicity_oracle(tab, pa, pb) for pb in names] for pa in names]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the spin layer took a class sum or a class value")
+        raise AssertionError("the spin layer took a class sum, a class value or K")
 
     monkeypatch.setattr(charring, "_pair", refuse)
     monkeypatch.setattr(charring, "_class_gram", refuse)
+    # the multiplicities read K^{-1} off the solver's expansion, not off K
+    monkeypatch.setattr(GreenTableau, "k_entry", refuse)
+    monkeypatch.setattr(GreenTableau, "k_matrix", refuse)
     with monkeypatch.context() as m:
         m.setattr(VirtualCharacter, "values", property(refuse))
         for (j, lam), want in zip(strict, betti):
@@ -345,6 +355,7 @@ def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n
         for a, pa in enumerate(names):
             for b, pb in enumerate(names):
                 assert sigma_tilde_pairing(tab, pin, pa, pb) == pairing[a][b], (pa, pb)
+                assert tensor_spin_multiplicity(tab, pa, pb) == multiplicity[a][b], (pa, pb)
     for j, (lam, phi) in enumerate(names):
         assert sigma_tilde(tab, pin, lam, phi).exact_norm == pairing[j][j], (lam, phi)
         di = dirac_index_char(tab, pin, lam, phi)
@@ -425,7 +436,7 @@ class TestCharFormula:
         pin = pins("A", 2)
         st = sigma_tilde(tab, pin, (3,))
         ident = tab.group.identity_class
-        dim_s = trace_spin(pin, ())
+        dim_s = pin.trace(pin.lift(()))
         assert abs(st.values[ident] / dim_s - 1) < 1e-9  # X_{-1}(1) = 1 on a point
 
 
@@ -491,7 +502,7 @@ class TestDiracIndex:
         pin = pins("A", 2)
         di = dirac_index_char(tab, pin, (3,))
         ident = tab.group.identity_class
-        assert abs(di.coset_values[ident] - trace_spin(pin, ())) < 1e-9
+        assert abs(di.coset_values[ident] - pin.trace(pin.lift(()))) < 1e-9
 
 
 class TestReferenceCounts:

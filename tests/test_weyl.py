@@ -166,12 +166,11 @@ def test_closed_form_classes_match_orbit_partition(family, rank):
         cls = g.classes[k]
         assert cls.size == len(orb)
         assert cls.representative in orb
-        if family == "A":  # not the least element: its convention is pinned below
-            assert weyl.signed_cycle_type(cls.representative) == (cls.label, ())
-            continue
         assert cls.representative == min(orb)
         signed = weyl.signed_cycle_type(cls.representative)
-        if family == "G2":
+        if family == "A":
+            assert signed == (cls.label, ())
+        elif family == "G2":
             assert signed == oracles.G2_SIGNED_TYPES[cls.label]
         else:
             assert cls.label[:2] == signed
@@ -181,23 +180,12 @@ def test_closed_form_classes_match_orbit_partition(family, rank):
     assert len(found) == len(g.classes)
 
 
-@pytest.mark.parametrize("rank", range(1, 9))
+@pytest.mark.parametrize("rank", range(1, 12))
 def test_type_a_representatives_are_consecutive_cycles(rank):
-    # not the least element of the class: the spin traces' signs depend on
-    # these representatives, so the convention is pinned
+    # the least element of the class, as the search above finds it up to
+    # A5: cycles on consecutive points, shortest first
     for cls in build(WeylType("A", rank)).classes:
-        w, start = [], 0
-        for c in cls.label:
-            w += list(range(start + 2, start + c + 1)) + [start + 1]
-            start += c
-        assert cls.representative == tuple(w)
-
-
-def test_type_a_representative_is_not_least():
-    g = build(WeylType("A", 2))
-    rep = next(c.representative for c in g.classes if c.label == (2, 1))
-    orbit = next(o for o in brute_force_classes(WeylType("A", 2)) if rep in o)
-    assert rep == (2, 1, 3) and min(orbit) == (1, 3, 2)
+        assert cls.representative == _split_positive_rep(cls.label[::-1])
 
 
 @pytest.mark.parametrize(
