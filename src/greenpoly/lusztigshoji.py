@@ -10,12 +10,6 @@ G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
 (adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
 division that raises SolverError when the quotient leaves Z[q].
 
-Column i is its irreducible minus a Z[q]-combination of earlier columns, and
-the tableau keeps that combination as `GreenTableau.expansion`: pair i maps
-to {j: c} with its irreducible equal to sum c * (column j), c = 1 at j = i.
-So E K^t = I for E the matrix of the c's: the solve gives K's inverse, which
-`spin` reads at q = -1.
-
 A column is one packed row (`polyq.PackedRows`): its coordinates over the
 irreducibles, then its pairings with every irreducible, V[j][a] =
 <chi_a, column j>^q.  Pairings are bilinear, so the irreducible chi_sigma
@@ -29,9 +23,10 @@ nonzero (`_gram_column`): an entry within a block is the lookup
 V[j][sigma_i] once column j pairs to zero with every earlier irreducible,
 and an entry across orbits is then an empty sum; a column that does not
 pair to zero gets those entries in full.  So M holds true pairings, which
-`cross_orbit_orthogonality` checks.  No check forms a class value of a
-column: the twisted-trace identity is checked on the coordinates
-(`caction_check`).
+`cross_orbit_orthogonality` checks.  The tableau keeps V as
+`GreenTableau.pairings`, which `spin` reads at q = -1.  No check forms a
+class value of a column: the twisted-trace identity is checked on the
+coordinates (`caction_check`).
 
 `verify` takes Lambda M and K Lambda as exact products that skip zero
 factors (`polyq.sparse_matmul`), and checks K Lambda K^t = Omega at the one
@@ -63,13 +58,13 @@ class SolverError(RuntimeError):
 
 
 class GreenTableau:
-    def __init__(self, table: SpringerTable, coords: list, expansion: list, M: list,
+    def __init__(self, table: SpringerTable, coords: list, pairings: list, M: list,
                  Lam: list, p: IntPoly, notes: dict | None = None):
         self.table = table
         self.group = table.group
         self.pairs = table.pairs  # (orbit index, system index), numbered by the table
         self.coords = tuple(coords)  # per pair: tuple of IntPoly over irreps (the K column)
-        self.expansion = tuple(expansion)  # per pair: {j: c}, irreducible = sum c * column j
+        self.pairings = tuple(pairings)  # per pair: tuple over irreps a of <chi_a, column>^q
         self.M = M  # full Gram matrix of q-elliptic pairings, IntPoly
         self.Lam = Lam  # block-diagonal, IntPoly
         self.p = p
@@ -133,7 +128,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     store = PackedRows()
     npairs = len(pairs)
     coords: list = []  # K's columns: each column's coordinates
-    expansion: list = []  # per column, its irreducible over the columns
     supports: list = []  # per column, the irreducibles where it is nonzero
     V: list = []  # V[j][a] = <chi_a, column j>^q, taken once per column
     M = [[ZERO] * npairs for _ in range(npairs)]
@@ -172,7 +166,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             base = [ZERO] * nirr + list(gram[sigma])
             base[sigma] = ONE
             row = store.combine(base, terms)
-            expansion.append({j: ONE, **{jp: c for c, jp in terms}})
             col = row[:nirr]
             coords.append(col)
             supports.append({a for a, k in enumerate(col) if k})
@@ -183,8 +176,6 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             [[M[a][b] for b in members] for a in members],
             f"within-orbit Gram block at orbit {table.orbits[orbit].label.partition}",
         ))
-
-    coords = list(map(tuple, coords))
 
     p = poincare_poly(g)
     Lam = [[ZERO] * npairs for _ in range(npairs)]
@@ -202,8 +193,8 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
 
     tab = GreenTableau(
         table=table,
-        coords=coords,
-        expansion=expansion,
+        coords=map(tuple, coords),
+        pairings=map(tuple, V),
         M=M,
         Lam=Lam,
         p=p,

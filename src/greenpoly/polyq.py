@@ -202,6 +202,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPoly":
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = IntPoly((1,))
         base = self
         while k:

@@ -20,10 +20,11 @@ is checked as an equality of integers.  Every integer the layer reports
 is read off the solved tableau, with no class sum: pairings are bilinear and
 evaluation at q0 is a ring map, so the entry M_ab(q0) of the q-elliptic Gram
 of the Green columns is the pairing < X_q0(a), X_q0(b) >^q0, and the
-alternating Betti sum X_{-1}(1) is sum_a K_aj(-1) dim chi_a.  Class values
-of a column are formed only for the class functions that `sigma_tilde` and
-`dirac_index_char` return for printing, and for `char_formula_check`, which
-tests them; floats appear only in those values.
+alternating Betti sum X_{-1}(1) is sum_a K_aj(-1) dim chi_a.  A tensor
+multiplicity is one stored pairing, of an irreducible with a column, at -1.
+Class values of a column are formed only for the class functions that
+`sigma_tilde` and `dirac_index_char` return for printing, and for
+`char_formula_check`, which tests them; floats appear only in those values.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from math import copysign, factorial, sqrt
 from .charring import VirtualCharacter
 from .lusztigshoji import GreenTableau
 from .partitions import distinct_partitions, is_distinct, partitions, transpose
-from .springer import q_M_pairing
 from .weyl import (
     WeylGroupData,
     WeylType,
@@ -399,24 +399,19 @@ def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
 
 
 def tensor_spin_multiplicity(tab: GreenTableau, source, target) -> int:
-    """Multiplicity pairing of sigma(e,phi) tensor S against the target
-    spin-tensored column: a_V sum_phi'' Kinv(-1)[source,(e',phi'')] *
-    <phi', phi''>^{-1}_{A(e')}, with Kinv read off the solver's `expansion`."""
-    i = tab.table.pair_of(*source)
-    jt = tab.table.pair_of(*target)
-    to, ts = tab.pairs[jt]
-    expansion = tab.expansion[i]
-    rec = tab.table.orbits[to]
-    total = 0
-    for j, sys2 in zip(tab.table.blocks[to], rec.systems):
-        coef = expansion[j].eval(-1) if j in expansion else 0
-        if not coef:
-            continue
-        pairing = q_M_pairing(
-            rec.label, rec.systems[ts].char_mask, sys2.char_mask
-        ).eval(-1)
-        total += coef * pairing
-    return _a_v(tab.group.type.rank) * total
+    """Multiplicity pairing of sigma(e,phi) tensor S against the target's
+    spin-tensored column: a_V <chi_sigma, X_{-1}(e',phi')>^{-1}_W, one
+    pairing the solver keeps (`GreenTableau.pairings`), read at q = -1.
+
+    This is the paper's a_V sum_phi'' Kinv(-1)[(e,phi),(e',phi'')]
+    <phi', phi''>^{-1}_{A(e')}: chi_sigma = sum_j Kinv_j X_j, so by
+    bilinearity the pairing is sum_j Kinv_j <X_j, X(e',phi')>; and `verify`
+    checks the component-group isometry and the orthogonality across orbits,
+    so <X_j, X(e',phi')> is <phi', phi''>_{A(e')} if X_j = X(e',phi''), else 0.
+    """
+    sigma = tab.table.pair_irreps[tab.table.pair_of(*source)]
+    pairing = tab.pairings[tab.table.pair_of(*target)][sigma]
+    return _a_v(tab.group.type.rank) * pairing.eval(-1)
 
 
 class DiracIndex:

@@ -34,7 +34,9 @@ flags as the columns' (+-1)-elliptic norms (`index_flags_by_class_sums`),
 the alternating Betti sum as the column's value at the identity
 (`alternating_betti_by_class_value`), and the tensor multiplicity as one
 class sum against the source pair's irreducible
-(`tensor_spin_multiplicity_oracle`).
+(`tensor_spin_multiplicity_oracle`).  For the paper's form of the
+multiplicity, `k_at_minus_one_inverse` is K(-1)^{-1} by integer back
+substitution.
 
 Schur's spin characters of the double cover of S_n: `schur_spin_character`
 reads X^lambda_rho off Q_lambda in power sums (`schur_q`), the Pfaffian of the
@@ -288,6 +290,21 @@ def tensor_spin_multiplicity_oracle(tab: GreenTableau, source, target) -> int:
     x = _column_at(tab, tab.table.pair_of(*target), -1)
     a_v = 2 if g.type.rank % 2 else 1
     return a_v * minus_one_pairing(sigma, x)
+
+
+def k_at_minus_one_inverse(tab: GreenTableau) -> list:
+    """K(-1)^{-1} by integer back substitution.  Column j of K holds the
+    irreducibles of the pairs i <= j only, with 1 at i = j, so K(-1) is
+    upper unitriangular in pair order and its inverse is exact over Z."""
+    n = len(tab.pairs)
+    K = [[tab.k_entry(i, j).eval(-1) for j in range(n)] for i in range(n)]
+    if any(K[i][j] != int(i == j) for i in range(n) for j in range(i + 1)):
+        raise ValueError("K(-1) is not upper unitriangular in pair order")
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        for r in range(c - 1, -1, -1):
+            inv[r][c] = -sum(K[r][k] * inv[k][c] for k in range(r + 1, c + 1))
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -316,18 +316,16 @@ def test_solve_matches_per_block_oracle(tableau, key):
     assert tab.p == want.p
 
 
-@pytest.mark.parametrize(
-    "ambient,n", [*SOLVED_TABLES, pytest.param("A", 12, marks=pytest.mark.gl12)]
-)
-def test_expansion_inverts_k(tableau, ambient, n):
-    # the irreducible of pair i is sum_j E_ij X_j, so E K^t = I over Z[q]
+@pytest.mark.parametrize("ambient,n", SOLVED_TABLES)
+def test_pairings_are_the_gram_times_k(tableau, ambient, n):
+    # the tableau keeps <chi_a, column j>^q, which is sum_b G_ab K_bj for G
+    # the q-elliptic Gram of the irreducibles, here by class sums
     tab = tableau(ambient, n)
-    K = tab.k_matrix()
-    for i, terms in enumerate(tab.expansion):
-        assert terms[i] == ONE
-        for r, k_row in enumerate(K):
-            got = sum((c * k_row[j] for j, c in terms.items() if k_row[j]), ZERO)
-            assert got == (ONE if r == i else ZERO), (i, r)
+    g = tab.group
+    gram = class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
+    for j, col in enumerate(tab.coords):
+        want = tuple(sum((x * k for x, k in zip(row, col) if k), ZERO) for row in gram)
+        assert tab.pairings[j] == want, tab.pair_name(j)
 
 
 def test_m_takes_cross_orbit_entries_in_full(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.polyq import (
+    ONE,
     IntPoly,
     Q,
     pack_ints,
@@ -12,6 +13,8 @@ from greenpoly.polyq import (
     sparse_matmul,
     split_ints,
 )
+
+from conftest import run_fresh
 
 
 def P(*coeffs):
@@ -30,6 +33,22 @@ class TestIntPoly:
     def test_hand_expansion(self):
         # (1-q^2)(1-q^3) = 1 - q^2 - q^3 + q^5
         assert P(1, 0, -1) * P(1, 0, 0, -1) == P(1, 0, -1, -1, 0, 1)
+
+    def test_power(self):
+        assert P(1, 1) ** 0 == ONE
+        assert P(1, 1) ** 3 == P(1, 3, 3, 1)
+
+    def test_negative_power_raises(self):
+        # a negative exponent once looped forever (-1 >> 1 is -1), so the
+        # call runs in a fresh interpreter with a timeout
+        code = (
+            "from greenpoly.polyq import IntPoly\n"
+            "try:\n"
+            "    IntPoly((1, 1)) ** -1\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        assert run_fresh(code, timeout=10, text=True).stdout == "ValueError\n"
 
     def test_normalization(self):
         assert IntPoly((1, 0, 0)).coeffs == (1,)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from greenpoly import charring
+from greenpoly import charring, springer
 from greenpoly.charring import VirtualCharacter
 from greenpoly.lusztigshoji import GreenTableau
 from greenpoly.partitions import distinct_partitions
@@ -40,6 +40,7 @@ from oracles import (
     index_flags_by_class_sums,
     schur_spin_character,
     spin_pairings_by_class_sums,
+    k_at_minus_one_inverse,
     tensor_spin_multiplicity_oracle,
 )
 
@@ -340,13 +341,18 @@ def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n
     multiplicity = [[tensor_spin_multiplicity_oracle(tab, pa, pb) for pb in names] for pa in names]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the spin layer took a class sum, a class value or K")
+        raise AssertionError(
+            "the spin layer took a class sum, a class value, K or a component-group pairing"
+        )
 
     monkeypatch.setattr(charring, "_pair", refuse)
     monkeypatch.setattr(charring, "_class_gram", refuse)
-    # the multiplicities read K^{-1} off the solver's expansion, not off K
+    # the multiplicities read one pairing the solver keeps, not K or K^{-1}
     monkeypatch.setattr(GreenTableau, "k_entry", refuse)
     monkeypatch.setattr(GreenTableau, "k_matrix", refuse)
+    # nor the component-group pairing: swapping the code object reaches every
+    # name bound to q_M_pairing, wherever it was imported
+    monkeypatch.setattr(springer.q_M_pairing, "__code__", refuse.__code__)
     with monkeypatch.context() as m:
         m.setattr(VirtualCharacter, "values", property(refuse))
         for (j, lam), want in zip(strict, betti):
@@ -440,6 +446,34 @@ class TestCharFormula:
         assert abs(st.values[ident] / dim_s - 1) < 1e-9  # X_{-1}(1) = 1 on a point
 
 
+@pytest.mark.parametrize(
+    "ambient,n", [*SOLVED_TABLES, pytest.param("A", 12, marks=pytest.mark.gl12)]
+)
+def test_multiplicity_is_the_papers_formula(tableau, ambient, n):
+    # a_V sum_phi'' K(-1)^{-1}[(e,phi),(e',phi'')] <phi', phi''>^{-1}_{A(e')}
+    # for every ordered pair: the coefficient of column j in the source's
+    # irreducible is K(-1)^{-1}[j][source], by back substitution, and the
+    # component-group pairing is summed over the target orbit's systems
+    tab = tableau(ambient, n)
+    table = tab.table
+    kinv = k_at_minus_one_inverse(tab)
+    a_v = 2 if tab.group.type.rank % 2 else 1
+    names = [
+        (table.orbits[o].label.partition, table.orbits[o].systems[s].label)
+        for o, s in tab.pairs
+    ]
+    for i, source in enumerate(names):
+        for (to, ts), target in zip(tab.pairs, names):
+            rec = table.orbits[to]
+            want = a_v * sum(
+                kinv[j][i] * springer.q_M_pairing(
+                    rec.label, rec.systems[ts].char_mask, system.char_mask
+                ).eval(-1)
+                for j, system in zip(table.blocks[to], rec.systems)
+            )
+            assert tensor_spin_multiplicity(tab, source, target) == want, (source, target)
+
+
 class TestTensor:
     def test_formula_matches_oracle(self, tableau):
         for key in [("A", 3), ("A", 4), ("C", 2), ("C", 3)]:
@@ -529,15 +563,13 @@ class TestCrossModuleNorms:
         # the double-cover norm of each spin-tensored column equals
         # a_V times the component-group pairing at q = -1, for every
         # built-in pair
-        from greenpoly.springer import q_M_pairing
-
         for key in [("A", 3), ("A", 5), ("C", 1), ("C", 2), ("C", 3)]:
             tab = tableau(*key)
             pin = build_pin(tab.group)
             for rec in tab.table.orbits:
                 for sys in rec.systems:
                     st = sigma_tilde(tab, pin, rec.label.partition, sys.label)
-                    want = pin.a_v * q_M_pairing(
+                    want = pin.a_v * springer.q_M_pairing(
                         rec.label, sys.char_mask, sys.char_mask
                     ).eval(-1)
                     assert st.exact_norm == want, (key, rec.label.partition)

@@ -1,11 +1,11 @@
-"""The solved tableau is plain data, and K's inverse has one source.
+"""The solved tableau is plain data, and `spin` reads what it needs there.
 
-`solve` keeps each irreducible's expansion over the Green columns, which is
-K^{-1} transposed.  So `spin` imports nothing from `lusztigshoji` but
-`GreenTableau`, and `GreenTableau.__init__` assigns no attribute whose name
-starts with `_`: no routine derives K^{-1} a second way, and no cache of a
-quantity derived from K rides on the tableau.  The source is read by AST,
-not imported."""
+`solve` keeps each column's pairings with the irreducibles, and a tensor
+multiplicity is one of them.  So `spin` imports nothing from `lusztigshoji`
+but `GreenTableau` and nothing from `springer`, and `GreenTableau.__init__`
+assigns no attribute whose name starts with `_`: no cache of a quantity
+derived from K rides on the tableau.  The source is read by AST, not
+imported."""
 
 import ast
 from pathlib import Path
@@ -15,19 +15,20 @@ import greenpoly
 PACKAGE = Path(greenpoly.__file__).resolve().parent
 
 
-def _solver_imports(tree):
-    """Every name taken from the solver module, and the module itself when
-    it is imported whole, at any depth."""
+def _imports(tree, name):
+    """Every name taken from the module greenpoly.<name>, and the module
+    itself when it is imported whole, at any depth."""
+    dotted = f"greenpoly.{name}"
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if module == "greenpoly" or (node.level and not module):
-                found += [a.name for a in node.names if a.name == "lusztigshoji"]
-            elif module in ("lusztigshoji", "greenpoly.lusztigshoji"):
+                found += [a.name for a in node.names if a.name == name]
+            elif module in (name, dotted):
                 found += [a.name for a in node.names]
         elif isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name == "greenpoly.lusztigshoji"]
+            found += [a.name for a in node.names if a.name == dotted]
     return found
 
 
@@ -66,6 +67,7 @@ import greenpoly.lusztigshoji
 
 def f():
     from .lusztigshoji import green
+    from .springer import q_M_pairing
 
 class T:
     def __init__(self, x):
@@ -76,14 +78,19 @@ class T:
         self._c += 1
 """
     tree = ast.parse(source)
-    assert _solver_imports(tree) == [
+    assert _imports(tree, "lusztigshoji") == [
         "GreenTableau", "solve", "verify", "lusztigshoji", "greenpoly.lusztigshoji", "green"
     ]
+    assert _imports(tree, "springer") == ["q_M_pairing"]
     assert _private_assignments(tree, "T") == ["_a", "_b", "_c", "_c"]
 
 
 def test_spin_imports_only_the_tableau_from_the_solver():
-    assert _solver_imports(_parse("spin.py")) == ["GreenTableau"]
+    assert _imports(_parse("spin.py"), "lusztigshoji") == ["GreenTableau"]
+
+
+def test_spin_imports_nothing_from_springer():
+    assert _imports(_parse("spin.py"), "springer") == []
 
 
 def test_tableau_keeps_no_private_state():
