@@ -8,7 +8,9 @@ the block Gram matrices come out as they are.  Everything is exact and
 stays in Z[q]: each block Gram G is inverted up to its determinant,
 G^{-1} = adj(G) / det(G) (`polyq.adjugate`), so a projection coefficient is
 (adj u) / det and a Lambda block is (adj p) / det, each an exact polynomial
-division that raises SolverError when the quotient leaves Z[q].
+division that raises SolverError when the quotient leaves Z[q].  A block of
+size 1, which is every block of GL(n), has adjugate [[1]]: its coefficient
+is u / det and its Lambda entry p / det, with no product by 1.
 
 A column is one packed row (`polyq.PackedRows`): its coordinates over the
 irreducibles, then its pairings with every irreducible, V[j][a] =
@@ -28,16 +30,24 @@ pair to zero gets those entries in full.  So M holds true pairings, which
 class value of a column: the twisted-trace identity is checked on the
 coordinates (`caction_check`).
 
-`verify` takes Lambda M and K Lambda as exact products that skip zero
-factors (`polyq.sparse_matmul`), and checks K Lambda K^t = Omega at the one
-point q = 2^b, where b holds every coefficient of both sides
-(`kl_width`): Omega(2^b) is one integer class-sum Gram of the pairs'
-irreducibles (`omega_at`), so Omega's polynomials are never formed, and the
-last product skips the zero entries of K.
+`verify` walks the nonzero entries of K, M and Lambda (`nonzero_positions`)
+rather than all n^2 of them: the support and cross-orbit checks read only
+nonzero entries, and green positivity takes one least coefficient of K and
+lists witnesses only when it is negative.  It checks Lambda M = p I and
+K Lambda K^t = Omega each at one point q = 2^b, where b holds every
+coefficient of both sides (`lm_width`, `kl_width`): only nonzero entries are
+packed, the products skip zero factors (`polyq.sparse_matmul` on ints), and
+Omega(2^b) is one integer class-sum Gram of the pairs' irreducibles
+(`omega_at`), so Omega's polynomials are never formed.  Omega is symmetric
+by construction, and K Lambda K^t is symmetric whenever Lambda is, so once
+Lambda is found symmetric only the entries of K Lambda K^t on and above the
+diagonal are compared; a Lambda that is not symmetric gets every entry
+compared.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from operator import mul
 
 from .charring import (
@@ -49,7 +59,18 @@ from .charring import (
     _qell_rows,
     poincare_poly,
 )
-from .polyq import IntPoly, ONE, ZERO, PackedRows, adjugate, slot_bits, sparse_matmul
+from .polyq import (
+    IntPoly,
+    ONE,
+    ZERO,
+    PackedRows,
+    _coeffs,
+    _row_norm,
+    adjugate,
+    nonzero_positions,
+    slot_bits,
+    sparse_matmul,
+)
 from .springer import SpringerTable, q_M_gram
 
 
@@ -80,8 +101,8 @@ class GreenTableau:
         return self.coords[j][self.table.pair_irreps[i]]
 
     def k_matrix(self):
-        n = len(self.pairs)
-        return [[self.k_entry(i, j) for j in range(n)] for i in range(n)]
+        irr = self.table.pair_irreps
+        return [list(row) for row in zip(*([col[a] for a in irr] for col in self.coords))]
 
 
 def _inverse_parts(rows, what: str) -> tuple:
@@ -105,7 +126,7 @@ def _gram_column(coords, supports, vj) -> list:
     vj[sigma_i]; a column that does not pair to zero gets its cross-orbit
     entries in full.
     """
-    nonzero = {a for a, v in enumerate(vj) if v}
+    nonzero = set(nonzero_positions(vj))
     return [
         sum((k_i[a] * vj[a] for a in support & nonzero), ZERO)
         for k_i, support in zip(coords, supports)
@@ -149,8 +170,9 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
                         f"{table.orbits[prev_orbit].label.partition}, which is "
                         "not above it in the closure order"
                     )
-                for adj_row, jp in zip(adj, prev_members):
-                    num = sum(map(mul, adj_row, u), ZERO)
+                # a block of size 1 has adjugate [[1]]: its numerator is u
+                nums = u if len(u) == 1 else [sum(map(mul, adj_row, u), ZERO) for adj_row in adj]
+                for num, jp in zip(nums, prev_members):
                     try:
                         c = num.divexact(det)
                     except ValueError:
@@ -168,7 +190,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             row = store.combine(base, terms)
             col = row[:nirr]
             coords.append(col)
-            supports.append({a for a, k in enumerate(col) if k})
+            supports.append(set(nonzero_positions(col)))
             V.append(row[nirr:])
             for i, x in enumerate(_gram_column(coords, supports, V[j])):
                 M[i][j] = M[j][i] = x
@@ -182,7 +204,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     for members, (adj, det) in zip(blocks, block_inverse):
         for adj_row, a in zip(adj, members):
             for x, b in zip(adj_row, members):
-                num = x * p
+                num = p if len(members) == 1 else x * p
                 try:
                     Lam[a][b] = num.divexact(det)
                 except ValueError:
@@ -238,21 +260,53 @@ def kl_width(tab: GreenTableau, K) -> int:
     class sum (1/|W|) sum_k |C_k| chi_i(w_k) chi_j(w_k) c_k(q) with c the
     coinvariant class function, is at most
     sum_k |C_k| max_a chi_a(w_k)^2 |c_k|_inf // |W|, a over the pairs.
+    Each norm of K's column k is one C-level scan of its coefficients.
     """
     g = tab.group
-    sup_k = [max(x.norm_inf() for x in col) for col in zip(*K)]
-    one_k = [max(x.norm1() for x in col) for col in zip(*K)]
+    cols = list(zip(*K))
+    sup_k = list(map(_row_norm, cols))
+    one_k = [max(map(sum, map(map, repeat(abs), map(_coeffs, col))), default=0) for col in cols]
     klk = sum(
-        s * x.norm1() * one_k[k]
+        s * row[k].norm1() * one_k[k]
         for s, row in zip(sup_k, tab.Lam)
-        for k, x in enumerate(row)
-        if x
+        for k in nonzero_positions(row)
     )
     omega = sum(
         cls.size * max(map(abs, col)) ** 2 * c.norm_inf()
         for cls, col, c in zip(g.classes, zip(*_pair_rows(tab)), _coinvariant_values(g.type))
     ) // g.order
     return slot_bits(max(klk, omega))
+
+
+def lm_width(tab: GreenTableau, lam_support, m_support) -> int:
+    """A slot width b that holds every coefficient of Lambda M and of p, so
+    `lambda_m_product` holds exactly when it holds at q = 2^b.
+
+    A coefficient of (Lambda M)_ij is at most
+    sum_k |Lambda_ik|_inf |M_kj|_1 <= max_i sum_k |Lambda_ik|_inf * max |M_kj|_1;
+    lam_support and m_support list the nonzero positions of each row.
+    """
+    lam = max(
+        (sum(row[k].norm_inf() for k in support) for row, support in zip(tab.Lam, lam_support)),
+        default=0,
+    )
+    m = max(
+        (row[j].norm1() for row, support in zip(tab.M, m_support) for j in support),
+        default=0,
+    )
+    return slot_bits(max(lam * m, tab.p.norm_inf()))
+
+
+def _packed(rows, supports, b: int) -> list:
+    """The rows at q = 2^b, as ints: only the nonzero entries, at the
+    positions supports lists, are packed, and every other entry is 0."""
+    out = []
+    for row, support in zip(rows, supports):
+        packed = [0] * len(row)
+        for k in support:
+            packed[k] = row[k].pack(b)
+        out.append(packed)
+    return out
 
 
 def omega_at(tab: GreenTableau, b: int) -> list:
@@ -265,62 +319,85 @@ def omega_at(tab: GreenTableau, b: int) -> list:
 
 
 def verify(tab: GreenTableau):
-    """Exact verification suite; returns (name, ok, detail) triples."""
+    """Exact verification suite; returns (name, ok, detail) triples.
+
+    The support checks walk the nonzero entries of K and M, and green
+    positivity looks entry by entry only once the least coefficient of K is
+    negative.  lambda_m_product and kl_equation compare both sides at
+    q = 2^b (`lm_width`, `kl_width`), on packed nonzero entries.  Omega is
+    symmetric by construction, a class-sum Gram of the pairs' rows with
+    themselves, and when Lambda is symmetric so is K Lambda K^t; then an
+    entry below the diagonal fails exactly when its mirror does, so only
+    the entries on and above it are compared and the failures are
+    mirrored.  A Lambda that is not symmetric gets every entry compared.
+    """
     out = []
     K = tab.k_matrix()
     n = len(tab.pairs)
     table = tab.table
+    orbit_of = [o for o, _ in tab.pairs]
+    k_support = [nonzero_positions(row) for row in K]
 
     bad = []
-    for i in range(n):
-        for j in range(n):
-            oi, oj = tab.pairs[i][0], tab.pairs[j][0]
-            e = K[i][j]
-            if i == j:
-                if e != ONE:
-                    bad.append((i, j, "diagonal not 1"))
-            elif oi == oj or (oi, oj) not in table.greater:
-                if not e.is_zero():
-                    bad.append((i, j, "support outside closure order"))
+    for i, (row, support) in enumerate(zip(K, k_support)):
+        oi = orbit_of[i]
+        if row[i] != ONE:
+            bad.append((i, i, "diagonal not 1"))
+        bad += [
+            (i, j, "support outside closure order")
+            for j in support
+            if j != i and (oi == orbit_of[j] or (oi, orbit_of[j]) not in table.greater)
+        ]
+    bad.sort()
     out.append(("unitriangular_support", not bad, bad[:4]))
 
     bad = []
-    for i in range(n):
-        for j in range(n):
-            if any(c < 0 for c in K[i][j].coeffs):
-                bad.append((i, j, str(K[i][j])))
+    if min(chain.from_iterable(map(_coeffs, chain.from_iterable(K))), default=0) < 0:
+        bad = [
+            (i, j, str(row[j]))
+            for i, (row, support) in enumerate(zip(K, k_support))
+            for j in support
+            if any(c < 0 for c in row[j].coeffs)
+        ]
     out.append(("green_positivity", not bad, bad[:4]))
 
-    bad = []
-    for a in range(n):
-        for b in range(n):
-            if tab.pairs[a][0] != tab.pairs[b][0] and not tab.M[a][b].is_zero():
-                bad.append((a, b))
+    m_support = [nonzero_positions(row) for row in tab.M]
+    bad = [
+        (a, b)
+        for a, support in enumerate(m_support)
+        for b in support
+        if orbit_of[a] != orbit_of[b]
+    ]
     out.append(("cross_orbit_orthogonality", not bad, bad[:4]))
 
-    LM = sparse_matmul(tab.Lam, tab.M)
+    # Lambda M against p I, and (K Lambda K^t)_ij against Omega_ij, each at
+    # q = 2^b for a b that holds the coefficients of both sides; the
+    # products skip zero factors
+    lam_support = [nonzero_positions(row) for row in tab.Lam]
+    b = lm_width(tab, lam_support, m_support)
+    packed_p = tab.p.pack(b)
+    LM = sparse_matmul(_packed(tab.Lam, lam_support, b), _packed(tab.M, m_support, b), 0)
     bad = next(
-        ((i, j) for i in range(n) for j in range(n)
-         if LM[i][j] != (tab.p if i == j else ZERO)),
+        ((i, j) for i, row in enumerate(LM) for j, x in enumerate(row)
+         if x != (packed_p if i == j else 0)),
         None,
     )
     out.append(("lambda_m_product", bad is None, bad))
 
-    # (K Lambda K^t)_ij against Omega_ij, both at q = 2^b: the products skip
-    # zero factors, and b holds the coefficients of both sides
     b = kl_width(tab, K)
     omega = omega_at(tab, b)
-    packed_k = [[x.pack(b) for x in row] for row in K]
-    packed_kl = sparse_matmul(packed_k, [[x.pack(b) for x in row] for row in tab.Lam], 0)
-    nonzero_k = [
-        ([l for l, x in enumerate(row) if x], [x for x in row if x]) for row in packed_k
-    ]
-    bad = [
-        (i, j)
-        for i, kl_row in enumerate(packed_kl)
-        for j, (support, k_row) in enumerate(nonzero_k)
-        if sum(map(mul, map(kl_row.__getitem__, support), k_row)) != omega[i][j]
-    ]
+    packed_k = _packed(K, k_support, b)
+    packed_kl = sparse_matmul(packed_k, _packed(tab.Lam, lam_support, b), 0)
+
+    def kl_bad(i, columns):
+        kl_row, want = packed_kl[i], omega[i]
+        return [(i, j) for j in columns if sum(map(mul, kl_row, packed_k[j])) != want[j]]
+
+    if list(zip(*tab.Lam)) == list(map(tuple, tab.Lam)):
+        upper = [e for i in range(n) for e in kl_bad(i, range(i, n))]
+        bad = sorted({*upper, *((j, i) for i, j in upper)})
+    else:
+        bad = [e for i in range(n) for e in kl_bad(i, range(n))]
     out.append(("kl_equation", not bad, bad[:4]))
 
     bad = []
@@ -336,11 +413,11 @@ def verify(tab: GreenTableau):
     for j, (o, s) in enumerate(tab.pairs):
         rec = table.orbits[o]
         d = rec.d_e
-        col = tab.coords[j]
-        if any(c.degree > d for c in col):
+        col = list(map(_coeffs, tab.coords[j]))
+        if max(map(len, col)) > d + 1:
             bad.append((tab.pair_name(j), "degree above d_e"))
             continue
-        top = tuple(c[d] for c in col)
+        top = tuple(c[d] if len(c) > d else 0 for c in col)
         if rec.systems[s].label == "triv":
             want = tuple(1 if i == sgn else 0 for i in range(len(col)))
             if top != want:

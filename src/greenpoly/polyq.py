@@ -30,7 +30,7 @@ tracer still counts calls of `RatFun.__init__`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, count
 from operator import attrgetter, sub
 from typing import Iterable, Union
 
@@ -332,6 +332,11 @@ def sparse_matmul(A, B, zero=ZERO) -> list:
     return out
 
 
+def nonzero_positions(row) -> list:
+    """The positions of the nonzero IntPolys in row, by one C-level scan."""
+    return list(compress(count(), map(len, map(_coeffs, row))))
+
+
 def _row_norm(row) -> int:
     """Largest |coefficient| of any IntPoly in row, by one C-level scan."""
     return max(map(abs, chain.from_iterable(map(_coeffs, row))), default=0)
@@ -408,7 +413,9 @@ def adjugate(rows) -> tuple:
                 f = m[i][k]
                 m[i] = [(pk[k] * x - f * y).divexact(prev) for x, y in zip(m[i], pk)]
         prev = pk[k]
-    return [[x * sign for x in row[n:]] for row in m], prev * sign
+    if sign > 0:
+        return [row[n:] for row in m], prev
+    return [[-x for x in row[n:]] for row in m], -prev
 
 
 class RatFun:

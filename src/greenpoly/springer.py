@@ -19,8 +19,11 @@ invariant degrees with a sign character in degree m.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import ge
+
 from .charring import fake_degree
-from .partitions import dominates, is_distinct, multiplicities, partitions, transpose
+from .partitions import is_distinct, multiplicities, partitions, transpose
 from .polyq import IntPoly, ONE
 from .weyl import WeylGroupData, WeylType, build
 
@@ -139,13 +142,16 @@ class SpringerTable:
                 self.pairs.append((i, s))
                 self.pair_irreps.append(sys.irrep)
         # (i, j): orbit i > orbit j in the closure order, which for GL(n) and
-        # Sp(2n) is dominance of the partitions
+        # Sp(2n) is dominance of the partitions: every partial sum of i's
+        # parts, padded with zeros to one length, is at least j's
         parts = [rec.label.partition for rec in orbits]
+        width = max(map(len, parts), default=0)
+        sums = [tuple(accumulate(a + (0,) * (width - len(a)))) for a in parts]
         self.greater = {
             (i, j)
-            for i, a in enumerate(parts)
-            for j, b in enumerate(parts)
-            if a != b and dominates(a, b)
+            for i, a in enumerate(sums)
+            for j, b in enumerate(sums)
+            if a != b and all(map(ge, a, b))
         }
 
     @property

@@ -10,6 +10,13 @@ Earlier kernels: `bc_column_per_term` is the B_n character column with one
 over the groups of cycles, sorted, and one list outer product of two S_k
 columns per split.
 
+Murnaghan-Nakayama on beta lists, as `partitions.sym_char` took it before
+the abacus bitmask: `hooks` lists the r-rim-hooks of a partition by moving
+one beta number down, `_signed_hooks` keeps them with their signs, and
+`sym_char_by_hooks` is the recursion over them, largest part first.
+`dominates` is the dominance order by running partial sums, one pair at a
+time, as `SpringerTable.greater` took it.
+
 Class sums: `class_gram` is the class-sum Gram one entry at a time, each
 entry one dot product of values packed at the width of the call's inputs,
 for integer and graded values alike, and `symmetric_class_gram` is its Gram
@@ -21,8 +28,11 @@ orthogonalisation as it ran when each orbit block called the class-sum
 kernel afresh: every block packs all earlier class values again at a width
 of its own, and each column is one dense packed row product over all earlier
 columns.  `dense_product_checks` computes the two matrix identities of
-`lusztigshoji.verify` from dense packed products.  Both share no arithmetic
-with the packed store or the sparse products they check.
+`lusztigshoji.verify` from dense packed products, and
+`dense_support_checks` its support, positivity and cross-orbit checks by
+loops over every entry, each reading K one entry at a time
+(`GreenTableau.k_entry`).  These share no arithmetic with the packed store
+or the sparse products they check.
 
 Class-sum pairings that no production path takes: `std_pairing` and
 `one_pairing` run `charring`'s kernel on the weights 1 and det_V(1 - w).
@@ -379,6 +389,61 @@ def schur_spin_character(lam) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# partitions before the abacus bitmask
+
+
+def dominates(lam, mu) -> bool:
+    """lam >= mu in dominance order (both partitions of the same number)."""
+    acc_l = acc_m = 0
+    for i in range(max(len(lam), len(mu))):
+        acc_l += lam[i] if i < len(lam) else 0
+        acc_m += mu[i] if i < len(mu) else 0
+        if acc_l < acc_m:
+            return False
+    return True
+
+
+def hooks(lam, r: int):
+    """All ways to remove an r-rim-hook; yields (smaller partition, leg length).
+
+    Works on beta numbers: removing an r-hook moves one bead down by r on the
+    abacus, and the leg length counts the beads jumped over.  The beads are
+    kept in decreasing order, so the moved bead is slotted in after the ones
+    it jumps, with no sort.
+    """
+    m = len(lam)
+    beta = [p + m - 1 - i for i, p in enumerate(lam)]
+    for i, b in enumerate(beta):
+        nb = b - r
+        if nb < 0:
+            continue
+        j = i + 1
+        while j < m and beta[j] > nb:
+            j += 1
+        if j < m and beta[j] == nb:
+            continue
+        new_beta = beta[:i] + beta[i + 1:j] + [nb] + beta[j:]
+        smaller = tuple(v - (m - 1 - k) for k, v in enumerate(new_beta) if v > m - 1 - k)
+        yield smaller, j - i - 1
+
+
+@lru_cache(maxsize=None)
+def _signed_hooks(lam, r: int) -> tuple:
+    """The r-rim-hooks of lam, as (smaller partition, (-1)^leg), found once."""
+    return tuple((smaller, -1 if leg % 2 else 1) for smaller, leg in hooks(lam, r))
+
+
+@lru_cache(maxsize=None)
+def sym_char_by_hooks(lam, mu) -> int:
+    """Character of the S_n irrep lam at cycle type mu, by the recursion over
+    the rim hooks of `hooks`; 0 when |lam| != |mu|."""
+    if not mu:
+        return 1 if not lam else 0
+    rest = mu[1:]
+    return sum(sign * sym_char_by_hooks(smaller, rest) for smaller, sign in _signed_hooks(lam, mu[0]))
+
+
+# ---------------------------------------------------------------------------
 # earlier kernels
 
 
@@ -533,6 +598,47 @@ def solve_per_block(table) -> SimpleNamespace:
     return SimpleNamespace(coords=tuple(coords), class_values=class_values, M=M, Lam=Lam, p=p)
 
 
+def _k_by_entries(tab: GreenTableau) -> list:
+    """K, entry (i, j) the i-th pair's irreducible in column j."""
+    n = len(tab.pairs)
+    return [[tab.k_entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def dense_support_checks(tab: GreenTableau) -> list:
+    """The unitriangular_support, green_positivity and
+    cross_orbit_orthogonality entries of `verify`, each from a loop over all
+    n^2 entries of K or M."""
+    K = _k_by_entries(tab)
+    n = len(tab.pairs)
+    greater = tab.table.greater
+    out = []
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            oi, oj = tab.pairs[i][0], tab.pairs[j][0]
+            e = K[i][j]
+            if i == j:
+                if e != ONE:
+                    bad.append((i, j, "diagonal not 1"))
+            elif oi == oj or (oi, oj) not in greater:
+                if not e.is_zero():
+                    bad.append((i, j, "support outside closure order"))
+    out.append(("unitriangular_support", not bad, bad[:4]))
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            if any(c < 0 for c in K[i][j].coeffs):
+                bad.append((i, j, str(K[i][j])))
+    out.append(("green_positivity", not bad, bad[:4]))
+    bad = []
+    for a in range(n):
+        for b in range(n):
+            if tab.pairs[a][0] != tab.pairs[b][0] and not tab.M[a][b].is_zero():
+                bad.append((a, b))
+    out.append(("cross_orbit_orthogonality", not bad, bad[:4]))
+    return out
+
+
 def dense_product_checks(tab: GreenTableau) -> list:
     """The lambda_m_product and kl_equation entries of `verify`, from dense
     packed products with every entry unpacked."""
@@ -543,7 +649,7 @@ def dense_product_checks(tab: GreenTableau) -> list:
          if LM[i][j] != (tab.p if i == j else ZERO)),
         None,
     )
-    K = tab.k_matrix()
+    K = _k_by_entries(tab)
     KLK = matmul(matmul(K, tab.Lam), [list(col) for col in zip(*K)])
     omega = omega_on_pairs(tab)
     kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != omega[i][j]]

@@ -29,6 +29,7 @@ from oracles import (
     caction_check_by_class,
     class_gram,
     dense_product_checks,
+    dense_support_checks,
     kostka_foulkes,
     solve_per_block,
 )
@@ -408,26 +409,74 @@ def _mutants(tab):
     return out
 
 
+def _changed_k(tab, changes):
+    """tab.coords with x added to K_ij for each (i, j, x) in changes."""
+    coords = [list(col) for col in tab.coords]
+    for i, j, x in changes:
+        irrep = tab.table.pair_irreps[i]
+        coords[j][irrep] = coords[j][irrep] + x
+    return list(map(tuple, coords))
+
+
+def _support_asymmetric_and_negative_mutants(tab):
+    """The tableau with K nonzero below the diagonal, a diagonal K entry
+    other than 1, and M nonzero across orbits in its first row; with one
+    Lambda entry changed inside an orbit block of size 2 or more, so that
+    Lambda is no longer symmetric (none when every block has size 1); and
+    with a negative coefficient in K_1j, j the last pair, so that
+    kl_equation fails on both sides of the diagonal among its first
+    entries."""
+    n = len(tab.pairs)
+    out = []
+    bad = copy.copy(tab)
+    bad.coords = _changed_k(tab, [(n - 1, 0, P(0, 1)), (1, 1, P(0, 1))])
+    bad.M = [list(row) for row in tab.M]
+    bad.M[0][n - 1] = bad.M[0][n - 1] + P(1)
+    out.append(bad)
+    block = next((b for b in tab.table.blocks if len(b) > 1), None)
+    if block is not None:
+        bad = copy.copy(tab)
+        bad.Lam = [list(row) for row in tab.Lam]
+        bad.Lam[block[0]][block[1]] = bad.Lam[block[0]][block[1]] + P(1)
+        out.append(bad)
+    bad = copy.copy(tab)
+    x = tab.k_entry(1, n - 1)
+    bad.coords = _changed_k(tab, [(1, n - 1, P(0, -x.norm_inf() - 1))])
+    out.append(bad)
+    return out
+
+
 @pytest.mark.parametrize("key", [("A", 4), ("A", 8), ("C", 2), ("C", 3)],
                          ids=["A4", "A8", "C2", "C3"])
 def test_sparse_checks_match_dense_oracle(tableau, key):
     tab = tableau(*key)
     mutants = _mutants(tab)
-    for t in [tab, *mutants]:
+    more = _support_asymmetric_and_negative_mutants(tab)
+    for t in [tab, *mutants, *more]:
         report = {name: (ok, detail) for name, ok, detail in verify(t)}
-        for name, ok, detail in dense_product_checks(t):
+        for name, ok, detail in [*dense_support_checks(t), *dense_product_checks(t)]:
             assert report[name] == (ok, detail), name
-    m_bad, lam_bad, k_bad = ({n: ok for n, ok, _ in verify(t)} for t in mutants)
+    m_bad, lam_bad, k_bad, support_bad, *sym_bad, neg_bad = (
+        {n: ok for n, ok, _ in verify(t)} for t in [*mutants, *more]
+    )
     assert not m_bad["lambda_m_product"] and not m_bad["cross_orbit_orthogonality"]
     assert not lam_bad["lambda_m_product"] and not lam_bad["kl_equation"]
     assert not k_bad["kl_equation"]
+    assert not support_bad["unitriangular_support"]
+    assert not support_bad["cross_orbit_orthogonality"]
+    for report in sym_bad:
+        assert not report["lambda_m_product"] and not report["kl_equation"]
+    assert not neg_bad["green_positivity"] and not neg_bad["kl_equation"]
+    # every GL(n) block has size 1; Sp(4) and Sp(6) have blocks of size 2
+    assert len(sym_bad) == (key[0] == "C")
 
 
 @pytest.mark.parametrize("key", [("A", 4), ("A", 8), ("C", 3)], ids=["A4", "A8", "C3"])
 def test_kl_equation_rejects_a_difference_vanishing_at_a_narrower_width(tableau, key):
     # Lambda_aa + (q - 2^w) moves (K Lambda K^t)_ij by K_ia (q - 2^w) K_ja,
-    # which vanishes at q = 2^w: a check that packs at q = 2^w, for any w
-    # below the width the mutant needs, passes that mutant
+    # and (Lambda M)_aj by (q - 2^w) M_aj, each vanishing at q = 2^w: a
+    # check that packs at q = 2^w, for any w below the width the mutant
+    # needs, passes that mutant
     tab = tableau(*key)
     a = len(tab.pairs) - 1
     for w in range(1, 80):
@@ -436,7 +485,7 @@ def test_kl_equation_rejects_a_difference_vanishing_at_a_narrower_width(tableau,
         bad = copy.copy(tab)
         bad.Lam = Lam
         report = {name: ok for name, ok, _ in verify(bad)}
-        assert not report["kl_equation"], w
+        assert not report["kl_equation"] and not report["lambda_m_product"], w
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,12 @@ from hypothesis import strategies as st
 
 from greenpoly.partitions import (
     cycle_type_size,
-    dominates,
-    hooks,
     partitions,
     sym_char,
     transpose,
 )
+
+from oracles import dominates, hooks, sym_char_by_hooks
 
 
 def random_partition(n):
@@ -72,3 +72,12 @@ def test_sym_char_dimensions_hook_length():
                 for j in range(row):
                     hookprod *= row - j + t[j] - i - 1
             assert sym_char(lam, (1,) * n) == factorial(n) // hookprod
+
+
+def test_sym_char_matches_beta_list_recursion():
+    # the abacus bitmask against the rim-hook recursion on beta lists, on
+    # every pair of sizes up to 10, unequal sizes (value 0) included
+    parts = [lam for n in range(11) for lam in partitions(n)]
+    for lam in parts:
+        for mu in parts:
+            assert sym_char(lam, mu) == sym_char_by_hooks(lam, mu), (lam, mu)

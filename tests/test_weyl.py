@@ -8,7 +8,6 @@ import pytest
 from greenpoly.partitions import (
     count_even_length_partitions,
     count_odd_part_partitions,
-    hooks,
     partitions,
     sym_char,
 )
@@ -32,7 +31,7 @@ from greenpoly.weyl import (
 )
 
 import oracles
-from oracles import brute_force_classes
+from oracles import brute_force_classes, hooks, sym_char_by_hooks
 
 
 def test_supported_ranks():
@@ -443,6 +442,17 @@ def _d_value(label, cls_label):
     sign = 1 if label[2] == tag else -1
     corr = 2 ** len(pos) * sym_char(label[0], tuple(c // 2 for c in pos))
     return (base + sign * corr) // 2
+
+
+@pytest.mark.gl12
+def test_s12_table_matches_beta_list_recursion():
+    # the largest table production builds, against the rim-hook recursion
+    # on beta lists
+    g = build(WeylType("A", 11))
+    assert g.irrep_labels == partitions(12)
+    assert g.char_table == tuple(
+        tuple(sym_char_by_hooks(lam, cls.label) for cls in g.classes) for lam in partitions(12)
+    )
 
 
 @pytest.mark.parametrize("rank", range(1, 8))
