@@ -3,20 +3,22 @@
 Every pairing here is one class sum, (1/|W|) sum_k |C_k| a(w_k) b(w_k) c_k(q),
 with a per-class weight c: det_V(1 - q w) for the q-elliptic pairing, its
 value at q = -1 for the (-1)-elliptic pairing, and the coinvariant-algebra
-class function p(q)/det_V(1 - q w) for fake degrees and Omega.  All of them go through one kernel, `_class_gram`, on integers
-packed by Kronecker substitution: each class column of the right-hand rows
-is packed over those rows once, so one integer dot product per left-hand row
-gives that row's entries at once, with no pairing unpacked alone.  A Gram of
-rows with themselves (the q-elliptic, (-1)-elliptic and Omega Grams, and
-Omega at one integer point for the solver's check) keeps only the entries
-on and above the diagonal of each row and mirrors them.  The q-elliptic Gram
-of the irreducibles is kept per type: by bilinearity it gives the solver
-every pairing of a Green column, and through the solver's M it gives the
-spin layer every pairing that layer reports, so neither takes a class sum
-of its own.  The standard pairing, the pairing at q = 1 and the brute-force
-sums over group elements are test oracles.  The
-coinvariant class function is an integer polynomial for every w, which keeps
-fake degrees and the fake-degree matrix inside Z[q] throughout.
+class function p(q)/det_V(1 - q w) for fake degrees and Omega.  All of them
+go through one kernel, `_class_gram`, on integers packed by Kronecker
+substitution: each class column of the right-hand rows is packed over those
+rows once, so one integer dot product per left-hand row gives that row's
+entries at once, with no pairing unpacked alone.  A Gram of rows with
+themselves (the q-elliptic and (-1)-elliptic Grams, and Omega at one
+integer point, `omega_at`, for the solver's check) keeps only the entries on
+and above the diagonal of each row and mirrors them; `omega_bound` bounds
+Omega's coefficients, so the solver can choose that point.  The q-elliptic
+Gram of the irreducibles is kept per type (`qell_rows`): by bilinearity it
+gives the solver every pairing of a Green column, and through the solver's
+M it gives the spin layer every pairing that layer reports, so neither takes
+a class sum of its own.  The standard pairing, the pairing at q = 1, Omega
+as polynomials and the brute-force sums over group elements are test
+oracles.  The coinvariant class function is an integer polynomial for every
+w, which keeps fake degrees and Omega inside Z[q] throughout.
 """
 
 from __future__ import annotations
@@ -85,18 +87,6 @@ class GradedCharacter:
 def _same_group(a, b):
     if a.group is not b.group:
         raise ValueError("characters live on different groups")
-
-
-def irreducible(g: WeylGroupData, i: int) -> VirtualCharacter:
-    coords = [0] * len(g.irrep_labels)
-    coords[i] = 1
-    return VirtualCharacter(g, tuple(coords))
-
-
-def graded_irreducible(g: WeylGroupData, i: int) -> GradedCharacter:
-    coords = [ZERO] * len(g.irrep_labels)
-    coords[i] = ONE
-    return GradedCharacter(g, tuple(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +229,12 @@ def q_elliptic_pairing(a: GradedCharacter, b: GradedCharacter) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _qell_rows(t: WeylType):
+def qell_rows(t: WeylType) -> tuple:
+    """The q-elliptic pairings of all pairs of irreducibles of W(t), in irrep
+    order, as rows of IntPolys; taken once per type and shared, so the rows
+    are tuples."""
     g = build(t)
     return tuple(map(tuple, _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)))
-
-
-def q_elliptic_gram(g: WeylGroupData) -> list:
-    """The q-elliptic pairings of all pairs of irreducibles, in irrep order,
-    as fresh lists."""
-    return [list(row) for row in _qell_rows(g.type)]
 
 
 def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
@@ -318,18 +305,25 @@ def coinvariant_character(g: WeylGroupData) -> GradedCharacter:
     )
 
 
-@lru_cache(maxsize=None)
-def _omega_rows(t: WeylType):
-    g = build(t)
-    gram = _class_gram(g, g.char_table, g.char_table, _coinvariant_values(t))
-    return tuple(map(tuple, gram))
+def omega_at(g: WeylGroupData, irreps, b: int) -> list:
+    """Omega, the graded multiplicities of the tensor products chi_i chi_j in
+    the coinvariant algebra, for i, j in irreps, at q = 2^b, as integers: one
+    class-sum Gram of those character rows with themselves with the integer
+    weights c_k(2^b), so no polynomial entry of Omega is formed."""
+    rows = [g.char_table[a] for a in irreps]
+    weight = [c.pack(b) for c in _coinvariant_values(g.type)]
+    return _class_gram(g, rows, rows, weight)
 
 
-def omega_matrix(g: WeylGroupData) -> tuple:
-    """Symmetric matrix of graded multiplicities of tensor squares in the
-    coinvariant algebra, as rows of IntPolys; row/column order follows the
-    irrep list."""
-    return _omega_rows(g.type)
+def omega_bound(g: WeylGroupData, irreps) -> int:
+    """A bound on every coefficient of Omega_ij, i, j in irreps: the class
+    sum (1/|W|) sum_k |C_k| chi_i(w_k) chi_j(w_k) c_k(q) has coefficients at
+    most sum_k |C_k| max_a chi_a(w_k)^2 |c_k|_inf // |W|, a over irreps."""
+    cols = zip(*(g.char_table[a] for a in irreps))
+    return sum(
+        cls.size * max(map(abs, col)) ** 2 * c.norm_inf()
+        for cls, col, c in zip(g.classes, cols, _coinvariant_values(g.type))
+    ) // g.order
 
 
 def chevalley_failure(g: WeylGroupData):

@@ -288,7 +288,7 @@ def cmd_pairing(args):
         # mirrored and equal entries, most of them 0, share one string
         text = {}
         known, add = text.get, text.setdefault
-        gram = [[known(e) or add(e, str(e)) for e in row] for row in charring.q_elliptic_gram(g)]
+        gram = [[known(e) or add(e, str(e)) for e in row] for row in charring.qell_rows(g.type)]
     else:
         # minusone or delta: the twisted Gram is the (-1)-elliptic one by the
         # substitution u = w w0 (see charring.delta_twist_pairing)

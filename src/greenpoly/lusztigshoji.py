@@ -36,13 +36,13 @@ nonzero entries, and green positivity takes one least coefficient of K and
 lists witnesses only when it is negative.  It checks Lambda M = p I and
 K Lambda K^t = Omega each at one point q = 2^b, where b holds every
 coefficient of both sides (`lm_width`, `kl_width`): only nonzero entries are
-packed, the products skip zero factors (`polyq.sparse_matmul` on ints), and
+packed, the products skip zero factors (`polyq.sparse_matmul`), and
 Omega(2^b) is one integer class-sum Gram of the pairs' irreducibles
-(`omega_at`), so Omega's polynomials are never formed.  Omega is symmetric
-by construction, and K Lambda K^t is symmetric whenever Lambda is, so once
-Lambda is found symmetric only the entries of K Lambda K^t on and above the
-diagonal are compared; a Lambda that is not symmetric gets every entry
-compared.
+(`charring.omega_at`), so Omega's polynomials are never formed.  Omega is
+symmetric by construction, and K Lambda K^t is symmetric whenever Lambda is,
+so once Lambda is found symmetric only the entries of K Lambda K^t on and
+above the diagonal are compared; a Lambda that is not symmetric gets every
+entry compared.
 """
 
 from __future__ import annotations
@@ -50,24 +50,16 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import mul
 
-from .charring import (
-    GradedCharacter,
-    fake_degree,
-    _coinvariant_values,
-    _omega_rows,
-    _class_gram,
-    _qell_rows,
-    poincare_poly,
-)
+from .charring import GradedCharacter, fake_degree, omega_at, omega_bound, poincare_poly, qell_rows
 from .polyq import (
     IntPoly,
     ONE,
     ZERO,
     PackedRows,
-    _coeffs,
-    _row_norm,
     adjugate,
+    coeffs,
     nonzero_positions,
+    row_norm,
     slot_bits,
     sparse_matmul,
 )
@@ -143,7 +135,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     g = table.group
     nirr = len(g.irrep_labels)
     pairs, pair_irrep, blocks = table.pairs, table.pair_irreps, table.blocks
-    gram = _qell_rows(g.type)
+    gram = qell_rows(g.type)
     # a column is its coordinates over the irreducibles, then its pairings
     # with them; both are linear in the column, so one combination gives both
     store = PackedRows()
@@ -238,44 +230,25 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
 # checks
 
 
-def omega_on_pairs(tab: GreenTableau):
-    rows = _omega_rows(tab.group.type)
-    irr = tab.table.pair_irreps
-    return [[rows[a][b] for b in irr] for a in irr]
-
-
-def _pair_rows(tab: GreenTableau) -> list:
-    """The character-table rows of the pairs' irreducibles, in pair order."""
-    chars = tab.group.char_table
-    return [chars[a] for a in tab.table.pair_irreps]
-
-
 def kl_width(tab: GreenTableau, K) -> int:
     """A slot width b that holds every coefficient of K Lambda K^t and of
     Omega on the pairs, so both sides of `kl_equation` are equal exactly
     when they are equal at q = 2^b.
 
     A coefficient of (K Lambda K^t)_ij is at most sum over Lambda_kl != 0 of
-    max_i |K_ik|_inf |Lambda_kl|_1 max_j |K_jl|_1.  One of Omega_ij, the
-    class sum (1/|W|) sum_k |C_k| chi_i(w_k) chi_j(w_k) c_k(q) with c the
-    coinvariant class function, is at most
-    sum_k |C_k| max_a chi_a(w_k)^2 |c_k|_inf // |W|, a over the pairs.
-    Each norm of K's column k is one C-level scan of its coefficients.
+    max_i |K_ik|_inf |Lambda_kl|_1 max_j |K_jl|_1, and one of Omega_ij at
+    most `omega_bound` of the pairs' irreducibles.  Each norm of K's column
+    k is one C-level scan of its coefficients.
     """
-    g = tab.group
     cols = list(zip(*K))
-    sup_k = list(map(_row_norm, cols))
-    one_k = [max(map(sum, map(map, repeat(abs), map(_coeffs, col))), default=0) for col in cols]
+    sup_k = list(map(row_norm, cols))
+    one_k = [max(map(sum, map(map, repeat(abs), map(coeffs, col))), default=0) for col in cols]
     klk = sum(
         s * row[k].norm1() * one_k[k]
         for s, row in zip(sup_k, tab.Lam)
         for k in nonzero_positions(row)
     )
-    omega = sum(
-        cls.size * max(map(abs, col)) ** 2 * c.norm_inf()
-        for cls, col, c in zip(g.classes, zip(*_pair_rows(tab)), _coinvariant_values(g.type))
-    ) // g.order
-    return slot_bits(max(klk, omega))
+    return slot_bits(max(klk, omega_bound(tab.group, tab.table.pair_irreps)))
 
 
 def lm_width(tab: GreenTableau, lam_support, m_support) -> int:
@@ -307,15 +280,6 @@ def _packed(rows, supports, b: int) -> list:
             packed[k] = row[k].pack(b)
         out.append(packed)
     return out
-
-
-def omega_at(tab: GreenTableau, b: int) -> list:
-    """Omega on the pairs at q = 2^b, as integers: one class-sum Gram of the
-    pairs' character rows with themselves (`_class_gram`) with the integer
-    weights c_k(2^b), so no polynomial entry of Omega is formed."""
-    g, rows = tab.group, _pair_rows(tab)
-    weight = [c.pack(b) for c in _coinvariant_values(g.type)]
-    return _class_gram(g, rows, rows, weight)
 
 
 def verify(tab: GreenTableau):
@@ -352,7 +316,7 @@ def verify(tab: GreenTableau):
     out.append(("unitriangular_support", not bad, bad[:4]))
 
     bad = []
-    if min(chain.from_iterable(map(_coeffs, chain.from_iterable(K))), default=0) < 0:
+    if min(chain.from_iterable(map(coeffs, chain.from_iterable(K))), default=0) < 0:
         bad = [
             (i, j, str(row[j]))
             for i, (row, support) in enumerate(zip(K, k_support))
@@ -376,7 +340,7 @@ def verify(tab: GreenTableau):
     lam_support = [nonzero_positions(row) for row in tab.Lam]
     b = lm_width(tab, lam_support, m_support)
     packed_p = tab.p.pack(b)
-    LM = sparse_matmul(_packed(tab.Lam, lam_support, b), _packed(tab.M, m_support, b), 0)
+    LM = sparse_matmul(_packed(tab.Lam, lam_support, b), _packed(tab.M, m_support, b))
     bad = next(
         ((i, j) for i, row in enumerate(LM) for j, x in enumerate(row)
          if x != (packed_p if i == j else 0)),
@@ -385,9 +349,9 @@ def verify(tab: GreenTableau):
     out.append(("lambda_m_product", bad is None, bad))
 
     b = kl_width(tab, K)
-    omega = omega_at(tab, b)
+    omega = omega_at(tab.group, tab.table.pair_irreps, b)
     packed_k = _packed(K, k_support, b)
-    packed_kl = sparse_matmul(packed_k, _packed(tab.Lam, lam_support, b), 0)
+    packed_kl = sparse_matmul(packed_k, _packed(tab.Lam, lam_support, b))
 
     def kl_bad(i, columns):
         kl_row, want = packed_kl[i], omega[i]
@@ -413,7 +377,7 @@ def verify(tab: GreenTableau):
     for j, (o, s) in enumerate(tab.pairs):
         rec = table.orbits[o]
         d = rec.d_e
-        col = list(map(_coeffs, tab.coords[j]))
+        col = list(map(coeffs, tab.coords[j]))
         if max(map(len, col)) > d + 1:
             bad.append((tab.pair_name(j), "degree above d_e"))
             continue

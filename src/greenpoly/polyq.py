@@ -6,9 +6,11 @@ and `ONE` are such shared values.  A `PackedRows` is mutable: it grows with
 each row it combines, and belongs to the one caller that builds it.
 
 All linear algebra stays in Z[q]: `adjugate` inverts a square block up to its
-determinant by fraction-free elimination, and `sparse_matmul` multiplies
-matrices of polynomials, skipping zero factors; `PackedRows` keeps rows of
-polynomials packed for exact integer combinations of them.  A polynomial f whose
+determinant by fraction-free elimination, `sparse_matmul` multiplies
+matrices of packed polynomials, which are integers, skipping zero factors,
+and `PackedRows` keeps rows of polynomials packed for exact integer
+combinations of them.  `coeffs`, `nonzero_positions` and `row_norm` read a
+row of IntPolys in one C-level scan each.  A polynomial f whose
 coefficients lie strictly between -2^(b-1) and 2^(b-1) is packed into the
 single integer f(2^b) (`IntPoly.pack`) and read back by signed digits
 (`IntPoly.unpack`); since evaluation at 2^b is a ring map, sums of products of
@@ -110,11 +112,6 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     # -- structure ------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        """Degree, with deg 0 = -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -248,15 +245,6 @@ class IntPoly:
         """f(q) -> f(-q)."""
         return _poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)))
 
-    def reverse(self, n: int) -> "IntPoly":
-        """q^n * f(1/q); requires n >= deg f."""
-        if n < self.degree:
-            raise ValueError(f"reverse({n}) needs n >= deg = {self.degree}")
-        out = [0] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return _poly(out)
-
     def eval(self, q0: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -291,7 +279,7 @@ class IntPoly:
 
 
 _set_coeffs = IntPoly.coeffs.__set__
-_coeffs = attrgetter("coeffs")
+coeffs = attrgetter("coeffs")  # an IntPoly's coefficient tuple, for a C-level map
 
 
 def _poly(coeffs) -> IntPoly:
@@ -311,19 +299,19 @@ Q = IntPoly((0, 1))
 # matrices over Z[q], as lists of rows of IntPolys
 
 
-def sparse_matmul(A, B, zero=ZERO) -> list:
-    """The exact product A*B, skipping zero factors.
+def sparse_matmul(A, B) -> list:
+    """The exact product A*B of integer matrices, skipping zero factors.
 
     Each row of A meets only the nonzero entries of B's rows, so a
     block-diagonal or triangular factor costs a multiply per nonzero pair,
-    not per entry.  The entries are IntPolys, or, with zero=0, packed
-    polynomials, that is ints.
+    not per entry.  The entries are packed polynomials f(2^b), so the
+    product is the packed product of the polynomial matrices.
     """
     ncols = len(B[0]) if B else 0
     nonzero_b = [[(j, x) for j, x in enumerate(row) if x] for row in B]
     out = []
     for row in A:
-        acc = [zero] * ncols
+        acc = [0] * ncols
         for a, row_b in zip(row, nonzero_b):
             if a:
                 for j, x in row_b:
@@ -334,12 +322,12 @@ def sparse_matmul(A, B, zero=ZERO) -> list:
 
 def nonzero_positions(row) -> list:
     """The positions of the nonzero IntPolys in row, by one C-level scan."""
-    return list(compress(count(), map(len, map(_coeffs, row))))
+    return list(compress(count(), map(len, map(coeffs, row))))
 
 
-def _row_norm(row) -> int:
+def row_norm(row) -> int:
     """Largest |coefficient| of any IntPoly in row, by one C-level scan."""
-    return max(map(abs, chain.from_iterable(map(_coeffs, row))), default=0)
+    return max(map(abs, chain.from_iterable(map(coeffs, row))), default=0)
 
 
 class PackedRows:
@@ -369,7 +357,7 @@ class PackedRows:
     def combine(self, base, terms) -> list:
         """Store and return the row base - sum c * row_j over (c, j) in terms."""
         scale = sum(c.norm1() for c, _ in terms)
-        needed = slot_bits(_row_norm(base) + scale * self.top)
+        needed = slot_bits(row_norm(base) + scale * self.top)
         if needed > self.b:
             self.b = b = max(needed, 2 * self.b)
             self.packed = [[x.pack(b) for x in row] for row in self.rows]
@@ -380,7 +368,7 @@ class PackedRows:
         row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]
         self.rows.append(row)
         self.packed.append(acc)
-        self.top = max(self.top, _row_norm(row))
+        self.top = max(self.top, row_norm(row))
         return row
 
 

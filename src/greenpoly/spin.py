@@ -3,7 +3,7 @@
 An element of the Clifford algebra of the ambient space R^m (e_j^2 = -1,
 e_i e_j = -e_j e_i) is a dict from the bitmask S of a monomial
 e_S = e_{s1} ... e_{sk} (s1 < ... < sk) to an integer coefficient.  The
-simple roots are the integer vectors of `weyl._ambient_simple_roots`, and the
+simple roots are the integer vectors of `weyl.ambient_simple_roots`, and the
 lift f = alpha/|alpha| of a simple reflection is kept as alpha with its
 squared length, so the lift of a word is x/sqrt(N): x = alpha_i1 ... alpha_ik
 is an integer Clifford element and N = prod |alpha_i|^2 an integer.
@@ -23,8 +23,8 @@ of the Green columns is the pairing < X_q0(a), X_q0(b) >^q0, and the
 alternating Betti sum X_{-1}(1) is sum_a K_aj(-1) dim chi_a.  A tensor
 multiplicity is one stored pairing, of an irreducible with a column, at -1.
 Class values of a column are formed only for the class functions that
-`sigma_tilde` and `dirac_index_char` return for printing, and for
-`char_formula_check`, which tests them; floats appear only in those values.
+`sigma_tilde` and `dirac_index_char` return for printing; floats appear only
+in those values.
 """
 
 from __future__ import annotations
@@ -34,16 +34,8 @@ from math import copysign, factorial, sqrt
 
 from .charring import VirtualCharacter
 from .lusztigshoji import GreenTableau
-from .partitions import distinct_partitions, is_distinct, partitions, transpose
-from .weyl import (
-    WeylGroupData,
-    WeylType,
-    _ambient_simple_roots,
-    braid_order,
-    build,
-    delta_elliptic_count,
-    reduced_word,
-)
+from .partitions import distinct_partitions, is_distinct
+from .weyl import WeylGroupData, ambient_simple_roots, braid_order, reduced_word
 
 
 def _times(x: dict, vec) -> dict:
@@ -174,7 +166,7 @@ def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
     compatibility and not used.
     """
     n = g.type.rank
-    roots = [tuple(r) for r in _ambient_simple_roots(g.type)]
+    roots = [tuple(r) for r in ambient_simple_roots(g.type)]
     m = len(roots[0])
     volume, volume_norm = {(1 << m) - 1: 1}, 1
     if m > n:  # V is the sum-zero plane of R^m: z = e_full (eps u)/sqrt(m)
@@ -264,40 +256,6 @@ def sigma_tilde(
     return SpinClassFunction(tab.group, values, pin.a_v * tab.M[j][j].eval(-1))
 
 
-def sigma_tilde_pairing(tab: GreenTableau, pin: PinRep, pa, pb) -> int:
-    """Exact double-cover pairing of two spin class functions by orbit pair.
-
-    pa, pb are (partition, system) tuples; the pairing is
-    a_V < X_{-1}(a), X_{-1}(b) >^{-1}_W = a_V M_ab(-1).
-    """
-    ja, jb = tab.table.pair_of(*pa), tab.table.pair_of(*pb)
-    return pin.a_v * tab.M[ja][jb].eval(-1)
-
-
-def char_formula_check(
-    tab: GreenTableau, pin: PinRep, partition, system="triv", tol: float = 1e-8
-) -> bool:
-    """On (-1)-elliptic classes the ratio of the spin-tensored trace by the
-    plain spin trace recovers X_{-1}; elsewhere the spin trace vanishes."""
-    j = tab.table.pair_of(partition, system)
-    x = _column_at(tab, j, -1)
-    st = sigma_tilde(tab, pin, partition, system)
-    g = tab.group
-    # the ratio identity holds by construction; the content is the support
-    # condition: the spin trace is zero (x_0 = 0 exactly) off the (-1)-elliptic set
-    for k, full in enumerate(spin_traces_by_class(pin)):
-        if g.refl_charpoly[k].eval(-1) != 0:
-            if full == 0:
-                raise PinConstructionError(
-                    f"vanishing spin trace on a (-1)-elliptic class {k}"
-                )
-            if abs(st.values[k] / full - x.value(k)) > tol:
-                return False
-        elif full != 0:
-            return False
-    return True
-
-
 def g_lambda(lam) -> int:
     """n!/(prod lam_i!) * prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j)."""
     num, den = factorial(sum(lam)), 1
@@ -372,26 +330,6 @@ def genuine_count_typeA(n: int) -> int:
     for lam in distinct_partitions(n):
         total += 1 if (len(lam) - n) % 2 == 0 else 2
     return total
-
-
-def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
-    """Dimensions of the sgn-symmetrized genuine character space.
-
-    Closed forms in the partitions of the rank for A-D; for G2 it equals the
-    number of elliptic delta-twisted classes, which is computed.
-    """
-    if family == "A":
-        return len(distinct_partitions(rank + 1))
-    if family in ("B", "C"):
-        return len(partitions(rank))
-    if family == "D":
-        lams = partitions(rank)
-        selfconj = sum(1 for l in lams if transpose(l) == l)
-        rest = (len(lams) - selfconj) // 2
-        return rest + (2 if rank % 2 == 0 else 1) * selfconj
-    if family == "G2":
-        return delta_elliptic_count(build(WeylType("G2", 2)))
-    raise ValueError(f"no reference value for family {family!r}")
 
 
 # ---------------------------------------------------------------------------

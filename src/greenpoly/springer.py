@@ -24,7 +24,7 @@ from operator import ge
 
 from .charring import fake_degree
 from .partitions import is_distinct, multiplicities, partitions, transpose
-from .polyq import IntPoly, ONE
+from .polyq import IntPoly, ONE, ZERO
 from .weyl import WeylGroupData, WeylType, build
 
 
@@ -233,31 +233,32 @@ def m_representation(label: OrbitLabel) -> MRep:
     return MRep(tuple(vz), tuple(sorted(md)))
 
 
-def tr_M(label: OrbitLabel, x: int) -> IntPoly:
-    return m_representation(label).trace(component_group(label), x)
+def _q_M_block(comp: ComponentGroup, mrep: MRep, masks) -> list:
+    """<phi, phi'>^{q,M} = (1/|A|) sum_x phi(x) phi'(x) tr_M(x) for the
+    characters phi, phi' in masks, with tr_M(x) taken once per x in A(e).
+    When A(e) is trivial every entry is tr_M(1)."""
+    if not comp.k:
+        trace = mrep.trace(comp, 0)
+        return [[trace] * len(masks) for _ in masks]
+    traces = [mrep.trace(comp, x) for x in comp.elements()]
+
+    def entry(a, b):
+        terms = (t * (comp.char_value(a, x) * comp.char_value(b, x)) for x, t in enumerate(traces))
+        return sum(terms, ZERO).divexact_int(comp.size)
+
+    return [[entry(a, b) for b in masks] for a in masks]
 
 
 def q_M_pairing(label: OrbitLabel, mask1: int, mask2: int) -> IntPoly:
     """<phi, phi'>^{q,M} = (1/|A|) sum_x phi(x) phi'(x) tr_M(x)."""
-    comp = component_group(label)
-    mrep = m_representation(label)
-    acc = IntPoly()
-    for x in comp.elements():
-        c = comp.char_value(mask1, x) * comp.char_value(mask2, x)
-        acc = acc + mrep.trace(comp, x) * c
-    return acc.divexact_int(comp.size)
+    return _q_M_block(component_group(label), m_representation(label), (mask1, mask2))[0][1]
 
 
 def q_M_gram(table: SpringerTable, orbit: int):
-    """Gram of the (q,M)-pairing over the orbit's Springer-type systems."""
+    """Gram of the (q,M)-pairing over the orbit's Springer-type systems, with
+    A(e) and M built once for the orbit."""
     rec = table.orbits[orbit]
-    return [
-        [
-            q_M_pairing(rec.label, a.char_mask, b.char_mask)
-            for b in rec.systems
-        ]
-        for a in rec.systems
-    ]
+    return _q_M_block(rec.comp, m_representation(rec.label), [sys.char_mask for sys in rec.systems])
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +286,8 @@ def quasidistinguished_reference(label: OrbitLabel) -> bool:
 def _pairing_survives_at(label: OrbitLabel, q0: int) -> bool:
     """True iff some entry of the M-pairing block is nonzero at q = q0."""
     comp = component_group(label)
-    return any(
-        q_M_pairing(label, m1, m2).eval(q0) != 0
-        for m1 in range(comp.size)
-        for m2 in range(comp.size)
-    )
+    block = _q_M_block(comp, m_representation(label), range(comp.size))
+    return any(e.eval(q0) != 0 for row in block for e in row)
 
 
 def quasidistinguished_by_pairing(label: OrbitLabel) -> bool:

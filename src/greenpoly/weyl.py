@@ -18,7 +18,7 @@ and for G2 it is written down from (mu, eps) (`_g2_least`); for B/C/D it is
 found by a pruned search (`_lex_elements`) on its first read and then kept,
 so `build` reads none.
 `class_of` computes an element's label.  `reduced_word` finds descents from
-the simple roots of `_ambient_simple_roots`, the same roots the pin layer
+the simple roots of `ambient_simple_roots`, the same roots the pin layer
 lifts, and `braid_order` reads the Coxeter exponent m_ij off the angle
 between two of them.  `delta_twisted_classes` and `all_elements` enumerate
 the whole group; the tests use them as oracles.
@@ -125,7 +125,7 @@ def identity_element(t: WeylType):
 
 @lru_cache(maxsize=None)
 def simple_generators(t: WeylType) -> tuple:
-    """The reflections in the roots of `_ambient_simple_roots`, in order."""
+    """The reflections in the roots of `ambient_simple_roots`, in order."""
     if t.family == "G2":
         return ((2, 1, 3), (-1, -3, -2))  # short and long simple reflections
     n = _ambient_dim(t)
@@ -715,11 +715,6 @@ def minus_one_elliptic_classes(g: WeylGroupData) -> set:
     return {i for i, p in enumerate(g.refl_charpoly) if p.eval(-1) != 0}
 
 
-def elliptic_classes(g: WeylGroupData) -> set:
-    """Classes with det_V(1 - w) != 0."""
-    return {i for i, p in enumerate(g.refl_charpoly) if p.eval(1) != 0}
-
-
 def delta_twisted_classes(g: WeylGroupData):
     """Orbits of w -> u w delta(u)^{-1}; returns (rep, size, is_elliptic).
 
@@ -767,7 +762,7 @@ def delta_elliptic_count(g: WeylGroupData) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ambient_simple_roots(t: WeylType) -> tuple:
+def ambient_simple_roots(t: WeylType) -> tuple:
     """Simple roots as integer vectors in the ambient coordinates of R^m:
     e_i - e_(i+1) for i < m, then e_m for B/C and e_(m-1) + e_m for D; for
     G2 the short root (1,-1,0) and the long root (-2,1,1) of the sum-zero
@@ -820,7 +815,7 @@ def reduced_word(g: WeylGroupData, w) -> tuple:
     generators are not the reflections in the simple roots: RuntimeError.
     """
     t = g.type
-    roots, gens, rho = _ambient_simple_roots(t), simple_generators(t), _rho(t)
+    roots, gens, rho = ambient_simple_roots(t), simple_generators(t), _rho(t)
     longest = sum(g.degrees) - len(g.degrees)  # N = sum_i (d_i - 1)
     word = []
     ident = identity_element(t)
@@ -851,7 +846,7 @@ def braid_order(g: WeylGroupData, i: int, j: int) -> int:
     0, 1, 2, 3 for m = 2, 3, 4, 6 (Humphreys, Reflection Groups and Coxeter
     Groups, 1990, ch. 1-2), and 4 for i = j, m = 1.
     """
-    roots = _ambient_simple_roots(g.type)
+    roots = ambient_simple_roots(g.type)
     a, b = roots[i], roots[j]
     ab, aa, bb = sum(map(mul, a, b)), sum(map(mul, a, a)), sum(map(mul, b, b))
     return (2, 3, 4, 6, 1)[4 * ab * ab // (aa * bb)]

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +11,34 @@ from greenpoly.lusztigshoji import solve
 from greenpoly.springer import table_typeA, table_typeC
 
 SRC = os.path.dirname(os.path.dirname(greenpoly.__file__))
+TRACER = os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")
+
+
+def tracer_tables() -> dict:
+    """The bench tracer's `SPANS` (span name -> (module, functions)) and
+    `COUNTS` (counter name -> (module, dotted function name)), read from its
+    source without importing or running it."""
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTS")
+    }
+
+
+def traced_names() -> list:
+    """(module, dotted name, what the tracer needs of it) for every name in
+    the tracer's tables, sorted: a span wraps a callable; a counter reads the
+    code object of a Python function."""
+    tables = tracer_tables()
+    return sorted(
+        {(mod, func, "span") for mod, funcs in tables.get("SPANS", {}).values() for func in funcs}
+        | {(mod, dotted, "count") for mod, dotted in tables.get("COUNTS", {}).values()}
+    )
 
 
 def run_fresh(code, *args, env=None, **kwargs):

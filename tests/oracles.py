@@ -1,5 +1,12 @@
 """Slower paths kept as test oracles for the production ones.
 
+Names only the tests use: `irreducible` and `graded_irreducible` build one
+irreducible as a character, `omega` is Omega(q) as polynomials (the
+production check takes it at one integer point, `charring.omega_at`),
+`reverse` is q^n f(1/q), `sign_twist_space_dimension` the closed forms that
+wait for a verb to print them, and `char_formula_check` tests the class
+values of `spin.sigma_tilde` against the spin traces.
+
 Whole-group enumerations: `elements` and `brute_force_classes` list the group
 and its conjugacy classes, and the `*_elements` / `*_direct` pairings sum over
 group elements instead of classes.
@@ -94,10 +101,11 @@ from types import SimpleNamespace
 from greenpoly.charring import (
     GradedCharacter,
     VirtualCharacter,
+    _class_gram,
+    _coinvariant_values,
     _det_values,
     _pair,
     _same_group,
-    irreducible,
     minus_one_gram,
     minus_one_pairing,
     poincare_poly,
@@ -113,19 +121,92 @@ from greenpoly.cli import (
     cmd_verify,
     cmd_wg,
 )
-from greenpoly.lusztigshoji import (
-    CactionResult,
-    GreenTableau,
-    SolverError,
-    _inverse_parts,
-    omega_on_pairs,
-)
-from greenpoly.partitions import multiplicities, partitions, sym_char
+from greenpoly.lusztigshoji import CactionResult, GreenTableau, SolverError, _inverse_parts
+from greenpoly.partitions import distinct_partitions, multiplicities, partitions, sym_char, transpose
 from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
-from greenpoly.spin import PinRep, _column_at
-from greenpoly.weyl import (
-    WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, simple_generators, sp_inv, sp_mul,
+from greenpoly.spin import (
+    PinConstructionError, PinRep, _column_at, sigma_tilde, spin_traces_by_class,
 )
+from greenpoly.weyl import (
+    WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, build, delta_elliptic_count,
+    simple_generators, sp_inv, sp_mul,
+)
+
+
+# ---------------------------------------------------------------------------
+# names only the tests use
+
+
+def irreducible(g: WeylGroupData, i: int) -> VirtualCharacter:
+    """The i-th irreducible as a virtual character."""
+    coords = [0] * len(g.irrep_labels)
+    coords[i] = 1
+    return VirtualCharacter(g, tuple(coords))
+
+
+def graded_irreducible(g: WeylGroupData, i: int) -> GradedCharacter:
+    """The i-th irreducible as a graded character, in degree 0."""
+    coords = [ZERO] * len(g.irrep_labels)
+    coords[i] = ONE
+    return GradedCharacter(g, tuple(coords))
+
+
+def omega(g: WeylGroupData) -> list:
+    """Omega(q) on all the irreducibles, as rows of IntPolys: `charring`'s
+    class-sum kernel on the character table with itself, weighted by the
+    coinvariant class function."""
+    return _class_gram(g, g.char_table, g.char_table, _coinvariant_values(g.type))
+
+
+def reverse(f: IntPoly, n: int) -> IntPoly:
+    """q^n f(1/q); requires n >= deg f."""
+    if n < len(f.coeffs) - 1:
+        raise ValueError(f"reverse({n}) needs n >= deg = {len(f.coeffs) - 1}")
+    return IntPoly((0,) * (n + 1 - len(f.coeffs)) + f.coeffs[::-1])
+
+
+def sign_twist_space_dimension(family: str, rank: int = 0) -> int:
+    """Dimensions of the sgn-symmetrized genuine character space.
+
+    Closed forms in the partitions of the rank for A-D; for G2 it equals the
+    number of elliptic delta-twisted classes, which is computed.
+    """
+    if family == "A":
+        return len(distinct_partitions(rank + 1))
+    if family in ("B", "C"):
+        return len(partitions(rank))
+    if family == "D":
+        lams = partitions(rank)
+        selfconj = sum(1 for l in lams if transpose(l) == l)
+        rest = (len(lams) - selfconj) // 2
+        return rest + (2 if rank % 2 == 0 else 1) * selfconj
+    if family == "G2":
+        return delta_elliptic_count(build(WeylType("G2", 2)))
+    raise ValueError(f"no reference value for family {family!r}")
+
+
+def char_formula_check(
+    tab: GreenTableau, pin: PinRep, partition, system="triv", tol: float = 1e-8
+) -> bool:
+    """On (-1)-elliptic classes the ratio of the spin-tensored trace by the
+    plain spin trace recovers X_{-1}; elsewhere the spin trace vanishes."""
+    j = tab.table.pair_of(partition, system)
+    x = _column_at(tab, j, -1)
+    st = sigma_tilde(tab, pin, partition, system)
+    g = tab.group
+    # the ratio identity holds by construction; the content is the support
+    # condition: the spin trace is zero (x_0 = 0 exactly) off the (-1)-elliptic set
+    for k, full in enumerate(spin_traces_by_class(pin)):
+        if g.refl_charpoly[k].eval(-1) != 0:
+            if full == 0:
+                raise PinConstructionError(
+                    f"vanishing spin trace on a (-1)-elliptic class {k}"
+                )
+            if abs(st.values[k] / full - x.value(k)) > tol:
+                return False
+        elif full != 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +354,8 @@ def one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
 
 def spin_pairings_by_class_sums(tab: GreenTableau, pin: PinRep) -> list:
     """a_V < X_{-1}(a), X_{-1}(b) >^{-1} for every two pairs a, b, one class
-    sum each: `spin.sigma_tilde_pairing`, and on the diagonal the norms of
-    `sigma_tilde` and `classify_constituents`."""
+    sum each: a_V M_ab(-1) on the solved tableau, and on the diagonal the
+    norms of `sigma_tilde` and `classify_constituents`."""
     cols = [_column_at(tab, j, -1) for j in range(len(tab.pairs))]
     return [[pin.a_v * minus_one_pairing(x, y) for y in cols] for x in cols]
 
@@ -651,8 +732,8 @@ def dense_product_checks(tab: GreenTableau) -> list:
     )
     K = _k_by_entries(tab)
     KLK = matmul(matmul(K, tab.Lam), [list(col) for col in zip(*K)])
-    omega = omega_on_pairs(tab)
-    kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != omega[i][j]]
+    rows, irr = omega(tab.group), tab.table.pair_irreps
+    kl_bad = [(i, j) for i in range(n) for j in range(n) if KLK[i][j] != rows[irr[i]][irr[j]]]
     return [("lambda_m_product", bad is None, bad), ("kl_equation", not kl_bad, kl_bad[:4])]
 
 

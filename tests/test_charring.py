@@ -19,19 +19,16 @@ from greenpoly.charring import (
     coinvariant_character,
     delta_twist_pairing,
     fake_degree,
-    graded_irreducible,
-    irreducible,
     minus_one_gram,
     minus_one_gram_rank,
     minus_one_pairing,
-    omega_matrix,
     poincare_poly,
-    q_elliptic_gram,
     q_elliptic_pairing,
+    qell_rows,
 )
 from greenpoly import charring, weyl
 from greenpoly.lusztigshoji import solve
-from greenpoly.polyq import IntPoly, PackedRows, slot_bits, sparse_matmul
+from greenpoly.polyq import IntPoly, PackedRows, slot_bits
 from greenpoly.springer import table_typeA, table_typeC
 from greenpoly.weyl import (
     SUPPORTED_RANKS,
@@ -48,6 +45,10 @@ from oracles import (
     bc_column_per_term,
     delta_twist_grams_agree,
     delta_twist_pairing_direct,
+    graded_irreducible,
+    irreducible,
+    matmul,
+    omega,
     one_pairing,
     q_elliptic_pairing_elements,
     std_pairing,
@@ -167,7 +168,7 @@ def test_coinvariant_values_raise_where_det_does_not_divide(monkeypatch, family,
 
 def test_omega_a1():
     g = build(WeylType("A", 1))
-    om = omega_matrix(g)
+    om = omega(g)
     assert om[0][0] == P(1)
     q = P(0, 1)
     i, j = g.triv_index, g.sgn_index
@@ -178,7 +179,7 @@ def test_omega_a1():
 def test_omega_symmetric_and_triv_column():
     for fam, r in [("A", 2), ("B", 2)]:
         g = build(WeylType(fam, r))
-        om = omega_matrix(g)
+        om = omega(g)
         n = len(g.irrep_labels)
         for i in range(n):
             assert om[i][g.triv_index] == fake_degree(g, i)
@@ -197,7 +198,7 @@ def test_gram_times_omega_is_p_identity():
             for i in range(n)
         ]
         p = poincare_poly(g)
-        assert sparse_matmul(omega_matrix(g), gram) == [
+        assert matmul(omega(g), gram) == [
             [p if i == j else IntPoly() for j in range(n)] for i in range(n)
         ]
 
@@ -293,7 +294,7 @@ def test_element_oracles_match_classwise():
     for fam, r in [("A", 3), ("B", 3), ("G2", 2), ("D", 4)]:
         g = build(WeylType(fam, r))
         n = len(g.irrep_labels)
-        qgram = q_elliptic_gram(g)
+        qgram = qell_rows(g.type)
         mgram = minus_one_gram(g)
         for i in range(n):
             for j in range(i, n):
@@ -433,7 +434,7 @@ def test_graded_gram_unpacks_each_distinct_slot_once(monkeypatch):
     gram = _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
     upper = [e for i, row in enumerate(gram) for e in row[i:] if e]
     assert (len(upper), len(set(upper)), len(calls)) == (920, 31, 31)
-    assert gram == q_elliptic_gram(g)
+    assert tuple(map(tuple, gram)) == qell_rows(g.type)
 
 
 def test_packed_kernel_rejects_non_characters():
@@ -578,7 +579,7 @@ def test_store_grows_and_matches_one_shot_gram(data):
     # width.
     g = build(WeylType("B", 2))
     n = len(g.irrep_labels)
-    gram = q_elliptic_gram(g)
+    gram = qell_rows(g.type)
 
     def character(scale):
         coords = [IntPoly([d * scale for d in data.draw(st.lists(_digit, max_size=3))])
@@ -681,12 +682,12 @@ _OMEGA_GROUPS = {("A", r) for r in range(1, 8)} | {("C", r) for r in range(1, 4)
 def test_table_grams_match_per_entry_oracle(family, rank):
     # the row-packed Grams against one packed dot product per entry
     g = build(WeylType(family, rank))
-    assert q_elliptic_gram(g) == symmetric_class_gram(g, g.char_table, g.refl_charpoly)
+    assert list(map(list, qell_rows(g.type))) == symmetric_class_gram(g, g.char_table, g.refl_charpoly)
     assert minus_one_gram(g) == symmetric_class_gram(g, g.char_table, _det_values(g, -1))
     if (family, rank) in _OMEGA_GROUPS:
         coinv = _coinvariant_values(g.type)
         want = symmetric_class_gram(g, g.char_table, coinv)
-        assert [list(row) for row in omega_matrix(g)] == want
+        assert omega(g) == want
 
 
 @given(data=st.data())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpoly.charring import fake_degree, q_elliptic_gram
+from greenpoly.charring import fake_degree, qell_rows
 from greenpoly.cli import _json_text, _label_str, main
 from greenpoly.polyq import ZERO, IntPoly
 from greenpoly.weyl import WeylType, build
@@ -714,7 +714,7 @@ def test_pairing_gram(capsys):
 def test_qell_gram_entries_print_as_str(capsys, fam, rank):
     # the q-elliptic Gram formats each distinct entry once; every printed
     # entry, in JSON and in CSV, is still str of that entry
-    want = [[str(e) for e in row] for row in q_elliptic_gram(build(WeylType(fam, rank)))]
+    want = [[str(e) for e in row] for row in qell_rows(WeylType(fam, rank))]
     grp = ("--type", fam, "--rank", str(rank), "--form", "qell")
     code, out, _ = run(capsys, "pairing", "gram", *grp, "--json")
     assert code == 0

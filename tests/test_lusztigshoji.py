@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly import charring, weyl
-from greenpoly.charring import GradedCharacter, fake_degree, q_elliptic_gram
+from greenpoly.charring import GradedCharacter, fake_degree, omega_at
 from greenpoly.lusztigshoji import (
     SolverError,
     _inverse_parts,
@@ -15,13 +15,11 @@ from greenpoly.lusztigshoji import (
     isometry_check,
     kl_width,
     m_block,
-    omega_at,
-    omega_on_pairs,
     solve,
     verify,
 )
 from greenpoly.partitions import partitions, transpose
-from greenpoly.polyq import ONE, ZERO, IntPoly, PackedRows, slot_bits, sparse_matmul
+from greenpoly.polyq import ONE, ZERO, IntPoly, PackedRows, slot_bits
 from greenpoly.springer import load_table, save_table, table_typeA, table_typeC
 
 from conftest import SOLVED_TABLES
@@ -31,6 +29,9 @@ from oracles import (
     dense_product_checks,
     dense_support_checks,
     kostka_foulkes,
+    matmul,
+    omega,
+    reverse,
     solve_per_block,
 )
 
@@ -354,37 +355,21 @@ def test_m_takes_cross_orbit_entries_in_full(monkeypatch):
     assert report["cross_orbit_orthogonality"] == (False, [(earlier, last), (last, earlier)])
 
 
-def test_q_elliptic_gram_is_fresh_per_call():
-    # the solver reads the q-elliptic Gram from a cache per type: a caller
-    # that edits the lists it was given changes neither a later Gram nor a
-    # later solve
-    table = table_typeA(5)
-    g = table.group
-    gram = q_elliptic_gram(g)
-    want = [list(row) for row in gram]
-    gram[0][0] = gram[0][0] + P(1)
-    gram[1].reverse()
-    gram.append(gram.pop(0))
-    assert q_elliptic_gram(g) == want
-    tab, oracle = solve(table, check=False), solve_per_block(table)
-    assert (tab.coords, tab.M, tab.Lam) == (oracle.coords, oracle.M, oracle.Lam)
-
-
 @pytest.mark.parametrize("key", [("A", n) for n in range(2, 9)] + [("C", n) for n in (1, 2, 3)],
                          ids=lambda k: f"{k[0]}{k[1]}")
 def test_omega_at_one_point_matches_packed_polynomials(tableau, key):
     # kl_equation takes Omega on the pairs as one integer Gram at q = 2^b;
     # it must be Omega's polynomials packed at that same b
     tab = tableau(*key)
-    omega = omega_on_pairs(tab)
+    rows, irr = omega(tab.group), tab.table.pair_irreps
     b = kl_width(tab, tab.k_matrix())
-    assert omega_at(tab, b) == [[x.pack(b) for x in row] for row in omega]
+    assert omega_at(tab.group, irr, b) == [[rows[i][j].pack(b) for j in irr] for i in irr]
     # the width holds Omega's coefficients on its own, with no help from
     # the K Lambda K^t side
     n = len(tab.pairs)
     bare = copy.copy(tab)
     bare.Lam = [[IntPoly()] * n for _ in range(n)]
-    assert kl_width(bare, bare.k_matrix()) >= slot_bits(max(x.norm_inf() for row in omega for x in row))
+    assert kl_width(bare, bare.k_matrix()) >= slot_bits(max(x.norm_inf() for row in rows for x in row))
 
 
 def _mutants(tab):
@@ -518,7 +503,7 @@ def test_type_a_columns_count_flags(tableau, n):
         orbit = tab.table.find_orbit(lam)
         col = tab.coords[tab.table.blocks[orbit][0]]
         total = sum((c * d for c, d in zip(col, dims)), IntPoly())
-        assert total == _flag_count(transpose(lam)).reverse(tab.table.orbits[orbit].d_e), lam
+        assert total == reverse(_flag_count(transpose(lam)), tab.table.orbits[orbit].d_e), lam
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -554,8 +539,7 @@ def test_solve_and_verify_read_no_class_value(monkeypatch, key):
 
     monkeypatch.setattr(weyl.ConjClass, "representative", property(forbidden))
     monkeypatch.setattr(charring.GradedCharacter, "values", property(forbidden))
-    for cache in (charring._qell_rows, charring._coinvariant_values,
-                  charring._fake_degrees, charring._omega_rows):
+    for cache in (charring.qell_rows, charring._coinvariant_values, charring._fake_degrees):
         cache.cache_clear()
     report = {name: ok for name, ok, _ in verify(solve(table))}
     assert report["twist_identity"] and all(report.values())
@@ -592,8 +576,8 @@ def _check_against_field_inverse(rows):
     assert d == det
     n = len(rows)
     scalar = [[det if i == j else IntPoly() for j in range(n)] for i in range(n)]
-    assert sparse_matmul(adj, rows) == scalar
-    assert sparse_matmul(rows, adj) == scalar
+    assert matmul(adj, rows) == scalar
+    assert matmul(rows, adj) == scalar
 
 
 _small_poly = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)

@@ -3,7 +3,6 @@
 from pathlib import Path
 
 from greenpoly.charring import GradedCharacter
-from greenpoly.spin import sigma_tilde_pairing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,6 +18,6 @@ def test_library_sketch_runs():
     tab, x, pin, st = ns["tab"], ns["x"], ns["pin"], ns["st"]
     assert isinstance(x, GradedCharacter) and x.group is tab.group
     assert len(st.values) == len(tab.group.classes)
-    pair = ((2, 2), "sgn")
-    assert st.exact_norm == sigma_tilde_pairing(tab, pin, pair, pair)
+    j = tab.table.pair_of((2, 2), "sgn")
+    assert st.exact_norm == pin.a_v * tab.M[j][j].eval(-1)
     assert isinstance(st.exact_norm, int) and st.exact_norm > 0

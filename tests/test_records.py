@@ -3,16 +3,13 @@ fresh mutable state for each instance of the plain records."""
 
 import pytest
 
-from greenpoly.charring import (
-    GradedCharacter,
-    VirtualCharacter,
-    graded_irreducible,
-    irreducible,
-)
+from greenpoly.charring import GradedCharacter, VirtualCharacter
 from greenpoly.lusztigshoji import GreenTableau
 from greenpoly.polyq import ONE
 from greenpoly.springer import OrbitLabel, SpringerTable
 from greenpoly.weyl import WeylGroupData, WeylType, build
+
+from oracles import graded_irreducible, irreducible
 
 
 @pytest.mark.parametrize(

@@ -11,22 +11,19 @@ from greenpoly.spin import (
     braid_check,
     braid_failure,
     build_pin,
-    char_formula_check,
     classify_constituents,
     dirac_index_char,
     g_lambda,
     genuine_count_typeA,
     index_traces_by_class,
     sigma_tilde,
-    sigma_tilde_pairing,
-    sign_twist_space_dimension,
     spin_traces_by_class,
     tensor_spin_multiplicity,
 )
 from greenpoly.springer import nsol_predicate
 from greenpoly.weyl import (
     WeylType,
-    _ambient_simple_roots,
+    ambient_simple_roots,
     build,
     delta_elliptic_count,
     reduced_word,
@@ -37,10 +34,12 @@ from greenpoly.weyl import (
 from conftest import SOLVED_TABLES
 from oracles import (
     alternating_betti_by_class_value,
+    char_formula_check,
     index_flags_by_class_sums,
     schur_spin_character,
     spin_pairings_by_class_sums,
     k_at_minus_one_inverse,
+    sign_twist_space_dimension,
     tensor_spin_multiplicity_oracle,
 )
 
@@ -53,6 +52,12 @@ ALL_TYPES = (
 )
 
 SMALL_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 4), ("G2", 2)]
+
+
+def _spin_pairing(tab, pin, pa, pb) -> int:
+    """a_V < X_{-1}(a), X_{-1}(b) >^{-1}_W = a_V M_ab(-1) for two (partition,
+    system) pairs, read off the tableau."""
+    return pin.a_v * tab.M[tab.table.pair_of(*pa)][tab.table.pair_of(*pb)].eval(-1)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +187,7 @@ def _oracle_unit_roots(g):
     t = g.type
     if t.family == "G2":
         return [np.array([1.0, 0.0]), np.array([-(3**0.5) / 2, 0.5])]
-    roots = [np.array(r, dtype=float) for r in _ambient_simple_roots(t)]
+    roots = [np.array(r, dtype=float) for r in ambient_simple_roots(t)]
     if t.family == "A":
         n = t.rank + 1
         basis = []
@@ -242,7 +247,7 @@ def test_unit_simple_roots():
     for fam, r in [("A", 2), ("B", 3), ("D", 4), ("G2", 2)]:
         g = build(WeylType(fam, r))
         roots = _oracle_unit_roots(g)
-        exact = _ambient_simple_roots(g.type)
+        exact = ambient_simple_roots(g.type)
         assert len(roots) == len(exact) == r
         # the oracle's basis is orthonormal: its unit roots have the angles
         # of the integer roots
@@ -320,7 +325,7 @@ class TestSigmaTilde:
         for a in parts:
             for b in parts:
                 if a != b:
-                    assert sigma_tilde_pairing(tab, pin, (a, "triv"), (b, "triv")) == 0
+                    assert _spin_pairing(tab, pin, (a, "triv"), (b, "triv")) == 0
 
 
 @pytest.mark.parametrize("ambient,n", SOLVED_TABLES)
@@ -360,7 +365,7 @@ def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n
             assert (rep.exact_norm, rep.alternating_betti) == (pairing[j][j], want), lam
         for a, pa in enumerate(names):
             for b, pb in enumerate(names):
-                assert sigma_tilde_pairing(tab, pin, pa, pb) == pairing[a][b], (pa, pb)
+                assert _spin_pairing(tab, pin, pa, pb) == pairing[a][b], (pa, pb)
                 assert tensor_spin_multiplicity(tab, pa, pb) == multiplicity[a][b], (pa, pb)
     for j, (lam, phi) in enumerate(names):
         assert sigma_tilde(tab, pin, lam, phi).exact_norm == pairing[j][j], (lam, phi)

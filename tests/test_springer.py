@@ -28,7 +28,6 @@ from greenpoly.springer import (
     save_table,
     table_typeA,
     table_typeC,
-    tr_M,
 )
 
 
@@ -117,6 +116,10 @@ class TestTypeC:
         # the built-in table saves as the reference JSON, key for key
         with open(path, encoding="utf-8") as fh:
             assert save_table(table_typeC(n)) == json.load(fh)
+
+
+def tr_M(lab, x):
+    return m_representation(lab).trace(component_group(lab), x)
 
 
 class TestMRep:

@@ -22,7 +22,6 @@ from greenpoly.weyl import (
     build,
     delta_elliptic_count,
     delta_twisted_classes,
-    elliptic_classes,
     identity_element,
     minus_one_elliptic_classes,
     reduced_word,
@@ -243,7 +242,7 @@ def test_untwisted_elliptic_matches_twisted_when_w0_central():
     for fam, r in [("B", 2), ("B", 3), ("G2", 2), ("D", 4)]:
         g = build(WeylType(fam, r))
         assert g.delta_is_trivial()
-        assert delta_elliptic_count(g) == len(elliptic_classes(g))
+        assert delta_elliptic_count(g) == sum(p.eval(1) != 0 for p in g.refl_charpoly)
 
 
 def test_delta_nontrivial_for_a_and_odd_d():
@@ -292,7 +291,7 @@ def test_generators_are_the_simple_root_reflections(family, rank):
     # s_i(alpha_j) = alpha_j - (2 <alpha_j, alpha_i> / <alpha_i, alpha_i>) alpha_i,
     # compared after multiplying through by <alpha_i, alpha_i>
     t = WeylType(family, rank)
-    roots = weyl._ambient_simple_roots(t)
+    roots = weyl.ambient_simple_roots(t)
     gens = simple_generators(t)
     assert len(gens) == len(roots) == rank
     for s, a in zip(gens, roots):
