@@ -7,11 +7,15 @@ class function p(q)/det_V(1 - q w) for fake degrees and Omega.  All of them
 go through one kernel, `_class_gram`, on integers packed by Kronecker
 substitution: each class column of the right-hand rows is packed over those
 rows once, so one integer dot product per left-hand row gives that row's
-entries at once, with no pairing unpacked alone.  A Gram of rows with
-themselves (the q-elliptic and (-1)-elliptic Grams, and Omega at one
-integer point, `omega_at`, for the solver's check) keeps only the entries on
-and above the diagonal of each row and mirrors them; `omega_bound` bounds
-Omega's coefficients, so the solver can choose that point.  The q-elliptic
+entries at once, with no pairing unpacked alone.  A Gram of irreducibles
+with themselves (the q-elliptic and (-1)-elliptic Grams, and Omega at one
+integer point, `omega_at`, for the solver's check) takes the class sums of
+one row per orbit of the twists chi -> chi lambda by the linear characters
+lambda of W (`twists`) and fills the other rows of the orbit by permuting
+its columns.  That is exact: a linear character of W takes the values +-1
+only, so lambda^2 = 1 and each class sum of chi lambda chi' lambda equals
+that of chi chi' term by term.  `omega_bound` bounds Omega's coefficients,
+so the solver can choose that point.  The q-elliptic
 Gram of the irreducibles is kept per type (`qell_rows`): by bilinearity it
 gives the solver every pairing of a Green column, and through the solver's
 M it gives the spin layer every pairing that layer reports, so neither takes
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, compress
-from operator import mul
+from operator import mul, neg
 
 from .polyq import IntPoly, ONE, ZERO, byte_width, pack_ints, slot_bits, split_ints
 from .weyl import WeylGroupData, WeylType, build
@@ -117,7 +121,47 @@ def _over_order(total, order: int):
     return total // order
 
 
-def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
+@lru_cache(maxsize=None)
+def twists(t: WeylType) -> tuple:
+    """The permutations i -> pi(i) of the irreducibles of W(t) with
+    chi_pi(i) = chi_i lambda, one per linear character lambda, in table
+    order; the trivial character gives the identity.  They form a group of
+    involutions, of order 2 for A and D and 4 for B, C (rank >= 2) and G2.
+
+    Read off the character table: the linear characters are its rows of
+    degree 1, and each twisted row is looked up among the rows.  As lambda
+    is +-1, the table twisted by lambda is the table with the columns where
+    lambda is -1 negated, so its rows come out of one zip of columns.
+    Raises ArithmeticError when a row of degree 1 takes a value other than
+    +-1 or a twisted row is not in the table.
+    """
+    g = build(t)
+    table, ident = g.char_table, g.identity_class
+    index = {row: i for i, row in enumerate(table)}
+    cols = list(zip(*table))
+    negated = [tuple(map(neg, col)) for col in cols]
+    perms = []
+    for lam in table:
+        if lam[ident] != 1:
+            continue
+        if any(v * v != 1 for v in lam):
+            raise ArithmeticError(f"linear character {lam} of {t} takes a value other than +-1")
+        twisted = zip(*[col if v > 0 else minus for col, minus, v in zip(cols, negated, lam)])
+        perm = tuple(map(index.get, twisted))
+        if None in perm:
+            raise ArithmeticError(f"row {perm.index(None)} of {t} twisted by {lam} is not in the table")
+        perms.append(perm)
+    return tuple(perms)
+
+
+def _on_rows(perms, irreps) -> list:
+    """The permutations in perms that map the irreducibles irreps onto
+    themselves, as permutations of their positions in irreps."""
+    at = {a: i for i, a in enumerate(irreps)}
+    return [tuple(at[p[a]] for a in irreps) for p in perms if all(p[a] in at for a in irreps)]
+
+
+def _class_gram(g: WeylGroupData, rows_a, rows_b, weight, perms=()) -> list:
     """Matrix of (1/|W|) sum_k |C_k| a(w_k) b(w_k) weight_k, a in rows_a, b in rows_b.
 
     Each row, and the weight, lists one value per class, an int or an IntPoly.
@@ -134,26 +178,35 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
     that sum_k a_i(w_k) P_k, taken over the classes where a_i is nonzero, is
     sum_j |W| G_ij(2^b) 2^(S j).
 
-    When rows_a is rows_b the Gram is symmetric: the entries j < i of row i
-    sum to less than 2^(S i - 1) in absolute value, so a shift by S i,
-    rounded, drops them, and the entries j >= i are taken and mirrored.
-    When |W| divides u, the row's sum or what the shift leaves of it, the
-    quotient splits into one signed slot per entry.  If every nonzero slot
-    unpacks into at most s signed base-2^b digits of at most
-    (2^(b - 1) - 1) / |W|, then |W| times each slot lies within its slot, so
-    by the uniqueness of signed digits it is the class sum there: the slots
-    are the entries at 2^b.  A zero slot is the entry 0 and is not unpacked.
-    That test depends only on the slot's value (b, s and |W| are fixed for
-    the call), so each distinct value of a graded Gram is unpacked and tested
-    once, however many slots hold it: the B6 q-elliptic Gram has 920 nonzero
-    slots on and above the diagonal and 31 distinct values.  Otherwise the
-    row's class sums are taken again one entry at a time, and the first with
-    a coefficient |W| does not divide raises ArithmeticError (`_over_order`):
-    the rows were not virtual characters.
+    perms lists involutions pi of the row indices under which the Gram is
+    invariant, G[pi i][pi j] = G[i][j]; each acts on rows_a and rows_b
+    alike, so it is given only when rows_b lists the same characters as
+    rows_a.  For the irreducibles those are the twists chi -> chi lambda by
+    the linear characters lambda of W (`twists`): lambda takes the values
+    +-1 only, so lambda(w)^2 = 1 and the class sum of chi lambda chi' lambda
+    is the class sum of chi chi', term by term, whatever the weight.  The
+    class sums are taken for the first row of each orbit, over every column,
+    and row pi i is filled from row i as G[pi i][j] = G[i][pi j]: the B6
+    q-elliptic Gram takes 19 of its 65 rows.  With no perms every row is
+    taken.
+
+    When |W| divides u, the row's sum, the quotient splits into one signed
+    slot per entry.  If every nonzero slot unpacks into at most s signed
+    base-2^b digits of at most (2^(b - 1) - 1) / |W|, then |W| times each
+    slot lies within its slot, so by the uniqueness of signed digits it is
+    the class sum there: the slots are the entries at 2^b.  A zero slot is
+    the entry 0 and is not unpacked.  That test depends only on the slot's
+    value (b, s and |W| are fixed for the call), so each distinct value of a
+    graded Gram is unpacked and tested once, however many slots hold it, and
+    every slot that holds it, in a taken or a filled row, is the one entry
+    object: the B6 q-elliptic Gram has 31 distinct nonzero values.
+    Otherwise the row's class sums are taken again one entry at a time, and
+    the first with a coefficient |W| does not divide raises ArithmeticError
+    (`_over_order`): the rows were not virtual characters.
     """
-    order, symmetric = g.order, rows_a is rows_b
+    order, same = g.order, rows_a is rows_b
     reach_a, n_a = _reach(rows_a, IntPoly.norm1)
-    reach_b, n_b = (reach_a, n_a) if symmetric else _reach(rows_b, IntPoly.norm1)
+    reach_b, n_b = (reach_a, n_a) if same else _reach(rows_b, IntPoly.norm1)
     reach_w, n_w = _reach([weight], IntPoly.norm_inf)
     terms = [cls.size * x * y * z for cls, x, y, z in zip(g.classes, reach_a, reach_b, reach_w)]
     b = slot_bits(sum(terms))
@@ -169,7 +222,7 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
         return [v.pack(b) if isinstance(v, IntPoly) else v for v in values]
 
     live_a = [live(row, n_a) for row in rows_a]
-    live_b = live_a if symmetric else [live(row, n_b) for row in rows_b]
+    live_b = live_a if same else [live(row, n_b) for row in rows_b]
     sized = [cls.size * w for cls, w in zip(compress(g.classes, terms), live(weight, n_w))]
     packed = [sz * pack_ints(col, stride) for sz, col in zip(sized, zip(*live_b))]
     if n_a or n_b or n_w:
@@ -193,18 +246,21 @@ def _class_gram(g: WeylGroupData, rows_a, rows_b, weight) -> list:
         def entries(digits):
             return digits if all(abs(e) <= limit for e in digits if e) else None
 
-    gram = []
+    gram = [None] * len(live_a)
     for i, a in enumerate(live_a):
-        start = i if symmetric else 0
-        shift = stride * start
+        if gram[i] is not None:
+            continue
         total = sum([x * p for x, p in zip(a, packed) if x])
-        quo, rem = divmod((total + ((1 << shift) >> 1)) >> shift, order)
-        digits = None if rem else split_ints(quo, stride, len(live_b) - start)
+        quo, rem = divmod(total, order)
+        digits = None if rem else split_ints(quo, stride, len(live_b))
         row = None if digits is None else entries(digits)
         if row is None:
             row = [_over_order(entry(sum(map(mul, map(mul, a, other), sized))), order)
-                   for other in live_b[start:]]
-        gram.append([r[i] for r in gram] + row if symmetric else row)
+                   for other in live_b]
+        gram[i] = row
+        for p in perms:
+            if gram[p[i]] is None:
+                gram[p[i]] = list(map(row.__getitem__, p))
     return gram
 
 
@@ -234,7 +290,7 @@ def qell_rows(t: WeylType) -> tuple:
     order, as rows of IntPolys; taken once per type and shared, so the rows
     are tuples."""
     g = build(t)
-    return tuple(map(tuple, _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)))
+    return tuple(map(tuple, _class_gram(g, g.char_table, g.char_table, g.refl_charpoly, twists(t))))
 
 
 def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
@@ -309,10 +365,12 @@ def omega_at(g: WeylGroupData, irreps, b: int) -> list:
     """Omega, the graded multiplicities of the tensor products chi_i chi_j in
     the coinvariant algebra, for i, j in irreps, at q = 2^b, as integers: one
     class-sum Gram of those character rows with themselves with the integer
-    weights c_k(2^b), so no polynomial entry of Omega is formed."""
+    weights c_k(2^b), so no polynomial entry of Omega is formed.  The twists
+    that map irreps onto themselves (all of them for the pairs of a Springer
+    table that covers every irreducible) fill each orbit's rows from one."""
     rows = [g.char_table[a] for a in irreps]
     weight = [c.pack(b) for c in _coinvariant_values(g.type)]
-    return _class_gram(g, rows, rows, weight)
+    return _class_gram(g, rows, rows, weight, _on_rows(twists(g.type), irreps))
 
 
 def omega_bound(g: WeylGroupData, irreps) -> int:
@@ -342,7 +400,7 @@ def chevalley_failure(g: WeylGroupData):
 
 
 def minus_one_gram(g: WeylGroupData):
-    return _class_gram(g, g.char_table, g.char_table, _det_values(g, -1))
+    return _class_gram(g, g.char_table, g.char_table, _det_values(g, -1), twists(g.type))
 
 
 def _int_matrix_rank(rows) -> int:

@@ -127,11 +127,14 @@ def _json_float(x: float) -> str:
 
 
 def _json_text(obj) -> str:
-    """obj as json.dumps(obj, default=polyq.IntPoly.to_json) writes it with
-    its other arguments left at their defaults: the separators ", " and ": ",
-    ASCII only, NaN and the infinities allowed.  Values are str, int, float,
-    bool, None, IntPolys, and lists, tuples and dicts of them, dict keys str;
-    any other value raises TypeError.
+    """obj as json.dumps writes it with its arguments left at their
+    defaults (the separators ", " and ": ", ASCII only, NaN and the
+    infinities allowed) and each IntPoly f given as the object
+    {"coeffs": [the coefficients of f, lowest first, as strings]}.  Values
+    are str, int, float, bool, None, IntPolys, and lists, tuples and dicts
+    of them, dict keys str; any other value raises TypeError, and a value
+    that contains itself raises ValueError("Circular reference detected"),
+    as json.dumps does.
 
     Written here so that printing JSON does not import json, whose import
     compiles the decoder's regular expressions.  The keys of a dict, and a
@@ -180,12 +183,32 @@ def _json_text(obj) -> str:
             return int.__repr__(x)
         if isinstance(x, float):
             return _json_float(x)
-        if type(x) is polyq.IntPoly:  # as json writes x.to_json()
+        if type(x) is polyq.IntPoly:
             coeffs = '", "'.join(map(str, x.coeffs))
             return '{"coeffs": ["' + coeffs + '"]}' if coeffs else '{"coeffs": []}'
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
-    return encode(obj)
+    try:
+        return encode(obj)
+    except RecursionError:
+        if _holds_itself(obj, set()):
+            raise ValueError("Circular reference detected") from None
+        raise
+
+
+def _holds_itself(x, open_ids: set) -> bool:
+    """Whether a list, tuple or dict in x contains itself, at any depth;
+    open_ids holds the ids of the containers x lies in.  `_json_text` asks
+    only once its writing has run out of recursion, so a payload with no
+    cycle costs nothing more to write."""
+    if not isinstance(x, (list, tuple, dict)):
+        return False
+    if id(x) in open_ids:
+        return True
+    open_ids.add(id(x))
+    found = any(_holds_itself(v, open_ids) for v in (x.values() if isinstance(x, dict) else x))
+    open_ids.discard(id(x))
+    return found
 
 
 def _csv_field(x) -> str:
@@ -285,10 +308,12 @@ def cmd_wg(args):
 def cmd_pairing(args):
     g = _group(args)
     if args.form == "qell":
-        # mirrored and equal entries, most of them 0, share one string
+        # the cached Gram holds one object per distinct value, most of them
+        # 0, so each object is written once, keyed by its id: an int, whose
+        # hash is C-level where an IntPoly's is a Python call
         text = {}
         known, add = text.get, text.setdefault
-        gram = [[known(e) or add(e, str(e)) for e in row] for row in charring.qell_rows(g.type)]
+        gram = [[known(id(e)) or add(id(e), str(e)) for e in row] for row in charring.qell_rows(g.type)]
     else:
         # minusone or delta: the twisted Gram is the (-1)-elliptic one by the
         # substitution u = w w0 (see charring.delta_twist_pairing)

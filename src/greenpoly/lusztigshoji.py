@@ -88,10 +88,6 @@ class GreenTableau:
         rec = self.table.orbits[o]
         return f"{rec.label.partition}:{rec.systems[s].label}"
 
-    def k_entry(self, i: int, j: int) -> IntPoly:
-        """Graded multiplicity of the i-th pair's irreducible in column j."""
-        return self.coords[j][self.table.pair_irreps[i]]
-
     def k_matrix(self):
         irr = self.table.pair_irreps
         return [list(row) for row in zip(*([col[a] for a in irr] for col in self.coords))]

@@ -252,9 +252,6 @@ class IntPoly:
         return acc
 
     # -- io ----------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
     def __repr__(self):
         return f"IntPoly({self})"
 
@@ -292,7 +289,6 @@ def _poly(coeffs) -> IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-Q = IntPoly((0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ the whole group; the tests use them as oracles.
 Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
 tables (`_bc_column`: each split of a class's cycles adds the outer product
 of two S_k columns, one big-integer product of byte-packed columns, and the
-packed column is split once), one table per rank shared by B_n and C_n; for D
-the same columns restricted, with split classes; and for G2 the S_3 table
-times the two characters of the centre.  `build` checks row orthogonality
-with one packed integer sum per row.
+packed column is split once; the column at -w is the column at w times
+(-1)^|beta|, so of each pair {w, -w} one column is taken), one table per
+rank shared by B_n and C_n; for D the same columns restricted, with split
+classes; and for G2 the S_3 table times the two characters of the centre.
+`build` checks row orthogonality with one packed integer sum per row.
 Supported ranks: A 1-11, B and C 1-8, D 3-8.
 """
 
@@ -266,6 +267,20 @@ def _row_packed(rho, n: int) -> int:
     return pack_ints(_sym_column(rho), _bc_width(n))
 
 
+def _minus_label(pos, neg) -> tuple:
+    """The signed cycle type of -w for w of signed cycle type (pos, neg):
+    an odd cycle changes sign, an even one keeps it."""
+    return (tuple(sorted([c for c in pos if c % 2 == 0] + [c for c in neg if c % 2], reverse=True)),
+            tuple(sorted([c for c in neg if c % 2 == 0] + [c for c in pos if c % 2], reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _beta_signs(n: int) -> tuple:
+    """(-1)^|beta| for each B_n irreducible (alpha; beta), in `bipartitions(n)`
+    order: the scalar by which -1 acts on it."""
+    return tuple(-1 if sum(beta) % 2 else 1 for _, beta in bipartitions(n))
+
+
 @lru_cache(maxsize=None)
 def _bc_column(pos, neg) -> tuple:
     """Every B_n irreducible, in `bipartitions(n)` order, at the class (pos, neg).
@@ -285,8 +300,19 @@ def _bc_column(pos, neg) -> tuple:
     block.  On packed columns that outer product is one integer product
     (`_block_packed` times `_row_packed`), and the whole column is one packed
     sum, split once (`split_ints`).
+
+    -1 is central in B_n and acts on chi^(alpha;beta) by the scalar
+    (-1)^|beta| (Geck-Pfeiffer 2000, 5.5), so chi^(alpha;beta)(-w) =
+    (-1)^|beta| chi^(alpha;beta)(w).  -w is w with the sign of each odd
+    cycle flipped (`_minus_label`), so of each pair of classes {w, -w} the
+    greater label's column is taken as above and the lesser's is read off
+    it, times (-1)^|beta| per irreducible (`_beta_signs`); a class with no
+    odd cycle is its own twin.
     """
     n = sum(pos) + sum(neg)
+    twin = _minus_label(pos, neg)
+    if twin > (pos, neg):
+        return tuple(map(mul, _bc_column(*twin), _beta_signs(n)))
     groups = [(c, m, 1) for c, m in multiplicities(pos).items()]
     groups += [(c, m, -1) for c, m in multiplicities(neg).items()]
     splits = {((), ()): 1}  # (rho_alpha, rho_beta) -> coef

@@ -38,7 +38,7 @@ columns.  `dense_product_checks` computes the two matrix identities of
 `lusztigshoji.verify` from dense packed products, and
 `dense_support_checks` its support, positivity and cross-orbit checks by
 loops over every entry, each reading K one entry at a time
-(`GreenTableau.k_entry`).  These share no arithmetic with the packed store
+(`k_entry`).  These share no arithmetic with the packed store
 or the sparse products they check.
 
 Class-sum pairings that no production path takes: `std_pairing` and
@@ -388,7 +388,7 @@ def k_at_minus_one_inverse(tab: GreenTableau) -> list:
     irreducibles of the pairs i <= j only, with 1 at i = j, so K(-1) is
     upper unitriangular in pair order and its inverse is exact over Z."""
     n = len(tab.pairs)
-    K = [[tab.k_entry(i, j).eval(-1) for j in range(n)] for i in range(n)]
+    K = [[k_entry(tab, i, j).eval(-1) for j in range(n)] for i in range(n)]
     if any(K[i][j] != int(i == j) for i in range(n) for j in range(i + 1)):
         raise ValueError("K(-1) is not upper unitriangular in pair order")
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -617,7 +617,7 @@ def class_gram(g, rows_a, rows_b, weight) -> list:
 
 def symmetric_class_gram(g: WeylGroupData, rows, weight) -> list:
     """The Gram of rows with itself, every entry taken alone by `class_gram`
-    (the kernel takes entries j >= i only and mirrors them)."""
+    (the kernel takes one row per orbit of the twists and fills the rest)."""
     return class_gram(g, rows, rows, weight)
 
 
@@ -679,10 +679,15 @@ def solve_per_block(table) -> SimpleNamespace:
     return SimpleNamespace(coords=tuple(coords), class_values=class_values, M=M, Lam=Lam, p=p)
 
 
+def k_entry(tab: GreenTableau, i: int, j: int) -> IntPoly:
+    """Graded multiplicity of the i-th pair's irreducible in column j of K."""
+    return tab.coords[j][tab.table.pair_irreps[i]]
+
+
 def _k_by_entries(tab: GreenTableau) -> list:
     """K, entry (i, j) the i-th pair's irreducible in column j."""
     n = len(tab.pairs)
-    return [[tab.k_entry(i, j) for j in range(n)] for i in range(n)]
+    return [[k_entry(tab, i, j) for j in range(n)] for i in range(n)]
 
 
 def dense_support_checks(tab: GreenTableau) -> list:
@@ -842,6 +847,12 @@ def kostka_foulkes(shape: tuple, content: tuple) -> IntPoly:
 # the green --json payload with a dict per polynomial
 
 
+def to_json(f: IntPoly) -> dict:
+    """The JSON object `cli._json_text` writes for f, as a dict for
+    `json.dumps`: its coefficients, lowest first, as strings."""
+    return {"coeffs": [str(c) for c in f.coeffs]}
+
+
 def tableau_payload_dicts(tab: GreenTableau) -> dict:
     g = tab.group
     return {
@@ -851,16 +862,16 @@ def tableau_payload_dicts(tab: GreenTableau) -> dict:
             {
                 "pair": tab.pair_name(j),
                 "coords": {
-                    _label_str(g.irrep_labels[i]): c.to_json()
+                    _label_str(g.irrep_labels[i]): to_json(c)
                     for i, c in enumerate(tab.coords[j])
                     if c
                 },
             }
             for j in range(len(tab.pairs))
         ],
-        "M": [[e.to_json() for e in row] for row in tab.M],
-        "Lambda": [[e.to_json() for e in row] for row in tab.Lam],
-        "p": tab.p.to_json(),
+        "M": [[to_json(e) for e in row] for row in tab.M],
+        "Lambda": [[to_json(e) for e in row] for row in tab.Lam],
+        "p": to_json(tab.p),
         "notes": tab.notes,
     }
 

@@ -22,9 +22,12 @@ from greenpoly.charring import (
     minus_one_gram,
     minus_one_gram_rank,
     minus_one_pairing,
+    omega_at,
+    omega_bound,
     poincare_poly,
     q_elliptic_pairing,
     qell_rows,
+    twists,
 )
 from greenpoly import charring, weyl
 from greenpoly.lusztigshoji import solve
@@ -43,6 +46,7 @@ from conftest import SOLVED_TABLES
 from oracles import (
     bc_column_outer_products,
     bc_column_per_term,
+    class_gram,
     delta_twist_grams_agree,
     delta_twist_pairing_direct,
     graded_irreducible,
@@ -431,10 +435,14 @@ def test_graded_gram_unpacks_each_distinct_slot_once(monkeypatch):
         return unpack(n, b)
 
     monkeypatch.setattr(IntPoly, "unpack", staticmethod(counted))
-    gram = _class_gram(g, g.char_table, g.char_table, g.refl_charpoly)
-    upper = [e for i, row in enumerate(gram) for e in row[i:] if e]
-    assert (len(upper), len(set(upper)), len(calls)) == (920, 31, 31)
-    assert tuple(map(tuple, gram)) == qell_rows(g.type)
+    for perms in ((), twists(g.type)):
+        calls.clear()
+        gram = _class_gram(g, g.char_table, g.char_table, g.refl_charpoly, perms)
+        upper = [e for i, row in enumerate(gram) for e in row[i:] if e]
+        assert (len(upper), len(set(upper)), len(calls)) == (920, 31, 31)
+        # one object per distinct value, the 0 included, in every row
+        assert len(set(map(id, chain(*gram)))) == 32
+        assert tuple(map(tuple, gram)) == qell_rows(g.type)
 
 
 def test_packed_kernel_rejects_non_characters():
@@ -710,6 +718,57 @@ def test_row_gram_width_holds_a_tight_entry(data):
         low = st.integers(-1, 1)
         weight = [IntPoly([data.draw(low) * t, sign * t, data.draw(low) * t]) for t in tops]
     assert _class_gram(g, rows, rows, weight) == _class_gram_by_degree(g, rows, rows, weight)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+)
+def test_twists_are_the_linear_characters_of_the_table(family, rank):
+    # one permutation per row of degree 1, in table order: pi(i) is the row
+    # of chi_i lambda; they form a group of involutions, of order 2 for A and
+    # D (and the order-2 groups A1, B1 and C1), 4 for B, C and G2
+    t = WeylType(family, rank)
+    table = build(t).char_table
+    linear = [row for row in table if row[build(t).identity_class] == 1]
+    perms = twists(t)
+    assert len(perms) == len(linear) == (2 if family in ("A", "D") or rank == 1 else 4)
+    assert set(perms) == {tuple(p[i] for i in q) for p in perms for q in perms}
+    for lam, p in zip(linear, perms):
+        assert set(lam) <= {1, -1}
+        assert all(p[p[i]] == i for i in range(len(table)))
+        assert [table[j] for j in p] == [tuple(map(mul, row, lam)) for row in table]
+
+
+@pytest.mark.parametrize("family,rank", SOLVED_TABLES, ids=[f"{f}{r}" for f, r in SOLVED_TABLES])
+def test_omega_at_matches_per_entry_oracle_on_pair_rows(family, rank):
+    # the solver's Omega(2^b), rows in pair order, filled from one row per
+    # orbit of the twists, against one packed dot product per entry
+    table = (table_typeA if family == "A" else table_typeC)(rank)
+    g, irr = table.group, table.pair_irreps
+    b = slot_bits(omega_bound(g, irr))
+    rows = [g.char_table[a] for a in irr]
+    weight = [c.pack(b) for c in _coinvariant_values(g.type)]
+    assert omega_at(g, irr, b) == class_gram(g, rows, rows, weight)
+
+
+@pytest.mark.parametrize(
+    "irreps,closed",
+    [
+        (list(range(9, -1, -1)), 4),  # every irreducible of B3, reversed
+        ([0, 1, 3], 1),  # closed under the identity alone
+        ([9, 0, 5, 8, 1, 4], 2),  # and under (alpha; beta) -> (beta'; alpha')
+    ],
+    ids=["reversed", "no-twist", "one-twist"],
+)
+def test_omega_at_on_irreducibles_closed_under_some_twists(irreps, closed):
+    # the twists that map the rows onto themselves, as permutations of the
+    # rows, fill Omega; the others are left out
+    g = build(WeylType("B", 3))
+    assert len(charring._on_rows(twists(g.type), irreps)) == closed
+    b = slot_bits(omega_bound(g, irreps))
+    rows = [g.char_table[a] for a in irreps]
+    weight = [c.pack(b) for c in _coinvariant_values(g.type)]
+    assert omega_at(g, irreps, b) == class_gram(g, rows, rows, weight)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenpoly import charring
 from greenpoly.charring import fake_degree, qell_rows
 from greenpoly.cli import _json_text, _label_str, main
 from greenpoly.polyq import ZERO, IntPoly
 from greenpoly.weyl import WeylType, build
 
 from conftest import SOLVED_TABLES, run_fresh, solved
-from oracles import tableau_payload_dicts
+from oracles import tableau_payload_dicts, to_json
 
 
 def run(capsys, *args):
@@ -169,7 +170,19 @@ def _with_polys(draw):
 @settings(deadline=None, max_examples=150)
 def test_json_text_is_json_dumps(value, with_polys):
     assert _json_text(value) == json.dumps(value)
-    assert _json_text(with_polys) == json.dumps(with_polys, default=IntPoly.to_json)
+    assert _json_text(with_polys) == json.dumps(with_polys, default=to_json)
+
+
+@pytest.mark.parametrize(
+    "text", ["\x00", "\x1f", "\x7f", '"', "\\", "\n", "\u00e9", "\u2028", "\ud800", "\U0001f600"],
+    ids=["nul", "unit-separator", "del", "quote", "backslash", "newline", "e-acute",
+         "line-separator", "lone-surrogate", "astral"],
+)
+def test_json_text_escapes_each_character_class_as_json_does(text):
+    # one character of each class json.dumps escapes, alone, inside plain
+    # text, as a dict key and in a list of strings
+    for value in (text, f"a{text}b", {text: [f"x{text}"]}, ["a", text]):
+        assert _json_text(value) == json.dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +196,7 @@ def test_json_text_is_json_dumps(value, with_polys):
     ids=["zero", "zero-repeated", "one-object-repeated", "equal-but-distinct"],
 )
 def test_json_text_writes_polynomials_as_their_to_json(value):
-    assert _json_text(value) == json.dumps(value, default=IntPoly.to_json)
+    assert _json_text(value) == json.dumps(value, default=to_json)
 
 
 @pytest.mark.parametrize("family,rank", SOLVED_TABLES, ids=[f"{f}{r}" for f, r in SOLVED_TABLES])
@@ -202,7 +215,7 @@ def test_fakedeg_json_is_json_dumps_of_dict_payload(capsys, family, rank):
     assert code == 0
     g = build(WeylType(family, rank))
     payload = [
-        {"irrep": _label_str(l), "fake_degree": fake_degree(g, i).to_json()}
+        {"irrep": _label_str(l), "fake_degree": to_json(fake_degree(g, i))}
         for i, l in enumerate(g.irrep_labels)
     ]
     assert out == json.dumps(payload) + "\n"
@@ -214,6 +227,35 @@ def test_fakedeg_json_is_json_dumps_of_dict_payload(capsys, family, rank):
 def test_json_text_rejects_what_it_cannot_write(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def _cycles():
+    a = []
+    a.append(a)
+    d = {"x": [1, "y"]}
+    d["x"].append((d,))
+    return [a, d, [IntPoly([1]), {"k": a}]]
+
+
+@pytest.mark.parametrize("value", _cycles(), ids=["list", "dict-through-tuple", "nested"])
+def test_json_text_rejects_a_value_that_holds_itself(value):
+    # json.dumps raises ValueError("Circular reference detected"); the writer
+    # raises the same, not a RecursionError
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        json.dumps(value, default=to_json)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        _json_text(value)
+
+
+def test_json_text_keeps_the_recursion_error_of_a_deep_value():
+    # a value nested past the recursion limit, with no cycle, fails as in json
+    deep = inner = []
+    for _ in range(5000):
+        inner.append([])
+        inner = inner[0]
+    for write in (json.dumps, _json_text):
+        with pytest.raises(RecursionError):
+            write(deep)
 
 
 C3_TABLE = os.path.join(os.path.dirname(__file__), "..", "src", "greenpoly", "data", "springer_C3.json")
@@ -710,18 +752,32 @@ def test_pairing_gram(capsys):
     assert data["gram"][1][1] == 3  # reflection norm in the (-1)-form
 
 
-@pytest.mark.parametrize("fam,rank", [("B", 6), ("D", 6), ("A", 8)])
-def test_qell_gram_entries_print_as_str(capsys, fam, rank):
-    # the q-elliptic Gram formats each distinct entry once; every printed
-    # entry, in JSON and in CSV, is still str of that entry
-    want = [[str(e) for e in row] for row in qell_rows(WeylType(fam, rank))]
-    grp = ("--type", fam, "--rank", str(rank), "--form", "qell")
+def _check_qell_gram_prints_str(capsys, t, want):
+    grp = ("--type", t.family, "--rank", str(t.rank), "--form", "qell")
     code, out, _ = run(capsys, "pairing", "gram", *grp, "--json")
     assert code == 0
     assert json.loads(out)["gram"] == want
     code, out, _ = run(capsys, "pairing", "gram", *grp, "--format", "csv")
     assert code == 0
     assert [row[1:] for row in csv.reader(out.splitlines())] == want
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 6), ("D", 6), ("A", 8)])
+def test_qell_gram_entries_print_as_str(capsys, fam, rank):
+    # the q-elliptic Gram formats each entry object once; every printed
+    # entry, in JSON and in CSV, is still str of that entry
+    t = WeylType(fam, rank)
+    _check_qell_gram_prints_str(capsys, t, [[str(e) for e in row] for row in qell_rows(t)])
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 6), ("A", 8)])
+def test_qell_gram_prints_equal_entries_that_are_distinct_objects(capsys, monkeypatch, fam, rank):
+    # the same output when no two entries of the Gram share an object
+    t = WeylType(fam, rank)
+    want = [[str(e) for e in row] for row in qell_rows(t)]
+    rows = tuple(tuple(IntPoly(e.coeffs) for e in row) for row in qell_rows(t))
+    monkeypatch.setattr(charring, "qell_rows", lambda _: rows)
+    _check_qell_gram_prints_str(capsys, t, want)
 
 
 def test_pairing_gram_delta_matches_minusone(capsys):

@@ -28,6 +28,7 @@ from oracles import (
     class_gram,
     dense_product_checks,
     dense_support_checks,
+    k_entry,
     kostka_foulkes,
     matmul,
     omega,
@@ -425,7 +426,7 @@ def _support_asymmetric_and_negative_mutants(tab):
         bad.Lam[block[0]][block[1]] = bad.Lam[block[0]][block[1]] + P(1)
         out.append(bad)
     bad = copy.copy(tab)
-    x = tab.k_entry(1, n - 1)
+    x = k_entry(tab, 1, n - 1)
     bad.coords = _changed_k(tab, [(1, n - 1, P(0, -x.norm_inf() - 1))])
     out.append(bad)
     return out

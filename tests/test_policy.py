@@ -18,8 +18,9 @@ encloses it, one normaliser (`_imported`) names what an import binds, and
   `GreenTableau.__init__` assigns no attribute whose name starts with `_`;
 - every check raises, so `python -O` keeps it: no `assert` statement;
 - no module imports a `_name` from another module of the package;
-- every public top-level function or class has a user in the package, is
-  named by the bench tracer (`conftest.traced_names`), or is imported by
+- every public top-level function, class or constant, and every public
+  method, has a user in the package, is named by the bench tracer
+  (`conftest.traced_names`), or is imported or read as an attribute by
   `tests/test_acceptance.py`.
 """
 
@@ -161,27 +162,51 @@ def _method_calls(tree, name: str) -> list:
     ]
 
 
+def _public_definitions(tree) -> list:
+    """The public names tree defines: each top-level def or class, each
+    method of a top-level class, and each module-level constant (a name a
+    top-level assignment binds), in source order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, FUNCTIONS)]
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [
+            t.id for target in targets for _, t in _walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+        ]
+    return [name for name in names if not name.startswith("_")]
+
+
 def _unused_public_names() -> list:
-    """(file, name) of each public top-level def or class that nothing in the
-    package reads outside its own body, that the tracer does not name and
-    that the acceptance test does not import."""
+    """(file, name) of each public top-level def, class or constant, and
+    each public method, that nothing in the package reads outside its own
+    body, that the tracer does not name and that the acceptance test
+    neither imports nor reads as an attribute.  Reads are matched by
+    identifier, so `x.name` reads every method called name; a binding
+    (`name = ...`, `self.name = ...`) is no read."""
     users = {}
     for path, func, node in NODES:
-        users.setdefault(_identifier(node), set()).add((path, func))
-    exempt = {(f"{mod}.py", dotted.split(".")[0]) for mod, dotted, _ in traced_names()}
+        if not isinstance(getattr(node, "ctx", None), ast.Store):
+            users.setdefault(_identifier(node), set()).add((path, func))
+    exempt = {(f"{mod}.py", part) for mod, dotted, _ in traced_names() for part in dotted.split(".")}
+    acceptance = list(_walk(_parse(ACCEPTANCE)))
     exempt |= {
         (m.split(".")[-1] + ".py", name)
-        for _, node in _walk(_parse(ACCEPTANCE))
+        for _, node in acceptance
         for m, name in _imported(node)
         if m.startswith("greenpoly.")
     }
+    read = {node.attr for _, node in acceptance if isinstance(node, ast.Attribute)}
     return [
-        (path, node.name)
+        (path, name)
         for path, tree in SOURCES.items()
-        for node in tree.body
-        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_")
-        and (path, node.name) not in exempt
-        and not users.get(node.name, set()) - {(path, node.name)}
+        for name in _public_definitions(tree)
+        if (path, name) not in exempt and name not in read
+        and not users.get(name, set()) - {(path, name)}
     ]
 
 
@@ -346,6 +371,44 @@ def test_to_json_finder_sees_calls_not_references():
         "d = to_json(x)\n"
     )
     assert _method_calls(tree, "to_json") == [1, 2]
+
+
+def test_public_definition_finder_sees_every_form():
+    tree = ast.parse("""
+LIMIT = 3
+A, (B, _c) = 1, (2, 3)
+D: int = 4
+_E = 5
+x.y = 6
+
+def f():
+    G = 7
+    return G
+
+async def g():
+    pass
+
+class T:
+    H = 8
+
+    def m(self):
+        pass
+
+    async def n(self):
+        pass
+
+    def _p(self):
+        pass
+
+    @property
+    def q(self):
+        return 1
+
+class _U:
+    def r(self):
+        pass
+""")
+    assert _public_definitions(tree) == ["LIMIT", "A", "B", "D", "f", "g", "T", "m", "n", "q", "r"]
 
 
 def test_tableau_finders_see_every_form():

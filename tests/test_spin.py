@@ -353,7 +353,6 @@ def test_spin_integers_are_read_off_the_tableau(tableau, monkeypatch, ambient, n
     monkeypatch.setattr(charring, "_pair", refuse)
     monkeypatch.setattr(charring, "_class_gram", refuse)
     # the multiplicities read one pairing the solver keeps, not K or K^{-1}
-    monkeypatch.setattr(GreenTableau, "k_entry", refuse)
     monkeypatch.setattr(GreenTableau, "k_matrix", refuse)
     # nor the component-group pairing: swapping the code object reaches every
     # name bound to q_M_pairing, wherever it was imported
