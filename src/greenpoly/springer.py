@@ -10,19 +10,23 @@ of them the plain system `triv`.  The pairs (e, phi) are numbered once, on
 the table (`SpringerTable.pairs`, `pair_irreps`, `blocks`), and every
 consumer reads that numbering.  d_e, A(e) and the closure order, which is
 dominance (Hesselink 1976; Collingwood-McGovern, Thm. 6.2.5), are computed
-from the partitions.  The component-group action on the graded space M is
-built from the reductive part of the centralizer: Sp blocks and odd
-orthogonal blocks contribute trivially, an O_2 block contributes a sign line
-to V_Z, and an even orthogonal block O_{2m} (m >= 2) contributes its
-invariant degrees with a sign character in degree m.
+from the partitions.  The graded space M is built from the reductive part of
+the centralizer as a set of lines, each in a degree d and each acted on by
+A(e) through a +-1 character: Sp blocks and odd orthogonal blocks contribute
+trivial lines, an O_2 block a sign line to V_Z (degree 1), and an even
+orthogonal block O_{2m} (m >= 2) its invariant degrees with a sign character
+in degree m.  So tr_M(x) = prod (1 - q^d chi(x)) over the lines, and the
+(q,M)-pairing of two characters of A(e) is one coefficient of that product
+in Z[q][characters of A(e)], taken once per orbit label.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from operator import ge
 
-from .charring import fake_degree
+from .charring import fake_degree, twists
 from .partitions import is_distinct, multiplicities, partitions, transpose
 from .polyq import IntPoly, ONE, ZERO
 from .weyl import WeylGroupData, WeylType, build
@@ -63,44 +67,13 @@ class OrbitLabel:
 
 
 class ComponentGroup:
-    """A(e) = (Z/2)^k, generated by the named (even) parts; k = 0 is trivial."""
+    """A(e) = (Z/2)^k, generated by the named (even) parts; k = 0 is trivial.
+    A character of A(e) is the bitmask of the generators it sends to -1."""
 
     def __init__(self, generator_names: tuple = ()):
         self.generator_names = generator_names
         self.k = len(generator_names)
         self.kind = "elementary_abelian" if self.k else "trivial"
-
-    @property
-    def size(self) -> int:
-        return 2**self.k
-
-    def elements(self):
-        return range(self.size)
-
-    def char_value(self, char_mask: int, x: int) -> int:
-        """Value of the character indexed by a bitmask at element x."""
-        return -1 if bin(char_mask & x).count("1") % 2 else 1
-
-
-class MRep:
-    """Graded component-group representation attached to an orbit.
-
-    vz_chars: one character bitmask per line of V_Z (all lines act by +-1);
-    md_chars: list of (degree, character bitmask) for the invariant lines.
-    """
-
-    def __init__(self, vz_chars: tuple, md_chars: tuple):
-        self.vz_chars = vz_chars
-        self.md_chars = md_chars
-
-    def trace(self, comp: ComponentGroup, x: int) -> IntPoly:
-        """tr_M(x) = det_{V_Z}(1 - q x) * prod_d det_{M(d)}(1 - q^d x)."""
-        out = ONE
-        for mask in self.vz_chars:
-            out = out * IntPoly((1, -comp.char_value(mask, x)))
-        for d, mask in self.md_chars:
-            out = out * IntPoly((1,) + (0,) * (d - 1) + (-comp.char_value(mask, x),))
-        return out
 
 
 class LocalSystem:
@@ -196,69 +169,68 @@ def component_group(label: OrbitLabel) -> ComponentGroup:
     return ComponentGroup(tuple(sorted({p for p in label.partition if p % 2 == 0})))
 
 
-def m_representation(label: OrbitLabel) -> MRep:
+def m_representation(label: OrbitLabel) -> tuple:
+    """The lines of M, sorted, as (degree, character) pairs: the lines of
+    V_Z in degree 1 and the invariant lines in their degrees, each with the
+    character of A(e) by which it is acted on."""
     mults = multiplicities(label.partition)
     if label.ambient == "A":
-        distinct = len(mults)
-        vz = (0,) * max(0, distinct - 1)
-        md = []
-        for r in mults.values():
-            for d in range(2, r + 1):
-                md.append((d, 0))
-        return MRep(vz, tuple(sorted(md)))
-    comp = component_group(label)
-    gen_bit = {p: 1 << i for i, p in enumerate(comp.generator_names)}
-    vz = []
-    md = []
-    for p in sorted(mults):
-        r = mults[p]
+        # V_Z has one line fewer than the distinct parts, and a part of
+        # multiplicity r adds the invariant degrees 2, ..., r of GL_r
+        lines = [(1, 0)] * (len(mults) - 1)
+        lines += [(d, 0) for r in mults.values() for d in range(2, r + 1)]
+        return tuple(sorted(lines))
+    gen_bit = {p: 1 << i for i, p in enumerate(component_group(label).generator_names)}
+    lines = []
+    for p, r in sorted(mults.items()):
         if p % 2 == 1:
             # Sp_r block, r even; invariant degrees 2, 4, ..., r
-            for d in range(2, r + 1, 2):
-                md.append((d, 0))
-        elif r == 1:
-            continue  # O_1: nothing
+            lines += [(d, 0) for d in range(2, r + 1, 2)]
         elif r == 2:
-            vz.append(gen_bit[p])  # O_2: sign line in V_Z
-        elif r % 2 == 1:
-            # odd orthogonal O_r: degrees 2, 4, ..., r-1, all trivial
-            for d in range(2, r, 2):
-                md.append((d, 0))
+            lines.append((1, gen_bit[p]))  # O_2: sign line in V_Z
         else:
-            # even orthogonal O_r, r >= 4: trivial degrees 2..r-2 and a sign
-            # character in degree r/2
-            for d in range(2, r - 1, 2):
-                md.append((d, 0))
-            md.append((r // 2, gen_bit[p]))
-    return MRep(tuple(vz), tuple(sorted(md)))
+            # O_r: trivial degrees 2, 4, ... below r (none for O_1), and for
+            # even r >= 4 a sign character in degree r/2
+            lines += [(d, 0) for d in range(2, r, 2)]
+            if r % 2 == 0:
+                lines.append((r // 2, gen_bit[p]))
+    return tuple(sorted(lines))
 
 
-def _q_M_block(comp: ComponentGroup, mrep: MRep, masks) -> list:
-    """<phi, phi'>^{q,M} = (1/|A|) sum_x phi(x) phi'(x) tr_M(x) for the
-    characters phi, phi' in masks, with tr_M(x) taken once per x in A(e).
-    When A(e) is trivial every entry is tr_M(1)."""
-    if not comp.k:
-        trace = mrep.trace(comp, 0)
-        return [[trace] * len(masks) for _ in masks]
-    traces = [mrep.trace(comp, x) for x in comp.elements()]
+@lru_cache(maxsize=None)
+def _q_M_table(label: OrbitLabel) -> tuple:
+    """Entry c is <phi_a, phi_b>^{q,M} for every a ^ b = c.
 
-    def entry(a, b):
-        terms = (t * (comp.char_value(a, x) * comp.char_value(b, x)) for x, t in enumerate(traces))
-        return sum(terms, ZERO).divexact_int(comp.size)
-
-    return [[entry(a, b) for b in masks] for a in masks]
+    The characters of (Z/2)^k multiply as chi_a chi_b = chi_{a ^ b}, so
+    (1/|A|) sum_x chi_a(x) chi_b(x) tr_M(x) is the coefficient of chi_{a ^ b}
+    in tr_M = prod (1 - q^d chi_m) over the lines (d, m) of M.  The product
+    is taken in Z[q][characters]: the trivial lines once, as a polynomial,
+    and then each sign line (d, m) sends entry c to out[c] - q^d out[c ^ m].
+    """
+    lines = m_representation(label)
+    trivial = ONE
+    for d, m in lines:
+        if not m:
+            trivial = trivial * IntPoly((1,) + (0,) * (d - 1) + (-1,))
+    out = [trivial] + [ZERO] * ((1 << component_group(label).k) - 1)
+    for d, m in lines:
+        if m:
+            shift = IntPoly((0,) * d + (1,))
+            out = [e - shift * out[c ^ m] for c, e in enumerate(out)]
+    return tuple(out)
 
 
 def q_M_pairing(label: OrbitLabel, mask1: int, mask2: int) -> IntPoly:
     """<phi, phi'>^{q,M} = (1/|A|) sum_x phi(x) phi'(x) tr_M(x)."""
-    return _q_M_block(component_group(label), m_representation(label), (mask1, mask2))[0][1]
+    return _q_M_table(label)[mask1 ^ mask2]
 
 
 def q_M_gram(table: SpringerTable, orbit: int):
-    """Gram of the (q,M)-pairing over the orbit's Springer-type systems, with
-    A(e) and M built once for the orbit."""
+    """Gram of the (q,M)-pairing over the orbit's Springer-type systems."""
     rec = table.orbits[orbit]
-    return _q_M_block(rec.comp, m_representation(rec.label), [sys.char_mask for sys in rec.systems])
+    pairing = _q_M_table(rec.label)
+    masks = [sys.char_mask for sys in rec.systems]
+    return [[pairing[a ^ b] for b in masks] for a in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +257,7 @@ def quasidistinguished_reference(label: OrbitLabel) -> bool:
 
 def _pairing_survives_at(label: OrbitLabel, q0: int) -> bool:
     """True iff some entry of the M-pairing block is nonzero at q = q0."""
-    comp = component_group(label)
-    block = _q_M_block(comp, m_representation(label), range(comp.size))
-    return any(e.eval(q0) != 0 for row in block for e in row)
+    return any(e.eval(q0) for e in _q_M_table(label))
 
 
 def quasidistinguished_by_pairing(label: OrbitLabel) -> bool:
@@ -320,7 +290,6 @@ def table_typeA(n: int) -> SpringerTable:
     if not 2 <= n <= 12:
         raise ValueError("type A tables cover GL(n) for 2 <= n <= 12")
     group_type = WeylType("A", n - 1)
-    g = build(group_type)
 
     def systems_for(lam, g):
         irrep = g.irrep_labels.index(transpose(lam))
@@ -391,8 +360,7 @@ def save_table(table: SpringerTable) -> dict:
             }
             if rec.comp.kind != "trivial":
                 entry["char_on_generators"] = [
-                    rec.comp.char_value(sys.char_mask, 1 << i)
-                    for i in range(rec.comp.k)
+                    -1 if sys.char_mask >> i & 1 else 1 for i in range(rec.comp.k)
                 ]
             pairs.append(entry)
         orbits.append(
@@ -563,6 +531,7 @@ def load_table(source) -> SpringerTable:
 
 def validate_table(table: SpringerTable):
     g = table.group
+    tensor_sgn = next(p for p in twists(table.group_type) if p[g.triv_index] == g.sgn_index)
     # bijectivity of the assignment onto all irreducibles
     used = {}
     for i, rec in enumerate(table.orbits):
@@ -604,7 +573,7 @@ def validate_table(table: SpringerTable):
                 "or a character"
             )
         plain = rec.systems[labels.index("triv")].irrep
-        fd = fake_degree(g, _tensor_sgn_index(g, plain))
+        fd = fake_degree(g, tensor_sgn[plain])
         val = next(k for k, c in enumerate(fd.coeffs) if c)
         if val != rec.d_e:
             raise TableFormatError(
@@ -612,14 +581,3 @@ def validate_table(table: SpringerTable):
                 f"{g.irrep_labels[plain]} whose twisted fake degree "
                 f"starts at q^{val}, expected q^{rec.d_e}"
             )
-
-
-def _tensor_sgn_index(g: WeylGroupData, i: int) -> int:
-    target = tuple(
-        g.char_table[i][k] * g.char_table[g.sgn_index][k]
-        for k in range(len(g.classes))
-    )
-    for j, row in enumerate(g.char_table):
-        if row == target:
-            return j
-    raise AssertionError("sign twist left the character table")

@@ -85,6 +85,47 @@ MUTANTS = [
         ("tests/test_cli.py::test_json_text_escapes_each_character_class_as_json_does[del]",),
         120,
     ),
+    # the product over the lines of M takes out[c | m] for out[c ^ m]
+    Mutant(
+        "q-M-product-or-for-xor",
+        "springer.py",
+        "shift * out[c ^ m]",
+        "shift * out[c | m]",
+        ("tests/test_springer.py::TestMRep::test_gram_22",
+         "tests/test_springer.py::TestMRep::test_even_orthogonal_sign_line_2222",
+         "tests/test_springer.py::TestMRep::test_pairing_matches_sum_over_component_group"),
+        120,
+    ),
+    # type A's lines of V_Z in degree 2
+    Mutant(
+        "type-a-vz-lines-in-degree-two",
+        "springer.py",
+        "lines = [(1, 0)] * (len(mults) - 1)",
+        "lines = [(2, 0)] * (len(mults) - 1)",
+        ("tests/test_springer.py::TestMRep::test_tr_m_identity_product",
+         "tests/test_springer.py::TestMRep::test_pgl_two_power"),
+        120,
+    ),
+    # the O_2 sign line of V_Z acted on trivially
+    Mutant(
+        "o2-line-trivial",
+        "springer.py",
+        "lines.append((1, gen_bit[p]))",
+        "lines.append((1, 0))",
+        ("tests/test_springer.py::TestMRep::test_tr_m_22",
+         "tests/test_springer.py::TestMRep::test_gram_22",
+         "tests/test_springer.py::TestMRep::test_z2_shape_norm_one"),
+        120,
+    ),
+    # the sign line of an O_2m block (m >= 2) acted on trivially
+    Mutant(
+        "o2m-sign-line-trivial",
+        "springer.py",
+        "lines.append((r // 2, gen_bit[p]))",
+        "lines.append((r // 2, 0))",
+        ("tests/test_springer.py::TestMRep::test_even_orthogonal_sign_line_2222",),
+        120,
+    ),
     # a public method and a public constant that nothing reads
     Mutant(
         "unused-public-method",

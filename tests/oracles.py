@@ -82,6 +82,13 @@ as they were typed in by hand, `G2_SIGNED_TYPES` names each G2 class by the
 signed cycle type of its elements, and `braid_order_by_products` is the order
 of s_i s_j found by multiplying the generators until the identity.
 
+The (q,M)-pairing as a sum over A(e): `m_trace` is tr_M(x), the product of
+1 - q^d chi(x) over the lines of M, and `q_M_gram_by_traces` the Gram of
+(1/|A|) sum_x phi(x) phi'(x) tr_M(x) over every pair of characters of
+A(e) = (Z/2)^k, one trace per element x, as `springer` took it before it
+read the pairing off one product in the characters.  It shares the lines of
+M (`springer.m_representation`) with production, not the product.
+
 The command line before the table-driven parser: `build_parser` is the
 argparse parser `cli.main` used, one subparser per verb with the common
 options copied into each.  It drops options given before the verb, which
@@ -127,6 +134,7 @@ from greenpoly.polyq import IntPoly, ONE, ZERO, slot_bits
 from greenpoly.spin import (
     PinConstructionError, PinRep, _column_at, sigma_tilde, spin_traces_by_class,
 )
+from greenpoly.springer import OrbitLabel, component_group, m_representation
 from greenpoly.weyl import (
     WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, build, delta_elliptic_count,
     simple_generators, sp_inv, sp_mul,
@@ -927,3 +935,32 @@ def build_parser() -> _Parser:
     sp.add_argument("--phi", default="triv")
     sp.set_defaults(func=cmd_spin)
     return p
+
+
+# ---------------------------------------------------------------------------
+# the (q,M)-pairing as a sum over A(e)
+
+
+def _chi(m: int, x: int) -> int:
+    """chi_m(x) = (-1)^|m & x|, the character m of (Z/2)^k at x."""
+    return -1 if bin(m & x).count("1") % 2 else 1
+
+
+def m_trace(lines, x: int) -> IntPoly:
+    """tr_M(x) = prod (1 - q^d chi_m(x)) over the lines (d, m) of M."""
+    out = ONE
+    for d, m in lines:
+        out = out * IntPoly((1,) + (0,) * (d - 1) + (-_chi(m, x),))
+    return out
+
+
+def q_M_gram_by_traces(label: OrbitLabel) -> list:
+    """G[a][b] = (1/|A|) sum_x chi_a(x) chi_b(x) tr_M(x) over the characters
+    a, b of A(e), summed over its 2^k elements."""
+    size = 1 << component_group(label).k
+    traces = [m_trace(m_representation(label), x) for x in range(size)]
+
+    def entry(a, b):
+        return sum((t * (_chi(a, x) * _chi(b, x)) for x, t in enumerate(traces)), ZERO).divexact_int(size)
+
+    return [[entry(a, b) for b in range(size)] for a in range(size)]

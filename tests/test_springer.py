@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpoly.cli import main
+from greenpoly.partitions import partitions
 from greenpoly.polyq import IntPoly
 from greenpoly.springer import (
     OrbitLabel,
@@ -29,6 +30,7 @@ from greenpoly.springer import (
     table_typeA,
     table_typeC,
 )
+from oracles import m_trace, q_M_gram_by_traces
 
 
 HERE = os.path.dirname(__file__)
@@ -119,7 +121,17 @@ class TestTypeC:
 
 
 def tr_M(lab, x):
-    return m_representation(lab).trace(component_group(lab), x)
+    return m_trace(m_representation(lab), x)
+
+
+def orbit_labels():
+    """Every orbit label of GL(2)-GL(12) and Sp(2)-Sp(20)."""
+    for n in range(2, 13):
+        yield from (OrbitLabel(lam, "A") for lam in partitions(n))
+    for n in range(1, 11):
+        for lam in partitions(2 * n):
+            if all(p % 2 == 0 or lam.count(p) % 2 == 0 for p in lam):
+                yield OrbitLabel(lam, "C")
 
 
 class TestMRep:
@@ -141,6 +153,14 @@ class TestMRep:
         assert G[0][0] == P(1) and G[1][1] == P(1)
         assert G[0][1] == P(0, -1) and G[1][0] == P(0, -1)
 
+    def test_even_orthogonal_sign_line_2222(self):
+        # Sp(8)'s (2,2,2,2) has an O_4 block: a trivial line and a sign line,
+        # both in degree 2, so tr_M = (1 - q^2)(1 - q^2 chi)
+        lab = OrbitLabel((2, 2, 2, 2), "C")
+        assert m_representation(lab) == ((2, 0), (2, 1))
+        assert q_M_pairing(lab, 0, 0) == q_M_pairing(lab, 1, 1) == P(1, 0, -1)
+        assert q_M_pairing(lab, 0, 1) == q_M_pairing(lab, 1, 0) == P(0, 0, -1, 0, 1)
+
     def test_trivial_group_pairing_is_zeta(self):
         lab = OrbitLabel((1, 1, 1), "A")
         assert q_M_pairing(lab, 0, 0) == P(1, 0, -1) * P(1, 0, 0, -1)
@@ -154,13 +174,21 @@ class TestMRep:
         # a doubled even part contributes a sign line; each character then has
         # (-1)-norm exactly 1
         lab = OrbitLabel((2, 2), "C")
-        comp = component_group(lab)
-        for mask in range(comp.size):
+        for mask in range(1 << component_group(lab).k):
             assert q_M_pairing(lab, mask, mask).eval(-1) == 1
         lab = OrbitLabel((4, 4, 2, 2), "C")
-        comp = component_group(lab)
-        for mask in range(comp.size):
+        for mask in range(1 << component_group(lab).k):
             assert q_M_pairing(lab, mask, mask).eval(-1) == 1
+
+    def test_pairing_matches_sum_over_component_group(self):
+        labels = entries = 0
+        for lab in orbit_labels():
+            want = q_M_gram_by_traces(lab)
+            got = [[q_M_pairing(lab, a, b) for b in range(len(want))] for a in range(len(want))]
+            assert got == want, lab
+            labels += 1
+            entries += len(want) ** 2
+        assert (labels, entries) == (912, 10452)
 
 
 class TestPredicates:
