@@ -835,27 +835,28 @@ def reduced_word(g: WeylGroupData, w) -> tuple:
 
     Strips the least right descent i, w(alpha_i) < 0, until w is the identity.
     w is orthogonal, so <w(alpha_i), rho> = <alpha_i, w^-1(rho)>: one image
-    per step serves every root.  Each step shortens w by one, so no word is
-    longer than N, the number of positive roots.  A longer word, or a
-    non-identity with no descent, means that w is not in W or that the
-    generators are not the reflections in the simple roots: RuntimeError.
+    back = w^-1(rho) per step serves every root, and stripping s_i takes it
+    to s_i(back), one action of the generator.  rho's coordinates have
+    distinct absolute values, so back = rho only at the identity.  Each step
+    shortens w by one, so no word is longer than N, the number of positive
+    roots.  A longer word, or a non-identity with no descent, means that w
+    is not in W or that the generators are not the reflections in the simple
+    roots: RuntimeError.
     """
     t = g.type
     roots, gens, rho = ambient_simple_roots(t), simple_generators(t), _rho(t)
     longest = sum(g.degrees) - len(g.degrees)  # N = sum_i (d_i - 1)
     word = []
-    ident = identity_element(t)
-    cur = w
-    while cur != ident and len(word) < longest:
-        back = _act_ambient(sp_inv(cur), rho)
+    back = _act_ambient(sp_inv(w), rho)
+    while back != rho and len(word) < longest:
         for i, alpha in enumerate(roots):
             if sum(map(mul, alpha, back)) < 0:
                 word.append(i)
-                cur = sp_mul(cur, gens[i])
+                back = _act_ambient(gens[i], back)
                 break
         else:
             break
-    if cur != ident:
+    if back != rho:
         raise RuntimeError(
             f"no reduced word for {w} in type {t}: it is not in W, or the simple "
             "generators do not match the simple roots"

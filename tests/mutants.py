@@ -126,6 +126,50 @@ MUTANTS = [
         ("tests/test_springer.py::TestMRep::test_even_orthogonal_sign_line_2222",),
         120,
     ),
+    # reduced_word carries w^-1(rho) on by the previous generator
+    Mutant(
+        "reduced-word-back-by-wrong-generator",
+        "weyl.py",
+        "back = _act_ambient(gens[i], back)",
+        "back = _act_ambient(gens[i - 1], back)",
+        ("tests/test_weyl.py::test_reduced_words_of_representatives_match_descent_by_inverses[A-3]",
+         "tests/test_weyl.py::test_reduced_words_of_every_element_match_descent_by_inverses[B-3]",
+         "tests/test_weyl.py::test_reduced_words_multiply_back"),
+        120,
+    ),
+    # the Chevalley product compared with p(q) at q = 1 only
+    Mutant(
+        "chevalley-at-q-one",
+        "charring.py",
+        "x1.value(k) * g.refl_charpoly[k] != p",
+        "(x1.value(k) * g.refl_charpoly[k]).eval(1) != p.eval(1)",
+        ("tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[A-1]",
+         "tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[C-3]",
+         "tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[G2-2]"),
+        120,
+    ),
+    # the reflection target with +2 alpha_j alpha: not a reflection
+    Mutant(
+        "pin-reflection-target-sign",
+        "spin.py",
+        "- 2 * r[j] * r[k]",
+        "+ 2 * r[j] * r[k]",
+        ("tests/test_spin.py::test_exact_identities[A-1]",
+         "tests/test_spin.py::test_exact_identities[B-8]",
+         "tests/test_spin.py::test_exact_identities[G2-2]"),
+        120,
+    ),
+    # the pin lifts' reflection check never fails
+    Mutant(
+        "pin-reflection-unchecked",
+        "spin.py",
+        "            if image != target:\n",
+        "            if image != target and False:\n",
+        ("tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[A-2]",
+         "tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[D-4]",
+         "tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[G2-2]"),
+        120,
+    ),
     # a public method and a public constant that nothing reads
     Mutant(
         "unused-public-method",

@@ -89,6 +89,10 @@ A(e) = (Z/2)^k, one trace per element x, as `springer` took it before it
 read the pairing off one product in the characters.  It shares the lines of
 M (`springer.m_representation`) with production, not the product.
 
+The descent in `weyl.reduced_word` before it carried w^-1(rho) from letter
+to letter is `reduced_word_by_inverses`: one inverse and one action per
+letter.
+
 The command line before the table-driven parser: `build_parser` is the
 argparse parser `cli.main` used, one subparser per verb with the common
 options copied into each.  It drops options given before the verb, which
@@ -136,8 +140,8 @@ from greenpoly.spin import (
 )
 from greenpoly.springer import OrbitLabel, component_group, m_representation
 from greenpoly.weyl import (
-    WeylGroupData, WeylType, _sym_column, all_elements, bipartitions, build, delta_elliptic_count,
-    simple_generators, sp_inv, sp_mul,
+    WeylGroupData, WeylType, _act_ambient, _rho, _sym_column, all_elements, ambient_simple_roots,
+    bipartitions, build, delta_elliptic_count, identity_element, simple_generators, sp_inv, sp_mul,
 )
 
 
@@ -964,3 +968,27 @@ def q_M_gram_by_traces(label: OrbitLabel) -> list:
         return sum((t * (_chi(a, x) * _chi(b, x)) for x, t in enumerate(traces)), ZERO).divexact_int(size)
 
     return [[entry(a, b) for b in range(size)] for a in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# reduced words
+
+
+def reduced_word_by_inverses(g: WeylGroupData, w) -> tuple:
+    """The word of the least right descents of w, taking w^-1(rho) afresh
+    from the product so far at each letter: one `sp_inv` and one action per
+    letter.  RuntimeError past N letters or with no descent."""
+    t = g.type
+    roots, gens, rho = ambient_simple_roots(t), simple_generators(t), _rho(t)
+    longest = sum(g.degrees) - len(g.degrees)
+    word, ident, cur = [], identity_element(t), w
+    while cur != ident and len(word) < longest:
+        back = _act_ambient(sp_inv(cur), rho)
+        i = next((i for i, alpha in enumerate(roots) if sum(map(mul, alpha, back)) < 0), None)
+        if i is None:
+            break
+        word.append(i)
+        cur = sp_mul(cur, gens[i])
+    if cur != ident:
+        raise RuntimeError(f"no reduced word for {w} in type {t}")
+    return tuple(reversed(word))

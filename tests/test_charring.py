@@ -216,6 +216,28 @@ def test_chevalley():
     assert chevalley_failure(build(WeylType("D", 4))) is None
 
 
+ALL_GROUPS = [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+
+
+@pytest.mark.parametrize("family,rank", ALL_GROUPS)
+def test_chevalley_failure_names_the_first_changed_class(family, rank, monkeypatch):
+    # x_1(w) det_V(1 - qw) = p(q) holds on every class, so p + 1 and
+    # p + q - 1 (equal to p at q = 1) fail at the first class, and the last
+    # fake degree plus q^k fails at the first class where its character is
+    # not 0
+    g = build(WeylType(family, rank))
+    p, fakes = poincare_poly(g), charring._fake_degrees(g.type)
+    last = fakes[-1] + IntPoly((0,) * len(fakes[-1].coeffs) + (1,))
+    first = next(k for k, v in enumerate(g.char_table[-1]) if v)
+    cases = [(p, fakes, None), (p + IntPoly((1,)), fakes, 0),
+             (p + IntPoly((-1, 1)), fakes, 0), (p, fakes[:-1] + (last,), first)]
+    for tampered_p, tampered_fakes, want in cases:
+        with monkeypatch.context() as m:
+            m.setattr(charring, "poincare_poly", lambda g: tampered_p)
+            m.setattr(charring, "_fake_degrees", lambda t: tampered_fakes)
+            assert chevalley_failure(g) == want
+
+
 @pytest.mark.parametrize(
     "family,rank,expected",
     [("A", 2, 2), ("B", 2, 2), ("G2", 2, 3), ("A", 4, 3), ("D", 4, 3)],

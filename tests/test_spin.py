@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from greenpoly import charring, springer
+from greenpoly import charring, spin, springer
 from greenpoly.charring import VirtualCharacter
 from greenpoly.lusztigshoji import GreenTableau
 from greenpoly.partitions import distinct_partitions
 from greenpoly.spin import (
     DiracIndex,
+    PinConstructionError,
     braid_check,
     braid_failure,
     build_pin,
@@ -22,6 +23,7 @@ from greenpoly.spin import (
 )
 from greenpoly.springer import nsol_predicate
 from greenpoly.weyl import (
+    SUPPORTED_RANKS,
     WeylType,
     ambient_simple_roots,
     build,
@@ -269,9 +271,16 @@ def test_exact_layer_matches_gamma_matrices(fam, rank):
         assert abs(got - want) < 1e-9, ("index", k)
 
 
-@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+ALL_GROUPS = [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+
+
+@pytest.mark.parametrize("fam,rank", ALL_GROUPS)
 def test_exact_identities(fam, rank):
+    # the four identities `verify all` adds to the table ones need no table,
+    # so they are checked on every group `weyl.build` supports
     g = build(WeylType(fam, rank))
+    assert charring.chevalley_failure(g) is None
+    assert charring.minus_one_gram_rank(g) == delta_elliptic_count(g)
     pin = build_pin(g)
     assert braid_failure(pin) is None
     for k, u in enumerate(pin.class_lifts):
@@ -279,6 +288,24 @@ def test_exact_identities(fam, rank):
         det = g.refl_charpoly[k].eval(-1)
         assert (pin.spin_dim * u.coeffs.get(0, 0)) ** 2 == pin.a_v * det * u.norm, k
         assert all(isinstance(c, int) for c in u.coeffs.values())
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_build_pin_rejects_lifts_that_do_not_reflect(fam, rank, monkeypatch):
+    # a Clifford product that gives e_k e_0 the wrong sign for every one-term
+    # e_k keeps z^2 on these groups, but the lifts no longer reflect
+    def skewed(x, vec):
+        out = {}
+        for j, a in enumerate(vec):
+            for s, c in x.items():
+                odd = ((s >> j).bit_count() + (j == 0 and s.bit_count() == 1)) & 1
+                out[s ^ 1 << j] = out.get(s ^ 1 << j, 0) + (-a * c if odd else a * c)
+        return {s: c for s, c in out.items() if c}
+
+    g = build(WeylType(fam, rank))
+    monkeypatch.setattr(spin, "_times", skewed)
+    with pytest.raises(PinConstructionError, match="pin lift does not project to s_alpha"):
+        build_pin(g)
 
 
 def test_braid_failure_names_first_pair():

@@ -265,6 +265,25 @@ def test_reduced_words_multiply_back():
 
 
 @pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, ranks in SUPPORTED_RANKS.items() for r in ranks]
+)
+def test_reduced_words_of_representatives_match_descent_by_inverses(family, rank):
+    # carrying w^-1(rho) from letter to letter gives the word that taking it
+    # afresh from the product at each letter gives
+    g = build(WeylType(family, rank))
+    for cls in g.classes:
+        w = cls.representative
+        assert reduced_word(g, w) == oracles.reduced_word_by_inverses(g, w)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2)])
+def test_reduced_words_of_every_element_match_descent_by_inverses(family, rank):
+    g = build(WeylType(family, rank))
+    for w in oracles.elements(g):
+        assert reduced_word(g, w) == oracles.reduced_word_by_inverses(g, w)
+
+
+@pytest.mark.parametrize(
     "family,rank",
     [("A", r) for r in range(1, 9)]
     + [("B", r) for r in range(1, 7)]
