@@ -80,19 +80,6 @@ class UsageError(ValueError):
 NO_CSV = ("springer", "verify", "spin")
 
 
-def _label_str(lab) -> str:
-    if isinstance(lab, str):
-        return lab
-    if isinstance(lab, tuple) and len(lab) in (2, 3) and all(
-        isinstance(x, tuple) for x in lab[:2]
-    ):
-        a = ",".join(map(str, lab[0])) or "0"
-        b = ",".join(map(str, lab[1])) or "0"
-        tag = lab[2] if len(lab) == 3 and isinstance(lab[2], str) else ""
-        return f"({a})x({b}){tag}"
-    return "(" + ",".join(map(str, lab)) + ")"
-
-
 # the escapes json.dumps writes for these characters by name; every other
 # character outside ' '..'~' is written as \uXXXX
 _NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
@@ -282,23 +269,23 @@ def cmd_wg(args):
     if args.what == "classes":
         _emit(
             args.format,
-            lambda: [{"label": _label_str(c.label), "size": c.size} for c in g.classes],
-            lambda: [["label", "size"]] + [[_label_str(c.label), c.size] for c in g.classes],
-            lambda: [f"{_label_str(c.label)}  size {c.size}" for c in g.classes],
+            lambda: [{"label": weyl.label_str(c.label), "size": c.size} for c in g.classes],
+            lambda: [["label", "size"]] + [[weyl.label_str(c.label), c.size] for c in g.classes],
+            lambda: [f"{weyl.label_str(c.label)}  size {c.size}" for c in g.classes],
         )
         return 0
     # chartable: parse_args admits no other WHAT
     def payload():
         return {
-            "irreps": [_label_str(l) for l in g.irrep_labels],
-            "classes": [_label_str(c.label) for c in g.classes],
+            "irreps": [weyl.label_str(l) for l in g.irrep_labels],
+            "classes": [weyl.label_str(c.label) for c in g.classes],
             "sizes": [c.size for c in g.classes],
             "table": [list(row) for row in g.char_table],
         }
 
     def rows():
-        return [[""] + [_label_str(c.label) for c in g.classes]] + [
-            [_label_str(lab)] + list(row) for lab, row in zip(g.irrep_labels, g.char_table)
+        return [[""] + [weyl.label_str(c.label) for c in g.classes]] + [
+            [weyl.label_str(lab)] + list(row) for lab, row in zip(g.irrep_labels, g.char_table)
         ]
 
     _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
@@ -321,13 +308,13 @@ def cmd_pairing(args):
 
     def payload():
         return {
-            "irreps": [_label_str(l) for l in g.irrep_labels],
+            "irreps": [weyl.label_str(l) for l in g.irrep_labels],
             "form": args.form,
             "gram": gram,
         }
 
     def rows():
-        return [[_label_str(l)] + list(map(str, row)) for l, row in zip(g.irrep_labels, gram)]
+        return [[weyl.label_str(l)] + list(map(str, row)) for l, row in zip(g.irrep_labels, gram)]
 
     _emit(args.format, payload, rows, lambda: [",".join(map(str, r)) for r in rows()])
     return 0
@@ -338,12 +325,12 @@ def cmd_fakedeg(args):
 
     def payload():
         return [
-            {"irrep": _label_str(l), "fake_degree": charring.fake_degree(g, i)}
+            {"irrep": weyl.label_str(l), "fake_degree": charring.fake_degree(g, i)}
             for i, l in enumerate(g.irrep_labels)
         ]
 
     def rows():
-        return [[_label_str(l), str(charring.fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
+        return [[weyl.label_str(l), str(charring.fake_degree(g, i))] for i, l in enumerate(g.irrep_labels)]
 
     _emit(args.format, payload, rows, lambda: [f"{a}: {b}" for a, b in rows()])
     return 0
@@ -357,7 +344,7 @@ def cmd_springer(args):
             out = []
             for rec in table.orbits:
                 systems = ", ".join(
-                    f"{s.label} -> {_label_str(table.group.irrep_labels[s.irrep])}"
+                    f"{s.label} -> {weyl.label_str(table.group.irrep_labels[s.irrep])}"
                     for s in rec.systems
                 )
                 out.append(
@@ -391,7 +378,7 @@ def _tableau_payload(tab: lusztigshoji.GreenTableau):
     """The JSON payload of a solved tableau, its polynomials left as IntPolys
     for `_json_text` to write; each pair and irreducible is named once."""
     pairs = [tab.pair_name(j) for j in range(len(tab.pairs))]
-    irreps = [_label_str(l) for l in tab.group.irrep_labels]
+    irreps = [weyl.label_str(l) for l in tab.group.irrep_labels]
     return {
         "pairs": pairs,
         "irreps": irreps,
@@ -421,7 +408,7 @@ def cmd_green(args):
         out = []
         for j in range(n):
             terms = [
-                f"({c})*{_label_str(tab.group.irrep_labels[i])}"
+                f"({c})*{weyl.label_str(tab.group.irrep_labels[i])}"
                 for i, c in enumerate(tab.coords[j])
                 if c
             ]
@@ -443,32 +430,11 @@ def cmd_green(args):
 
 
 def cmd_verify(args):
-    checks = []
-    if args.what in ("ls", "all"):
-        tab = lusztigshoji.solve(_table(args), check=False)
-        for name, ok, detail in lusztigshoji.verify(tab):
-            checks.append({"identity": name, "ok": ok, "detail": detail})
+    tab = lusztigshoji.solve(_table(args), check=False)
+    found = lusztigshoji.verify(tab)
     if args.what == "all":
-        g = tab.group
-        k = charring.chevalley_failure(g)  # the first class where x_1(w) det(1 - qw) != p(q)
-        chev_bad = None if k is None else _label_str(g.classes[k].label)
-        checks.append({"identity": "chevalley_product", "ok": chev_bad is None, "detail": chev_bad})
-        rank, count = charring.minus_one_gram_rank(g), weyl.delta_elliptic_count(g)
-        rank_bad = None if rank == count else {"rank": rank, "count": count}
-        checks.append({"identity": "elliptic_rank_count", "ok": rank_bad is None, "detail": rank_bad})
-        try:
-            pin = spin.build_pin(g)
-            pair = spin.braid_failure(pin)
-            braid_bad = None if pair is None else {"pair": list(pair)}
-            sq_bad = None  # label of the first class where tr^2 != a_V det_V(1 + w)
-            for k, c in enumerate(g.classes):
-                if not pin.spin_square_holds(pin.lift_of_class(k), g.refl_charpoly[k].eval(-1)):
-                    sq_bad = _label_str(c.label)
-                    break
-            checks.append({"identity": "pin_braid_relations", "ok": braid_bad is None, "detail": braid_bad})
-            checks.append({"identity": "spin_square_trace", "ok": sq_bad is None, "detail": sq_bad})
-        except spin.PinConstructionError as exc:
-            checks.append({"identity": "pin_construction", "ok": False, "detail": str(exc)})
+        found += spin.group_identities(tab.group)
+    checks = [{"identity": name, "ok": ok, "detail": detail} for name, ok, detail in found]
     failures = [c for c in checks if not c["ok"]]
 
     def lines():
@@ -518,11 +484,11 @@ def cmd_spin(args):
                 "orbit": list(lam),
                 "system": args.phi,
                 "exact_norm": st.exact_norm,
-                "values": [{"class": _label_str(c.label), "value": _cplx(v)} for c, v in values],
+                "values": [{"class": weyl.label_str(c.label), "value": _cplx(v)} for c, v in values],
             },
             None,
             lambda: [f"exact norm: {st.exact_norm}"]
-            + [f"{_label_str(c.label)}: {_cplx(v)}" for c, v in values],
+            + [f"{weyl.label_str(c.label)}: {_cplx(v)}" for c, v in values],
         )
         return 0
     if args.what == "classify":

@@ -32,10 +32,10 @@ from __future__ import annotations
 from functools import cached_property
 from math import copysign, factorial, sqrt
 
-from .charring import VirtualCharacter
+from .charring import VirtualCharacter, chevalley_failure, minus_one_gram_rank
 from .lusztigshoji import GreenTableau
 from .partitions import distinct_partitions, is_distinct
-from .weyl import WeylGroupData, ambient_simple_roots, braid_order, reduced_word
+from .weyl import WeylGroupData, ambient_simple_roots, braid_order, delta_elliptic_count, label_str, reduced_word
 
 
 def _times(x: dict, vec) -> dict:
@@ -213,6 +213,25 @@ def braid_check(pin: PinRep, tol: float = 1e-10) -> bool:
     """(lift_i lift_j)^{m(i,j)} = -1 for all simple pairs, exactly; `tol` is
     accepted for compatibility and not used."""
     return braid_failure(pin) is None
+
+
+def group_identities(g: WeylGroupData) -> list:
+    """`verify all`'s identities on the group alone, as `lusztigshoji.verify`'s
+    (name, ok, witness) triples, a failing class witnessed by its label; a
+    failed pin construction ends the list with ("pin_construction", False, message)."""
+    k = chevalley_failure(g)
+    rank, count = minus_one_gram_rank(g), delta_elliptic_count(g)
+    out = [("chevalley_product", k is None, None if k is None else label_str(g.classes[k].label)),
+           ("elliptic_rank_count", rank == count, None if rank == count else {"rank": rank, "count": count})]
+    try:
+        pin = build_pin(g)
+    except PinConstructionError as exc:
+        return out + [("pin_construction", False, str(exc))]
+    pair = braid_failure(pin)
+    bad = next((label_str(c.label) for c, u, det in zip(g.classes, pin.class_lifts, g.refl_charpoly)
+                if not pin.spin_square_holds(u, det.eval(-1))), None)
+    return out + [("pin_braid_relations", pair is None, None if pair is None else {"pair": list(pair)}),
+                  ("spin_square_trace", bad is None, bad)]
 
 
 def spin_traces_by_class(pin: PinRep):

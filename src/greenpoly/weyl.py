@@ -545,6 +545,20 @@ def class_label(t: WeylType, w):
     return pos, neg
 
 
+def label_str(lab) -> str:
+    """A label as text: a name as is, (a)x(b)tag for a bipartition, (a) for a partition."""
+    if isinstance(lab, str):
+        return lab
+    if isinstance(lab, tuple) and len(lab) in (2, 3) and all(
+        isinstance(x, tuple) for x in lab[:2]
+    ):
+        a = ",".join(map(str, lab[0])) or "0"
+        b = ",".join(map(str, lab[1])) or "0"
+        tag = lab[2] if len(lab) == 3 and isinstance(lab[2], str) else ""
+        return f"({a})x({b}){tag}"
+    return "(" + ",".join(map(str, lab)) + ")"
+
+
 def _class_order(cls: ConjClass):
     return -len(cls.label[0]), cls.label
 

@@ -55,6 +55,17 @@ def run_fresh(code, *args, env=None, **kwargs):
     )
 
 
+def skewed_times(x: dict, vec) -> dict:
+    """`spin._times` with the wrong sign on e_k e_0 for every one-term e_k:
+    on A2, B3, C3, D4 and G2 it keeps z^2, but the lifts no longer reflect."""
+    out = {}
+    for j, a in enumerate(vec):
+        for s, c in x.items():
+            odd = ((s >> j).bit_count() + (j == 0 and s.bit_count() == 1)) & 1
+            out[s ^ 1 << j] = out.get(s ^ 1 << j, 0) + (-a * c if odd else a * c)
+    return {s: c for s, c in out.items() if c}
+
+
 # the Springer tables `solve` runs on in the tests: GL(2)-GL(8) and Sp(2)-Sp(6)
 SOLVED_TABLES = [("A", n) for n in range(2, 9)] + [("C", n) for n in range(1, 4)]
 

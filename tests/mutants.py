@@ -170,6 +170,33 @@ MUTANTS = [
          "tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[G2-2]"),
         120,
     ),
+    # the spin-square witness names the class before the one that fails
+    Mutant(
+        "spin-square-witness-one-class-early",
+        "spin.py",
+        "label_str(c.label) for c, u, det in zip(g.classes,",
+        "label_str(c.label) for c, u, det in zip(g.classes[:1] + g.classes[:-1],",
+        ("tests/test_cli.py::test_verify_all_failure_witnesses",),
+        120,
+    ),
+    # the elliptic witness with rank and count swapped
+    Mutant(
+        "elliptic-witness-rank-count-swapped",
+        "spin.py",
+        '{"rank": rank, "count": count}',
+        '{"rank": count, "count": rank}',
+        ("tests/test_cli.py::test_verify_all_failure_witnesses",),
+        120,
+    ),
+    # a failed pin construction drops out of the list unreported
+    Mutant(
+        "pin-construction-failure-dropped",
+        "spin.py",
+        '        return out + [("pin_construction", False, str(exc))]\n',
+        "        return out\n",
+        ("tests/test_cli.py::test_verify_all_reports_a_failed_pin_construction",),
+        120,
+    ),
     # a public method and a public constant that nothing reads
     Mutant(
         "unused-public-method",

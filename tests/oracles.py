@@ -123,7 +123,6 @@ from greenpoly.charring import (
 )
 from greenpoly.cli import (
     UsageError,
-    _label_str,
     cmd_fakedeg,
     cmd_green,
     cmd_pairing,
@@ -141,7 +140,8 @@ from greenpoly.spin import (
 from greenpoly.springer import OrbitLabel, component_group, m_representation
 from greenpoly.weyl import (
     WeylGroupData, WeylType, _act_ambient, _rho, _sym_column, all_elements, ambient_simple_roots,
-    bipartitions, build, delta_elliptic_count, identity_element, simple_generators, sp_inv, sp_mul,
+    bipartitions, build, delta_elliptic_count, identity_element, label_str, simple_generators, sp_inv,
+    sp_mul,
 )
 
 
@@ -869,12 +869,12 @@ def tableau_payload_dicts(tab: GreenTableau) -> dict:
     g = tab.group
     return {
         "pairs": [tab.pair_name(j) for j in range(len(tab.pairs))],
-        "irreps": [_label_str(l) for l in g.irrep_labels],
+        "irreps": [label_str(l) for l in g.irrep_labels],
         "K_columns": [
             {
                 "pair": tab.pair_name(j),
                 "coords": {
-                    _label_str(g.irrep_labels[i]): to_json(c)
+                    label_str(g.irrep_labels[i]): to_json(c)
                     for i, c in enumerate(tab.coords[j])
                     if c
                 },

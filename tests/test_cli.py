@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from greenpoly import charring
 from greenpoly.charring import fake_degree, qell_rows
-from greenpoly.cli import _json_text, _label_str, main
+from greenpoly.cli import _json_text, main
 from greenpoly.polyq import ZERO, IntPoly
-from greenpoly.weyl import WeylType, build
+from greenpoly.weyl import WeylType, build, label_str
 
-from conftest import SOLVED_TABLES, run_fresh, solved
+from conftest import SOLVED_TABLES, run_fresh, skewed_times, solved
 from oracles import tableau_payload_dicts, to_json
 
 
@@ -215,7 +215,7 @@ def test_fakedeg_json_is_json_dumps_of_dict_payload(capsys, family, rank):
     assert code == 0
     g = build(WeylType(family, rank))
     payload = [
-        {"irrep": _label_str(l), "fake_degree": to_json(fake_degree(g, i))}
+        {"irrep": label_str(l), "fake_degree": to_json(fake_degree(g, i))}
         for i, l in enumerate(g.irrep_labels)
     ]
     assert out == json.dumps(payload) + "\n"
@@ -325,7 +325,6 @@ def test_verify_all_passes(capsys):
 
 
 def test_verify_all_failure_witnesses(capsys, monkeypatch):
-    import greenpoly.charring as charring
     from greenpoly import spin
     from greenpoly.weyl import WeylType, build, delta_elliptic_count
 
@@ -354,7 +353,7 @@ def test_verify_all_failure_witnesses(capsys, monkeypatch):
         return spin.PinElement({s: (2 if k else 1) * c for s, c in u.coeffs.items()}, u.norm)
 
     monkeypatch.setattr(spin.PinRep, "lift_of_class", doubled)
-    monkeypatch.setattr(charring, "minus_one_gram_rank", lambda g: 99)
+    monkeypatch.setattr(spin, "minus_one_gram_rank", lambda g: 99)
     code, failed = checks()
     assert code == 2
     assert failed["elliptic_rank_count"] == {
@@ -385,6 +384,25 @@ def test_verify_all_braid_witness(capsys, monkeypatch):
         "ok": False,
         "detail": {"pair": [0, 2]},
     }
+
+
+def test_verify_all_reports_a_failed_pin_construction(capsys, monkeypatch):
+    from greenpoly import spin
+
+    monkeypatch.setattr(spin, "_times", skewed_times)
+    code, out, _ = run(capsys, "verify", "all", "--type", "C", "--rank", "3", "--json")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert checks[-1] == {
+        "identity": "pin_construction",
+        "ok": False,
+        "detail": "pin lift does not project to s_alpha",
+    }
+    assert not {"pin_braid_relations", "spin_square_trace"} & {c["identity"] for c in checks}
+    code, out, _ = run(capsys, "verify", "all", "--type", "C", "--rank", "3")
+    assert code == 2
+    assert out.splitlines()[-1] == "FAIL  pin_construction  pin lift does not project to s_alpha"
+    assert "pin_braid_relations" not in out and "spin_square_trace" not in out
 
 
 def test_verify_all_chevalley_witness(capsys, monkeypatch):

@@ -16,6 +16,10 @@ encloses it, one normaliser (`_imported`) names what an import binds, and
 - the solved tableau is plain data: `spin` imports nothing from
   `lusztigshoji` but `GreenTableau` and nothing from `springer`, and
   `GreenTableau.__init__` assigns no attribute whose name starts with `_`;
+- `verify` keeps its identities in the library: the only layer names
+  `cli.cmd_verify` reads are `lusztigshoji.solve`, `lusztigshoji.verify` and
+  `spin.group_identities`, and `cli` defines no label formatter, so
+  `weyl.label_str` is the one;
 - every check raises, so `python -O` keeps it: no `assert` statement;
 - no module imports a `_name` from another module of the package;
 - every public top-level function, class or constant, and every public
@@ -246,6 +250,18 @@ RULES = {
         lambda: _bound_from(SOURCES["spin.py"], "lusztigshoji"), ["GreenTableau"],
     ),
     "spin_imports_nothing_from_springer": (lambda: _bound_from(SOURCES["spin.py"], "springer"), []),
+    "cli_verify_only_selects_and_formats": (
+        lambda: (
+            sorted(
+                f"{mod}.{name}"
+                for mod in (p[:-3] for p in SOURCES)
+                for path, func, name in _module_uses(mod)
+                if (path, func) == ("cli.py", "cmd_verify")
+            ),
+            [n.name for n in SOURCES["cli.py"].body if isinstance(n, FUNCTIONS) and "label" in n.name],
+        ),
+        (["lusztigshoji.solve", "lusztigshoji.verify", "spin.group_identities"], []),
+    ),
     "tableau_keeps_no_private_state": (
         lambda: _private_assignments(SOURCES["lusztigshoji.py"], "GreenTableau"), [],
     ),

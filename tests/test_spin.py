@@ -16,6 +16,7 @@ from greenpoly.spin import (
     dirac_index_char,
     g_lambda,
     genuine_count_typeA,
+    group_identities,
     index_traces_by_class,
     sigma_tilde,
     spin_traces_by_class,
@@ -33,7 +34,7 @@ from greenpoly.weyl import (
     sp_mul,
 )
 
-from conftest import SOLVED_TABLES
+from conftest import SOLVED_TABLES, skewed_times
 from oracles import (
     alternating_betti_by_class_value,
     char_formula_check,
@@ -288,22 +289,17 @@ def test_exact_identities(fam, rank):
         det = g.refl_charpoly[k].eval(-1)
         assert (pin.spin_dim * u.coeffs.get(0, 0)) ** 2 == pin.a_v * det * u.norm, k
         assert all(isinstance(c, int) for c in u.coeffs.values())
+    # and `group_identities` reports each of them as holding, in order
+    assert group_identities(g) == [
+        (name, True, None)
+        for name in ("chevalley_product", "elliptic_rank_count", "pin_braid_relations", "spin_square_trace")
+    ]
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
 def test_build_pin_rejects_lifts_that_do_not_reflect(fam, rank, monkeypatch):
-    # a Clifford product that gives e_k e_0 the wrong sign for every one-term
-    # e_k keeps z^2 on these groups, but the lifts no longer reflect
-    def skewed(x, vec):
-        out = {}
-        for j, a in enumerate(vec):
-            for s, c in x.items():
-                odd = ((s >> j).bit_count() + (j == 0 and s.bit_count() == 1)) & 1
-                out[s ^ 1 << j] = out.get(s ^ 1 << j, 0) + (-a * c if odd else a * c)
-        return {s: c for s, c in out.items() if c}
-
     g = build(WeylType(fam, rank))
-    monkeypatch.setattr(spin, "_times", skewed)
+    monkeypatch.setattr(spin, "_times", skewed_times)
     with pytest.raises(PinConstructionError, match="pin lift does not project to s_alpha"):
         build_pin(g)
 
