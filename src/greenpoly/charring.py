@@ -14,7 +14,8 @@ one row per orbit of the twists chi -> chi lambda by the linear characters
 lambda of W (`twists`) and fills the other rows of the orbit by permuting
 its columns.  That is exact: a linear character of W takes the values +-1
 only, so lambda^2 = 1 and each class sum of chi lambda chi' lambda equals
-that of chi chi' term by term.  `omega_bound` bounds Omega's coefficients,
+that of chi chi' term by term; `twists` looks up only the twists it
+cannot compose from two it has.  `omega_bound` bounds Omega's coefficients,
 so the solver can choose that point.  The q-elliptic
 Gram of the irreducibles is kept per type (`qell_rows`): by bilinearity it
 gives the solver every pairing of a Green column, and through the solver's
@@ -22,13 +23,19 @@ M it gives the spin layer every pairing that layer reports, so neither takes
 a class sum of its own.  The standard pairing, the pairing at q = 1, Omega
 as polynomials and the brute-force sums over group elements are test
 oracles.  The coinvariant class function is an integer polynomial for every
-w, which keeps fake degrees and Omega inside Z[q] throughout.
+w, which keeps fake degrees and Omega inside Z[q] throughout.  `verify
+all`'s two group checks here are integer comparisons: Chevalley's identity
+sum_chi f_chi(q) chi(w) det_V(1 - qw) = p(q) is one comparison per class at
+a q = 2^b that holds every coefficient of the difference
+(`chevalley_failure`), and the rank of the (-1)-elliptic Gram comes from
+elimination in Z on its distinct rows (`_int_matrix_rank`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, compress
+from math import gcd
 from operator import mul, neg
 
 from .polyq import IntPoly, ONE, ZERO, byte_width, pack_ints, slot_bits, split_ints
@@ -128,30 +135,40 @@ def twists(t: WeylType) -> tuple:
     order; the trivial character gives the identity.  They form a group of
     involutions, of order 2 for A and D and 4 for B, C (rank >= 2) and G2.
 
-    Read off the character table: the linear characters are its rows of
-    degree 1, and each twisted row is looked up among the rows.  As lambda
-    is +-1, the table twisted by lambda is the table with the columns where
-    lambda is -1 negated, so its rows come out of one zip of columns.
-    Raises ArithmeticError when a row of degree 1 takes a value other than
-    +-1 or a twisted row is not in the table.
+    The linear characters are the rows of degree 1 of the character table.
+    The trivial one, all 1, gives the identity with no lookup.  For any
+    other lambda whose twist is not yet known, the table twisted by lambda
+    is the table with the columns where lambda is -1 negated, so its rows
+    come out of one zip of columns, and each is looked up among the rows.
+    Each twist so found is composed with every twist known before it:
+    chi lambda mu is row pi_lambda(pi_mu(i)), and lambda mu itself is row
+    pi_lambda(mu), so the product of two twists negates no column and looks
+    up no row (B_n and C_n look up two of their four).  Raises
+    ArithmeticError when a row of degree 1 that is looked up takes a value
+    other than +-1 or a twisted row is not in the table; a composed row is
+    a product of two rows that passed.
     """
     g = build(t)
     table, ident = g.char_table, g.identity_class
     index = {row: i for i, row in enumerate(table)}
     cols = list(zip(*table))
-    negated = [tuple(map(neg, col)) for col in cols]
-    perms = []
-    for lam in table:
-        if lam[ident] != 1:
+    found = {}  # row index of lambda -> its permutation
+    for i, lam in enumerate(table):
+        if lam[ident] != 1 or i in found:
             continue
         if any(v * v != 1 for v in lam):
             raise ArithmeticError(f"linear character {lam} of {t} takes a value other than +-1")
-        twisted = zip(*[col if v > 0 else minus for col, minus, v in zip(cols, negated, lam)])
-        perm = tuple(map(index.get, twisted))
-        if None in perm:
-            raise ArithmeticError(f"row {perm.index(None)} of {t} twisted by {lam} is not in the table")
-        perms.append(perm)
-    return tuple(perms)
+        if -1 not in lam:
+            perm = tuple(range(len(table)))
+        else:
+            twisted = zip(*[col if v > 0 else tuple(map(neg, col)) for col, v in zip(cols, lam)])
+            perm = tuple(map(index.get, twisted))
+            if None in perm:
+                raise ArithmeticError(f"row {perm.index(None)} of {t} twisted by {lam} is not in the table")
+        found[i] = perm
+        for j, other in list(found.items()):
+            found.setdefault(perm[j], tuple(map(perm.__getitem__, other)))
+    return tuple(found[i] for i in sorted(found))
 
 
 def _on_rows(perms, irreps) -> list:
@@ -302,7 +319,11 @@ def minus_one_pairing(a: VirtualCharacter, b: VirtualCharacter) -> int:
 # coinvariant algebra, fake degrees
 
 
+@lru_cache(maxsize=None)
 def poincare_poly(g: WeylGroupData) -> IntPoly:
+    """p(q) = prod_i (1 - q^d_i) over the degrees d_i of W, built once per
+    group and shared by the coinvariant values, the solver's Lambda and the
+    Chevalley check."""
     p = ONE
     for m in g.degrees:
         p = p * IntPoly((1,) + (0,) * (m - 1) + (-1,))
@@ -355,12 +376,6 @@ def fake_degree(g: WeylGroupData, irrep: int) -> IntPoly:
     return _fake_degrees(g.type)[irrep]
 
 
-def coinvariant_character(g: WeylGroupData) -> GradedCharacter:
-    return GradedCharacter(
-        g, tuple(fake_degree(g, i) for i in range(len(g.irrep_labels)))
-    )
-
-
 def omega_at(g: WeylGroupData, irreps, b: int) -> list:
     """Omega, the graded multiplicities of the tensor products chi_i chi_j in
     the coinvariant algebra, for i, j in irreps, at q = 2^b, as integers: one
@@ -385,12 +400,26 @@ def omega_bound(g: WeylGroupData, irreps) -> int:
 
 
 def chevalley_failure(g: WeylGroupData):
-    """The first class where the coinvariant character times det_V(1-qw)
-    differs from p(q), or None."""
-    p = poincare_poly(g)
-    x1 = coinvariant_character(g)
+    """The first class k where Chevalley's identity
+    sum_chi f_chi(q) chi(w_k) det_V(1 - q w_k) = p(q) fails, or None; f_chi
+    is the fake degree of chi.  Each class is one integer comparison at
+    q = 2^b: sum_chi f_chi(2^b) chi(w_k) det_k(2^b) = p(2^b).
+
+    The coefficients of x_k = sum_chi f_chi chi(w_k) are at most
+    A = sum_chi |f_chi|_inf max_k |chi(w_k)|, so those of x_k det_k are at
+    most A max_k |det_k|_1, and those of the difference x_k det_k - p at
+    most that plus |p|_inf.  b = slot_bits of that sum keeps each of them
+    strictly between -2^(b - 1) and 2^(b - 1), and a polynomial with such
+    coefficients that vanishes at 2^b is 0, since signed base-2^b digits
+    are unique.  So the difference is 0 exactly when it is 0 at 2^b.
+    """
+    p, fakes, table, dets = poincare_poly(g), _fake_degrees(g.type), g.char_table, g.refl_charpoly
+    top = sum(f.norm_inf() * max(map(abs, row)) for f, row in zip(fakes, table))
+    b = slot_bits(top * max(d.norm1() for d in dets) + p.norm_inf())
+    packed, at = [f.pack(b) for f in fakes], p.pack(b)
     return next(
-        (k for k in range(len(g.classes)) if x1.value(k) * g.refl_charpoly[k] != p),
+        (k for k, (col, det) in enumerate(zip(zip(*table), dets))
+         if sum(map(mul, packed, col)) * det.pack(b) != at),
         None,
     )
 
@@ -404,27 +433,42 @@ def minus_one_gram(g: WeylGroupData):
 
 
 def _int_matrix_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    """Rank of an integer matrix by elimination in Z, one pivot per column
+    that has a nonzero entry left.
 
-    A column with no pivot left is skipped.  After each pivot every entry
-    below it is a minor of the original matrix, so the division by the
-    previous pivot is exact and everything stays in Z.
+    A repeated row and a zero row add nothing to the row space, so each
+    distinct nonzero row is kept once: a (-1)-elliptic Gram of type A has
+    each row twice, since chi and chi sgn agree on the classes where
+    det_V(1 + w) != 0, which are even.  The pivot row r, with p = r[c] != 0,
+    leaves the matrix, and every other row with a = row[c] != 0 becomes
+    p row - a r divided by the gcd of its entries; a row with row[c] = 0 is
+    left as it is, and a row that is 0 is dropped.  Each step keeps the span
+    of r and the rows left, and after it every row left is 0 in column c,
+    where r is not, so the rank is one more than the rank of the rows left:
+    it is the number of pivots.  The division by the gcd keeps the entries
+    small, and everything stays in Z.
     """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    r, prev = 0, 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+    m = [list(row) for row in dict.fromkeys(map(tuple, rows)) if any(row)]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((row for row in m if row[c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        p, top = m[r][c], m[r][c:]
-        for i in range(r + 1, len(m)):
-            a = m[i][c]
-            m[i][c:] = [(p * x - a * y) // prev for x, y in zip(m[i][c:], top)]
-        prev = p
-        r += 1
-    return r
+        rank += 1
+        p, left = piv[c], []
+        for row in m:
+            if row is piv:
+                continue
+            a = row[c]
+            if a:
+                row = [p * x - a * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            left.append(row)
+        m = left
+    return rank
 
 
 def minus_one_gram_rank(g: WeylGroupData) -> int:

@@ -47,7 +47,7 @@ entry compared.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from operator import mul
 
 from .charring import GradedCharacter, fake_degree, omega_at, omega_bound, poincare_poly, qell_rows
@@ -59,7 +59,6 @@ from .polyq import (
     adjugate,
     coeffs,
     nonzero_positions,
-    row_norm,
     slot_bits,
     sparse_matmul,
 )
@@ -101,23 +100,27 @@ def _inverse_parts(rows, what: str) -> tuple:
         raise SolverError(f"singular {what}")
 
 
-def _gram_column(coords, supports, vj) -> list:
+def _gram_column(coords, supports, column_of, vj) -> list:
     """<col_i, col_j>^q for every column i <= j, from the pairings vj of
     column j with the irreducibles.
 
     Column i is sum_a K_ai chi_a, so <col_i, col_j> = sum_a K_ai vj[a] by
     bilinearity, summed over the a where both factors are nonzero (supports
-    lists the a with K_ai != 0).  K_ai is nonzero only for the irreducibles
-    of column i and of the columns before it.  So once column j pairs to
-    zero with the irreducibles of every earlier block, each entry across
-    orbits is an empty sum, and one within a block is the lookup
-    vj[sigma_i]; a column that does not pair to zero gets its cross-orbit
-    entries in full.
+    lists the a with K_ai != 0).  Column i is its irreducible sigma_i minus
+    a combination of earlier columns, so K_ai is nonzero only for
+    a = sigma_0, ..., sigma_i (column_of maps sigma_i to i).  Every entry
+    below the least column whose irreducible vj is nonzero at is therefore
+    an empty sum, 0, and only the entries from that column on are summed:
+    once column j pairs to zero with the irreducibles of every earlier
+    block, each entry across orbits is 0 unread, and one within a block is
+    the lookup vj[sigma_i]; a column that does not pair to zero gets its
+    cross-orbit entries in full.
     """
     nonzero = set(nonzero_positions(vj))
-    return [
+    start = min(map(column_of.__getitem__, nonzero & column_of.keys()), default=len(coords))
+    return [ZERO] * start + [
         sum((k_i[a] * vj[a] for a in support & nonzero), ZERO)
-        for k_i, support in zip(coords, supports)
+        for k_i, support in zip(coords[start:], supports[start:])
     ]
 
 
@@ -138,6 +141,7 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
     npairs = len(pairs)
     coords: list = []  # K's columns: each column's coordinates
     supports: list = []  # per column, the irreducibles where it is nonzero
+    column_of: dict = {}  # the irreducible of each column -> that column
     V: list = []  # V[j][a] = <chi_a, column j>^q, taken once per column
     M = [[ZERO] * npairs for _ in range(npairs)]
     block_inverse: list = []  # per finished orbit, (adjugate, determinant) of its Gram block
@@ -179,8 +183,9 @@ def solve(table: SpringerTable, check: bool = True) -> GreenTableau:
             col = row[:nirr]
             coords.append(col)
             supports.append(set(nonzero_positions(col)))
+            column_of[sigma] = j
             V.append(row[nirr:])
-            for i, x in enumerate(_gram_column(coords, supports, V[j])):
+            for i, x in enumerate(_gram_column(coords, supports, column_of, V[j])):
                 M[i][j] = M[j][i] = x
         block_inverse.append(_inverse_parts(
             [[M[a][b] for b in members] for a in members],
@@ -233,12 +238,15 @@ def kl_width(tab: GreenTableau, K) -> int:
 
     A coefficient of (K Lambda K^t)_ij is at most sum over Lambda_kl != 0 of
     max_i |K_ik|_inf |Lambda_kl|_1 max_j |K_jl|_1, and one of Omega_ij at
-    most `omega_bound` of the pairs' irreducibles.  Each norm of K's column
-    k is one C-level scan of its coefficients.
+    most `omega_bound` of the pairs' irreducibles.  Both norms of K's column
+    k come from one list of the absolute values of each nonzero entry's
+    coefficients.
     """
-    cols = list(zip(*K))
-    sup_k = list(map(row_norm, cols))
-    one_k = [max(map(sum, map(map, repeat(abs), map(coeffs, col))), default=0) for col in cols]
+    sup_k, one_k = [], []
+    for col in zip(*K):
+        mags = [list(map(abs, cs)) for cs in map(coeffs, col) if cs]
+        sup_k.append(max(map(max, mags), default=0))
+        one_k.append(max(map(sum, mags), default=0))
     klk = sum(
         s * row[k].norm1() * one_k[k]
         for s, row in zip(sup_k, tab.Lam)

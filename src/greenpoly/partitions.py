@@ -29,7 +29,10 @@ def partitions(n: int, max_part: int | None = None):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def transpose(lam: Partition) -> Partition:
+    """The conjugate partition, memoised: a GL(n) table reads it three times
+    per orbit (its irreducible, d_e and the row filled by the sign twist)."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))

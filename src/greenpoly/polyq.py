@@ -165,7 +165,11 @@ class IntPoly:
                 d -= full
                 n += 1
             out.append(d)
-        return _poly(out)
+        # the last digit is never 0 (a digit 0 leaves n >= 1 to read), so
+        # the digits need no trimming
+        self = object.__new__(IntPoly)
+        _set_coeffs(self, tuple(out))
+        return self
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other: "IntPoly") -> "IntPoly":
@@ -356,9 +360,9 @@ class PackedRows:
         needed = slot_bits(row_norm(base) + scale * self.top)
         if needed > self.b:
             self.b = b = max(needed, 2 * self.b)
-            self.packed = [[x.pack(b) for x in row] for row in self.rows]
+            self.packed = [[x.pack(b) if x.coeffs else 0 for x in row] for row in self.rows]
         b = self.b
-        acc = [x.pack(b) for x in base]
+        acc = [x.pack(b) if x.coeffs else 0 for x in base]
         for c, j in terms:
             acc = list(map(sub, acc, map(c.pack(b).__mul__, self.packed[j])))
         row = [IntPoly.unpack(x, b) if x else ZERO for x in acc]

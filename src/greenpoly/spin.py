@@ -16,7 +16,9 @@ z = e_1 ... e_n; for A_r and G2, V is the sum-zero plane of R^{r+1} (R^3 for
 G2) and z = eps e_full u/sqrt(r+1) with u = e_0 + ... + e_r, the orientation
 eps being -1 for A and +1 for G2.  Every identity of the pin layer (the
 reflection property of the lifts, the braid relations, tr^2 = a_V det(1 + w))
-is checked as an equality of integers.  Every integer the layer reports
+is checked as an equality of integers.  The reflection property is one
+Clifford product per simple root, on a vector sum_j B^j e_j whose base B
+keeps the coordinates apart (`_reflects`).  Every integer the layer reports
 is read off the solved tableau, with no class sum: pairings are bilinear and
 evaluation at q0 is a ring map, so the entry M_ab(q0) of the q-elliptic Gram
 of the Green columns is the pairing < X_q0(a), X_q0(b) >^q0, and the
@@ -29,8 +31,9 @@ in those values.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import copysign, factorial, sqrt
+from operator import mul
 
 from .charring import VirtualCharacter, chevalley_failure, minus_one_gram_rank
 from .lusztigshoji import GreenTableau
@@ -58,8 +61,11 @@ def _unit(j: int) -> tuple:
     return (0,) * j + (1,)
 
 
+@lru_cache(maxsize=None)
 def _norm(v) -> int:
-    return sum(a * a for a in v)
+    """|v|^2 for an integer vector v, memoised on v: the lifts and the braid
+    check take one per letter, of the same few simple roots."""
+    return sum(map(mul, v, v))
 
 
 def _mul(x: dict, y: dict) -> dict:
@@ -159,6 +165,31 @@ class PinConstructionError(RuntimeError):
     pass
 
 
+def _reflects(r) -> bool:
+    """Whether the lift of the root alpha = r projects to the reflection
+    s_alpha, checked on the one vector v = sum_j B^j e_j.
+
+    The lift projects to s_alpha when alpha e_j alpha = N e_j - 2 r_j alpha
+    for every j, N = |alpha|^2 (eps(u) xi u^-1 = s_alpha(xi) for
+    u = alpha/|alpha|).  Both sides are linear in e_j, so on v the check
+    reads alpha v alpha = N v - 2 <r, v> alpha, and the coefficient of each
+    monomial e_S there is sum_j B^j d_j(S), d_j(S) that coefficient in the
+    difference of the two sides at e_j.  alpha e_j alpha is a sum of
+    r_k r_l e_k e_j e_l, each product of monomials +-1 times a monomial, so
+    its coefficients are at most |r|_1^2, and those of N e_j - 2 r_j alpha at
+    most N + 2 |r|_1^2 <= 3 |r|_1^2: |d_j(S)| <= 4 |r|_1^2.  B = 8 |r|_1^2 + 1
+    exceeds twice that, so sum_j B^j d_j(S) = 0 forces d_0(S) = 0 (B divides
+    it and |d_0(S)| < B) and, dividing by B, every d_j(S) = 0 in turn: the
+    check on v holds exactly when the check on every e_j does.
+    """
+    one = sum(map(abs, r))
+    big = 8 * one * one + 1
+    v = tuple(big**j for j in range(len(r)))
+    dot = sum(map(mul, r, v))
+    image = _times(_times(_times({0: 1}, r), v), r)
+    return image == _times({0: 1}, tuple(_norm(r) * x - 2 * dot * a for x, a in zip(v, r)))
+
+
 def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
     """Integer roots, the volume element, and verified reflection lifts.
 
@@ -177,15 +208,8 @@ def build_pin(g: WeylGroupData, tol: float = 1e-12) -> PinRep:
         raise PinConstructionError("z^2 is not (-1)^{n(n+1)/2}")
     c = 1 if sign == 1 else 1j
 
-    # p(lift) must be the reflection: eps(u) xi u^{-1} = s_alpha(xi), which
-    # for u = alpha/|alpha| reads alpha e_j alpha = N e_j - 2 alpha_j alpha
-    for r in roots:
-        alpha = _times({0: 1}, r)
-        for j in range(m):
-            image = _times(_times(alpha, _unit(j)), r)
-            target = _times({0: 1}, tuple(_norm(r) * (k == j) - 2 * r[j] * r[k] for k in range(m)))
-            if image != target:
-                raise PinConstructionError("pin lift does not project to s_alpha")
+    if not all(map(_reflects, roots)):
+        raise PinConstructionError("pin lift does not project to s_alpha")
     return PinRep(g, n, roots, volume, volume_norm, sign, c)
 
 

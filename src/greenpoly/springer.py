@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import ge
 
 from .charring import fake_degree, twists
 from .partitions import is_distinct, multiplicities, partitions, transpose
@@ -116,15 +115,24 @@ class SpringerTable:
                 self.pair_irreps.append(sys.irrep)
         # (i, j): orbit i > orbit j in the closure order, which for GL(n) and
         # Sp(2n) is dominance of the partitions: every partial sum of i's
-        # parts, padded with zeros to one length, is at least j's
+        # parts, padded with zeros to one length, is at least j's.  The sums
+        # s_k of a partition lie in [0, 2^(w-1)), so they pack as
+        # P = sum_k s_k 2^(w k) with a guard bit 2^(w-1) free in each slot,
+        # H the sum of the guard bits.  (P_i + H) - P_j is then
+        # sum_k (s_ik - s_jk + 2^(w-1)) 2^(w k), every term in (0, 2^w), so no
+        # slot borrows from the next, and the guard bit of slot k stays set
+        # exactly when s_ik >= s_jk: i dominates j iff all of H stays set.
         parts = [rec.label.partition for rec in orbits]
         width = max(map(len, parts), default=0)
-        sums = [tuple(accumulate(a + (0,) * (width - len(a)))) for a in parts]
+        w = max(map(sum, parts), default=0).bit_length() + 1
+        guard = sum(1 << (w * k + w - 1) for k in range(width))
+        packed = [sum(x << (w * k) for k, x in enumerate(accumulate(a + (0,) * (width - len(a)))))
+                  for a in parts]
         self.greater = {
             (i, j)
-            for i, a in enumerate(sums)
-            for j, b in enumerate(sums)
-            if a != b and all(map(ge, a, b))
+            for i, a in enumerate(packed)
+            for j, b in enumerate(packed)
+            if a != b and (a + guard - b) & guard == guard
         }
 
     @property

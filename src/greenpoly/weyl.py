@@ -22,10 +22,11 @@ the simple roots of `ambient_simple_roots`, the same roots the pin layer
 lifts, and `braid_order` reads the Coxeter exponent m_ij off the angle
 between two of them.  `delta_twisted_classes` and `all_elements` enumerate
 the whole group; the tests use them as oracles.
-Character tables: Murnaghan-Nakayama for A; for B/C induced from the S_k
-tables (`_bc_column`: each split of a class's cycles adds the outer product
-of two S_k columns, one big-integer product of byte-packed columns, and the
-packed column is split once; the column at -w is the column at w times
+Character tables: Murnaghan-Nakayama for A, once per pair {lam, lam^t},
+the other row of the pair being that row times sgn; for B/C induced from
+the S_k tables (`_bc_column`: each split of a class's cycles adds the outer
+product of two S_k columns, one big-integer product of byte-packed columns,
+and the packed column is split once; the column at -w is the column at w times
 (-1)^|beta|, so of each pair {w, -w} one column is taken), one table per
 rank shared by B_n and C_n; for D the same columns restricted, with split
 classes; and for G2 the S_3 table times the two characters of the centre.
@@ -40,7 +41,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 from operator import mul
 
-from .partitions import cycle_type_size, multiplicities, partitions, sym_char
+from .partitions import cycle_type_size, multiplicities, partitions, sym_char, transpose
 from .polyq import IntPoly, byte_width, pack_ints, slot_bits, split_ints
 
 SUPPORTED_RANKS = {"A": range(1, 12), "B": range(1, 9), "C": range(1, 9),
@@ -574,13 +575,24 @@ def _consecutive_cycles(parts) -> tuple:
 
 
 def _build_A(t: WeylType):
+    """Classes, character table, irreducibles, sgn and triv of S_(rank + 1).
+
+    chi^(lam^t) = sgn chi^lam (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.7), and sgn is (-1)^(n - l(mu)) on the class of cycle
+    type mu, so of each pair {lam, lam^t} the row met first in table order
+    is taken by Murnaghan-Nakayama and the other is that row times sgn.
+    """
     n = t.rank + 1
     classes = [ConjClass(cycle_type_size(n, lab), lab, _consecutive_cycles(lab[::-1]))
                for lab in partitions(n)]
     irreps = partitions(n)
-    table = tuple(
-        tuple(sym_char(lam, cls.label) for cls in classes) for lam in irreps
-    )
+    sgn_values = [-1 if (n - len(cls.label)) % 2 else 1 for cls in classes]
+    rows = {}
+    for lam in irreps:
+        twin = rows.get(transpose(lam))
+        rows[lam] = (tuple(map(mul, twin, sgn_values)) if twin is not None
+                     else tuple(sym_char(lam, cls.label) for cls in classes))
+    table = tuple(rows.values())
     sgn = irreps.index((1,) * n)
     triv = irreps.index((n,))
     return classes, table, irreps, sgn, triv

@@ -8,6 +8,7 @@ import pytest
 
 import greenpoly
 from greenpoly.lusztigshoji import solve
+from greenpoly.spin import _times as clifford_times
 from greenpoly.springer import table_typeA, table_typeC
 
 SRC = os.path.dirname(os.path.dirname(greenpoly.__file__))
@@ -63,6 +64,21 @@ def skewed_times(x: dict, vec) -> dict:
         for s, c in x.items():
             odd = ((s >> j).bit_count() + (j == 0 and s.bit_count() == 1)) & 1
             out[s ^ 1 << j] = out.get(s ^ 1 << j, 0) + (-a * c if odd else a * c)
+    return {s: c for s, c in out.items() if c}
+
+
+def swapped_times(x: dict, vec) -> dict:
+    """`spin._times` in which a one-term vector e_k times e_2 is e_k e_3 and
+    times e_3 is e_k e_2; every other product of monomials is as in the
+    Clifford algebra.  It is bilinear, like the true product, but a root's
+    reflection check at e_2 reads alpha e_3 alpha and fails, and so does the
+    check on sum_j B^j e_j for B > 1, while the errors at e_2 and e_3 cancel
+    on e_0 + ... + e_(m-1)."""
+    vec = (*vec, *(0,) * (4 - len(vec)))
+    ones = {s: c for s, c in x.items() if s.bit_count() == 1}
+    out = clifford_times(ones, (*vec[:2], vec[3], vec[2], *vec[4:]))
+    for s, c in clifford_times({s: c for s, c in x.items() if s not in ones}, vec).items():
+        out[s] = out.get(s, 0) + c
     return {s: c for s, c in out.items() if c}
 
 

@@ -45,12 +45,13 @@ MUTANTS = [
          "tests/test_charring.py::test_bc_columns_match_per_term_oracle[5]"),
         120,
     ),
-    # the second twist with its first two entries swapped
+    # the first twist looked up after the identity with its first two
+    # entries swapped
     Mutant(
         "twist-with-two-entries-swapped",
         "charring.py",
-        "        perms.append(perm)\n",
-        "        perms.append(perm[1::-1] + perm[2:] if len(perms) == 1 else perm)\n",
+        "        found[i] = perm\n",
+        "        found[i] = perm[1::-1] + perm[2:] if len(found) == 1 else perm\n",
         ("tests/test_charring.py::test_twists_are_the_linear_characters_of_the_table[B-3]",
          "tests/test_charring.py::test_twists_are_the_linear_characters_of_the_table[A-3]",
          "tests/test_charring.py::test_table_grams_match_per_entry_oracle[B-3]"),
@@ -137,23 +138,35 @@ MUTANTS = [
          "tests/test_weyl.py::test_reduced_words_multiply_back"),
         120,
     ),
-    # the Chevalley product compared with p(q) at q = 1 only
+    # the Chevalley product compared with p(q) at q = 1 only: a slot width
+    # of 0 packs a polynomial as its value at 1
     Mutant(
         "chevalley-at-q-one",
         "charring.py",
-        "x1.value(k) * g.refl_charpoly[k] != p",
-        "(x1.value(k) * g.refl_charpoly[k]).eval(1) != p.eval(1)",
+        "    b = slot_bits(top * max(d.norm1() for d in dets) + p.norm_inf())\n",
+        "    b = 0\n",
         ("tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[A-1]",
          "tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[C-3]",
          "tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[G2-2]"),
         120,
     ),
-    # the reflection target with +2 alpha_j alpha: not a reflection
+    # the Chevalley comparison without its factor det_V(1 - qw)
+    Mutant(
+        "chevalley-without-det",
+        "charring.py",
+        "if sum(map(mul, packed, col)) * det.pack(b) != at",
+        "if sum(map(mul, packed, col)) != at",
+        ("tests/test_charring.py::test_chevalley_failure_names_the_first_changed_class[A-1]",
+         "tests/test_charring.py::test_chevalley_failure_matches_polynomial_oracle[B-3]",
+         "tests/test_spin.py::test_exact_identities[D-4]"),
+        120,
+    ),
+    # the reflection target with +2 <r, v> alpha: not a reflection
     Mutant(
         "pin-reflection-target-sign",
         "spin.py",
-        "- 2 * r[j] * r[k]",
-        "+ 2 * r[j] * r[k]",
+        "- 2 * dot * a",
+        "+ 2 * dot * a",
         ("tests/test_spin.py::test_exact_identities[A-1]",
          "tests/test_spin.py::test_exact_identities[B-8]",
          "tests/test_spin.py::test_exact_identities[G2-2]"),
@@ -163,11 +176,79 @@ MUTANTS = [
     Mutant(
         "pin-reflection-unchecked",
         "spin.py",
-        "            if image != target:\n",
-        "            if image != target and False:\n",
+        "    if not all(map(_reflects, roots)):\n",
+        "    if False and not all(map(_reflects, roots)):\n",
         ("tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[A-2]",
          "tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[D-4]",
          "tests/test_spin.py::test_build_pin_rejects_lifts_that_do_not_reflect[G2-2]"),
+        120,
+    ),
+    # the reflection checked on e_0 + ... + e_(m-1), B = 1: errors at two
+    # coordinates that cancel there go unseen
+    Mutant(
+        "pin-test-vector-b-one",
+        "spin.py",
+        "    big = 8 * one * one + 1\n",
+        "    big = 1\n",
+        ("tests/test_spin.py::test_reflection_test_vector_tells_coordinates_apart[A-3]",
+         "tests/test_spin.py::test_reflection_test_vector_tells_coordinates_apart[B-4]",
+         "tests/test_spin.py::test_reflection_test_vector_tells_coordinates_apart[D-4]"),
+        120,
+    ),
+    # the conjugate row filled as chi^lam, without the factor sgn
+    Mutant(
+        "conjugate-row-without-sgn",
+        "weyl.py",
+        "tuple(map(mul, twin, sgn_values))",
+        "twin",
+        ("tests/test_weyl.py::test_s12_table_matches_beta_list_recursion[2]",
+         "tests/test_weyl.py::test_s12_table_matches_beta_list_recursion[5]",
+         "tests/test_weyl.py::test_s12_table_matches_beta_list_recursion[8]"),
+        120,
+    ),
+    # a product of two twists stored as the newer twist alone
+    Mutant(
+        "twist-product-without-composition",
+        "charring.py",
+        "found.setdefault(perm[j], tuple(map(perm.__getitem__, other)))",
+        "found.setdefault(perm[j], perm)",
+        ("tests/test_charring.py::test_twists_are_the_linear_characters_of_the_table[B-3]",
+         "tests/test_charring.py::test_twists_are_the_linear_characters_of_the_table[C-4]",
+         "tests/test_charring.py::test_twists_are_the_linear_characters_of_the_table[G2-2]"),
+        120,
+    ),
+    # M's column j summed on its diagonal entry only, as if every column
+    # paired to zero with every earlier irreducible
+    Mutant(
+        "gram-column-diagonal-only",
+        "lusztigshoji.py",
+        "    start = min(map(column_of.__getitem__, nonzero & column_of.keys()), default=len(coords))\n",
+        "    start = len(coords) - 1\n",
+        ("tests/test_lusztigshoji.py::test_m_takes_cross_orbit_entries_in_full",
+         "tests/test_lusztigshoji.py::test_solve_matches_per_block_oracle[C2]",
+         "tests/test_lusztigshoji.py::test_solve_matches_per_block_oracle[C3]"),
+        120,
+    ),
+    # the closure order read off the bit below each guard bit, a bit of the
+    # difference itself, so a partial sum that falls short can pass
+    Mutant(
+        "closure-guard-bit-one-low",
+        "springer.py",
+        "guard = sum(1 << (w * k + w - 1) for k in range(width))",
+        "guard = sum(1 << (w * k + w - 2) for k in range(width))",
+        ("tests/test_springer.py::test_closure_order_is_dominance[A-6]",
+         "tests/test_springer.py::test_closure_order_is_dominance[C-3]"),
+        120,
+    ),
+    # the rank's elimination adds the pivot row where it subtracts it
+    Mutant(
+        "rank-elimination-adds-pivot-row",
+        "charring.py",
+        "row = [p * x - a * y for x, y in zip(row, piv)]",
+        "row = [p * x + a * y for x, y in zip(row, piv)]",
+        ("tests/test_charring.py::test_int_matrix_rank_matches_fraction_oracle",
+         "tests/test_charring.py::test_int_matrix_rank_on_minus_one_grams[A-4]",
+         "tests/test_charring.py::test_int_matrix_rank_on_minus_one_grams[B-3]"),
         120,
     ),
     # the spin-square witness names the class before the one that fails

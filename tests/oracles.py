@@ -93,6 +93,15 @@ The descent in `weyl.reduced_word` before it carried w^-1(rho) from letter
 to letter is `reduced_word_by_inverses`: one inverse and one action per
 letter.
 
+`verify all`'s group checks before they were integer comparisons:
+`chevalley_failure_by_polynomials` multiplies the coinvariant character's
+value on each class (`coinvariant_character`, the fake degrees as a graded
+character) by det_V(1 - qw) as polynomials and compares the product with
+p(q), and `reflects_on_each_coordinate` checks alpha e_j alpha =
+N e_j - 2 alpha_j alpha one coordinate j at a time.  Both read
+`charring.poincare_poly`, `charring._fake_degrees` and `spin._times` through
+their modules, so a test that patches one of those patches the oracle too.
+
 The command line before the table-driven parser: `build_parser` is the
 argparse parser `cli.main` used, one subparser per verb with the common
 options copied into each.  It drops options given before the verb, which
@@ -109,6 +118,7 @@ from math import comb, factorial
 from operator import add, mul
 from types import SimpleNamespace
 
+from greenpoly import charring, spin
 from greenpoly.charring import (
     GradedCharacter,
     VirtualCharacter,
@@ -992,3 +1002,35 @@ def reduced_word_by_inverses(g: WeylGroupData, w) -> tuple:
     if cur != ident:
         raise RuntimeError(f"no reduced word for {w} in type {t}")
     return tuple(reversed(word))
+
+
+def coinvariant_character(g: WeylGroupData) -> GradedCharacter:
+    """The coinvariant algebra as a graded character: its coordinates are
+    the fake degrees."""
+    return GradedCharacter(g, tuple(charring.fake_degree(g, i) for i in range(len(g.irrep_labels))))
+
+
+def chevalley_failure_by_polynomials(g: WeylGroupData):
+    """The first class where the coinvariant character times det_V(1 - qw)
+    differs from p(q), or None, compared as polynomials."""
+    p = charring.poincare_poly(g)
+    x1 = coinvariant_character(g)
+    return next(
+        (k for k in range(len(g.classes)) if x1.value(k) * g.refl_charpoly[k] != p),
+        None,
+    )
+
+
+def reflects_on_each_coordinate(roots) -> bool:
+    """Whether alpha e_j alpha = N e_j - 2 alpha_j alpha, N = |alpha|^2, for
+    every root alpha of roots and every coordinate j, one Clifford product
+    per coordinate: the lift alpha/|alpha| projects to the reflection s_alpha."""
+    for r in roots:
+        alpha = spin._times({0: 1}, r)
+        for j in range(len(r)):
+            image = spin._times(spin._times(alpha, (0,) * j + (1,)), r)
+            target = spin._times({0: 1}, tuple(sum(a * a for a in r) * (k == j) - 2 * r[j] * x
+                                              for k, x in enumerate(r)))
+            if image != target:
+                return False
+    return True

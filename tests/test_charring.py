@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from greenpoly.charring import (
     _det_values,
     VirtualCharacter,
     chevalley_failure,
-    coinvariant_character,
     delta_twist_pairing,
     fake_degree,
     minus_one_gram,
@@ -46,7 +46,9 @@ from conftest import SOLVED_TABLES
 from oracles import (
     bc_column_outer_products,
     bc_column_per_term,
+    chevalley_failure_by_polynomials,
     class_gram,
+    coinvariant_character,
     delta_twist_grams_agree,
     delta_twist_pairing_direct,
     graded_irreducible,
@@ -236,6 +238,29 @@ def test_chevalley_failure_names_the_first_changed_class(family, rank, monkeypat
             m.setattr(charring, "poincare_poly", lambda g: tampered_p)
             m.setattr(charring, "_fake_degrees", lambda t: tampered_fakes)
             assert chevalley_failure(g) == want
+
+
+@pytest.mark.parametrize("family,rank", ALL_GROUPS)
+def test_chevalley_failure_matches_polynomial_oracle(family, rank, monkeypatch):
+    # the comparison at q = 2^b against the polynomial one, on the true
+    # p(q) and fake degrees and on tampered ones: p off by a constant, by a
+    # high power of q and by q^2 - q (each class fails, or none does), one
+    # fake degree scaled, two swapped, and one with a large coefficient
+    # added above its top, which the slot width must hold
+    g = build(WeylType(family, rank))
+    p, fakes = poincare_poly(g), charring._fake_degrees(g.type)
+    n, top = len(fakes), len(p.coeffs)
+    big = IntPoly((0,) * top + (10**6,))
+    cases = [(p, fakes), (p + IntPoly((1,)), fakes), (p - IntPoly((0,) * (2 * top) + (1,)), fakes),
+             (p + IntPoly((0, -1, 1)), fakes), (p, fakes[:-1] + (fakes[-1] * 3,)),
+             (p, fakes[:-1] + (fakes[-1] + big,))]
+    if n > 1:
+        cases.append((p, (fakes[1], fakes[0]) + fakes[2:]))
+    for tampered_p, tampered_fakes in cases:
+        with monkeypatch.context() as m:
+            m.setattr(charring, "poincare_poly", lambda g: tampered_p)
+            m.setattr(charring, "_fake_degrees", lambda t: tampered_fakes)
+            assert chevalley_failure(g) == chevalley_failure_by_polynomials(g)
 
 
 @pytest.mark.parametrize(
@@ -759,6 +784,19 @@ def test_twists_are_the_linear_characters_of_the_table(family, rank):
         assert set(lam) <= {1, -1}
         assert all(p[p[i]] == i for i in range(len(table)))
         assert [table[j] for j in p] == [tuple(map(mul, row, lam)) for row in table]
+
+
+@pytest.mark.parametrize("rows,message", [
+    # a row of degree 1 with a value 2
+    (((1, 1), (1, 2)), "linear character (1, 2) of A1 takes a value other than +-1"),
+    # (1, -1, 1) twists (2, 1, -1) to (2, -1, -1), which is no row
+    (((1, 1, 1), (1, -1, 1), (2, 1, -1)), "row 2 of A1 twisted by (1, -1, 1) is not in the table"),
+])
+def test_twists_reject_a_table_without_its_twisted_rows(rows, message, monkeypatch):
+    fake = SimpleNamespace(char_table=rows, identity_class=0)
+    monkeypatch.setattr(charring, "build", lambda t: fake)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        twists.__wrapped__(WeylType("A", 1))
 
 
 @pytest.mark.parametrize("family,rank", SOLVED_TABLES, ids=[f"{f}{r}" for f, r in SOLVED_TABLES])

@@ -13,7 +13,7 @@ from greenpoly.polyq import ZERO, IntPoly
 from greenpoly.weyl import WeylType, build, label_str
 
 from conftest import SOLVED_TABLES, run_fresh, skewed_times, solved
-from oracles import tableau_payload_dicts, to_json
+from oracles import coinvariant_character, tableau_payload_dicts, to_json
 
 
 def run(capsys, *args):
@@ -410,7 +410,7 @@ def test_verify_all_chevalley_witness(capsys, monkeypatch):
     from greenpoly.weyl import WeylType, build
 
     g = build(WeylType("C", 3))
-    x1 = charring.coinvariant_character(g)  # cached before p(q) is tampered with
+    x1 = coinvariant_character(g)  # cached before p(q) is tampered with
     p = charring.poincare_poly(g) + charring.ONE
     first = next(k for k in range(len(g.classes)) if x1.value(k) * g.refl_charpoly[k] != p)
     _, out, _ = run(capsys, "wg", "classes", "--type", "C", "--rank", "3", "--json")

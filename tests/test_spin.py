@@ -34,9 +34,10 @@ from greenpoly.weyl import (
     sp_mul,
 )
 
-from conftest import SOLVED_TABLES, skewed_times
+from conftest import SOLVED_TABLES, skewed_times, swapped_times
 from oracles import (
     alternating_betti_by_class_value,
+    reflects_on_each_coordinate,
     char_formula_check,
     index_flags_by_class_sums,
     schur_spin_character,
@@ -302,6 +303,33 @@ def test_build_pin_rejects_lifts_that_do_not_reflect(fam, rank, monkeypatch):
     monkeypatch.setattr(spin, "_times", skewed_times)
     with pytest.raises(PinConstructionError, match="pin lift does not project to s_alpha"):
         build_pin(g)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("A", 8), ("B", 4), ("C", 5), ("D", 4)])
+def test_reflection_test_vector_tells_coordinates_apart(fam, rank, monkeypatch):
+    # a product whose errors at e_2 and e_3 cancel on e_0 + ... + e_(m-1)
+    # fails the check of every root only if the test vector weighs the
+    # coordinates apart
+    roots = ambient_simple_roots(WeylType(fam, rank))
+    monkeypatch.setattr(spin, "_times", swapped_times)
+    assert not reflects_on_each_coordinate(roots)
+    assert not any(map(spin._reflects, roots))
+
+
+@pytest.mark.parametrize("fam,rank", ALL_GROUPS)
+def test_reflection_check_matches_per_coordinate_oracle(fam, rank, monkeypatch):
+    # the check on one test vector per root against the check on each
+    # coordinate, root by root, with the true Clifford product and with two
+    # wrong ones
+    roots = ambient_simple_roots(WeylType(fam, rank))
+    assert reflects_on_each_coordinate(roots)
+    assert all(map(spin._reflects, roots))
+    fakes = [skewed_times] + ([swapped_times] if len(roots[0]) >= 4 else [])
+    for fake in fakes:
+        with monkeypatch.context() as m:
+            m.setattr(spin, "_times", fake)
+            assert [spin._reflects(r) for r in roots] == [reflects_on_each_coordinate([r]) for r in roots]
+            assert not reflects_on_each_coordinate(roots)
 
 
 def test_braid_failure_names_first_pair():

@@ -30,7 +30,7 @@ from greenpoly.springer import (
     table_typeA,
     table_typeC,
 )
-from oracles import m_trace, q_M_gram_by_traces
+from oracles import dominates, m_trace, q_M_gram_by_traces
 
 
 HERE = os.path.dirname(__file__)
@@ -625,3 +625,14 @@ def test_loadable_mutated_table_green_and_verify_exit_cleanly(obj):
             json.dump(obj, fh)
         for verb in (["green"], ["verify", "ls"]):
             assert _cli(*verb, "--type", "C", "--rank", str(rank), "--data-dir", tmp) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("ambient,n", [("A", n) for n in range(2, 13)] + [("C", n) for n in (1, 2, 3)])
+def test_closure_order_is_dominance(ambient, n):
+    # the packed comparison of partial sums against the oracle's running
+    # sums, one pair of orbits at a time
+    table = table_typeA(n) if ambient == "A" else table_typeC(n)
+    parts = [rec.label.partition for rec in table.orbits]
+    assert table.greater == {
+        (i, j) for i, a in enumerate(parts) for j, b in enumerate(parts) if a != b and dominates(a, b)
+    }

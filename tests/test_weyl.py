@@ -462,14 +462,16 @@ def _d_value(label, cls_label):
     return (base + sign * corr) // 2
 
 
-@pytest.mark.gl12
-def test_s12_table_matches_beta_list_recursion():
-    # the largest table production builds, against the rim-hook recursion
-    # on beta lists
-    g = build(WeylType("A", 11))
-    assert g.irrep_labels == partitions(12)
+@pytest.mark.parametrize("n", [*range(2, 12), pytest.param(12, marks=pytest.mark.gl12)])
+def test_s12_table_matches_beta_list_recursion(n):
+    # every S_n table production builds, up to the largest, S_12, against
+    # the rim-hook recursion on beta lists, row by row: half the rows are
+    # filled from their conjugate's as sgn chi, so a wrong sign or a wrong
+    # twin shows
+    g = build(WeylType("A", n - 1))
+    assert g.irrep_labels == partitions(n)
     assert g.char_table == tuple(
-        tuple(sym_char_by_hooks(lam, cls.label) for cls in g.classes) for lam in partitions(12)
+        tuple(sym_char_by_hooks(lam, cls.label) for cls in g.classes) for lam in partitions(n)
     )
 
 
